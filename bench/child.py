@@ -4,10 +4,13 @@ Usage: python3 bench/child.py --workload NAME --seed N [--trace] [--spans FILE]
                              [--setup-only]
 
 Imports orbitfuncs from ``src/`` of the checkout, builds the workload's
-root systems, prints the monotonic clock reading at that moment (the end
+root systems, notes the monotonic clock reading at that moment (the end
 of set-up), runs the seeded task list, then checks every task's output
-and prints one JSON object: per-task latencies, failures, the peak RSS
-read before the checks, and with --trace the per-layer span summary.
+and prints one JSON object: the set-up end, per-task latencies, the
+reference loop's time (see speed.py) before set-up, after set-up and after
+each task, the time the first of these timings took (it is not set-up),
+failures, the peak RSS read before the checks, and with --trace the
+per-layer span summary.
 """
 
 from __future__ import annotations
@@ -32,6 +35,11 @@ def main() -> int:
                     help="stop after set-up and print its end time")
     args = ap.parse_args()
 
+    from speed import reference_s
+    t0 = time.perf_counter()
+    first_ref = reference_s()
+    first_ref_block = time.perf_counter() - t0
+
     from workloads import make_tasks, diagrams_of
     tasks = make_tasks(args.workload, args.seed)
 
@@ -50,8 +58,11 @@ def main() -> int:
         tracer.task = "setup"
     systems = {d: lib.rootsys.build(d) for d in diagrams_of(tasks)}
     ready = time.clock_gettime(time.CLOCK_MONOTONIC)
+    refs = [reference_s()]
+    setup = {"ready": ready, "setup_refs": [first_ref, refs[0]],
+             "setup_ref_block_s": first_ref_block}
     if args.setup_only:
-        print(json.dumps({"ready": ready}))
+        print(json.dumps(setup))
         return 0
 
     ctx = ops.Context(lib, systems, tracer)
@@ -66,6 +77,7 @@ def main() -> int:
         except Exception as exc:  # a failed task counts as failed, the pass goes on
             evidence.append((None, f"{type(exc).__name__}: {exc}"))
         latencies.append(ctx.elapsed)
+        refs.append(reference_s())
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
     layers = None
@@ -89,8 +101,9 @@ def main() -> int:
             failures.append({"id": task["id"], "op": task["op"], "error": error})
 
     print(json.dumps({
-        "ready": ready,
+        **setup,
         "latencies": latencies,
+        "refs": refs,
         "failures": failures,
         "peak_rss_mb": peak_rss_mb,
         "layers": layers,

@@ -33,8 +33,9 @@ def load_library() -> SimpleNamespace:
 
 class Context:
     """State of one pass over a task list: the library modules, the root
-    systems built at set-up, the eval_batch keys already sent, and the
-    time spent inside the library for the current task."""
+    systems built at set-up, the (diagram, kind, weight) keys already sent
+    to eval_batch by any task, and the time spent inside the library for
+    the current task."""
 
     def __init__(self, lib, systems: dict, tracer=None):
         self.lib = lib
@@ -51,6 +52,14 @@ class Context:
             yield
         finally:
             self.elapsed += time.perf_counter() - t0
+
+    def send(self, diagram: str, kind: str, lam) -> str:
+        """Record that eval_batch gets this key; "first" if no task has
+        sent it before, else "repeat"."""
+        key = (diagram, kind, tuple(lam))
+        tag = "repeat" if key in self.seen else "first"
+        self.seen.add(key)
+        return tag
 
     def system(self, label: str):
         if label not in self.rs:
@@ -122,7 +131,7 @@ def run_build_plan(ctx, t):
     a = rng.standard_normal(n_lab) + 1j * rng.standard_normal(n_lab)
     with ctx.timed():
         back = plan.forward(plan.inverse(a))
-        gram = plan.gram()
+    gram = plan.gram()
     cells = [(int(rng.integers(n_lab)), int(rng.integers(len(plan.grid))))
              for _ in range(3)]
     return {
@@ -156,7 +165,7 @@ def run_multivariate_plan(ctx, t):
     a = rng.standard_normal(n_lab) + 1j * rng.standard_normal(n_lab)
     with ctx.timed():
         back = plan.forward(plan.inverse(a))
-        resid = plan.gram_residual()
+    resid = plan.gram_residual()
     return {"labels": n_lab,
             "roundtrip": float(np.max(np.abs(back - a)) / np.max(np.abs(a))),
             "gram": float(resid / np.max(plan.norms))}
@@ -181,9 +190,7 @@ def run_eval_batch(ctx, t):
     lam = _lam(rs, t)
     rng = np.random.default_rng(t["seed"])
     xs = rng.uniform(-1.0, 1.0, size=(t["points"], rs.rank))
-    key = (t["diagram"], t["kind"], lam)
-    tag = "repeat" if key in ctx.seen else "first"
-    ctx.seen.add(key)
+    tag = ctx.send(t["diagram"], t["kind"], lam)
     if ctx.tracer is not None:
         ctx.tracer.tag = tag
     try:
@@ -238,6 +245,9 @@ def interior_point(rng, rs, margin: float = 0.1) -> np.ndarray:
 def run_character(ctx, t):
     rs = ctx.rs[t["diagram"]]
     x = interior_point(np.random.default_rng(t["seed"]), rs)
+    # character evaluates the anti functions of rho and lam + rho
+    ctx.send(t["diagram"], "anti", rs.rho)
+    ctx.send(t["diagram"], "anti", [c + r for c, r in zip(t["lam"], rs.rho)])
     with ctx.timed():
         chi = ctx.lib.orbitfn.character(rs, t["lam"], x)
     return {"x": x, "chi": chi}
@@ -264,6 +274,8 @@ def run_series(ctx, t):
     def f(pts):
         return sum(c * of.eval_batch(rs, "anti", mu, pts) for c, mu in zip(cs, mus))
 
+    for lab in SERIES_POOL:  # f sends mus, the quadrature every label
+        ctx.send(t["diagram"], "anti", lab)
     with ctx.timed():
         coeffs = tr.series_coefficients(rs, f, SERIES_POOL, 200)
     expect = np.array([cs[mus.index(lab)] if lab in mus else 0.0 for lab in SERIES_POOL])
@@ -308,6 +320,8 @@ def run_shift(ctx, t):
     rng = np.random.default_rng(t["seed"])
     x = list(rng.uniform(-0.6, 0.6, rs.rank))
     y = list(rng.uniform(-0.6, 0.6, rs.rank))
+    for kind in ("anti", "sym"):
+        ctx.send(t["diagram"], kind, t["lam"])
     with ctx.timed():
         worst = max(ctx.lib.analysis.shift_operator_check(rs, t["lam"], x, y, v)
                     for v in SHIFT_VARIANTS)

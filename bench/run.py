@@ -7,6 +7,7 @@ Run from the root of a checkout; orbitfuncs is imported from its ``src/``.
 Each workload is a closed loop with one client: a seeded, fixed task list
 run sequentially in a fresh child process, so caches start cold as in a
 user's script.  Passes repeat until ``--seconds`` have been measured.
+Times are reported at a fixed reference speed (see speed.py).
 With ``--trace 0`` the last line of stdout is a JSON object with the
 end-to-end metrics; with ``--trace 1`` passes alternate untraced and
 traced and the object holds the per-layer metrics.  See bench/README.md.
@@ -30,12 +31,12 @@ OUT = ROOT / ".bench_out"
 sys.path.insert(0, str(HERE))
 
 from cli_workload import VERBS, check_in_process, make_commands, write_inputs  # noqa: E402
+from speed import NOMINAL_S  # noqa: E402
 from tracer import TARGETS, load, summarize, target_names  # noqa: E402
 
 WORKLOADS = ("plans", "evaluate", "algebra", "cli")
 BLAS_PIN = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 CHILD_TIMEOUT_S = 150
-SETUP_REPEATS = 5
 
 END_TO_END = {"setup_s": "s", "wall_s": "s", "task_p50_ms": "ms",
               "task_p90_ms": "ms", "peak_rss_mb": "MiB"}
@@ -81,6 +82,12 @@ class BenchError(RuntimeError):
     pass
 
 
+def scaled(measured: float, ref_s: float) -> float:
+    """A measured time at the reference speed, given the reference loop's
+    time read next to it (see speed.py)."""
+    return measured * NOMINAL_S / ref_s
+
+
 def percentile(values, q: int) -> float:
     """The q-th percentile, as statistics.quantiles(n=100) interpolates it."""
     return statistics.quantiles(values, n=100, method="inclusive")[q - 1]
@@ -88,7 +95,17 @@ def percentile(values, q: int) -> float:
 
 # -- passes ------------------------------------------------------------------
 
+def setup_time(data: dict, start: float) -> float:
+    """A child's scaled set-up time: from its spawn to the end of set-up,
+    less the reference timing before set-up, at the mean of the readings
+    before and after."""
+    before, after = data["setup_refs"]
+    return scaled(data["ready"] - start - data["setup_ref_block_s"], (before + after) / 2)
+
+
 def library_pass(workload: str, seed: int, traced: bool, index: int) -> dict:
+    """One child over the task list.  A task's latency is scaled by the
+    mean of the reference readings just before and just after it."""
     argv = [sys.executable, str(HERE / "child.py"), "--workload", workload,
             "--seed", str(seed)]
     if traced:
@@ -99,29 +116,46 @@ def library_pass(workload: str, seed: int, traced: bool, index: int) -> dict:
     if res["code"] != 0:
         raise BenchError(f"{workload} child exited {res['code']}; see {res['stderr_path']}")
     data = json.loads(res["stdout"].strip().splitlines()[-1])
-    return {"setup_s": data["ready"] - res["start"], "wall_s": sum(data["latencies"]),
-            "latencies": data["latencies"], "failures": data["failures"],
+    refs = data["refs"]
+    return {"setup_s": setup_time(data, res["start"]),
+            "latencies": [scaled(lat, (refs[i] + refs[i + 1]) / 2)
+                          for i, lat in enumerate(data["latencies"])],
+            "measured": data["latencies"], "failures": data["failures"],
             "peak_rss_mb": data["peak_rss_mb"], "layers": data["layers"],
             "tasks": len(data["latencies"])}
 
 
+def cli_process(args: list[str], name: str, spans: Path | None = None) -> dict:
+    """One cli_child.py process; its latency is its elapsed time less its
+    reference timings, scaled by the mean of their readings."""
+    ref_path = OUT / f"{name}.ref.json"
+    ref_path.unlink(missing_ok=True)
+    extra = ["--spans", str(spans)] if spans is not None else []
+    res = run_process([sys.executable, str(HERE / "cli_child.py"), str(ref_path)] + extra + args,
+                      name)
+    try:
+        ref = json.loads(ref_path.read_text())
+    except (OSError, ValueError) as exc:
+        raise BenchError(f"{name}: no reference timing ({exc}); see {res['stderr_path']}")
+    res["measured"] = res["elapsed"] - ref["ref_block_s"]
+    res["latency"] = scaled(res["measured"], ref["ref_s"])
+    return res
+
+
 def cli_pass(cmds, traced: bool, index: int) -> dict:
-    latencies, rss, outputs, layers = [], [], {}, []
+    latencies, measured, rss, outputs, layers = [], [], [], {}, []
     for i, cmd in enumerate(cmds):
         name = f"cli-{index}-{i}"
-        if traced:
-            spans = OUT / f"{name}.spans.jsonl"
-            argv = [sys.executable, str(HERE / "cli_traced.py"), str(spans)] + cmd["args"]
-        else:
-            argv = [sys.executable, "-m", "orbitfuncs.cli"] + cmd["args"]
-        res = run_process(argv, name)
-        latencies.append(res["elapsed"])
+        spans = OUT / f"{name}.spans.jsonl" if traced else None
+        res = cli_process(cmd["args"], name, spans)
+        latencies.append(res["latency"])
+        measured.append(res["measured"])
         rss.append(res["peak_rss_mb"])
         outputs[i] = (res["code"], res["stdout"])
         if traced:
             spans_list, absent = load(spans)
             layers.append(dict(summarize(spans_list), absent=absent))
-    return {"wall_s": sum(latencies), "latencies": latencies, "outputs": outputs,
+    return {"latencies": latencies, "measured": measured, "outputs": outputs,
             "peak_rss_mb": statistics.median(rss), "tasks": len(cmds),
             "layers": merge_layers(layers) if traced else None}
 
@@ -140,33 +174,31 @@ def merge_layers(parts: list[dict]) -> dict:
     return out
 
 
-def setup_times(workload: str, seed: int) -> list[float]:
-    """Set-up times of processes that only set up: a bare import of
+def setup_only(workload: str, seed: int, index: int) -> float:
+    """Scaled set-up time of a process that only sets up: a bare import of
     orbitfuncs.cli for cli, otherwise a child that stops after set-up."""
+    name = f"{workload}-setup-{index}"
     if workload == "cli":
-        argv = [sys.executable, "-c", "import orbitfuncs.cli"]
+        res = cli_process([], name)
     else:
-        argv = [sys.executable, str(HERE / "child.py"), "--workload", workload,
-                "--seed", str(seed), "--setup-only"]
-    times = []
-    for i in range(SETUP_REPEATS):
-        res = run_process(argv, f"{workload}-setup-{i}")
-        if res["code"] != 0:
-            raise BenchError(f"{workload} set-up failed; see {res['stderr_path']}")
-        if workload == "cli":
-            times.append(res["elapsed"])
-        else:
-            times.append(json.loads(res["stdout"])["ready"] - res["start"])
-    return times
+        res = run_process([sys.executable, str(HERE / "child.py"), "--workload", workload,
+                           "--seed", str(seed), "--setup-only"], name)
+    if res["code"] != 0:
+        raise BenchError(f"{workload} set-up failed; see {res['stderr_path']}")
+    if workload == "cli":
+        return res["latency"]
+    return setup_time(json.loads(res["stdout"]), res["start"])
 
 
 # -- the run -------------------------------------------------------------------
 
 def measure(workload: str, seed: int, seconds: float, trace: bool) -> dict:
-    """Measure set-up, then run passes while the next one is expected to
-    end within `seconds` of the start (at least one pass; with --trace
-    passes alternate untraced and traced, and at least one of each runs)."""
-    plain, traced = [], []
+    """Run passes while the next one is expected to end within `seconds`
+    of the start (at least one pass; with --trace passes alternate
+    untraced and traced, and at least one of each runs).  Before each pass
+    a process that only sets up measures set-up, so that the set-up
+    samples spread over the run like the passes."""
+    plain, traced, setups = [], [], []
     begin = clock()
     cmds = None
     if workload == "cli":
@@ -174,11 +206,11 @@ def measure(workload: str, seed: int, seconds: float, trace: bool) -> dict:
         workdir.mkdir(parents=True, exist_ok=True)
         cmds = make_commands(seed, workdir)
         write_inputs(cmds)
-    setups = setup_times(workload, seed)
     first_pass = clock()
     index = 0
     while True:
         is_traced = trace and index % 2 == 1
+        setups.append(setup_only(workload, seed, index))
         if workload == "cli":
             p = cli_pass(cmds, is_traced, index)
         else:
@@ -203,14 +235,19 @@ def measure(workload: str, seed: int, seconds: float, trace: bool) -> dict:
     return {"plain": plain, "traced": traced, "setups": setups, "failures": failures}
 
 
+def wall(passes: list[dict], key: str = "latencies") -> float:
+    """Median over the passes of the sum of their task latencies."""
+    return statistics.median(sum(p[key]) for p in passes)
+
+
 def end_to_end(m: dict) -> dict:
     plain = m["plain"]
-    lat = [x for p in plain for x in p["latencies"]]
+    tasks = [lat for p in plain for lat in p["latencies"]]
     return {
         "setup_s": statistics.median(m["setups"]),
-        "wall_s": statistics.median(p["wall_s"] for p in plain),
-        "task_p50_ms": 1000 * percentile(lat, 50),
-        "task_p90_ms": 1000 * percentile(lat, 90),
+        "wall_s": wall(plain),
+        "task_p50_ms": 1000 * percentile(tasks, 50),
+        "task_p90_ms": 1000 * percentile(tasks, 90),
         "peak_rss_mb": statistics.median(p["peak_rss_mb"] for p in plain),
     }
 
@@ -252,8 +289,7 @@ def per_layer(workload: str, m: dict) -> dict:
         values[f"cli.{verb}.p50_ms"] = (
             1000 * statistics.median(p["latencies"][k] for p in m["plain"])
             if workload == "cli" else 0.0)
-    values["trace.overhead_s"] = (statistics.median(p["wall_s"] for p in m["traced"])
-                                  - statistics.median(p["wall_s"] for p in m["plain"]))
+    values["trace.overhead_s"] = wall(m["traced"]) - wall(m["plain"])
     return values
 
 
@@ -313,9 +349,12 @@ def main(argv=None) -> int:
     else:
         values = end_to_end(m)
         units = END_TO_END
-        samples = sum(len(p["latencies"]) for p in m["plain"])
-        print(f"  task latency percentiles over {samples} tasks "
-              f"({int(samples * 0.1)} beyond p90); setup over {len(m['setups'])} set-ups")
+        tasks = m["plain"][0]["tasks"]
+        samples = tasks * len(m["plain"])
+        print(f"  wall over {len(m['plain'])} passes of {tasks} tasks, task latency "
+              f"percentiles over their {samples} latencies ({int(samples * 0.1)} beyond p90), "
+              f"setup over {len(m['setups'])} set-ups; times at the reference speed, "
+              f"wall as measured {wall(m['plain'], 'measured'):.6g} s")
     for name, value in values.items():
         print(f"  {name} = {value:.6g} {units[name]}")
     result = {"correct": not m["failures"], "attempted": attempted,

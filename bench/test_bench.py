@@ -5,7 +5,9 @@
 
 import json
 import re
+import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,10 +18,11 @@ sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
 from orbitfuncs import orbitfn, transforms, weyl  # noqa: E402
 from orbitfuncs.rootsys import build  # noqa: E402
 
+import ops  # noqa: E402
 import run  # noqa: E402
 from cli_workload import make_commands  # noqa: E402
 from tracer import NAME, PARENT, Tracer, self_times, summarize  # noqa: E402
-from workloads import WORKLOADS, make_tasks  # noqa: E402
+from workloads import WORKLOADS, diagrams_of, make_tasks  # noqa: E402
 
 
 def test_transforms_call_into_orbitfn_is_a_child_span():
@@ -74,6 +77,28 @@ def test_summarize_splits_first_and_repeat_eval_batch():
     assert out["modules"]["orbitfn"]["errors"] == 0
 
 
+def test_first_tagged_eval_batch_keys_are_not_yet_in_the_term_cache():
+    cache = getattr(orbitfn, "_TERMS_CACHE", None)
+    if cache is None:
+        pytest.skip("orbitfn keeps no term cache to compare the tags with")
+    cache.clear()
+    tasks = make_tasks("evaluate", 3)
+    ctx = ops.Context(ops.load_library(), {d: build(d) for d in diagrams_of(tasks)})
+    tags = []
+    for task in tasks:
+        run_task, _ = ops.OPS[task["op"]]
+        if task["op"] != "eval_batch":
+            run_task(ctx, task)
+            continue
+        rs = ctx.rs[task["diagram"]]
+        lam = tuple(Fraction(c) for c in ops._lam(rs, task))
+        cached = (rs.id, orbitfn._norm_kind(task["kind"]), lam) in cache
+        tag = run_task(ctx, task)["tag"]
+        assert tag == ("repeat" if cached else "first"), task
+        tags.append(tag)
+    assert "first" in tags and "repeat" in tags
+
+
 def test_wrappers_are_removed_after_a_traced_run():
     before = (orbitfn.eval_coroot_point, transforms.eval_coroot_point,
               transforms.TransformPlan.forward, weyl.generate_group)
@@ -115,6 +140,16 @@ def test_cli_commands_depend_on_the_seed_only(tmp_path):
         return [c["args"] for c in make_commands(seed, tmp_path)]
     assert args(7) == args(7)
     assert args(7) != args(8)
+
+
+@pytest.mark.parametrize("args, code", [(["rootsys", "info", "A2"], 0), (["no-such-verb"], 2)])
+def test_cli_child_keeps_the_exit_code_and_times_the_reference(tmp_path, args, code):
+    ref = tmp_path / "ref.json"
+    proc = subprocess.run([sys.executable, str(HERE / "cli_child.py"), str(ref)] + args,
+                          env=run.child_env(), capture_output=True, timeout=120)
+    assert proc.returncode == code
+    timing = json.loads(ref.read_text())
+    assert 0 < timing["ref_s"] <= timing["ref_block_s"]
 
 
 def test_metric_names_are_valid_and_match_benchmark_json():

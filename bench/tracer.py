@@ -47,8 +47,7 @@ def target_names(targets=TARGETS) -> list[str]:
 
 
 class Tracer:
-    def __init__(self, clock=time.perf_counter):
-        self.clock = clock
+    def __init__(self):
         self.spans: list[list] = []
         self.absent: list[str] = []
         self.task = None
@@ -58,16 +57,16 @@ class Tracer:
 
     # -- installation ----------------------------------------------------
 
-    def install(self, targets=TARGETS, package: str = PACKAGE) -> None:
+    def install(self, targets=TARGETS) -> None:
         modules = {}
         for name in targets:
             try:
-                modules[name] = importlib.import_module(f"{package}.{name}")
+                modules[name] = importlib.import_module(f"{PACKAGE}.{name}")
             except ImportError:
                 modules[name] = None
         # every loaded module of the package, for rebound names
         siblings = [m for key, m in sorted(sys.modules.items())
-                    if m is not None and (key == package or key.startswith(package + "."))]
+                    if m is not None and (key == PACKAGE or key.startswith(PACKAGE + "."))]
         for mod_name, fns in targets.items():
             module = modules[mod_name]
             for fn_name in fns:
@@ -97,7 +96,7 @@ class Tracer:
         self._patches.clear()
 
     def _wrap(self, name: str, fn):
-        spans, stack, clock = self.spans, self._stack, self.clock
+        spans, stack, clock = self.spans, self._stack, time.perf_counter
 
         @functools.wraps(fn)
         def traced(*args, **kwargs):
