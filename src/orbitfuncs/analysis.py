@@ -11,8 +11,8 @@ construction from an arbitrary family of orthogonal polynomials.
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -22,10 +22,8 @@ import numpy as np
 from .rootsys import RootSystem, vec, inner, orth_dim
 from .weyl import generate_group, orth_group, orth_apply
 from .orbitfn import (
-    eval_orbit_function, eval_batch, eval_orth_batch, _perm_sum,
+    TWO_PI, eval_orbit_function, eval_batch, eval_orth_batch, _perm_sum,
 )
-
-TWO_PI = 2.0 * math.pi
 
 
 # -- Laplace and symmetric-power operators --------------------------------
@@ -241,22 +239,12 @@ def hermite_sym_anti(m: Sequence[int], lam: Sequence, variant: str):
     anti: det(H_{m_i}(lam_j)) -- needs strictly decreasing m, vanishes at
     coinciding arguments; sym: the full symmetric-group sum of products.
     """
-    n = len(m)
-    lam = [float(v) for v in lam]
-    if variant == "anti":
-        if not all(m[i] > m[i + 1] for i in range(n - 1)):
-            raise ValueError("antisymmetric labels must decrease strictly")
-        grid = np.array([[hermite_polynomial(mi, lj) for lj in lam] for mi in m])
-        return complex(_perm_sum(grid.astype(complex), signed=True)).real
-    if variant == "sym":
-        total = 0.0
-        for p in itertools.permutations(range(n)):
-            term = 1.0
-            for i in range(n):
-                term *= hermite_polynomial(m[p[i]], lam[i])
-            total += term
-        return total
-    raise ValueError(f"unknown variant {variant!r}")
+    if variant not in ("anti", "sym"):
+        raise ValueError(f"unknown variant {variant!r}")
+    if variant == "anti" and not all(a > b for a, b in zip(m, m[1:])):
+        raise ValueError("antisymmetric labels must decrease strictly")
+    grid = np.array([hermite_polynomial(mi, lam) for mi in m])
+    return float(_perm_sum(grid, signed=(variant == "anti")))
 
 
 @dataclass(frozen=True)
@@ -287,14 +275,9 @@ def gaussian_hermite_samples(q: PlaneWaveQuadrature, m: Sequence[int],
     """exp(-pi |x|^2) H^{variant}_m(sqrt(2 pi) x) on the tensor grid."""
     x1, x2 = np.meshgrid(q.nodes, q.nodes, indexing="ij")
     gauss = np.exp(-math.pi * (x1 ** 2 + x2 ** 2))
-    s = math.sqrt(TWO_PI)
-    if variant == "anti":
-        h = (hermite_polynomial(m[0], s * x1) * hermite_polynomial(m[1], s * x2)
-             - hermite_polynomial(m[1], s * x1) * hermite_polynomial(m[0], s * x2))
-    else:
-        h = (hermite_polynomial(m[0], s * x1) * hermite_polynomial(m[1], s * x2)
-             + hermite_polynomial(m[1], s * x1) * hermite_polynomial(m[0], s * x2))
-    return gauss * h
+    xs = math.sqrt(TWO_PI) * np.stack([x1, x2], axis=-1)
+    h = np.stack([hermite_polynomial(mi, xs) for mi in m], axis=-2)
+    return gauss * _perm_sum(h, signed=(variant == "anti"))
 
 
 def transform_eigen_check(m: Sequence[int], variant: str,
@@ -370,19 +353,16 @@ def hermite_family(max_degree: int) -> PolynomialFamily:
 
 
 def generic_sym_poly(family: PolynomialFamily, m: Sequence[int], x: Sequence) -> float:
-    """Coset sum over distinct permutations of the label."""
-    total = 0.0
-    for pm in set(itertools.permutations(m)):
-        term = 1.0
-        for mi, xi in zip(pm, x):
-            term *= float(family.value(mi, xi))
-        total += term
-    return total
+    """Coset sum over distinct permutations of the label: the permanent
+    divided by the order of the label's stabilizer."""
+    grid = np.array([family.value(mi, np.asarray(x, dtype=float)) for mi in m])
+    stab = math.prod(math.factorial(c) for c in Counter(m).values())
+    return float(_perm_sum(grid, signed=False)) / stab
 
 
 def generic_anti_poly(family: PolynomialFamily, m: Sequence[int], x: Sequence) -> float:
-    grid = np.array([[float(family.value(mi, xj)) for xj in x] for mi in m])
-    return complex(_perm_sum(grid.astype(complex), signed=True)).real
+    grid = np.array([family.value(mi, np.asarray(x, dtype=float)) for mi in m])
+    return float(_perm_sum(grid, signed=True))
 
 
 def generic_anti_quotient(family: PolynomialFamily, m: Sequence[int],

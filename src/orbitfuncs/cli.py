@@ -18,7 +18,7 @@ import click
 import numpy as np
 
 from . import rootsys as rsmod
-from .rootsys import build
+from .rootsys import build, _frac_str
 from . import weyl as weylmod
 from . import orbitfn as ofmod
 from . import orbitalg as algmod
@@ -26,17 +26,15 @@ from . import transforms as trmod
 from . import analysis as anmod
 
 
-def _frac(x) -> str:
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
-
-
 def _parse_vec(text: str) -> tuple[Fraction, ...]:
     return tuple(Fraction(part.strip()) for part in text.split(","))
 
 
-def _emit(data, fmt: str, out):
-    if fmt == "json":
+def _emit(ctx, data):
+    """Print data in the global --format; csv is not a layout of nested
+    data, so verbs that print data this way fall back to json for it."""
+    out = ctx.obj["out"]
+    if ctx.obj["fmt"] in ("json", "csv"):
         click.echo(json.dumps(data, indent=2), file=out)
     else:
         def walk(d, indent=""):
@@ -61,17 +59,14 @@ def _emit(data, fmt: str, out):
 @click.option("--out", "outfile", default=None, type=click.Path(writable=True))
 @click.option("--tolerance", default=None, type=float,
               help="override the default tolerance of a check")
-@click.option("--threads", default=1, type=int,
-              help="accepted for interface stability; results are "
-                   "deterministic and identical for any value")
 @click.option("--seed", default=0, type=int, help="seed for randomized checks")
 @click.pass_context
-def main(ctx, fmt, outfile, tolerance, threads, seed):
+def main(ctx, fmt, outfile, tolerance, seed):
     """Weyl-group orbit functions: root data, orbits, evaluation, orbit
     algebra, grids, discrete transforms, and verification suites."""
     ctx.ensure_object(dict)
     ctx.obj.update(fmt=fmt, tolerance=tolerance, seed=seed,
-                   out=open(outfile, "w") if outfile else sys.stdout)
+                   out=ctx.with_resource(open(outfile, "w")) if outfile else sys.stdout)
 
 
 @main.group(name="rootsys")
@@ -85,7 +80,7 @@ def rootsys_group():
 def rootsys_info(ctx, diagram):
     rs = build(diagram)
     data = rsmod.to_json_dict(rs)
-    _emit(data, ctx.obj["fmt"] if ctx.obj["fmt"] != "csv" else "json", ctx.obj["out"])
+    _emit(ctx, data)
 
 
 @main.group()
@@ -102,10 +97,10 @@ def orbit_signed(ctx, diagram, lam):
     so = weylmod.signed_orbit(rs, _parse_vec(lam))
     data = {
         "diagram": rs.id.label,
-        "dominant": [_frac(c) for c in so.dominant],
-        "points": [{"w": [_frac(c) for c in p], "sign": s} for p, s in so.points],
+        "dominant": [_frac_str(c) for c in so.dominant],
+        "points": [{"w": [_frac_str(c) for c in p], "sign": s} for p, s in so.points],
     }
-    _emit(data, ctx.obj["fmt"] if ctx.obj["fmt"] != "csv" else "json", ctx.obj["out"])
+    _emit(ctx, data)
 
 
 @orbit.command(name="plain")
@@ -116,8 +111,8 @@ def orbit_plain(ctx, diagram, lam):
     rs = build(diagram)
     pts = weylmod.orbit(rs, _parse_vec(lam))
     data = {"diagram": rs.id.label,
-            "points": [[_frac(c) for c in p] for p in pts]}
-    _emit(data, ctx.obj["fmt"] if ctx.obj["fmt"] != "csv" else "json", ctx.obj["out"])
+            "points": [[_frac_str(c) for c in p] for p in pts]}
+    _emit(ctx, data)
 
 
 @main.command(name="eval")
@@ -138,8 +133,7 @@ def eval_cmd(ctx, diagram, kind, lam, xtext, infile):
     if xtext is not None:
         x = [float(Fraction(v)) for v in xtext.split(",")]
         val = ofmod.eval_orbit_function(rs, kind, lamv, x)
-        _emit({"re": val.real, "im": val.imag},
-              ctx.obj["fmt"] if ctx.obj["fmt"] != "csv" else "json", ctx.obj["out"])
+        _emit(ctx, {"re": val.real, "im": val.imag})
         return
     with open(infile) as fh:
         rows = list(csv.reader(fh))
@@ -155,9 +149,9 @@ def _orbit_sum_payload(osum):
     out = []
     for t in osum:
         if t.label and isinstance(t.label[0], tuple):
-            label = [[_frac(c) for c in part] for part in t.label]
+            label = [[_frac_str(c) for c in part] for part in t.label]
         else:
-            label = [_frac(c) for c in t.label]
+            label = [_frac_str(c) for c in t.label]
         out.append({"coefficient": t.coefficient, "label": label, "kind": t.kind})
     return out
 
@@ -183,8 +177,7 @@ def product_cmd(ctx, diagram, plain1, signed1, plain2, signed2):
         osum = algmod.product_plain_plain(rs, _parse_vec(plain1), _parse_vec(plain2))
     else:
         raise click.UsageError("unsupported factor combination")
-    _emit({"diagram": rs.id.label, "terms": _orbit_sum_payload(osum)},
-          ctx.obj["fmt"] if ctx.obj["fmt"] != "csv" else "json", ctx.obj["out"])
+    _emit(ctx, {"diagram": rs.id.label, "terms": _orbit_sum_payload(osum)})
 
 
 @main.command(name="branch")
@@ -205,9 +198,8 @@ def branch_cmd(ctx, source, rule, lam):
     else:
         raise click.UsageError(f"unknown rule {rule!r}")
     osum = algmod.branch(rs, br, _parse_vec(lam))
-    _emit({"diagram": rs.id.label, "rule": rule,
-           "terms": _orbit_sum_payload(osum)},
-          ctx.obj["fmt"] if ctx.obj["fmt"] != "csv" else "json", ctx.obj["out"])
+    _emit(ctx, {"diagram": rs.id.label, "rule": rule,
+                "terms": _orbit_sum_payload(osum)})
 
 
 @main.command(name="grid")
@@ -225,8 +217,8 @@ def grid_cmd(ctx, diagram, big_m, interior):
     writer.writerow([f"s{i+1}" for i in range(n)]
                     + [f"omega{i+1}" for i in range(n)] + ["interior"])
     for p in pts:
-        writer.writerow([_frac(Fraction(si, big_m)) for si in p.s]
-                        + [_frac(c) for c in p.omega] + [int(p.interior)])
+        writer.writerow([_frac_str(Fraction(si, big_m)) for si in p.s]
+                        + [_frac_str(c) for c in p.omega] + [int(p.interior)])
 
 
 ONE_D_KINDS = ("sine", "cosine", "dct1", "dct2", "dct3", "dct4",
@@ -269,7 +261,8 @@ def transform_cmd(ctx, kind, nvars, size, infile, direction):
     writer = csv.writer(ctx.obj["out"])
     writer.writerow(["index", "re", "im"])
     for k, v in zip(keys, out):
-        kstr = ";".join(_frac(c) for c in k) if isinstance(k, tuple) else _frac(k)
+        kstr = (";".join(_frac_str(c) for c in k) if isinstance(k, tuple)
+                else _frac_str(k))
         writer.writerow([kstr, repr(float(v.real)), repr(float(v.imag))])
 
 
@@ -292,9 +285,8 @@ def plan_verify(ctx, diagram, big_m):
         raise click.ClickException(str(exc))
     g = plan.gram()
     resid = float(np.max(np.abs(g - plan.norm * np.eye(len(plan.labels)))))
-    _emit({"diagram": rs.id.label, "M": big_m, "labels": len(plan.labels),
-           "gram_diagonal": plan.norm, "max_residual": resid},
-          ctx.obj["fmt"] if ctx.obj["fmt"] != "csv" else "json", ctx.obj["out"])
+    _emit(ctx, {"diagram": rs.id.label, "M": big_m, "labels": len(plan.labels),
+                "gram_diagonal": plan.norm, "max_residual": resid})
 
 
 @main.group(name="check")
@@ -319,8 +311,7 @@ def check_laplace(ctx, diagram, lam, trials):
         x = [v + 0.3 * (r - i) for i, v in enumerate(x)]
         _, _, rel = anmod.laplace_check(rs, m, x)
         worst = max(worst, rel)
-    _emit({"diagram": rs.id.label, "max_rel_err": worst, "tolerance": tol},
-          ctx.obj["fmt"] if ctx.obj["fmt"] != "csv" else "json", ctx.obj["out"])
+    _emit(ctx, {"diagram": rs.id.label, "max_rel_err": worst, "tolerance": tol})
     if worst > tol:
         sys.exit(1)
 
@@ -341,8 +332,7 @@ def check_shift(ctx, diagram, lam, trials):
         y = [rng.uniform(-0.6, 0.6) for _ in range(rs.rank)]
         for variant in ("det_on_anti", "plain_on_anti", "det_on_sym"):
             worst = max(worst, anmod.shift_operator_check(rs, lamv, x, y, variant))
-    _emit({"diagram": rs.id.label, "max_rel_err": worst, "tolerance": tol},
-          ctx.obj["fmt"] if ctx.obj["fmt"] != "csv" else "json", ctx.obj["out"])
+    _emit(ctx, {"diagram": rs.id.label, "max_rel_err": worst, "tolerance": tol})
     if worst > tol:
         sys.exit(1)
 
@@ -363,8 +353,7 @@ def check_hermite(ctx, max_degree):
             if m1 >= m2:
                 worst = max(worst, anmod.transform_eigen_check(
                     (m1, m2), "sym", quadrature=quad))
-    _emit({"max_rel_err": worst, "tolerance": tol},
-          ctx.obj["fmt"] if ctx.obj["fmt"] != "csv" else "json", ctx.obj["out"])
+    _emit(ctx, {"max_rel_err": worst, "tolerance": tol})
     if worst > tol:
         sys.exit(1)
 

@@ -16,9 +16,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .rootsys import RootSystem, Vec, vec, is_dominant, is_strictly_dominant
+from .rootsys import RootSystem, vec, is_dominant, is_strictly_dominant
 from .weyl import (
     orbit, signed_orbit, to_dominant, orth_group, orth_apply, WallError,
+    _perm_sign,
 )
 
 
@@ -253,29 +254,7 @@ def branch_terms_a_split(m: Sequence, p: int) -> OrbitSum:
     for idx in itertools.combinations(range(n), p):
         rest = tuple(i for i in range(n) if i not in idx)
         seq = idx + rest
-        sign = _perm_parity(seq)
+        sign = _perm_sign(seq)
         out.append(OrbitTerm(sign, (tuple(mv[i] for i in idx),
                                     tuple(mv[i] for i in rest)), "signed"))
     return tuple(sorted(out, key=lambda t: t.label))
-
-
-def _perm_parity(seq) -> int:
-    sign = 1
-    seen = [False] * len(seq)
-    for i in range(len(seq)):
-        if not seen[i]:
-            j, c = i, 0
-            while not seen[j]:
-                seen[j] = True
-                j = seq[j]
-                c += 1
-            if c % 2 == 0:
-                sign = -sign
-    return sign
-
-
-def decompose_same_rank(rs: RootSystem, coset_reps, lam: Sequence) -> list[tuple[int, Vec]]:
-    """Same-rank decomposition given explicit coset representatives w_i:
-    returns (det w_i, w_i lam) per representative."""
-    lamv = vec(lam)
-    return [(w.det, w.apply(lamv)) for w in coset_reps]

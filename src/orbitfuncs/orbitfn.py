@@ -176,30 +176,15 @@ def eval_orth_batch(rs: RootSystem, kind: str, m: Sequence, xs: np.ndarray) -> n
     return coeffs @ np.exp(TWO_PI * 1j * (imgs @ xs.T))
 
 
-def _perm_sum(values: np.ndarray, signed: bool) -> complex:
-    """det (signed) or permanent (unsigned) of a small square matrix."""
-    n = values.shape[0]
-    total = 0j
-    for p in itertools.permutations(range(n)):
-        term = 1.0 + 0j
-        for i in range(n):
-            term *= values[i, p[i]]
-        if signed:
-            sign = 1
-            seen = [False] * n
-            for i in range(n):
-                if not seen[i]:
-                    j, c = i, 0
-                    while not seen[j]:
-                        seen[j] = True
-                        j = p[j]
-                        c += 1
-                    if c % 2 == 0:
-                        sign = -sign
-            total += sign * term
-        else:
-            total += term
-    return total
+def _perm_sum(values: np.ndarray, signed: bool):
+    """det (signed) or permanent (unsigned) over the last two axes of an
+    array of any batch shape."""
+    values = np.asarray(values)
+    if signed:
+        return np.linalg.det(values)
+    rows = np.arange(values.shape[-1])
+    return sum(np.prod(values[..., rows, list(p)], axis=-1)
+               for p in itertools.permutations(rows))
 
 
 def closed_form_orth(rs: RootSystem, kind: str, m: Sequence, x: Sequence) -> complex:
@@ -428,7 +413,6 @@ def partitions(total: int, parts: int):
 
 def det_powers(m: Sequence[int], ys: Sequence) -> complex:
     """det(y_j ** m_i): the antisymmetrized multivariate power sum."""
-    n = len(ys)
     grid = np.array([[complex(y) ** int(mi) for y in ys] for mi in m])
     return _perm_sum(grid, signed=True)
 
@@ -496,7 +480,7 @@ def an_identity(check: str, **params) -> float:
             if n1 != n2:
                 raise ValueError("the determinant identity needs len(y) == len(z)")
             grid = np.array([[1.0 / (1 - yi * zj) for zj in zs] for yi in ys])
-            lhs = _perm_sum(grid.astype(complex), signed=True)
+            lhs = _perm_sum(grid, signed=True)
         return abs(lhs - rhs)
     if check in ("cha3", "cha4"):
         ys = [complex(v) for v in params["y"]]

@@ -384,10 +384,6 @@ def _frac_str(x) -> str:
     return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
 
 
-def frac_of_str(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def to_json_dict(rs: RootSystem) -> dict:
     return {
         "diagram": rs.id.label,

@@ -27,11 +27,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .rootsys import RootSystem, Vec, vec, vec_mat
-from .weyl import generate_group
-from .orbitfn import eval_coroot_point, eval_batch
-
-TWO_PI = 2.0 * math.pi
+from .rootsys import RootSystem, Vec, vec, vec_mat, _frac_str
+from .weyl import generate_group, dual_marks
+from .orbitfn import TWO_PI, eval_coroot_point, eval_batch, _perm_sum
 
 
 class PlanSeparationError(RuntimeError):
@@ -115,7 +113,6 @@ class TransformPlan:
     grid: tuple[GridPoint, ...]
     kernel: np.ndarray        # (labels, grid) values of the antisymmetric functions
     norm: float               # diagonal of the interior-grid Gram matrix
-    gram_matrix: np.ndarray   # cached at build, after the separation check
 
     def forward(self, f: np.ndarray) -> np.ndarray:
         """Coefficients a_lambda = <f, phi_lambda> / norm over the grid."""
@@ -126,18 +123,7 @@ class TransformPlan:
         return self.kernel.T @ np.asarray(a, dtype=complex)
 
     def gram(self) -> np.ndarray:
-        return self.gram_matrix
-
-
-def finite_transform(plan: TransformPlan, f: np.ndarray,
-                     direction: str = "forward") -> np.ndarray:
-    """Apply a built plan to a signal (forward) or coefficient vector
-    (inverse)."""
-    if direction == "forward":
-        return plan.forward(f)
-    if direction == "inverse":
-        return plan.inverse(f)
-    raise ValueError(f"unknown direction {direction!r}")
+        return self.kernel @ self.kernel.conj().T
 
 
 def default_labels(rs: RootSystem, M: int) -> tuple[Vec, ...]:
@@ -151,7 +137,6 @@ def default_labels(rs: RootSystem, M: int) -> tuple[Vec, ...]:
     congruent modulo M times the root lattice evaluate identically on
     every sampling point).
     """
-    from .weyl import dual_marks
     dm = dual_marks(rs)
     out = []
     for s in sorted(_s_tuples(dm, M)):
@@ -192,22 +177,31 @@ def build_plan(rs: RootSystem, M: int, labels: Sequence[Vec] | None = None,
     if labels is None:
         labels = default_labels(rs, M)
     labels = tuple(vec(l) for l in labels)
+    if not labels:
+        raise ValueError(f"a plan on the F_{M} grid of {rs.id.label} needs at "
+                         f"least one label (default labels need M > "
+                         f"{sum(dual_marks(rs))})")
     kernel = np.empty((len(labels), len(grid)), dtype=complex)
     for i, lam in enumerate(labels):
         for j, p in enumerate(grid):
             kernel[i, j] = eval_coroot_point(rs, "antisymmetric", lam, p.coroot)
     norm = float(lattice_index(rs) * M ** rs.rank)
     g = kernel @ kernel.conj().T
-    for i in range(len(labels)):
-        for j in range(len(labels)):
-            ref = norm if i == j else 0.0
-            if abs(g[i, j] - ref) > tol * norm:
-                raise PlanSeparationError(
-                    f"labels {labels[i]} and {labels[j]} are not separated on "
-                    f"the F_{M} grid of {rs.id.label}: gram = {g[i, j]:.3e}, "
-                    f"expected {ref}")
+    dev = np.abs(g - norm * np.eye(len(labels)))
+    i, j = np.unravel_index(np.argmax(dev), dev.shape)
+    if dev[i, j] > tol * norm:
+        show = lambda lam: "(" + ", ".join(map(_frac_str, lam)) + ")"
+        where = f"on the F_{M} grid of {rs.id.label}: gram = {g[i, j]:.3e}"
+        if i == j:
+            raise PlanSeparationError(
+                f"label {show(labels[i])} does not have the full norm {where}, "
+                f"expected {norm}; a label on a wall of the {M}-fold dual "
+                f"alcove, or of one of its affine Weyl images, vanishes there")
+        raise PlanSeparationError(
+            f"labels {show(labels[i])} and {show(labels[j])} are not "
+            f"separated {where}, expected 0")
     return TransformPlan(rs=rs, M=M, labels=labels, grid=grid,
-                         kernel=kernel, norm=norm, gram_matrix=g)
+                         kernel=kernel, norm=norm)
 
 
 def gram_over_torus(rs: RootSystem, M: int, labels: Sequence[Vec]) -> np.ndarray:
@@ -254,42 +248,42 @@ def _dct_dst_data(kind: str, N: int):
     half = 0.5
     if kind == "dct1":
         return (range(N + 1), range(N + 1),
-                lambda r, k: math.cos(math.pi * r * k / N),
+                lambda r, k: np.cos(np.pi * r * k / N),
                 lambda k: half if k in (0, N) else 1.0,
                 lambda r: (2.0 if r in (0, N) else 1.0) * N / 2)
     if kind == "dct2":
         return (range(N), range(N),
-                lambda r, k: math.cos(math.pi * (r + half) * k / N),
+                lambda r, k: np.cos(np.pi * (r + half) * k / N),
                 lambda k: half if k == 0 else 1.0,
                 lambda r: N / 2)
     if kind == "dct3":
         return (range(N), range(N),
-                lambda r, k: math.cos(math.pi * r * (k + half) / N),
+                lambda r, k: np.cos(np.pi * r * (k + half) / N),
                 lambda k: 1.0,
                 lambda r: (2.0 if r == 0 else 1.0) * N / 2)
     if kind == "dct4":
         return (range(N), range(N),
-                lambda r, k: math.cos(math.pi * (r + half) * (k + half) / N),
+                lambda r, k: np.cos(np.pi * (r + half) * (k + half) / N),
                 lambda k: 1.0,
                 lambda r: N / 2)
     if kind == "dst1":
         return (range(1, N), range(1, N),
-                lambda r, k: math.sin(math.pi * r * k / N),
+                lambda r, k: np.sin(np.pi * r * k / N),
                 lambda k: 1.0,
                 lambda r: N / 2)
     if kind == "dst2":
         return (range(N), range(1, N + 1),
-                lambda r, k: math.sin(math.pi * (r + half) * k / N),
+                lambda r, k: np.sin(np.pi * (r + half) * k / N),
                 lambda k: half if k == N else 1.0,
                 lambda r: N / 2)
     if kind == "dst3":
         return (range(1, N + 1), range(N),
-                lambda r, k: math.sin(math.pi * r * (k + half) / N),
+                lambda r, k: np.sin(np.pi * r * (k + half) / N),
                 lambda k: 1.0,
                 lambda r: (2.0 if r == N else 1.0) * N / 2)
     if kind == "dst4":
         return (range(N), range(N),
-                lambda r, k: math.sin(math.pi * (r + half) * (k + half) / N),
+                lambda r, k: np.sin(np.pi * (r + half) * (k + half) / N),
                 lambda k: 1.0,
                 lambda r: N / 2)
     raise ValueError(f"unknown 1-D transform kind {kind!r}")
@@ -322,7 +316,7 @@ def dst_dct_1d(kind: str, N: int) -> DiscretePlan:
         return DiscretePlan(kind, labels, grid, kernel, weights, norms)
     labels, nodes, kfn, wfn, nfn = _dct_dst_data(kind, N)
     labels, nodes = tuple(labels), tuple(nodes)
-    kernel = np.array([[kfn(r, k) for k in nodes] for r in labels]).astype(complex)
+    kernel = kfn(np.array(labels)[:, None], np.array(nodes)).astype(complex)
     weights = np.array([wfn(k) for k in nodes])
     norms = np.array([nfn(r) for r in labels])
     return DiscretePlan(kind, labels, nodes, kernel, weights, norms)
@@ -345,37 +339,13 @@ def _stab_order(t) -> int:
 
 
 def _det_or_perm_rows(one_dim: Callable, labels, grid, signed: bool) -> np.ndarray:
-    """Kernel matrix of |S_n|^{-1/2} det/perm (one_dim(r_i, k_j))."""
+    """Kernel matrix of |S_n|^{-1/2} det/perm (one_dim(r_i, k_j)); one_dim
+    broadcasts over a (labels, grid, n, n) array."""
     n = len(labels[0])
-    fact = 1.0 / math.sqrt(math.factorial(n))
-    out = np.empty((len(labels), len(grid)), dtype=complex)
-    perms = list(itertools.permutations(range(n)))
-    sgns = [_parity(p) for p in perms]
-    for a, r in enumerate(labels):
-        for b, k in enumerate(grid):
-            total = 0j
-            for p, sg in zip(perms, sgns):
-                term = 1.0 + 0j
-                for i in range(n):
-                    term *= one_dim(r[p[i]], k[i])
-                total += (sg if signed else 1) * term
-            out[a, b] = fact * total
-    return out
-
-
-def _parity(p) -> int:
-    sign = 1
-    seen = [False] * len(p)
-    for i in range(len(p)):
-        if not seen[i]:
-            j, c = i, 0
-            while not seen[j]:
-                seen[j] = True
-                j = p[j]
-                c += 1
-            if c % 2 == 0:
-                sign = -sign
-    return sign
+    r = np.array(labels, dtype=float)[:, None, :, None]
+    k = np.array(grid, dtype=float)[None, :, None, :]
+    kernel = _perm_sum(one_dim(r, k), signed) / math.sqrt(math.factorial(n))
+    return np.asarray(kernel, dtype=complex)
 
 
 def multivariate_plan(kind: str, n: int, N: int) -> DiscretePlan:
@@ -394,7 +364,7 @@ def multivariate_plan(kind: str, n: int, N: int) -> DiscretePlan:
         vals = range(1, N + 1)
         labels = _tuples(vals, n, strict=signed)
         grid = [tuple(Fraction(k, N) for k in t) for t in _tuples(vals, n, strict=signed)]
-        one = lambda m, s: cmath_exp(TWO_PI * m * float(s)) / math.sqrt(N)
+        one = lambda m, s: np.exp(1j * (TWO_PI * m * s)) / math.sqrt(N)
         kernel = _det_or_perm_rows(one, labels, grid, signed)
         if signed:
             weights = np.full(len(grid), float(nf))
@@ -407,7 +377,7 @@ def multivariate_plan(kind: str, n: int, N: int) -> DiscretePlan:
         M = N
         labels = _tuples(range(1, M), n, strict=True)
         grid = [tuple(Fraction(k, M) for k in t) for t in _tuples(range(1, M), n, strict=True)]
-        one = lambda m, s: 2j * math.sin(math.pi * m * float(s))
+        one = lambda m, s: 2j * np.sin(np.pi * m * s)
         kernel = _det_or_perm_rows(one, labels, grid, signed=True)
         return DiscretePlan(kind, tuple(labels), tuple(grid), kernel,
                             np.full(len(grid), float(nf)),
@@ -416,7 +386,7 @@ def multivariate_plan(kind: str, n: int, N: int) -> DiscretePlan:
         M = N
         labels = _tuples(range(M + 1), n, strict=False)
         grid = [tuple(Fraction(k, M) for k in t) for t in _tuples(range(M + 1), n, strict=False)]
-        one = lambda m, s: 2 * math.cos(math.pi * m * float(s))
+        one = lambda m, s: 2 * np.cos(np.pi * m * s)
         kernel = _det_or_perm_rows(one, labels, grid, signed=False)
         cs = [np.prod([0.5 if v in (0, 1) else 1.0 for v in t]) for t in grid]
         weights = np.array([nf * c / _stab_order(t) for c, t in zip(cs, grid)])
@@ -444,10 +414,6 @@ def multivariate_plan(kind: str, n: int, N: int) -> DiscretePlan:
                               for h, lab in zip(hw, labels)])
         return DiscretePlan(kind, tuple(labels), tuple(grid), kernel, weights, norms)
     raise ValueError(f"unknown multivariate kind {kind!r}")
-
-
-def cmath_exp(phase: float) -> complex:
-    return complex(math.cos(phase), math.sin(phase))
 
 
 # -- continuous transforms at desk scale -----------------------------------
@@ -569,11 +535,7 @@ def sine_integral_transform(f: Callable, lams: Sequence, upper: float,
     out = []
     for lam in lams:
         lamv = np.asarray([float(v) for v in lam])
-        if n == 1:
-            kern = np.sin(TWO_PI * lamv[0] * pts[:, 0])
-        else:
-            kern = (np.sin(TWO_PI * lamv[0] * pts[:, 0]) * np.sin(TWO_PI * lamv[1] * pts[:, 1])
-                    - np.sin(TWO_PI * lamv[1] * pts[:, 0]) * np.sin(TWO_PI * lamv[0] * pts[:, 1]))
+        kern = _perm_sum(np.sin(TWO_PI * lamv[:, None] * pts[:, None, :]), signed=True)
         out.append(np.sum(fv * kern) * cell)
     return np.array(out)
 
@@ -590,10 +552,6 @@ def cosine_integral_transform(f: Callable, lams: Sequence, upper: float,
     out = []
     for lam in lams:
         lamv = np.asarray([float(v) for v in lam])
-        if n == 1:
-            kern = np.cos(TWO_PI * lamv[0] * pts[:, 0])
-        else:
-            kern = (np.cos(TWO_PI * lamv[0] * pts[:, 0]) * np.cos(TWO_PI * lamv[1] * pts[:, 1])
-                    + np.cos(TWO_PI * lamv[1] * pts[:, 0]) * np.cos(TWO_PI * lamv[0] * pts[:, 1]))
+        kern = _perm_sum(np.cos(TWO_PI * lamv[:, None] * pts[:, None, :]), signed=False)
         out.append(np.sum(fv * kern) * cell)
     return np.array(out)

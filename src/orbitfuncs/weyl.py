@@ -180,11 +180,6 @@ def signed_orbit(rs: RootSystem, lam: Sequence) -> SignedOrbit:
 
 # -- affine reflection and the fundamental domain -----------------------
 
-def highest_root_check_omega(rs: RootSystem) -> Vec:
-    """The coroot of the highest root in omega coordinates (equals the root)."""
-    return rs.highest_root_omega
-
-
 def xi_pairing(rs: RootSystem, x: Sequence) -> Fraction:
     """<x, xi> = sum_i x_i q_i for x in omega coordinates."""
     return sum(Fraction(c) * q for c, q in zip(x, rs.comarks))

@@ -171,3 +171,15 @@ def test_domain_error_exit_code(tmp_path):
         capture_output=True, text=True, env=env)
     assert proc.returncode == 1
     assert "wall" in proc.stderr
+
+
+def test_out_writes_the_json_to_the_file(tmp_path):
+    path = tmp_path / "a2.json"
+    res = run("--out", str(path), "rootsys", "info", "A2")
+    assert res.exit_code == 0 and res.output == ""
+    assert json.loads(path.read_text())["weyl_order"] == 6
+
+
+def test_threads_flag_is_gone():
+    res = CliRunner().invoke(main, ["--threads", "2", "rootsys", "info", "A2"])
+    assert res.exit_code == 2 and "No such option" in res.output

@@ -11,7 +11,6 @@ from orbitfuncs.orbitalg import (
     product_plain_signed, product_plain_signed_coset,
     product_signed_signed, product_plain_plain, expand_function_product,
     BranchRule, branch, branch_terms_a_drop, branch_terms_a_split,
-    decompose_same_rank,
 )
 
 RNG = random.Random(99)
@@ -274,7 +273,7 @@ def test_same_rank_decomposition_c2_long_roots():
     m = (2, 1)
     lam = vec((1, 1))  # omega coords of orth (2, 1)
     assert to_orthogonal(c2, lam) == vec(m)
-    terms = decompose_same_rank(c2, [ident, r1], lam)
+    terms = [(w.det, w.apply(lam)) for w in (ident, r1)]
     for _ in range(8):
         x = [RNG.uniform(-1, 1) for _ in range(2)]
         lhs = eval_orth(c2, "anti", m, x)

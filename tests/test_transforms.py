@@ -195,6 +195,34 @@ def test_plan_detects_separation_failure():
         build_plan(a2, 5, labels=[(1, 1), (1, 1)])
 
 
+def test_separation_error_names_the_worst_pair_as_fractions():
+    a2 = build("A2")
+    with pytest.raises(PlanSeparationError,
+                       match=r"^labels \(1, 1\) and \(3/2, 1\) are not separated"):
+        build_plan(a2, 5, labels=[(1, 1), (F(3, 2), 1)])
+    # (2, 1) and (6, 2) coincide on the grid; their Gram entry is the
+    # worst although the (1, 1), (3/2, 1) entry comes first
+    with pytest.raises(PlanSeparationError,
+                       match=r"^labels \(2, 1\) and \(6, 2\) are not separated"):
+        build_plan(a2, 5, labels=[(1, 1), (F(3, 2), 1), (2, 1), (6, 2)])
+
+
+def test_separation_error_on_a_wall_label_names_it_once():
+    # (2, 3) lies on the wall of the 5-fold dual alcove of A2, so its
+    # function vanishes on the grid: a diagonal Gram failure
+    with pytest.raises(PlanSeparationError,
+                       match=r"^label \(2, 3\) does not have the full norm"):
+        build_plan(build("A2"), 5, labels=[(1, 1), (2, 3)])
+
+
+def test_plan_without_labels_is_refused():
+    a2 = build("A2")
+    with pytest.raises(ValueError, match="at least one label"):
+        build_plan(a2, 2)
+    with pytest.raises(ValueError, match="at least one label"):
+        build_plan(a2, 5, labels=[])
+
+
 def test_sampled_function_roundtrip():
     # synthesize an anti-invariant function from known coefficients,
     # sample it on the interior grid, and recover the coefficients
@@ -471,16 +499,13 @@ def test_plan_recovers_float_route_synthesis():
 
 
 def test_finite_transform_function_surface():
-    from orbitfuncs.transforms import finite_transform
     plan = build_plan(build("A2"), 5)
     rng = np.random.default_rng(2)
     a = rng.normal(size=len(plan.labels))
-    f = finite_transform(plan, a, "inverse")
-    assert np.max(np.abs(finite_transform(plan, f, "forward") - a)) < 1e-10
-    with pytest.raises(ValueError):
-        finite_transform(plan, f, "sideways")
-    # the gram matrix is cached at build time
-    assert plan.gram() is plan.gram_matrix
+    f = plan.inverse(a)
+    assert np.max(np.abs(plan.forward(f) - a)) < 1e-10
+    eye = np.eye(len(plan.labels))
+    assert np.max(np.abs(plan.gram() - plan.norm * eye)) < 1e-9 * plan.norm
 
 
 def test_series_synthesis_inverts_coefficients():
