@@ -4,10 +4,11 @@ The canonical strategy is exact brute force: expand all point pairs (or
 all restricted orbit points) and read each coefficient off the dominant
 representative itself.  A product or restriction of orbit sums is a
 (anti)invariant exponential sum, so the coefficient of a term equals the
-signed multiplicity of its dominant exponent, and wall exponents of
-antisymmetric results must cancel (asserted).  The group-coset shortcut
-and the per-family branching term generators are validated against the
-brute force in the tests.
+signed multiplicity of its dominant exponent.  Wall exponents of an
+antisymmetric product must cancel (asserted); a restriction keeps only
+points that are strictly dominant for the subgroup, so it has none.  The
+group-coset shortcut and the per-family branching term generators are
+validated against the brute force in the tests.
 """
 
 from __future__ import annotations
@@ -209,28 +210,7 @@ def branch(rs: RootSystem, rule: BranchRule, m: Sequence) -> OrbitSum:
         if all(_dominant_for(f, t) for f, t in zip(doms, parts)):
             key = parts[0] if len(parts) == 1 else parts
             counter[key] = counter.get(key, 0) + det
-    strict: dict = {}
-    for key, c in counter.items():
-        parts = (key,) if not isinstance(key[0], tuple) else key
-        on_wall = any(_on_wall(f, t) for f, t in zip(doms, parts))
-        if on_wall:
-            assert c == 0, f"wall term {key} did not cancel"
-        elif c != 0:
-            strict[key] = c
-    return _collect(strict, "signed")
-
-
-def _on_wall(family: str, t) -> bool:
-    if len(t) == 1:
-        return False if family in ("A", "D") else t[0] == 0
-    if not _strictly_decreasing(tuple(abs(v) if family == "D" and i == len(t) - 1
-                                      else v for i, v in enumerate(t))):
-        return True
-    if family in ("B", "C"):
-        return t[-1] == 0
-    if family == "D":
-        return t[-2] == abs(t[-1])
-    return False
+    return _collect(counter, "signed")
 
 
 def branch_terms_a_drop(m: Sequence) -> OrbitSum:

@@ -154,21 +154,16 @@ def eval_orth(rs: RootSystem, kind: str, m: Sequence, x: Sequence) -> complex:
     Requires m strictly dominant in the orthogonal sense, so that the
     group sum and the orbit sum coincide for the symmetric kind too.
     """
-    kind = _norm_kind(kind)
-    if kind == "normalized":
-        raise ValueError("normalized kind is only defined on omega coordinates")
-    if not is_strictly_dominant_orth(rs, m):
-        raise WallError(f"{tuple(m)} is not strictly dominant in orthogonal coordinates")
-    if len(m) != orth_dim(rs):
-        raise ValueError(f"expected {orth_dim(rs)} coordinates")
-    imgs, coeffs = _orth_terms(rs, kind, tuple(Fraction(v) for v in m))
-    xv = np.asarray([float(v) for v in x])
-    return complex(coeffs @ np.exp(TWO_PI * 1j * (imgs @ xv)))
+    return complex(eval_orth_batch(rs, kind, m, np.asarray([list(map(float, x))]))[0])
 
 
 def eval_orth_batch(rs: RootSystem, kind: str, m: Sequence, xs: np.ndarray) -> np.ndarray:
     """Vectorized form of :func:`eval_orth` over an (N, dim) array."""
     kind = _norm_kind(kind)
+    if kind == "normalized":
+        raise ValueError("normalized kind is only defined on omega coordinates")
+    if len(m) != orth_dim(rs):
+        raise ValueError(f"expected {orth_dim(rs)} coordinates")
     if not is_strictly_dominant_orth(rs, m):
         raise WallError(f"{tuple(m)} is not strictly dominant in orthogonal coordinates")
     imgs, coeffs = _orth_terms(rs, kind, tuple(Fraction(v) for v in m))

@@ -243,9 +243,26 @@ class DiscretePlan:
 
 
 def _dct_dst_data(kind: str, N: int):
-    """(labels, grid nodes, kernel fn, weight fn, norm fn) for the 1-D
-    transforms; nodes are the integer indices of each variant."""
+    """(labels, grid nodes, kernel fn, weight fn, norm fn) of the one-variable
+    transforms.  The nodes of ``exp``, ``sine`` and ``cosine`` are the points
+    k/N of the orbit-function grid, those of DCT/DST-1..4 the integer indices
+    of each variant."""
     half = 0.5
+    if kind == "exp":
+        return (range(1, N + 1), [Fraction(k, N) for k in range(1, N + 1)],
+                lambda m, s: np.exp(1j * (TWO_PI * m * s)) / math.sqrt(N),
+                lambda s: 1.0,
+                lambda m: 1.0)
+    if kind == "sine":
+        return (range(1, N), [Fraction(k, N) for k in range(1, N)],
+                lambda m, s: 2j * np.sin(np.pi * m * s),
+                lambda s: 1.0,
+                lambda m: 2.0 * N)
+    if kind == "cosine":
+        return (range(N + 1), [Fraction(k, N) for k in range(N + 1)],
+                lambda m, s: 2 * np.cos(np.pi * m * s),
+                lambda s: half if s in (0, 1) else 1.0,
+                lambda m: (4.0 if m in (0, N) else 2.0) * N)
     if kind == "dct1":
         return (range(N + 1), range(N + 1),
                 lambda r, k: np.cos(np.pi * r * k / N),
@@ -289,6 +306,20 @@ def _dct_dst_data(kind: str, N: int):
     raise ValueError(f"unknown 1-D transform kind {kind!r}")
 
 
+def _one_variable(kind: str, base: str, n: int, N: int, strict: bool):
+    """The table entry ``base`` of a ``kind`` plan on n variables of size N.
+
+    Raises ValueError when the plan would have no labels: n < 1, N < 1, or
+    fewer than n one-variable labels to form strictly decreasing tuples.
+    """
+    if n >= 1 and N >= 1:
+        data = _dct_dst_data(base, N)
+        if len(data[0]) >= (n if strict else 1):
+            return data
+    raise ValueError(f"{kind} has no plan with n = {n}, N = {N}: it needs "
+                     f"n >= 1, N >= 1 and at least one label")
+
+
 def dst_dct_1d(kind: str, N: int) -> DiscretePlan:
     """The classical discrete transforms on one variable.
 
@@ -297,36 +328,15 @@ def dst_dct_1d(kind: str, N: int) -> DiscretePlan:
     signal-processing kernels with their weight conventions.
     """
     kind = kind.lower()
-    if kind == "sine":
-        M = N
-        labels = tuple(range(1, M))
-        grid = tuple(Fraction(k, M) for k in range(1, M))
-        kernel = np.array([[2j * math.sin(math.pi * m * float(s)) for s in grid]
-                           for m in labels])
-        return DiscretePlan(kind, labels, grid, kernel,
-                            np.ones(len(grid)), np.full(len(labels), 2.0 * M))
-    if kind == "cosine":
-        M = N
-        labels = tuple(range(M + 1))
-        grid = tuple(Fraction(k, M) for k in range(M + 1))
-        kernel = np.array([[2 * math.cos(math.pi * m * float(s)) for s in grid]
-                           for m in labels]).astype(complex)
-        weights = np.array([0.5 if s in (0, 1) else 1.0 for s in grid])
-        norms = np.array([(4.0 if m in (0, M) else 2.0) * M for m in labels])
-        return DiscretePlan(kind, labels, grid, kernel, weights, norms)
-    labels, nodes, kfn, wfn, nfn = _dct_dst_data(kind, N)
+    if kind == "exp":
+        raise ValueError(f"unknown 1-D transform kind {kind!r}")
+    labels, nodes, kfn, wfn, nfn = _one_variable(kind, kind, 1, N, strict=True)
     labels, nodes = tuple(labels), tuple(nodes)
-    kernel = kfn(np.array(labels)[:, None], np.array(nodes)).astype(complex)
+    kernel = kfn(np.array(labels, dtype=float)[:, None],
+                 np.array(nodes, dtype=float)).astype(complex)
     weights = np.array([wfn(k) for k in nodes])
     norms = np.array([nfn(r) for r in labels])
     return DiscretePlan(kind, labels, nodes, kernel, weights, norms)
-
-
-def _tuples(values, n: int, strict: bool):
-    if strict:
-        return [t for t in itertools.combinations(sorted(values, reverse=True), n)]
-    return [t for t in itertools.combinations_with_replacement(
-        sorted(values, reverse=True), n)]
 
 
 def _stab_order(t) -> int:
@@ -338,14 +348,12 @@ def _stab_order(t) -> int:
     return out
 
 
-def _det_or_perm_rows(one_dim: Callable, labels, grid, signed: bool) -> np.ndarray:
-    """Kernel matrix of |S_n|^{-1/2} det/perm (one_dim(r_i, k_j)); one_dim
-    broadcasts over a (labels, grid, n, n) array."""
-    n = len(labels[0])
-    r = np.array(labels, dtype=float)[:, None, :, None]
-    k = np.array(grid, dtype=float)[None, :, None, :]
-    kernel = _perm_sum(one_dim(r, k), signed) / math.sqrt(math.factorial(n))
-    return np.asarray(kernel, dtype=complex)
+# kind -> (one-variable kind, antisymmetric)
+_MULTIVARIATE = {
+    "anti_exp": ("exp", True), "sym_exp": ("exp", False),
+    "anti_sine": ("sine", True), "sym_cosine": ("cosine", False),
+    **{f"{p}mdct{v}": (f"dct{v}", p == "a") for p in "as" for v in "1234"},
+}
 
 
 def multivariate_plan(kind: str, n: int, N: int) -> DiscretePlan:
@@ -356,64 +364,32 @@ def multivariate_plan(kind: str, n: int, N: int) -> DiscretePlan:
     grid {k/M}), and ``amdct1..4`` / ``smdct1..4`` built on the DCT
     kernels.  Labels and grid nodes are decreasing tuples, strictly
     decreasing for the antisymmetric kinds.
+
+    Every kind is formed from its one-variable transform (kernel K, node
+    weights w, label norms h): the kernel is |S_n|^{-1/2} det K(r_i, k_j)
+    for the antisymmetric kinds and the permanent for the symmetric ones;
+    the weight of a node tuple t is n! prod_j w(t_j) / |Stab(t)| and the
+    norm of a label tuple r is prod_i h(r_i) |Stab(r)|, where |Stab| is
+    the order of the tuple's permutation stabilizer (1 for strictly
+    decreasing tuples).
     """
     kind = kind.lower()
+    if kind not in _MULTIVARIATE:
+        raise ValueError(f"unknown multivariate kind {kind!r}")
+    base, signed = _MULTIVARIATE[kind]
+    labels, nodes, kfn, wfn, nfn = _one_variable(kind, base, n, N, strict=signed)
+    tuples = itertools.combinations if signed else itertools.combinations_with_replacement
+    labels = tuple(tuples(sorted(labels, reverse=True), n))
+    grid = tuple(tuples(sorted(nodes, reverse=True), n))
     nf = math.factorial(n)
-    if kind in ("anti_exp", "sym_exp"):
-        signed = kind == "anti_exp"
-        vals = range(1, N + 1)
-        labels = _tuples(vals, n, strict=signed)
-        grid = [tuple(Fraction(k, N) for k in t) for t in _tuples(vals, n, strict=signed)]
-        one = lambda m, s: np.exp(1j * (TWO_PI * m * s)) / math.sqrt(N)
-        kernel = _det_or_perm_rows(one, labels, grid, signed)
-        if signed:
-            weights = np.full(len(grid), float(nf))
-            norms = np.ones(len(labels))
-        else:
-            weights = np.array([nf / _stab_order(t) for t in grid])
-            norms = np.array([float(_stab_order(r)) for r in labels])
-        return DiscretePlan(kind, tuple(labels), tuple(grid), kernel, weights, norms)
-    if kind == "anti_sine":
-        M = N
-        labels = _tuples(range(1, M), n, strict=True)
-        grid = [tuple(Fraction(k, M) for k in t) for t in _tuples(range(1, M), n, strict=True)]
-        one = lambda m, s: 2j * np.sin(np.pi * m * s)
-        kernel = _det_or_perm_rows(one, labels, grid, signed=True)
-        return DiscretePlan(kind, tuple(labels), tuple(grid), kernel,
-                            np.full(len(grid), float(nf)),
-                            np.full(len(labels), float((2 * M) ** n)))
-    if kind == "sym_cosine":
-        M = N
-        labels = _tuples(range(M + 1), n, strict=False)
-        grid = [tuple(Fraction(k, M) for k in t) for t in _tuples(range(M + 1), n, strict=False)]
-        one = lambda m, s: 2 * np.cos(np.pi * m * s)
-        kernel = _det_or_perm_rows(one, labels, grid, signed=False)
-        cs = [np.prod([0.5 if v in (0, 1) else 1.0 for v in t]) for t in grid]
-        weights = np.array([nf * c / _stab_order(t) for c, t in zip(cs, grid)])
-        rm = [np.prod([4.0 if v in (0, M) else 2.0 for v in r]) for r in labels]
-        norms = np.array([float(M ** n) * r * _stab_order(lab)
-                          for r, lab in zip(rm, labels)])
-        return DiscretePlan(kind, tuple(labels), tuple(grid), kernel, weights, norms)
-    if kind[:5] in ("amdct", "smdct") and kind[5:] in "1234" and len(kind) == 6:
-        variant = kind[5]
-        signed = kind.startswith("a")
-        base = "dct" + variant
-        _, nodes, kfn, wfn, nfn = _dct_dst_data(base, N)
-        nodes = tuple(nodes)
-        labels = _tuples(nodes, n, strict=signed)
-        grid = _tuples(nodes, n, strict=signed)
-        kernel = _det_or_perm_rows(kfn, labels, grid, signed)
-        cw = [np.prod([wfn(k) for k in t]) for t in grid]
-        hw = [np.prod([nfn(r) / (N / 2) for r in t]) for t in labels]
-        if signed:
-            weights = np.array([nf * c for c in cw])
-            norms = np.array([h * (N / 2) ** n for h in hw])
-        else:
-            weights = np.array([nf * c / _stab_order(t) for c, t in zip(cw, grid)])
-            norms = np.array([h * (N / 2) ** n * _stab_order(lab)
-                              for h, lab in zip(hw, labels)])
-        return DiscretePlan(kind, tuple(labels), tuple(grid), kernel, weights, norms)
-    raise ValueError(f"unknown multivariate kind {kind!r}")
+    r = np.array(labels, dtype=float)[:, None, :, None]
+    k = np.array(grid, dtype=float)[None, :, None, :]
+    kernel = np.asarray(_perm_sum(kfn(r, k), signed) / math.sqrt(nf), dtype=complex)
+    weights = np.array([nf * np.prod([wfn(s) for s in t]) / _stab_order(t)
+                        for t in grid])
+    norms = np.array([np.prod([nfn(m) for m in t]) * _stab_order(t)
+                      for t in labels])
+    return DiscretePlan(kind, labels, grid, kernel, weights, norms)
 
 
 # -- continuous transforms at desk scale -----------------------------------
@@ -522,11 +498,8 @@ def _chamber_points(n: int, upper: float, resolution: int):
     return np.stack([g1.ravel(), g2.ravel()], axis=1), cell / 2
 
 
-def sine_integral_transform(f: Callable, lams: Sequence, upper: float,
-                            resolution: int = 400) -> np.ndarray:
-    """Multivariate sine integral transform over the truncated positive
-    chamber {upper > x_1 > ... > x_n > 0}: ftilde(lam) = int f det(sin
-    2 pi lam_i x_j) dx.  n is inferred from the label length; n <= 2."""
+def _integral_transform(f: Callable, lams: Sequence, upper: float,
+                        resolution: int, trig: Callable, signed: bool) -> np.ndarray:
     n = len(lams[0])
     if n > 2:
         raise ValueError("quadrature transform supports n <= 2 only")
@@ -535,23 +508,21 @@ def sine_integral_transform(f: Callable, lams: Sequence, upper: float,
     out = []
     for lam in lams:
         lamv = np.asarray([float(v) for v in lam])
-        kern = _perm_sum(np.sin(TWO_PI * lamv[:, None] * pts[:, None, :]), signed=True)
+        kern = _perm_sum(trig(TWO_PI * lamv[:, None] * pts[:, None, :]), signed)
         out.append(np.sum(fv * kern) * cell)
     return np.array(out)
+
+
+def sine_integral_transform(f: Callable, lams: Sequence, upper: float,
+                            resolution: int = 400) -> np.ndarray:
+    """Multivariate sine integral transform over the truncated positive
+    chamber {upper > x_1 > ... > x_n > 0}: ftilde(lam) = int f det(sin
+    2 pi lam_i x_j) dx.  n is inferred from the label length; n <= 2."""
+    return _integral_transform(f, lams, upper, resolution, np.sin, signed=True)
 
 
 def cosine_integral_transform(f: Callable, lams: Sequence, upper: float,
                               resolution: int = 400) -> np.ndarray:
     """Symmetric counterpart of :func:`sine_integral_transform` with the
     permanent-style cosine kernel."""
-    n = len(lams[0])
-    if n > 2:
-        raise ValueError("quadrature transform supports n <= 2 only")
-    pts, cell = _chamber_points(n, upper, resolution)
-    fv = np.asarray(f(pts), dtype=float)
-    out = []
-    for lam in lams:
-        lamv = np.asarray([float(v) for v in lam])
-        kern = _perm_sum(np.cos(TWO_PI * lamv[:, None] * pts[:, None, :]), signed=False)
-        out.append(np.sum(fv * kern) * cell)
-    return np.array(out)
+    return _integral_transform(f, lams, upper, resolution, np.cos, signed=False)

@@ -173,6 +173,18 @@ def test_domain_error_exit_code(tmp_path):
     assert "wall" in proc.stderr
 
 
+def test_transform_without_labels_exits_1(tmp_path, monkeypatch, capsys):
+    from orbitfuncs import cli
+    signal = tmp_path / "signal.csv"
+    signal.write_text("k,value\n0,1.0\n")
+    monkeypatch.setattr("sys.argv", ["orbitfuncs", "transform", "--kind", "anti_sine",
+                                     "--n", "3", "--N", "3", "--in", str(signal)])
+    with pytest.raises(SystemExit) as exit_:
+        cli.run()
+    assert exit_.value.code == 1
+    assert "anti_sine has no plan with n = 3, N = 3" in capsys.readouterr().err
+
+
 def test_out_writes_the_json_to_the_file(tmp_path):
     path = tmp_path / "a2.json"
     res = run("--out", str(path), "rootsys", "info", "A2")

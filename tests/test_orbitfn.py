@@ -11,6 +11,7 @@ from orbitfuncs.weyl import generate_group, affine_r0, WallError
 from orbitfuncs.orbitfn import (
     rho_cosine_orbit_decomposition, character_highprec,
     eval_orbit_function, eval_batch, eval_coroot_point, eval_orth,
+    eval_orth_batch,
     closed_form_orth, rho_products, rho_products_orth, rho_orth,
     character, dimension, an_identity, vandermonde, partitions,
     NearSingularEvaluationError, is_strictly_dominant_orth,
@@ -145,6 +146,21 @@ def test_closed_forms_match_group_sums():
                 ref = eval_orth(rs, kind, m, x)
                 got = closed_form_orth(rs, kind, m, x)
                 assert abs(ref - got) < 1e-10 * (1 + abs(ref)), (label, kind, m)
+
+
+def test_orth_batch_refuses_what_the_single_point_refuses():
+    b3 = build("B3")
+    xs = np.array([[0.1, 0.2, 0.3], [0.3, -0.1, 0.05]])
+    for call in (lambda m, kind: eval_orth(b3, kind, m, xs[0]),
+                 lambda m, kind: eval_orth_batch(b3, kind, m, xs)):
+        with pytest.raises(ValueError, match="only defined on omega"):
+            call((3, 2, 1), "normalized")
+        with pytest.raises(ValueError, match="expected 3 coordinates"):
+            call((3, 2), "anti")
+        with pytest.raises(WallError):
+            call((2, 2, 1), "anti")
+    one = eval_orth(b3, "anti", (3, 2, 1), xs[1])
+    assert abs(eval_orth_batch(b3, "anti", (3, 2, 1), xs)[1] - one) < 1e-12 * abs(one)
 
 
 def test_closed_form_d_with_zero_last_coordinate():

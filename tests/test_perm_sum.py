@@ -10,6 +10,8 @@ import cmath
 import itertools
 import math
 import random
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from hypothesis.extra import numpy as hnp
 from orbitfuncs import orbitfn
 from orbitfuncs.orbitfn import _perm_sum, closed_form_orth
 from orbitfuncs.rootsys import build, orth_dim
-from orbitfuncs.transforms import multivariate_plan
+from orbitfuncs.transforms import dst_dct_1d, multivariate_plan
 
 RNG = random.Random(2718)
 
@@ -52,18 +54,69 @@ def brute_kernel(one_dim, labels, grid, signed: bool) -> np.ndarray:
     return out
 
 
-def scalar_one_dim(kind: str, N: int):
-    """The one-variable kernel of a multivariate kind, evaluated with the
-    scalar math functions."""
-    if kind.endswith("_exp"):
-        return lambda m, s: cmath.exp(2j * math.pi * m * s) / math.sqrt(N)
-    if kind == "anti_sine":
-        return lambda m, s: 2j * math.sin(math.pi * m * s)
-    if kind == "sym_cosine":
-        return lambda m, s: 2 * math.cos(math.pi * m * s)
-    # dct1..4: half-integer shifts of the label and of the node
+def one_variable(kind: str, N: int):
+    """(labels, grid, kernel, weight, norm) of a one-variable kind from its
+    textbook definition, evaluated with the scalar math functions."""
+    if kind == "exp":
+        return (range(1, N + 1), [Fraction(k, N) for k in range(1, N + 1)],
+                lambda m, s: cmath.exp(2j * math.pi * m * s) / math.sqrt(N),
+                lambda s: 1, lambda m: 1)
+    if kind == "sine":
+        return (range(1, N), [Fraction(k, N) for k in range(1, N)],
+                lambda m, s: 2j * math.sin(math.pi * m * s),
+                lambda s: 1, lambda m: 2 * N)
+    if kind == "cosine":
+        return (range(N + 1), [Fraction(k, N) for k in range(N + 1)],
+                lambda m, s: 2 * math.cos(math.pi * m * s),
+                lambda s: 0.5 if s in (0, 1) else 1,
+                lambda m: (4 if m in (0, N) else 2) * N)
+    # DCT/DST-v: shifts a, b of label and node, the labels and nodes, the
+    # nodes of weight 1/2 and the labels of norm N instead of N/2
     a, b = {"1": (0, 0), "2": (0.5, 0), "3": (0, 0.5), "4": (0.5, 0.5)}[kind[-1]]
-    return lambda r, k: math.cos(math.pi * (r + a) * (k + b) / N)
+    labels, nodes, half, double = {
+        "dct1": (range(N + 1), range(N + 1), (0, N), (0, N)),
+        "dct2": (range(N), range(N), (0,), ()),
+        "dct3": (range(N), range(N), (), (0,)),
+        "dct4": (range(N), range(N), (), ()),
+        "dst1": (range(1, N), range(1, N), (), ()),
+        "dst2": (range(N), range(1, N + 1), (N,), ()),
+        "dst3": (range(1, N + 1), range(N), (), (N,)),
+        "dst4": (range(N), range(N), (), ()),
+    }[kind]
+    trig = math.cos if kind.startswith("dct") else math.sin
+    return (labels, nodes, lambda r, k: trig(math.pi * (r + a) * (k + b) / N),
+            lambda k: 0.5 if k in half else 1,
+            lambda r: N if r in double else N / 2)
+
+
+def stab(t) -> int:
+    return math.prod(math.factorial(c) for c in Counter(t).values())
+
+
+def weights_and_norms(kind: str, n: int, N: int, labels, grid):
+    """Grid weights and label norms of a multivariate kind, one formula per
+    kind: n! times the node weights over |Stab| for the weights, the label
+    norms times |Stab| for the norms."""
+    nf = math.factorial(n)
+    if kind == "anti_exp":
+        return [nf] * len(grid), [1] * len(labels)
+    if kind == "sym_exp":
+        return [nf / stab(t) for t in grid], [stab(r) for r in labels]
+    if kind == "anti_sine":
+        return [nf] * len(grid), [(2 * N) ** n] * len(labels)
+    if kind == "sym_cosine":
+        return ([nf * math.prod(0.5 if s in (0, 1) else 1 for s in t) / stab(t)
+                 for t in grid],
+                [N ** n * math.prod(4 if m in (0, N) else 2 for m in r) * stab(r)
+                 for r in labels])
+    # amdct/smdct: weight 1/2 on the end nodes, norm doubled on the end
+    # labels of the DCT variant, over the base norm (N/2)^n
+    half = {"1": (0, N), "2": (0,), "3": (), "4": ()}[kind[-1]]
+    double = {"1": (0, N), "2": (), "3": (0,), "4": ()}[kind[-1]]
+    st = stab if kind.startswith("s") else (lambda t: 1)
+    return ([nf * math.prod(0.5 if k in half else 1 for k in t) / st(t) for t in grid],
+            [(N / 2) ** n * math.prod(2 if m in double else 1 for m in r) * st(r)
+             for r in labels])
 
 
 KINDS = ("anti_exp", "sym_exp", "anti_sine", "sym_cosine",
@@ -77,9 +130,32 @@ def test_multivariate_kernel_matches_brute_force(kind, n):
     N = 5
     plan = multivariate_plan(kind, n, N)
     assert len(plan.labels) > 1
-    ref = brute_kernel(scalar_one_dim(kind, N), plan.labels, plan.grid,
+    base = kind.split("_")[1] if "_" in kind else "dct" + kind[-1]
+    ref = brute_kernel(one_variable(base, N)[2], plan.labels, plan.grid,
                        signed=kind.startswith("a"))
     assert np.max(np.abs(plan.kernel - ref)) <= 1e-12 * np.max(np.abs(ref))
+    weights, norms = weights_and_norms(kind, n, N, plan.labels, plan.grid)
+    np.testing.assert_allclose(plan.weights, weights, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(plan.norms, norms, rtol=1e-14, atol=0)
+
+
+ONE_D_KINDS = ("sine", "cosine", "dct1", "dct2", "dct3", "dct4",
+               "dst1", "dst2", "dst3", "dst4")
+
+
+@pytest.mark.parametrize("kind", ONE_D_KINDS)
+def test_one_variable_plan_matches_definition(kind):
+    for N in (2, 5, 8):
+        plan = dst_dct_1d(kind, N)
+        labels, nodes, kernel, weight, norm = one_variable(kind, N)
+        assert plan.labels == tuple(labels) and plan.grid == tuple(nodes)
+        assert [type(v) for v in plan.grid] == [type(v) for v in nodes]
+        ref = np.array([[kernel(r, float(k)) for k in nodes] for r in labels])
+        assert np.max(np.abs(plan.kernel - ref)) <= 1e-12 * np.max(np.abs(ref))
+        np.testing.assert_allclose(plan.weights, [weight(k) for k in nodes],
+                                   rtol=1e-14, atol=0)
+        np.testing.assert_allclose(plan.norms, [norm(r) for r in labels],
+                                   rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("kind", ["antisymmetric", "symmetric"])

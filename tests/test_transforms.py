@@ -223,6 +223,24 @@ def test_plan_without_labels_is_refused():
         build_plan(a2, 5, labels=[])
 
 
+@pytest.mark.parametrize("build_it, kind, n, N", [
+    (multivariate_plan, "anti_sine", 3, 3),
+    (multivariate_plan, "anti_exp", 3, 2),
+    (multivariate_plan, "amdct2", 0, 4),
+    (multivariate_plan, "smdct1", 2, 0),
+    (dst_dct_1d, "sine", 1, 1),
+    (dst_dct_1d, "dst1", 1, 1),
+    (dst_dct_1d, "dct2", 1, 0),
+    (dst_dct_1d, "cosine", 1, 0),
+    (dst_dct_1d, "dct1", 1, 0),
+])
+def test_discrete_plan_without_labels_is_refused(build_it, kind, n, N):
+    # no labels at all, or sizes whose one-variable table is degenerate
+    args = (kind, n, N) if build_it is multivariate_plan else (kind, N)
+    with pytest.raises(ValueError, match=rf"^{kind} has no plan with n = {n}, N = {N}:"):
+        build_it(*args)
+
+
 def test_sampled_function_roundtrip():
     # synthesize an anti-invariant function from known coefficients,
     # sample it on the interior grid, and recover the coefficients
