@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .rootsys import (
-    RootSystem, vec, is_dominant, inner, orth_dim,
+    RootSystem, vec, is_dominant, inner, orth_dim, rank_vec,
 )
 from .weyl import (
     orbit, signed_orbit, stabilizer_order, positive_roots,
@@ -48,25 +48,28 @@ class NearSingularEvaluationError(ArithmeticError):
 
 # -- omega-coordinate evaluation -----------------------------------------
 
+def _terms(rs: RootSystem, kind: str, lamv: tuple) -> tuple[list, np.ndarray]:
+    """The exact weights mu of the orbit-function sum, and the coefficient
+    of each term."""
+    if kind == "antisymmetric":
+        pts = signed_orbit(rs, lamv).points
+        return [p for p, _ in pts], np.array([s for _, s in pts], dtype=float)
+    if not is_dominant(lamv):
+        raise ValueError("symmetric orbit functions need a dominant weight")
+    weights = orbit(rs, lamv)
+    c = 1.0 if kind == "symmetric" else float(stabilizer_order(rs, lamv))
+    return weights, np.full(len(weights), c)
+
+
 _TERMS_CACHE: dict = {}
 
 
-def _terms_omega(rs: RootSystem, kind: str, lam: tuple) -> tuple[np.ndarray, np.ndarray]:
+def _terms_omega(rs: RootSystem, kind: str, lamv: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Rows mu.S for every term mu, plus the coefficient of each term."""
-    key = (rs.id, kind, lam)
+    key = (rs.id, kind, lamv)
     if key in _TERMS_CACHE:
         return _TERMS_CACHE[key]
-    lamv = vec(lam)
-    if kind == "antisymmetric":
-        pts = signed_orbit(rs, lamv).points
-        coeffs = np.array([s for _, s in pts], dtype=float)
-        weights = [p for p, _ in pts]
-    else:
-        if not is_dominant(lamv):
-            raise ValueError("symmetric orbit functions need a dominant weight")
-        weights = orbit(rs, lamv)
-        c = 1.0 if kind == "symmetric" else float(stabilizer_order(rs, lamv))
-        coeffs = np.full(len(weights), c)
+    weights, coeffs = _terms(rs, kind, lamv)
     S = rs.metric
     n = rs.rank
     rows = np.array(
@@ -86,36 +89,61 @@ def eval_orbit_function(rs: RootSystem, kind: str, lam: Sequence, x: Sequence) -
     return complex(eval_batch(rs, kind, lam, np.asarray([list(map(float, x))]))[0])
 
 
+def _float_points(rs: RootSystem, xs, dim: int) -> np.ndarray:
+    """xs as an (N, dim) float array; ValueError for another shape or for
+    a point with a non-finite coordinate."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != dim:
+        raise ValueError(f"expected {dim} coordinates per point for "
+                         f"{rs.id.label}, got an array of shape {xs.shape}")
+    finite = np.isfinite(xs)
+    if not finite.all():
+        i = int(np.argmin(finite.all(axis=1)))
+        raise ValueError(f"point {i} is not finite: {xs[i].tolist()}")
+    return xs
+
+
 def eval_batch(rs: RootSystem, kind: str, lam: Sequence, xs: np.ndarray) -> np.ndarray:
     """Vectorized evaluation at an (N, rank) array of omega coordinates."""
     kind = _norm_kind(kind)
-    rows, coeffs = _terms_omega(rs, kind, tuple(Fraction(c) for c in lam))
-    xs = np.asarray(xs, dtype=float)
+    rows, coeffs = _terms_omega(rs, kind, rank_vec(rs, lam))
+    xs = _float_points(rs, xs, rs.rank)
     phases = rows @ xs.T                       # (terms, N) of <mu, x>
     return coeffs @ np.exp(TWO_PI * 1j * phases)
 
 
-def eval_coroot_point(rs: RootSystem, kind: str, lam: Sequence, b: Sequence) -> complex:
-    """Evaluate at a point given by exact coroot-basis coordinates b.
+def eval_coroot_point(rs: RootSystem, kind: str, lam: Sequence, b: Sequence):
+    """Evaluate at one point, or a sequence of points, given by exact
+    coroot-basis coordinates b; returns a complex, or a (G,) array.
 
     The pairing with a weight in omega coordinates is the plain dot
-    product, so the phase is an exact rational; this is what the discrete
-    transforms use.
+    product, so every phase is an exact rational k/D.  The group acts by
+    integer matrices on omega coordinates, so dp * w lam is integral for dp
+    the lcm of the denominators of lam; with db the lcm of those of all of
+    b and D = dp * db, k = (dp * w lam) . (db * b) mod D in Python
+    integers.  Floats enter only at exp(2 pi i k / D); this is what the
+    discrete transforms use.
     """
     kind = _norm_kind(kind)
-    lamv = vec(lam)
-    bv = vec(b)
-    if kind == "antisymmetric":
-        terms = signed_orbit(rs, lamv).points
-    else:
-        c = 1 if kind == "symmetric" else stabilizer_order(rs, lamv)
-        terms = [(p, c) for p in orbit(rs, lamv)]
-    total = 0j
-    for p, s in terms:
-        phase = sum(pi * bi for pi, bi in zip(p, bv)) % 1
-        total += s * complex(math.cos(TWO_PI * float(phase)),
-                             math.sin(TWO_PI * float(phase)))
-    return total
+    lamv = rank_vec(rs, lam)
+    pts = np.asarray(b, dtype=object)
+    single = pts.ndim == 1
+    if single:
+        pts = np.asarray([rank_vec(rs, b)], dtype=object)
+    elif pts.ndim != 2 or pts.shape[1] != rs.rank:
+        raise ValueError(f"expected {rs.rank} coordinates per point for "
+                         f"{rs.id.label}, got an array of shape {pts.shape}")
+    weights, coeffs = _terms(rs, kind, lamv)
+    coords = [Fraction(c) for c in pts.flat]
+    dp = math.lcm(*(c.denominator for c in lamv))
+    db = math.lcm(*(c.denominator for c in coords))
+    D = dp * db
+    B = np.array([c.numerator * (db // c.denominator) % D for c in coords],
+                 dtype=object).reshape(pts.shape)
+    P = np.array([[int(c * dp) for c in p] for p in weights], dtype=object)
+    k = (P @ B.T) % D                          # (terms, G) exact numerators
+    vals = coeffs @ np.exp(TWO_PI * 1j * (k / D).astype(float))
+    return complex(vals[0]) if single else vals
 
 
 # -- orthogonal-coordinate evaluation (A, B, C, D) -----------------------
@@ -167,7 +195,7 @@ def eval_orth_batch(rs: RootSystem, kind: str, m: Sequence, xs: np.ndarray) -> n
     if not is_strictly_dominant_orth(rs, m):
         raise WallError(f"{tuple(m)} is not strictly dominant in orthogonal coordinates")
     imgs, coeffs = _orth_terms(rs, kind, tuple(Fraction(v) for v in m))
-    xs = np.asarray(xs, dtype=float)
+    xs = _float_points(rs, xs, orth_dim(rs))
     return coeffs @ np.exp(TWO_PI * 1j * (imgs @ xs.T))
 
 

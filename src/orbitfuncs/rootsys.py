@@ -307,6 +307,15 @@ def is_strictly_dominant(v: Sequence) -> bool:
     return all(Fraction(c) > 0 for c in v)
 
 
+def rank_vec(rs: RootSystem, x: Sequence) -> Vec:
+    """x as an exact vector of rs.rank coordinates (omega or coroot)."""
+    v = vec(x)
+    if len(v) != rs.rank:
+        raise ValueError(f"expected {rs.rank} coordinates for {rs.id.label}, "
+                         f"got {len(v)}: {_vec_str(v)}")
+    return v
+
+
 def orth_dim(rs: RootSystem) -> int:
     """Number of orthogonal coordinates (n+1 for A_n, n for B/C/D)."""
     if rs.family == "A":
@@ -382,6 +391,10 @@ def from_orthogonal(rs: RootSystem, m: Sequence) -> Vec:
 def _frac_str(x) -> str:
     f = Fraction(x)
     return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
+
+
+def _vec_str(v) -> str:
+    return "(" + ", ".join(map(_frac_str, v)) + ")"
 
 
 def to_json_dict(rs: RootSystem) -> dict:

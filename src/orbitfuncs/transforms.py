@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .rootsys import RootSystem, Vec, vec, vec_mat, _frac_str
+from .rootsys import RootSystem, Vec, vec, vec_mat, _vec_str
 from .weyl import generate_group, dual_marks
 from .orbitfn import TWO_PI, eval_coroot_point, eval_batch, _perm_sum
 
@@ -181,24 +181,23 @@ def build_plan(rs: RootSystem, M: int, labels: Sequence[Vec] | None = None,
         raise ValueError(f"a plan on the F_{M} grid of {rs.id.label} needs at "
                          f"least one label (default labels need M > "
                          f"{sum(dual_marks(rs))})")
-    kernel = np.empty((len(labels), len(grid)), dtype=complex)
-    for i, lam in enumerate(labels):
-        for j, p in enumerate(grid):
-            kernel[i, j] = eval_coroot_point(rs, "antisymmetric", lam, p.coroot)
+    # the reshape keeps an empty grid a stack of points
+    coroots = np.array([p.coroot for p in grid], dtype=object).reshape(-1, rs.rank)
+    kernel = np.array([eval_coroot_point(rs, "antisymmetric", lam, coroots)
+                       for lam in labels])
     norm = float(lattice_index(rs) * M ** rs.rank)
     g = kernel @ kernel.conj().T
     dev = np.abs(g - norm * np.eye(len(labels)))
     i, j = np.unravel_index(np.argmax(dev), dev.shape)
     if dev[i, j] > tol * norm:
-        show = lambda lam: "(" + ", ".join(map(_frac_str, lam)) + ")"
         where = f"on the F_{M} grid of {rs.id.label}: gram = {g[i, j]:.3e}"
         if i == j:
             raise PlanSeparationError(
-                f"label {show(labels[i])} does not have the full norm {where}, "
+                f"label {_vec_str(labels[i])} does not have the full norm {where}, "
                 f"expected {norm}; a label on a wall of the {M}-fold dual "
                 f"alcove, or of one of its affine Weyl images, vanishes there")
         raise PlanSeparationError(
-            f"labels {show(labels[i])} and {show(labels[j])} are not "
+            f"labels {_vec_str(labels[i])} and {_vec_str(labels[j])} are not "
             f"separated {where}, expected 0")
     return TransformPlan(rs=rs, M=M, labels=labels, grid=grid,
                          kernel=kernel, norm=norm)
@@ -208,8 +207,7 @@ def gram_over_torus(rs: RootSystem, M: int, labels: Sequence[Vec]) -> np.ndarray
     """Gram matrix of the antisymmetric functions over the full Weyl
     expansion of F_M modulo the coroot lattice (definitional check)."""
     pts = tm_expand(rs, grid_fm(rs, M))
-    V = np.array([[eval_coroot_point(rs, "antisymmetric", vec(lam), b)
-                   for b in pts] for lam in labels])
+    V = np.array([eval_coroot_point(rs, "antisymmetric", lam, pts) for lam in labels])
     return V @ V.conj().T
 
 

@@ -14,8 +14,8 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .rootsys import (
-    RootSystem, Vec, vec, mat_vec, is_dominant, is_strictly_dominant,
-    UnsupportedCoordinatesError,
+    RootSystem, Vec, vec, mat_vec, is_dominant, is_strictly_dominant, rank_vec,
+    UnsupportedCoordinatesError, _vec_str,
 )
 
 IntMat = tuple[tuple[int, ...], ...]
@@ -169,10 +169,18 @@ class SignedOrbit:
 
 
 def signed_orbit(rs: RootSystem, lam: Sequence) -> SignedOrbit:
-    """The full signed orbit {(w lam, det w) : w in W} of a strictly dominant lam."""
-    lamv = vec(lam)
+    """The full signed orbit {(w lam, det w) : w in W} of a strictly dominant lam.
+
+    A weight that is not dominant raises ValueError, a dominant one on a
+    wall WallError.
+    """
+    lamv = rank_vec(rs, lam)
     if not is_strictly_dominant(lamv):
-        raise WallError(f"{lamv} lies on a wall; signed orbits need strict dominance")
+        if not is_dominant(lamv):
+            raise ValueError(f"{_vec_str(lamv)} is not dominant; signed orbits "
+                             f"need a strictly dominant weight")
+        raise WallError(f"{_vec_str(lamv)} lies on a wall; signed orbits need "
+                        f"strict dominance")
     pts = tuple((w.apply(lamv), w.det) for w in generate_group(rs))
     assert len({p for p, _ in pts}) == rs.weyl_order
     return SignedOrbit(lamv, pts)

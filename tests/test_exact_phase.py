@@ -1,0 +1,112 @@
+"""The exact-phase kernel of ``eval_coroot_point`` against a Fraction loop.
+
+``fraction_oracle`` is the per-point evaluation that ``eval_coroot_point``
+and the plan builders used before the integer kernel: it rebuilds the
+weight's (signed) orbit and sums the Fraction phases term by term.  It is
+the reference for the kernel on one point, on stacks of points, and for
+the plan kernels built from it.
+"""
+
+import math
+from fractions import Fraction as F
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from orbitfuncs.orbitfn import TWO_PI, eval_coroot_point
+from orbitfuncs.rootsys import build, vec
+from orbitfuncs.transforms import build_plan, default_labels, gram_over_torus, grid_fm, tm_expand
+from orbitfuncs.weyl import orbit, signed_orbit, stabilizer_order
+
+KINDS = ("antisymmetric", "symmetric", "normalized")
+
+
+def fraction_oracle(rs, kind, lam, b) -> complex:
+    lamv = vec(lam)
+    bv = vec(b)
+    if kind == "antisymmetric":
+        terms = signed_orbit(rs, lamv).points
+    else:
+        c = 1 if kind == "symmetric" else stabilizer_order(rs, lamv)
+        terms = [(p, c) for p in orbit(rs, lamv)]
+    total = 0j
+    for p, s in terms:
+        phase = sum(pi * bi for pi, bi in zip(p, bv)) % 1
+        total += s * complex(math.cos(TWO_PI * float(phase)),
+                             math.sin(TWO_PI * float(phase)))
+    return total
+
+
+def assert_matches_oracle(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+positive = st.builds(F, st.integers(1, 30), st.integers(1, 12))
+coordinate = st.one_of(st.builds(F, st.integers(-30, 30), st.integers(1, 12)),
+                       st.floats(-2, 2, allow_nan=False).map(F))
+
+
+@st.composite
+def cases(draw):
+    rs = build(draw(st.sampled_from(["A2", "A3", "B3", "C3", "G2"])))
+    lam = draw(st.lists(positive, min_size=rs.rank, max_size=rs.rank))
+    pts = draw(st.lists(st.lists(coordinate, min_size=rs.rank, max_size=rs.rank),
+                        min_size=1, max_size=6))
+    return rs, draw(st.sampled_from(KINDS)), tuple(lam), [tuple(p) for p in pts]
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases())
+def test_kernel_matches_fraction_oracle(case):
+    rs, kind, lam, pts = case
+    want = [fraction_oracle(rs, kind, lam, b) for b in pts]
+    assert_matches_oracle(eval_coroot_point(rs, kind, lam, pts), want)
+    one = eval_coroot_point(rs, kind, lam, pts[0])
+    assert isinstance(one, complex)
+    assert_matches_oracle(one, want[0])
+
+
+@pytest.mark.parametrize("label,M", [("A2", 12), ("C2", 14), ("G2", 15),
+                                     ("A3", 8), ("B3", 10), ("C3", 10)])
+def test_plan_kernel_matches_fraction_oracle(label, M):
+    rs = build(label)
+    plan = build_plan(rs, M)
+    want = [[fraction_oracle(rs, "antisymmetric", lam, p.coroot) for p in plan.grid]
+            for lam in plan.labels]
+    assert_matches_oracle(plan.kernel, want)
+
+
+def test_gram_over_torus_matches_fraction_oracle():
+    rs = build("C2")
+    labels = default_labels(rs, 6)
+    pts = tm_expand(rs, grid_fm(rs, 6))
+    V = np.array([[fraction_oracle(rs, "antisymmetric", lam, b) for b in pts]
+                  for lam in labels])
+    want = V @ V.conj().T
+    got = gram_over_torus(rs, 6, labels)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_empty_stack_gives_an_empty_array():
+    a2 = build("A2")
+    out = eval_coroot_point(a2, "anti", (1, 2), np.empty((0, 2), dtype=object))
+    assert out.shape == (0,)
+
+
+@pytest.mark.parametrize("lam,b", [
+    ((1, 2), (F(1, 5),)),
+    ((1, 2), (F(1, 5), F(2, 5), F(1, 5))),
+    ((1,), (F(1, 5), F(2, 5))),
+    ((1, 2), [(F(1, 5), F(2, 5), F(1, 5))]),
+])
+def test_wrong_length_is_refused(lam, b):
+    with pytest.raises(ValueError, match="expected 2 coordinates .*A2"):
+        eval_coroot_point(build("A2"), "anti", lam, b)
+
+
+def test_plan_with_a_short_label_is_refused():
+    with pytest.raises(ValueError, match=r"expected 2 coordinates for A2, got 1: \(1\)"):
+        build_plan(build("A2"), 5, labels=[(1,)])

@@ -163,6 +163,22 @@ def test_orth_batch_refuses_what_the_single_point_refuses():
     assert abs(eval_orth_batch(b3, "anti", (3, 2, 1), xs)[1] - one) < 1e-12 * abs(one)
 
 
+def test_batches_refuse_bad_points():
+    a2, b3 = build("A2"), build("B3")
+    for call, n, label in ((lambda xs: eval_batch(a2, "anti", (1, 2), xs), 2, "A2"),
+                           (lambda xs: eval_orth_batch(b3, "anti", (3, 2, 1), xs), 3, "B3")):
+        good = np.full((3, n), 0.1)
+        with pytest.raises(ValueError, match=f"expected {n} coordinates per point for {label}"):
+            call(np.full((3, n + 1), 0.1))
+        for bad in (np.nan, np.inf):
+            xs = good.copy()
+            xs[1, -1] = bad
+            with pytest.raises(ValueError, match="point 1 is not finite"):
+                call(xs)
+    with pytest.raises(ValueError, match="expected 3 coordinates per point for B3"):
+        eval_orth(b3, "anti", (3, 2, 1), [0.1, 0.2])
+
+
 def test_closed_form_d_with_zero_last_coordinate():
     d4 = build("D4")
     m = (3, 2, 1, 0)

@@ -148,6 +148,19 @@ def test_signed_orbit_rejects_wall():
         signed_orbit(build("A2"), (1, 0))
 
 
+def test_signed_orbit_tells_non_dominant_from_on_wall():
+    a2 = build("A2")
+    with pytest.raises(ValueError, match=r"^\(-1, 2\) is not dominant") as info:
+        signed_orbit(a2, (-1, 2))
+    assert type(info.value) is ValueError
+    with pytest.raises(WallError, match=r"^\(1/2, 0\) lies on a wall"):
+        signed_orbit(a2, (F(1, 2), 0))
+    from orbitfuncs.transforms import build_plan
+    with pytest.raises(ValueError, match="not dominant") as info:
+        build_plan(a2, 5, labels=[(-1, 2)])
+    assert type(info.value) is ValueError
+
+
 def test_signed_orbit_negation_closure_c2_g2():
     # every signed orbit of C_2 and G_2 contains (-c,-d) with the same sign
     for label in ["C2", "G2"]:
