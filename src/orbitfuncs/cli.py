@@ -457,10 +457,14 @@ def selftest(ctx, quick):
             for _ in range(10):
                 lam = tuple(rng.randint(0, 3) for _ in range(rs.rank))
                 mu = tuple(rng.randint(1, 3) for _ in range(rs.rank))
-                brute = algmod.product_plain_signed(rs, lam, mu)
-                coset = algmod.product_plain_signed_coset(rs, lam, mu)
-                ok &= brute == coset
-        report("orbit product coset shortcut", ok)
+                xs = np.array([[rng.uniform(-1, 1) for _ in range(rs.rank)]
+                               for _ in range(4)])
+                prod = (ofmod.eval_batch(rs, "sym", lam, xs)
+                        * ofmod.eval_batch(rs, "anti", mu, xs))
+                expansion = sum(t.coefficient * ofmod.eval_batch(rs, "anti", t.label, xs)
+                                for t in algmod.product_plain_signed(rs, lam, mu))
+                ok &= bool(np.all(np.abs(prod - expansion) < 1e-10 * (1 + np.abs(prod))))
+        report("orbit product expansion", ok)
 
     click.echo(f"selftest {'quick' if quick else 'full'} finished in "
                f"{time.time() - t0:.1f} s, {failures} failure(s)", file=out)

@@ -1,14 +1,16 @@
 """Decomposition of products of (signed) orbits and branching to subgroups.
 
-The canonical strategy is exact brute force: expand all point pairs (or
-all restricted orbit points) and read each coefficient off the dominant
-representative itself.  A product or restriction of orbit sums is a
-(anti)invariant exponential sum, so the coefficient of a term equals the
-signed multiplicity of its dominant exponent.  Wall exponents of an
-antisymmetric product must cancel (asserted); a restriction keeps only
-points that are strictly dominant for the subgroup, so it has none.  The
-group-coset shortcut and the per-family branching term generators are
-validated against the brute force in the tests.
+Every product goes through one coset sum.  For a weight y write
+S+(y) = sum_w e^(w y) and S-(y) = sum_w det(w) e^(w y); then
+S+(y) = |Stab(y)| * O(dom y), and S-(y) = sign * O^+-(dom y) off the walls
+and 0 on them, with (dom y, sign) from ``to_dominant``.  Since an orbit is
+W-invariant, a product of two orbit sums is a sum of S+ or S- over the
+points of one factor only, so it costs O(|orbit|) ``to_dominant`` calls
+instead of a loop over pairs of points; the pair loops are kept in the
+tests as brute-force oracles.  A restriction (``branch``) keeps only
+points that are strictly dominant for the subgroup and reads each
+coefficient off the dominant representative itself; the per-family
+branching term generators are validated against it in the tests.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .rootsys import RootSystem, vec, is_dominant, is_strictly_dominant
+from .rootsys import RootSystem, vec, rank_vec, orth_dim, is_strictly_dominant, _vec_str
 from .weyl import (
-    orbit, signed_orbit, to_dominant, orth_group, orth_apply, WallError,
-    _perm_sign,
+    orbit, signed_orbit, to_dominant, stabilizer_order, orth_group, orth_apply,
+    WallError, _perm_sign, _dominant_vec, _strict_vec,
 )
 
 
@@ -35,81 +37,63 @@ OrbitSum = tuple[OrbitTerm, ...]
 
 
 def _collect(counter: dict, kind: str) -> OrbitSum:
-    terms = [OrbitTerm(c, lab, kind) for lab, c in sorted(counter.items()) if c != 0]
-    return tuple(terms)
+    return tuple(OrbitTerm(c, lab, kind) for lab, c in sorted(counter.items()) if c != 0)
+
+
+def _coset_sum(rs: RootSystem, beta: tuple, terms, signed: bool) -> dict:
+    """sum of c * S-(beta + q) (signed) or c * S+(beta + q) (plain) over
+    the (q, c) in terms, as {dominant label: coefficient}."""
+    counter: dict = {}
+    for q, c in terms:
+        dom = to_dominant(rs, tuple(a + b for a, b in zip(beta, q)))
+        if signed:
+            if dom.on_wall:
+                continue
+            c *= dom.sign
+        counter[dom.weight] = counter.get(dom.weight, 0) + c
+    if signed:
+        return counter
+    return {lab: c * stabilizer_order(rs, lab) for lab, c in counter.items()}
 
 
 def product_plain_signed(rs: RootSystem, lam: Sequence, mu: Sequence) -> OrbitSum:
-    """O(lam) x O^+-(mu): a union of signed orbits with coefficients +-1.
-
-    Coefficients are the signed counts of pairs landing exactly on each
-    strictly dominant weight; pairs landing on walls must cancel.
-    """
-    lamv, muv = vec(lam), vec(mu)
+    """O(lam) x O^+-(mu) = sum over q in O(lam) of S-(mu + q): a union of
+    signed orbits; two cosets may land on one label, so a coefficient
+    need not be a unit."""
+    muv = rank_vec(rs, mu)
     if not is_strictly_dominant(muv):
         raise WallError("the signed factor must be strictly dominant")
-    plain = orbit(rs, lamv)
-    signed = signed_orbit(rs, muv).points
-    counter: dict = {}
-    for p in plain:
-        for q, s in signed:
-            y = tuple(a + b for a, b in zip(p, q))
-            if is_dominant(y):
-                counter[y] = counter.get(y, 0) + s
-    for lab, c in counter.items():
-        if not is_strictly_dominant(lab):
-            assert c == 0, f"wall term {lab} did not cancel"
-    counter = {lab: c for lab, c in counter.items() if is_strictly_dominant(lab)}
-    return _collect(counter, "signed")
+    terms = [(q, 1) for q in orbit(rs, lam)]
+    return _collect(_coset_sum(rs, muv, terms, signed=True), "signed")
 
 
-def product_plain_signed_coset(rs: RootSystem, lam: Sequence, mu: Sequence) -> OrbitSum:
-    """The W/W_lam shortcut: one candidate term per orbit point of lam."""
-    lamv, muv = vec(lam), vec(mu)
-    if not is_strictly_dominant(muv):
-        raise WallError("the signed factor must be strictly dominant")
-    counter: dict = {}
-    for p in orbit(rs, lamv):
-        y = tuple(a + b for a, b in zip(p, muv))
-        dom = to_dominant(rs, y)
-        if dom.on_wall:
-            continue
-        counter[dom.weight] = counter.get(dom.weight, 0) + dom.sign
-    return _collect(counter, "signed")
+product_plain_signed_coset = product_plain_signed
 
 
 def product_signed_signed(rs: RootSystem, lam: Sequence, mu: Sequence) -> OrbitSum:
-    """O^+-(lam) x O^+-(mu): a union of plain orbits with integer
-    coefficients; labels on walls may carry |coefficient| > 1."""
-    pts1 = signed_orbit(rs, vec(lam)).points
-    pts2 = signed_orbit(rs, vec(mu)).points
-    counter: dict = {}
-    for p, s1 in pts1:
-        for q, s2 in pts2:
-            y = tuple(a + b for a, b in zip(p, q))
-            if is_dominant(y):
-                counter[y] = counter.get(y, 0) + s1 * s2
-    return _collect(counter, "orbit")
+    """O^+-(lam) x O^+-(mu) = sum over w of det(w) S+(lam + w mu): a union
+    of plain orbits with integer coefficients; labels on walls may carry
+    |coefficient| > 1."""
+    lamv = _strict_vec(rs, lam)
+    terms = signed_orbit(rs, mu).points
+    return _collect(_coset_sum(rs, lamv, terms, signed=False), "orbit")
 
 
 def product_plain_plain(rs: RootSystem, lam: Sequence, mu: Sequence) -> OrbitSum:
-    """O(lam) x O(mu): a union of plain orbits with positive multiplicities."""
-    counter: dict = {}
-    for p in orbit(rs, vec(lam)):
-        for q in orbit(rs, vec(mu)):
-            y = tuple(a + b for a, b in zip(p, q))
-            if is_dominant(y):
-                counter[y] = counter.get(y, 0) + 1
-    out = _collect(counter, "orbit")
-    assert all(t.coefficient > 0 for t in out)
-    return out
+    """O(lam) x O(mu) = sum over q in O(mu) of S+(lam + q) / |Stab(lam)|:
+    a union of plain orbits with positive multiplicities."""
+    lamv = _dominant_vec(rs, lam)
+    counter = _coset_sum(rs, lamv, [(q, 1) for q in orbit(rs, mu)], signed=False)
+    stab = stabilizer_order(rs, lamv)
+    assert all(c % stab == 0 for c in counter.values()), (counter, stab)
+    return _collect({lab: c // stab for lab, c in counter.items()}, "orbit")
 
 
-_PAIRING = {
-    ("orbit", "orbit"): ("orbit", product_plain_plain),
-    ("orbit", "signed"): ("signed", product_plain_signed),
-    ("signed", "orbit"): ("signed", None),
-    ("signed", "signed"): ("orbit", product_signed_signed),
+_PRODUCTS = {
+    ("orbit", "orbit"): product_plain_plain,
+    ("orbit", "signed"): product_plain_signed,
+    ("signed", "orbit"): lambda rs, lam, mu: product_plain_signed(rs, mu, lam),
+    ("signed", "signed"): product_signed_signed,
 }
 
 
@@ -122,12 +106,9 @@ def expand_function_product(rs: RootSystem, kind1: str, lam: Sequence,
     functions, sym*anti into antisymmetric ones, with the same integer
     coefficients as the orbit-level decompositions.
     """
-    if (kind1, kind2) not in _PAIRING:
+    if (kind1, kind2) not in _PRODUCTS:
         raise ValueError(f"unknown kind pairing {(kind1, kind2)}")
-    if kind1 == "signed" and kind2 == "orbit":
-        return product_plain_signed(rs, mu, lam)
-    _, fn = _PAIRING[(kind1, kind2)]
-    return fn(rs, lam, mu)
+    return _PRODUCTS[(kind1, kind2)](rs, lam, mu)
 
 
 # -- branching -----------------------------------------------------------
@@ -180,6 +161,9 @@ def branch(rs: RootSystem, rule: BranchRule, m: Sequence) -> OrbitSum:
         raise ValueError(f"no branching rules for {rs.id.label}")
     mv = vec(m)
     r = len(mv)
+    if r != orth_dim(rs):
+        raise ValueError(f"expected {orth_dim(rs)} orthogonal coordinates for "
+                         f"{rs.id.label}, got {r}: {_vec_str(mv)}")
     if fam != "A" and not (_strictly_decreasing(mv) and mv[-1] > 0):
         # the B/C/D rules are stated for strictly positive decreasing m
         raise WallError("branching needs m_1 > m_2 > ... > m_r > 0")

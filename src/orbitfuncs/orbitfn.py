@@ -127,7 +127,7 @@ def eval_coroot_point(rs: RootSystem, kind: str, lam: Sequence, b: Sequence):
     kind = _norm_kind(kind)
     lamv = rank_vec(rs, lam)
     pts = np.asarray(b, dtype=object)
-    single = pts.ndim == 1
+    single = pts.ndim == 1 and not any(np.ndim(c) for c in pts)
     if single:
         pts = np.asarray([rank_vec(rs, b)], dtype=object)
     elif pts.ndim != 2 or pts.shape[1] != rs.rank:
@@ -259,39 +259,26 @@ def rho_products(rs: RootSystem, x: Sequence) -> tuple[complex, complex]:
     return (2j) ** r * sines, (2 ** r) * cosines
 
 
-_RHO_COS_CACHE: dict = {}
-
-
 def rho_cosine_orbit_decomposition(rs: RootSystem) -> dict:
     """Exact expansion of 2^r prod cos(pi <alpha,x>) into symmetric orbit
     functions, as {dominant label: integer coefficient}.
 
-    Expanding the product gives one exponential per subset S of the
-    positive roots, at the weight rho - sum(S); collecting the dominant
-    ones yields the coefficients.  The leading term is the rho orbit with
-    coefficient 1; for rank >= 2 lower orbits appear as well, so the
-    product is *not* equal to the rho orbit sum alone.
+    The product is prod over positive roots of (e^(alpha/2) + e^(-alpha/2))
+    = e^rho prod (1 + e^-alpha); it is multiplied out one root at a time
+    into a dict of exponents, and the dominant ones give the coefficients.
+    The leading term is the rho orbit with coefficient 1; for rank >= 2
+    lower orbits appear as well, so the product is *not* equal to the rho
+    orbit sum alone.
     """
-    if rs.id in _RHO_COS_CACHE:
-        return _RHO_COS_CACHE[rs.id]
-    pos = positive_roots(rs)
-    rho = rs.rho
-    counts: dict = {}
-    for mask in range(1 << len(pos)):
-        point = list(rho)
-        m = mask
-        i = 0
-        while m:
-            if m & 1:
-                for k in range(rs.rank):
-                    point[k] -= pos[i][k]
-            m >>= 1
-            i += 1
-        key = tuple(point)
-        counts[key] = counts.get(key, 0) + 1
-    coeffs = {lab: c for lab, c in counts.items() if is_dominant(lab)}
-    assert coeffs[rho] == 1
-    _RHO_COS_CACHE[rs.id] = coeffs
+    counts = {rs.rho: 1}
+    for alpha in positive_roots(rs):
+        nxt = dict(counts)
+        for e, c in counts.items():
+            lower = tuple(a - b for a, b in zip(e, alpha))
+            nxt[lower] = nxt.get(lower, 0) + c
+        counts = nxt
+    coeffs = {lab: c for lab, c in sorted(counts.items()) if is_dominant(lab)}
+    assert coeffs[rs.rho] == 1
     return coeffs
 
 

@@ -77,17 +77,8 @@ _GROUP_CACHE: dict = {}
 DEFAULT_GROUP_LIMIT = 100_000
 
 
-def generate_group(rs: RootSystem, limit: int = DEFAULT_GROUP_LIMIT) -> list[WeylElement]:
-    """All Weyl group elements, BFS order (identity first)."""
-    if rs.family in ("E", "F"):
-        raise ValueError(f"group enumeration is not supported for {rs.id.label}")
-    if rs.weyl_order > limit:
-        raise GroupSizeError(
-            f"|W({rs.id.label})| = {rs.weyl_order} exceeds the limit {limit}")
-    key = rs.id
-    if key in _GROUP_CACHE:
-        return _GROUP_CACHE[key]
-    gens = generators(rs)
+def _closure(rs: RootSystem, gens: Sequence[WeylElement]) -> list[WeylElement]:
+    """The group generated by gens, BFS order (identity first)."""
     ident = WeylElement(_identity(rs.rank), 1, ())
     seen = {ident.matrix: ident}
     frontier = [ident]
@@ -100,7 +91,21 @@ def generate_group(rs: RootSystem, limit: int = DEFAULT_GROUP_LIMIT) -> list[Wey
                     seen[wg.matrix] = wg
                     nxt.append(wg)
         frontier = nxt
-    elements = list(seen.values())
+    return list(seen.values())
+
+
+def generate_group(rs: RootSystem,
+                   limit: int = DEFAULT_GROUP_LIMIT) -> tuple[WeylElement, ...]:
+    """All Weyl group elements, BFS order (identity first)."""
+    if rs.family in ("E", "F"):
+        raise ValueError(f"group enumeration is not supported for {rs.id.label}")
+    if rs.weyl_order > limit:
+        raise GroupSizeError(
+            f"|W({rs.id.label})| = {rs.weyl_order} exceeds the limit {limit}")
+    key = rs.id
+    if key in _GROUP_CACHE:
+        return _GROUP_CACHE[key]
+    elements = tuple(_closure(rs, generators(rs)))
     assert len(elements) == rs.weyl_order, (len(elements), rs.weyl_order)
     _GROUP_CACHE[key] = elements
     return elements
@@ -119,7 +124,7 @@ def to_dominant(rs: RootSystem, x: Sequence) -> DominantForm:
     Applies the generator of the most negative coordinate (lowest index on
     ties) until dominant; the sign flips once per reflection.
     """
-    cur = list(vec(x))
+    cur = list(rank_vec(rs, x))
     sign = 1
     n = rs.rank
     M = rs.cartan
@@ -134,11 +139,30 @@ def to_dominant(rs: RootSystem, x: Sequence) -> DominantForm:
     return DominantForm(tuple(cur), sign, any(c == 0 for c in cur))
 
 
-def orbit(rs: RootSystem, lam: Sequence, limit: int = DEFAULT_GROUP_LIMIT) -> list[Vec]:
-    """Distinct points of the W-orbit of a dominant weight."""
-    lamv = vec(lam)
+def _dominant_vec(rs: RootSystem, lam: Sequence) -> Vec:
+    """lam as an exact rank vector; ValueError unless it is dominant."""
+    lamv = rank_vec(rs, lam)
     if not is_dominant(lamv):
         raise ValueError("orbit() expects a dominant weight")
+    return lamv
+
+
+def _strict_vec(rs: RootSystem, lam: Sequence) -> Vec:
+    """lam as an exact rank vector; ValueError unless it is dominant,
+    WallError if it is dominant but lies on a wall."""
+    lamv = rank_vec(rs, lam)
+    if not is_strictly_dominant(lamv):
+        if not is_dominant(lamv):
+            raise ValueError(f"{_vec_str(lamv)} is not dominant; signed orbits "
+                             f"need a strictly dominant weight")
+        raise WallError(f"{_vec_str(lamv)} lies on a wall; signed orbits need "
+                        f"strict dominance")
+    return lamv
+
+
+def orbit(rs: RootSystem, lam: Sequence, limit: int = DEFAULT_GROUP_LIMIT) -> list[Vec]:
+    """Distinct points of the W-orbit of a dominant weight."""
+    lamv = _dominant_vec(rs, lam)
     gens = generators(rs)
     if rs.weyl_order > limit:
         raise GroupSizeError(f"|W({rs.id.label})| exceeds the limit")
@@ -157,9 +181,15 @@ def orbit(rs: RootSystem, lam: Sequence, limit: int = DEFAULT_GROUP_LIMIT) -> li
 
 
 def stabilizer_order(rs: RootSystem, lam: Sequence) -> int:
-    """|W_lam| by brute membership test over the generated group."""
-    lamv = vec(lam)
-    return sum(1 for w in generate_group(rs) if w.apply(lamv) == lamv)
+    """|W_lam|, the order of the stabilizer of any weight lam.
+
+    The stabilizer of the dominant form nu of lam is conjugate to W_lam
+    and is the parabolic subgroup generated by the simple reflections r_i
+    with nu_i = 0; its order is that of their closure.
+    """
+    nu = to_dominant(rs, lam).weight
+    gens = generators(rs)
+    return len(_closure(rs, [gens[i] for i, c in enumerate(nu) if c == 0]))
 
 
 @dataclass(frozen=True)
@@ -174,13 +204,7 @@ def signed_orbit(rs: RootSystem, lam: Sequence) -> SignedOrbit:
     A weight that is not dominant raises ValueError, a dominant one on a
     wall WallError.
     """
-    lamv = rank_vec(rs, lam)
-    if not is_strictly_dominant(lamv):
-        if not is_dominant(lamv):
-            raise ValueError(f"{_vec_str(lamv)} is not dominant; signed orbits "
-                             f"need a strictly dominant weight")
-        raise WallError(f"{_vec_str(lamv)} lies on a wall; signed orbits need "
-                        f"strict dominance")
+    lamv = _strict_vec(rs, lam)
     pts = tuple((w.apply(lamv), w.det) for w in generate_group(rs))
     assert len({p for p, _ in pts}) == rs.weyl_order
     return SignedOrbit(lamv, pts)
@@ -224,7 +248,7 @@ def in_fundamental_domain(rs: RootSystem, x: Sequence) -> str:
 _POSROOT_CACHE: dict = {}
 
 
-def positive_roots(rs: RootSystem) -> list[Vec]:
+def positive_roots(rs: RootSystem) -> tuple[Vec, ...]:
     """All positive roots in omega coordinates.
 
     The root system is the union of the W-orbits of the simple roots; a
@@ -241,7 +265,7 @@ def positive_roots(rs: RootSystem) -> list[Vec]:
     pos = [r for r in all_roots
            if all(c >= 0 for c in convert_basis(rs, r, "omega", "alpha"))]
     assert 2 * len(pos) == len(all_roots)
-    result = sorted(pos)
+    result = tuple(sorted(pos))
     _POSROOT_CACHE[rs.id] = result
     return result
 

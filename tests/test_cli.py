@@ -157,6 +157,13 @@ def test_selftest_quick():
     assert res.output.count("[PASS]") >= 10
 
 
+def test_selftest_full():
+    res = run("selftest", "--full")
+    assert res.exit_code == 0
+    assert "FAIL" not in res.output
+    assert "[PASS] orbit product expansion" in res.output
+
+
 def test_unknown_verb_usage_error():
     result = CliRunner().invoke(main, ["frobnicate"])
     assert result.exit_code == 2

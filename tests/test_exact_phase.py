@@ -101,6 +101,7 @@ def test_empty_stack_gives_an_empty_array():
     ((1, 2), (F(1, 5), F(2, 5), F(1, 5))),
     ((1,), (F(1, 5), F(2, 5))),
     ((1, 2), [(F(1, 5), F(2, 5), F(1, 5))]),
+    ((1, 2), [(F(1, 5), F(2, 5)), (F(3, 5),)]),
 ])
 def test_wrong_length_is_refused(lam, b):
     with pytest.raises(ValueError, match="expected 2 coordinates .*A2"):

@@ -3,14 +3,22 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbitfuncs.rootsys import build, vec, to_orthogonal
-from orbitfuncs.weyl import generate_group, WallError
-from orbitfuncs.orbitfn import eval_orbit_function, eval_orth
+from orbitfuncs.weyl import (
+    generate_group, WallError, orbit, to_dominant, stabilizer_order,
+)
+from orbitfuncs.orbitfn import (
+    eval_orbit_function, eval_orth, rho_cosine_orbit_decomposition,
+)
 from orbitfuncs.orbitalg import (
     product_plain_signed, product_plain_signed_coset,
     product_signed_signed, product_plain_plain, expand_function_product,
     BranchRule, branch, branch_terms_a_drop, branch_terms_a_split,
+)
+from orbit_oracles import (
+    plain_signed_oracle, signed_signed_oracle, plain_plain_oracle, rho_cosine_oracle,
 )
 
 RNG = random.Random(99)
@@ -64,9 +72,74 @@ def test_coset_shortcut_matches_brute_force():
         for _ in range(10):
             lam = tuple(RNG.randint(0, 3) for _ in range(rs.rank))
             mu = tuple(RNG.randint(1, 3) for _ in range(rs.rank))
-            brute = terms_dict(product_plain_signed(rs, lam, mu))
-            coset = terms_dict(product_plain_signed_coset(rs, lam, mu))
-            assert brute == coset
+            brute = plain_signed_oracle(rs, lam, mu)
+            assert product_plain_signed(rs, lam, mu) == brute
+            assert product_plain_signed_coset(rs, lam, mu) == brute
+
+
+def _weight(rs, low):
+    """A dominant weight (low=0) or a strictly dominant one (low=1) whose
+    coordinates are k or k/2, low <= k <= 3."""
+    coord = st.builds(F, st.integers(low, 3), st.sampled_from([1, 1, 2]))
+    return st.lists(coord, min_size=rs.rank, max_size=rs.rank).map(tuple)
+
+
+@st.composite
+def product_cases(draw, low_lam, low_mu):
+    rs = build(draw(st.sampled_from(["A2", "A3", "B3", "C3", "G2"])))
+    return rs, draw(_weight(rs, low_lam)), draw(_weight(rs, low_mu))
+
+
+@settings(max_examples=40, deadline=None)
+@given(product_cases(0, 1))
+def test_plain_signed_matches_pair_oracle(case):
+    rs, lam, mu = case
+    assert product_plain_signed(rs, lam, mu) == plain_signed_oracle(rs, lam, mu)
+
+
+@settings(max_examples=40, deadline=None)
+@given(product_cases(1, 1))
+def test_signed_signed_matches_pair_oracle(case):
+    rs, lam, mu = case
+    assert product_signed_signed(rs, lam, mu) == signed_signed_oracle(rs, lam, mu)
+
+
+@settings(max_examples=40, deadline=None)
+@given(product_cases(0, 0))
+def test_plain_plain_matches_pair_oracle(case):
+    rs, lam, mu = case
+    assert product_plain_plain(rs, lam, mu) == plain_plain_oracle(rs, lam, mu)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "C2", "G2", "A3", "B3", "C3", "D4"])
+def test_rho_cosine_matches_subset_oracle(label):
+    rs = build(label)
+    assert rho_cosine_orbit_decomposition(rs) == rho_cosine_oracle(rs)
+
+
+A2, A3 = build("A2"), build("A3")
+
+
+@pytest.mark.parametrize("call,n,got", [
+    (lambda: product_plain_plain(A2, (1,), (1, 0)), 2, 1),
+    (lambda: product_plain_plain(A2, (1, 0), (1,)), 2, 1),
+    (lambda: product_plain_signed(A2, (1, 0, 0), (1, 1)), 2, 3),
+    (lambda: product_plain_signed(A2, (1, 0), (1,)), 2, 1),
+    (lambda: product_signed_signed(A2, (1, 1), (1, 1, 1)), 2, 3),
+    (lambda: product_signed_signed(A2, (1,), (1, 1)), 2, 1),
+    (lambda: expand_function_product(A2, "signed", (1, 1), "orbit", (1,)), 2, 1),
+    (lambda: orbit(A2, (1,)), 2, 1),
+    (lambda: orbit(A2, (1, 0, 0)), 2, 3),
+    (lambda: to_dominant(A2, (1,)), 2, 1),
+    (lambda: stabilizer_order(A2, (1,)), 2, 1),
+    (lambda: branch(A3, BranchRule("drop"), (3, 2, 1)), 4, 3),
+], ids=["plain_plain-lam", "plain_plain-mu", "plain_signed-lam", "plain_signed-mu",
+        "signed_signed-mu", "signed_signed-lam", "expand-mu", "orbit-short",
+        "orbit-long", "to_dominant", "stabilizer_order", "branch"])
+def test_weight_of_the_wrong_length_is_refused(call, n, got):
+    with pytest.raises(ValueError, match=rf"expected {n} (orthogonal )?coordinates "
+                                         rf"for A\d, got {got}:"):
+        call()
 
 
 def test_plain_signed_collected_coefficients_can_exceed_one():

@@ -239,6 +239,18 @@ def test_positive_root_counts():
     assert positive_root_count(build("G2")) == 6
 
 
+def test_cached_results_cannot_be_changed_by_a_caller():
+    from orbitfuncs.orbitfn import dimension, rho_cosine_orbit_decomposition
+    a2 = build("A2")
+    for cached in (positive_roots(a2), generate_group(a2)):
+        with pytest.raises(AttributeError):
+            cached.pop()
+    rho_cosine_orbit_decomposition(a2).clear()
+    assert rho_cosine_orbit_decomposition(a2)[a2.rho] == 1
+    assert dimension(a2, (1, 1)) == 8
+    assert len(generate_group(a2)) == 6
+
+
 def test_positive_roots_contain_simple_and_highest():
     for label in ["A2", "C2", "G2", "B3"]:
         rs = build(label)
