@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .rootsys import RootSystem, vec, inner, orth_dim
-from .weyl import generate_group, orth_group, orth_apply
+from .weyl import orth_group, orth_apply, _group
 from .orbitfn import (
     TWO_PI, eval_orbit_function, eval_batch, eval_orth_batch, _perm_sum,
 )
@@ -167,7 +167,7 @@ def shift_operator_check(rs: RootSystem, lam: Sequence, x: Sequence,
     Returns the relative error of the identity.
     """
     xv, yv = vec(x), vec(y)
-    group = generate_group(rs)
+    group = _group(rs)
     if variant == "det_on_anti":
         kind, use_det, eig_kind, val_kind = "anti", True, "sym", "anti"
     elif variant == "plain_on_anti":
@@ -176,10 +176,12 @@ def shift_operator_check(rs: RootSystem, lam: Sequence, x: Sequence,
         kind, use_det, eig_kind, val_kind = "sym", True, "anti", "anti"
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    shifted = np.array([[float(c + d) for c, d in zip(w.apply(xv), yv)]
-                        for w in group])
+    # w x + y exactly, in Python ints over one denominator; int / int rounds once
+    d = math.lcm(*(c.denominator for c in xv + yv))
+    xn, yn = ([c.numerator * (d // c.denominator) for c in v] for v in (xv, yv))
+    shifted = ((group.mats.astype(object) @ xn + yn) / d).astype(float)
     vals = eval_batch(rs, kind, lam, shifted)
-    dets = np.array([w.det if use_det else 1 for w in group])
+    dets = group.dets if use_det else np.ones(len(group.dets), dtype=int)
     lhs = dets @ vals
     rhs = (eval_orbit_function(rs, eig_kind, lam, [float(c) for c in yv])
            * eval_orbit_function(rs, val_kind, lam, [float(c) for c in xv]))

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .rootsys import RootSystem, vec, rank_vec, orth_dim, is_strictly_dominant, _vec_str
+from .rootsys import RootSystem, vec, orth_dim, _vec_str
 from .weyl import (
     orbit, signed_orbit, to_dominant, stabilizer_order, orth_group, orth_apply,
     WallError, _perm_sign, _dominant_vec, _strict_vec,
@@ -59,10 +59,9 @@ def _coset_sum(rs: RootSystem, beta: tuple, terms, signed: bool) -> dict:
 def product_plain_signed(rs: RootSystem, lam: Sequence, mu: Sequence) -> OrbitSum:
     """O(lam) x O^+-(mu) = sum over q in O(lam) of S-(mu + q): a union of
     signed orbits; two cosets may land on one label, so a coefficient
-    need not be a unit."""
-    muv = rank_vec(rs, mu)
-    if not is_strictly_dominant(muv):
-        raise WallError("the signed factor must be strictly dominant")
+    need not be a unit.  As in ``orbit`` and ``signed_orbit``, a factor that
+    is not dominant raises ValueError, and a dominant mu on a wall WallError."""
+    muv = _strict_vec(rs, mu)
     terms = [(q, 1) for q in orbit(rs, lam)]
     return _collect(_coset_sum(rs, muv, terms, signed=True), "signed")
 

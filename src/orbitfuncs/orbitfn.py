@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .rootsys import (
-    RootSystem, vec, is_dominant, inner, orth_dim, rank_vec,
+    RootSystem, vec, vec_mat, is_dominant, inner, orth_dim, rank_vec,
 )
 from .weyl import (
     orbit, signed_orbit, stabilizer_order, positive_roots,
@@ -70,11 +70,7 @@ def _terms_omega(rs: RootSystem, kind: str, lamv: tuple) -> tuple[np.ndarray, np
     if key in _TERMS_CACHE:
         return _TERMS_CACHE[key]
     weights, coeffs = _terms(rs, kind, lamv)
-    S = rs.metric
-    n = rs.rank
-    rows = np.array(
-        [[float(sum(p[i] * S[i][j] for i in range(n))) for j in range(n)]
-         for p in weights])
+    rows = np.array([[float(c) for c in vec_mat(p, rs.metric)] for p in weights])
     _TERMS_CACHE[key] = (rows, coeffs)
     return rows, coeffs
 
@@ -128,13 +124,16 @@ def eval_coroot_point(rs: RootSystem, kind: str, lam: Sequence, b: Sequence):
     lamv = rank_vec(rs, lam)
     pts = np.asarray(b, dtype=object)
     single = pts.ndim == 1 and not any(np.ndim(c) for c in pts)
+    shape = f"expected {rs.rank} coordinates per point for {rs.id.label}, got"
     if single:
         pts = np.asarray([rank_vec(rs, b)], dtype=object)
     elif pts.ndim != 2 or pts.shape[1] != rs.rank:
-        raise ValueError(f"expected {rs.rank} coordinates per point for "
-                         f"{rs.id.label}, got an array of shape {pts.shape}")
+        raise ValueError(f"{shape} an array of shape {pts.shape}")
     weights, coeffs = _terms(rs, kind, lamv)
-    coords = [Fraction(c) for c in pts.flat]
+    try:
+        coords = [Fraction(c) for c in pts.flat]
+    except TypeError:  # a nested sequence, or no number at all
+        raise ValueError(f"{shape} a coordinate that is not a rational number") from None
     dp = math.lcm(*(c.denominator for c in lamv))
     db = math.lcm(*(c.denominator for c in coords))
     D = dp * db

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .rootsys import RootSystem, Vec, vec, vec_mat, _vec_str
-from .weyl import generate_group, dual_marks
+from .weyl import dual_marks, generators, _distinct, _group, _scaled, _unscaled
 from .orbitfn import TWO_PI, eval_coroot_point, eval_batch, _perm_sum
 
 
@@ -92,15 +92,11 @@ def grid_fm(rs: RootSystem, M: int) -> GridFM:
 
 def tm_expand(rs: RootSystem, grid: GridFM) -> list[Vec]:
     """Weyl expansion of the grid modulo the coroot lattice: all distinct
-    coroot-coordinate tuples w x mod 1."""
-    group = generate_group(rs)
-    seen: set[Vec] = set()
-    for p in grid.points:
-        for w in group:
-            img = w.apply(p.omega)
-            b = vec_mat(img, rs.metric)
-            seen.add(tuple(c % 1 for c in b))
-    return sorted(seen)
+    coroot-coordinate tuples w x mod 1, sorted.  W keeps the dot product of
+    omega and coroot coordinates, so it maps a coroot row vector b to b M."""
+    group = _group(rs)
+    b, d = _scaled(group, [p.coroot for p in grid.points])
+    return _unscaled(_distinct((b @ group.mats).reshape(-1, rs.rank) % d), d)
 
 
 # -- the finite orbit-function transform ----------------------------------
@@ -431,15 +427,12 @@ def continuous_orthogonality_residual(rs: RootSystem, lam, mu,
 def mixed_symmetry_orthogonality_residual(rs: RootSystem, mu,
                                           resolution: int = 200) -> float:
     """Quadrature of phi_mu conj(varphi_mu) over F union r_1 F."""
-    n = rs.rank
     pts, w = fundamental_domain_quadrature(rs, resolution)
     sym = eval_batch(rs, "sym", mu, pts)
     anti = eval_batch(rs, "anti", mu, pts)
     part_f = np.sum(sym * anti.conj()) * w
     # reflected copy: integrate the pullbacks over F
-    from .weyl import generators
-    r1 = generators(rs)[0]
-    mat = np.array([[float(r1.matrix[i][j]) for j in range(n)] for i in range(n)])
+    mat = np.array(generators(rs)[0].matrix, dtype=float)
     pts_r = pts @ mat.T
     sym_r = eval_batch(rs, "sym", mu, pts_r)
     anti_r = eval_batch(rs, "anti", mu, pts_r)

@@ -1,21 +1,27 @@
 """Weyl group generation, orbits with signs, and the affine geometry of F.
 
 Group elements are integer matrices acting on omega coordinates (column
-vectors).  Generation is a BFS over generator words, deduplicated by the
-exact matrix, so determinants follow from word parity.  Everything here is
-exact rational arithmetic; no tolerances.
+vectors).  Each group is built once as an int64 array, in BFS order over
+generator words (identity first), so every element has a shortest word and
+det = (-1)^length.  Orbits, signed orbits and stabilizer orders are array
+operations on it: the weight is scaled to integers by the lcm of its
+denominators, multiplied by every matrix, and turned back into Fractions
+once.  Everything here is exact; no tolerances.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .rootsys import (
     RootSystem, Vec, vec, mat_vec, is_dominant, is_strictly_dominant, rank_vec,
-    UnsupportedCoordinatesError, _vec_str,
+    convert_basis, inner, UnsupportedCoordinatesError, _vec_str,
 )
 
 IntMat = tuple[tuple[int, ...], ...]
@@ -38,19 +44,6 @@ class WeylElement:
     def apply(self, x: Sequence) -> Vec:
         return mat_vec(self.matrix, vec(x))
 
-    def __mul__(self, other: "WeylElement") -> "WeylElement":
-        n = len(self.matrix)
-        prod = tuple(
-            tuple(sum(self.matrix[i][k] * other.matrix[k][j] for k in range(n))
-                  for j in range(n))
-            for i in range(n)
-        )
-        return WeylElement(prod, self.det * other.det, self.word + other.word)
-
-
-def _identity(n: int) -> IntMat:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
 
 def generators(rs: RootSystem) -> list[WeylElement]:
     """Simple reflections r_i as integer matrices on omega coordinates.
@@ -62,13 +55,20 @@ def generators(rs: RootSystem) -> list[WeylElement]:
     if rs.family in ("E", "F"):
         raise ValueError(f"group enumeration is not supported for {rs.id.label}")
     n = rs.rank
-    gens = []
-    for i in range(n):
-        m = [[int(r == c) for c in range(n)] for r in range(n)]
-        for k in range(n):
-            m[k][i] -= int(rs.cartan[i][k])
-        gens.append(WeylElement(tuple(tuple(r) for r in m), -1, (i,)))
-    return gens
+    return [WeylElement(tuple(tuple(int(k == c) - int(c == i) * int(rs.cartan[i][k])
+                                    for c in range(n)) for k in range(n)), -1, (i,))
+            for i in range(n)]
+
+
+@dataclass
+class _Group:
+    """One Weyl group in BFS order: int64 matrices, dets, shortest words, a
+    bound on every row and column sum of |matrix|, and the WeylElement view."""
+    mats: np.ndarray
+    dets: np.ndarray
+    words: tuple[tuple[int, ...], ...]
+    gain: int
+    elements: tuple[WeylElement, ...] | None = None
 
 
 _GROUP_CACHE: dict = {}
@@ -77,38 +77,73 @@ _GROUP_CACHE: dict = {}
 DEFAULT_GROUP_LIMIT = 100_000
 
 
-def _closure(rs: RootSystem, gens: Sequence[WeylElement]) -> list[WeylElement]:
-    """The group generated by gens, BFS order (identity first)."""
-    ident = WeylElement(_identity(rs.rank), 1, ())
-    seen = {ident.matrix: ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                wg = g * w  # prepend reflection: shortest words via BFS
-                if wg.matrix not in seen:
-                    seen[wg.matrix] = wg
-                    nxt.append(wg)
-        frontier = nxt
-    return list(seen.values())
-
-
-def generate_group(rs: RootSystem,
-                   limit: int = DEFAULT_GROUP_LIMIT) -> tuple[WeylElement, ...]:
-    """All Weyl group elements, BFS order (identity first)."""
+def _group(rs: RootSystem, limit: int = DEFAULT_GROUP_LIMIT) -> _Group:
+    """The cached group of rs, closed layer by layer on first use."""
     if rs.family in ("E", "F"):
         raise ValueError(f"group enumeration is not supported for {rs.id.label}")
     if rs.weyl_order > limit:
         raise GroupSizeError(
             f"|W({rs.id.label})| = {rs.weyl_order} exceeds the limit {limit}")
-    key = rs.id
-    if key in _GROUP_CACHE:
-        return _GROUP_CACHE[key]
-    elements = tuple(_closure(rs, generators(rs)))
-    assert len(elements) == rs.weyl_order, (len(elements), rs.weyl_order)
-    _GROUP_CACHE[key] = elements
-    return elements
+    if rs.id in _GROUP_CACHE:
+        return _GROUP_CACHE[rs.id]
+    gens = np.array([g.matrix for g in generators(rs)], dtype=np.int64)
+    n = rs.rank
+    layer = np.eye(n, dtype=np.int64)[None]
+    layers, words = [layer], [()]
+    seen = {layer[0].tobytes()}
+    while len(layer):
+        # candidate f * n + g is r_g times element f of the layer
+        cand = np.einsum("gij,fjk->fgik", gens, layer).reshape(-1, n, n)
+        new = []
+        for i, m in enumerate(cand):
+            key = m.tobytes()
+            if key not in seen:
+                seen.add(key)
+                new.append(i)
+        prev = words[len(words) - len(layer):]
+        words += [(i % n,) + prev[i // n] for i in new]
+        layer = cand[new]
+        layers.append(layer)
+    mats = np.concatenate(layers)
+    assert len(mats) == rs.weyl_order, (len(mats), rs.weyl_order)
+    dets = np.array([(-1) ** len(w) for w in words], dtype=np.int64)
+    _GROUP_CACHE[rs.id] = _Group(mats, dets, tuple(words), n * int(np.abs(mats).max()))
+    return _GROUP_CACHE[rs.id]
+
+
+def generate_group(rs: RootSystem, limit: int = DEFAULT_GROUP_LIMIT) -> tuple[WeylElement, ...]:
+    """All Weyl group elements, BFS order (identity first)."""
+    group = _group(rs, limit)
+    if group.elements is None:
+        group.elements = tuple(WeylElement(tuple(map(tuple, m.tolist())), d, w)
+                               for m, d, w in zip(group.mats, group.dets.tolist(), group.words))
+    return group.elements
+
+
+def _scaled(group: _Group, vs: Sequence[Vec]) -> tuple[np.ndarray, int]:
+    """Exact vectors as an int64 (m, n) array of numerators over the lcm d
+    of all their denominators, and d; ValueError when the image of one of
+    them under a group matrix or its transpose could leave int64."""
+    d = math.lcm(*(c.denominator for v in vs for c in v))
+    ints = [[c.numerator * (d // c.denominator) for c in v] for v in vs]
+    for v, row in zip(vs, ints):
+        if max(map(abs, row)) * group.gain >= 2 ** 63:
+            raise ValueError(f"{_vec_str(v)} is too large for exact int64 arithmetic")
+    return np.array(ints, dtype=np.int64), d
+
+
+def _distinct(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of an integer array in lexicographic order, as from
+    np.unique(rows, axis=0), whose first call in a process imports numpy.ma."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    return rows[np.append(True, (rows[1:] != rows[:-1]).any(axis=1))]
+
+
+def _unscaled(rows: np.ndarray, d: int) -> list[Vec]:
+    """Integer rows over the denominator d as exact vectors."""
+    rows = rows.tolist()
+    frac = {c: Fraction(c, d) for c in set(itertools.chain.from_iterable(rows))}
+    return [tuple(frac[c] for c in row) for row in rows]
 
 
 @dataclass(frozen=True)
@@ -161,35 +196,19 @@ def _strict_vec(rs: RootSystem, lam: Sequence) -> Vec:
 
 
 def orbit(rs: RootSystem, lam: Sequence, limit: int = DEFAULT_GROUP_LIMIT) -> list[Vec]:
-    """Distinct points of the W-orbit of a dominant weight."""
+    """Distinct points of the W-orbit of a dominant weight, sorted."""
     lamv = _dominant_vec(rs, lam)
-    gens = generators(rs)
-    if rs.weyl_order > limit:
-        raise GroupSizeError(f"|W({rs.id.label})| exceeds the limit")
-    seen = {lamv}
-    frontier = [lamv]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = g.apply(p)
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return sorted(seen)
+    group = _group(rs, limit)
+    v, d = _scaled(group, [lamv])
+    return _unscaled(_distinct(group.mats @ v[0]), d)
 
 
 def stabilizer_order(rs: RootSystem, lam: Sequence) -> int:
-    """|W_lam|, the order of the stabilizer of any weight lam.
-
-    The stabilizer of the dominant form nu of lam is conjugate to W_lam
-    and is the parabolic subgroup generated by the simple reflections r_i
-    with nu_i = 0; its order is that of their closure.
-    """
-    nu = to_dominant(rs, lam).weight
-    gens = generators(rs)
-    return len(_closure(rs, [gens[i] for i, c in enumerate(nu) if c == 0]))
+    """|W_lam| = #{w in W : w lam = lam}, the order of the stabilizer of any
+    weight lam, counted over the rows of the group array."""
+    group = _group(rs)
+    v, _ = _scaled(group, [rank_vec(rs, lam)])
+    return int(np.all(group.mats @ v[0] == v[0], axis=1).sum())
 
 
 @dataclass(frozen=True)
@@ -199,15 +218,17 @@ class SignedOrbit:
 
 
 def signed_orbit(rs: RootSystem, lam: Sequence) -> SignedOrbit:
-    """The full signed orbit {(w lam, det w) : w in W} of a strictly dominant lam.
+    """The full signed orbit {(w lam, det w) : w in W} of a strictly dominant
+    lam, in the order of ``generate_group``.
 
     A weight that is not dominant raises ValueError, a dominant one on a
     wall WallError.
     """
     lamv = _strict_vec(rs, lam)
-    pts = tuple((w.apply(lamv), w.det) for w in generate_group(rs))
-    assert len({p for p, _ in pts}) == rs.weyl_order
-    return SignedOrbit(lamv, pts)
+    group = _group(rs)
+    v, d = _scaled(group, [lamv])
+    pts = _unscaled(group.mats @ v[0], d)
+    return SignedOrbit(lamv, tuple(zip(pts, group.dets.tolist())))
 
 
 # -- affine reflection and the fundamental domain -----------------------
@@ -256,18 +277,14 @@ def positive_roots(rs: RootSystem) -> tuple[Vec, ...]:
     """
     if rs.id in _POSROOT_CACHE:
         return _POSROOT_CACHE[rs.id]
-    from .rootsys import convert_basis
-    all_roots: set[Vec] = set()
-    for i in range(rs.rank):
-        alpha_i = vec(rs.cartan[i])  # alpha_i in omega coordinates
-        dom = to_dominant(rs, alpha_i).weight
-        all_roots.update(orbit(rs, dom))
-    pos = [r for r in all_roots
-           if all(c >= 0 for c in convert_basis(rs, r, "omega", "alpha"))]
-    assert 2 * len(pos) == len(all_roots)
-    result = tuple(sorted(pos))
-    _POSROOT_CACHE[rs.id] = result
-    return result
+    group = _group(rs)
+    alphas, _ = _scaled(group, rs.cartan)  # row i is alpha_i in omega coordinates
+    roots = _distinct(np.einsum("gjk,ik->gij", group.mats, alphas).reshape(-1, rs.rank))
+    pos = tuple(r for r in _unscaled(roots, 1)
+                if all(c >= 0 for c in convert_basis(rs, r, "omega", "alpha")))
+    assert 2 * len(pos) == len(roots)
+    _POSROOT_CACHE[rs.id] = pos
+    return pos
 
 
 def positive_root_count(rs: RootSystem) -> int:
@@ -277,13 +294,7 @@ def positive_root_count(rs: RootSystem) -> int:
 def highest_short_root(rs: RootSystem) -> Vec:
     """The unique dominant root of minimal length, in omega coordinates
     (equals the highest root for simply-laced diagrams)."""
-    from .rootsys import inner
-    best = None
-    for r in positive_roots(rs):
-        norm = inner(rs, r, r)
-        if is_dominant(r) and (best is None or norm < best[0]):
-            best = (norm, r)
-    return best[1]
+    return min((r for r in positive_roots(rs) if is_dominant(r)), key=lambda r: inner(rs, r, r))
 
 
 def dual_marks(rs: RootSystem) -> tuple[int, ...]:
@@ -294,16 +305,12 @@ def dual_marks(rs: RootSystem) -> tuple[int, ...]:
     of F_M exactly when sum lambda_i * dual_marks_i falls in M Z.  For
     simply-laced diagrams they coincide with the marks.
     """
-    from .rootsys import convert_basis, inner
     xi_s = highest_short_root(rs)
     a = convert_basis(rs, xi_s, "omega", "alpha")
     norm = inner(rs, xi_s, xi_s)
-    out = []
-    for i, ai in enumerate(a):
-        c = ai * rs.root_norms[i] / norm
-        assert c.denominator == 1
-        out.append(int(c))
-    return tuple(out)
+    out = [ai * ni / norm for ai, ni in zip(a, rs.root_norms)]
+    assert all(c.denominator == 1 for c in out)
+    return tuple(map(int, out))
 
 
 # -- orthogonal-coordinate group action for A/B/C/D ---------------------

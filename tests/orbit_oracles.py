@@ -1,16 +1,89 @@
-"""Brute-force oracles for the orbit algebra.
+"""Brute-force oracles for the group, its orbits and the orbit algebra.
 
-These are the loops that ``orbitalg`` and ``orbitfn`` used before the
-coset sums: every product expands all pairs of orbit points (|W|^2 sums)
-and reads each coefficient off the dominant exponent itself, and the rho
+The group and orbit oracles are the code that ``weyl`` and ``transforms``
+ran before the integer group array: the group closed by a BFS over tuple
+matrix products, orbits by a BFS of Fraction mat-vecs, stabilizer orders
+by closing the parabolic subgroup of the dominant form, signed orbits and
+the torus expansion of a grid one element at a time.  The product oracles
+are the loops that ``orbitalg`` and ``orbitfn`` used before the coset
+sums: every product expands all pairs of orbit points (|W|^2 sums) and
+reads each coefficient off the dominant exponent itself, and the rho
 cosine expansion enumerates all 2^|positive roots| subsets.  They are
-slow, and independent of ``to_dominant`` and ``stabilizer_order``, which
-makes them the reference for the library.
+slow, and independent of the group array, ``to_dominant`` and
+``stabilizer_order``, which makes them the reference for the library.
 """
 
+import functools
+
 from orbitfuncs.orbitalg import OrbitTerm
-from orbitfuncs.rootsys import vec, is_dominant, is_strictly_dominant
-from orbitfuncs.weyl import orbit, signed_orbit, positive_roots
+from orbitfuncs.rootsys import mat_vec, vec, vec_mat, is_dominant, is_strictly_dominant
+from orbitfuncs.weyl import generators, positive_roots, to_dominant
+
+
+def _closure(rs, gens) -> list:
+    """(matrix, det, word) of every element of the group generated by
+    gens, BFS order (identity first), prepending one generator per layer."""
+    n = rs.rank
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    seen = {ident: (ident, 1, ())}
+    frontier = [seen[ident]]
+    while frontier:
+        nxt = []
+        for m, d, word in frontier:
+            for g in gens:
+                gm = tuple(tuple(sum(g.matrix[i][k] * m[k][j] for k in range(n))
+                                 for j in range(n)) for i in range(n))
+                if gm not in seen:
+                    seen[gm] = (gm, g.det * d, g.word + word)
+                    nxt.append(seen[gm])
+        frontier = nxt
+    return list(seen.values())
+
+
+@functools.cache
+def group_oracle(rs) -> tuple:
+    return tuple(_closure(rs, generators(rs)))
+
+
+def orbit_oracle(rs, lam) -> list:
+    """Sorted distinct points of the orbit of lam, by a BFS over the
+    simple reflections."""
+    lamv = vec(lam)
+    seen = {lamv}
+    frontier = [lamv]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in generators(rs):
+                q = g.apply(p)
+                if q not in seen:
+                    seen.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return sorted(seen)
+
+
+def stabilizer_oracle(rs, lam) -> int:
+    """The order of the parabolic subgroup of the walls of dom(lam)."""
+    nu = to_dominant(rs, lam).weight
+    gens = generators(rs)
+    return len(_closure(rs, [gens[i] for i, c in enumerate(nu) if c == 0]))
+
+
+def signed_orbit_oracle(rs, lam) -> tuple:
+    """((w lam, det w) for w in the oracle group), in its order."""
+    return tuple((mat_vec(m, vec(lam)), d) for m, d, _ in group_oracle(rs))
+
+
+def tm_expand_oracle(rs, grid) -> list:
+    """Sorted distinct coroot coordinates of w x mod 1 over the group and
+    the grid points x."""
+    seen = set()
+    for p in grid.points:
+        for m, _, _ in group_oracle(rs):
+            b = vec_mat(mat_vec(m, p.omega), rs.metric)
+            seen.add(tuple(c % 1 for c in b))
+    return sorted(seen)
 
 
 def _pair_counts(left, right) -> dict:
@@ -30,8 +103,8 @@ def _terms(counter: dict, kind: str) -> tuple:
 
 def plain_signed_oracle(rs, lam, mu) -> tuple:
     """O(lam) x O^+-(mu); pairs landing on walls must cancel."""
-    plain = [(p, 1) for p in orbit(rs, vec(lam))]
-    counter = _pair_counts(plain, signed_orbit(rs, vec(mu)).points)
+    plain = [(p, 1) for p in orbit_oracle(rs, lam)]
+    counter = _pair_counts(plain, signed_orbit_oracle(rs, mu))
     for lab, c in counter.items():
         if not is_strictly_dominant(lab):
             assert c == 0, f"wall term {lab} did not cancel"
@@ -40,15 +113,14 @@ def plain_signed_oracle(rs, lam, mu) -> tuple:
 
 def signed_signed_oracle(rs, lam, mu) -> tuple:
     """O^+-(lam) x O^+-(mu)."""
-    counter = _pair_counts(signed_orbit(rs, vec(lam)).points,
-                           signed_orbit(rs, vec(mu)).points)
+    counter = _pair_counts(signed_orbit_oracle(rs, lam), signed_orbit_oracle(rs, mu))
     return _terms(counter, "orbit")
 
 
 def plain_plain_oracle(rs, lam, mu) -> tuple:
     """O(lam) x O(mu); every multiplicity is positive."""
-    counter = _pair_counts([(p, 1) for p in orbit(rs, vec(lam))],
-                           [(q, 1) for q in orbit(rs, vec(mu))])
+    counter = _pair_counts([(p, 1) for p in orbit_oracle(rs, lam)],
+                           [(q, 1) for q in orbit_oracle(rs, mu)])
     assert all(c > 0 for c in counter.values())
     return _terms(counter, "orbit")
 

@@ -4,7 +4,8 @@
 and the plan builders used before the integer kernel: it rebuilds the
 weight's (signed) orbit and sums the Fraction phases term by term.  It is
 the reference for the kernel on one point, on stacks of points, and for
-the plan kernels built from it.
+the plan kernels built from it.  Its orbits come from ``orbit_oracles``,
+so it shares no code with the group array either.
 """
 
 import math
@@ -16,8 +17,9 @@ from hypothesis import given, settings, strategies as st
 
 from orbitfuncs.orbitfn import TWO_PI, eval_coroot_point
 from orbitfuncs.rootsys import build, vec
-from orbitfuncs.transforms import build_plan, default_labels, gram_over_torus, grid_fm, tm_expand
-from orbitfuncs.weyl import orbit, signed_orbit, stabilizer_order
+from orbitfuncs.transforms import build_plan, default_labels, gram_over_torus, grid_fm
+
+from orbit_oracles import orbit_oracle, signed_orbit_oracle, stabilizer_oracle, tm_expand_oracle
 
 KINDS = ("antisymmetric", "symmetric", "normalized")
 
@@ -26,10 +28,10 @@ def fraction_oracle(rs, kind, lam, b) -> complex:
     lamv = vec(lam)
     bv = vec(b)
     if kind == "antisymmetric":
-        terms = signed_orbit(rs, lamv).points
+        terms = signed_orbit_oracle(rs, lamv)
     else:
-        c = 1 if kind == "symmetric" else stabilizer_order(rs, lamv)
-        terms = [(p, c) for p in orbit(rs, lamv)]
+        c = 1 if kind == "symmetric" else stabilizer_oracle(rs, lamv)
+        terms = [(p, c) for p in orbit_oracle(rs, lamv)]
     total = 0j
     for p, s in terms:
         phase = sum(pi * bi for pi, bi in zip(p, bv)) % 1
@@ -82,7 +84,7 @@ def test_plan_kernel_matches_fraction_oracle(label, M):
 def test_gram_over_torus_matches_fraction_oracle():
     rs = build("C2")
     labels = default_labels(rs, 6)
-    pts = tm_expand(rs, grid_fm(rs, 6))
+    pts = tm_expand_oracle(rs, grid_fm(rs, 6))
     V = np.array([[fraction_oracle(rs, "antisymmetric", lam, b) for b in pts]
                   for lam in labels])
     want = V @ V.conj().T
@@ -102,6 +104,7 @@ def test_empty_stack_gives_an_empty_array():
     ((1,), (F(1, 5), F(2, 5))),
     ((1, 2), [(F(1, 5), F(2, 5), F(1, 5))]),
     ((1, 2), [(F(1, 5), F(2, 5)), (F(3, 5),)]),
+    ((2, 1), [(1, 2), (3, (4, 5))]),
 ])
 def test_wrong_length_is_refused(lam, b):
     with pytest.raises(ValueError, match="expected 2 coordinates .*A2"):

@@ -120,26 +120,36 @@ def test_rho_cosine_matches_subset_oracle(label):
 A2, A3 = build("A2"), build("A3")
 
 
-@pytest.mark.parametrize("call,n,got", [
-    (lambda: product_plain_plain(A2, (1,), (1, 0)), 2, 1),
-    (lambda: product_plain_plain(A2, (1, 0), (1,)), 2, 1),
-    (lambda: product_plain_signed(A2, (1, 0, 0), (1, 1)), 2, 3),
-    (lambda: product_plain_signed(A2, (1, 0), (1,)), 2, 1),
-    (lambda: product_signed_signed(A2, (1, 1), (1, 1, 1)), 2, 3),
-    (lambda: product_signed_signed(A2, (1,), (1, 1)), 2, 1),
-    (lambda: expand_function_product(A2, "signed", (1, 1), "orbit", (1,)), 2, 1),
-    (lambda: orbit(A2, (1,)), 2, 1),
-    (lambda: orbit(A2, (1, 0, 0)), 2, 3),
-    (lambda: to_dominant(A2, (1,)), 2, 1),
-    (lambda: stabilizer_order(A2, (1,)), 2, 1),
-    (lambda: branch(A3, BranchRule("drop"), (3, 2, 1)), 4, 3),
+def _length(n, got):
+    return ValueError, rf"expected {n} (orthogonal )?coordinates for A\d, got {got}:"
+
+
+@pytest.mark.parametrize("call,error,match", [
+    (lambda: product_plain_plain(A2, (1,), (1, 0)), *_length(2, 1)),
+    (lambda: product_plain_plain(A2, (1, 0), (1,)), *_length(2, 1)),
+    (lambda: product_plain_signed(A2, (1, 0, 0), (1, 1)), *_length(2, 3)),
+    (lambda: product_plain_signed(A2, (1, 0), (1,)), *_length(2, 1)),
+    (lambda: product_signed_signed(A2, (1, 1), (1, 1, 1)), *_length(2, 3)),
+    (lambda: product_signed_signed(A2, (1,), (1, 1)), *_length(2, 1)),
+    (lambda: expand_function_product(A2, "signed", (1, 1), "orbit", (1,)), *_length(2, 1)),
+    (lambda: orbit(A2, (1,)), *_length(2, 1)),
+    (lambda: orbit(A2, (1, 0, 0)), *_length(2, 3)),
+    (lambda: to_dominant(A2, (1,)), *_length(2, 1)),
+    (lambda: stabilizer_order(A2, (1,)), *_length(2, 1)),
+    (lambda: branch(A3, BranchRule("drop"), (3, 2, 1)), *_length(4, 3)),
+    (lambda: product_plain_signed(A2, (1, 0), (-1, 2)), ValueError,
+     r"^\(-1, 2\) is not dominant"),
+    (lambda: product_plain_signed(A2, (1, 0), (1, 0)), WallError, r"^\(1, 0\) lies on a wall"),
 ], ids=["plain_plain-lam", "plain_plain-mu", "plain_signed-lam", "plain_signed-mu",
         "signed_signed-mu", "signed_signed-lam", "expand-mu", "orbit-short",
-        "orbit-long", "to_dominant", "stabilizer_order", "branch"])
-def test_weight_of_the_wrong_length_is_refused(call, n, got):
-    with pytest.raises(ValueError, match=rf"expected {n} (orthogonal )?coordinates "
-                                         rf"for A\d, got {got}:"):
+        "orbit-long", "to_dominant", "stabilizer_order", "branch",
+        "plain_signed-not-dominant", "plain_signed-on-wall"])
+def test_weight_of_the_wrong_length_is_refused(call, error, match):
+    """A factor of the wrong length, or a signed factor that is not
+    strictly dominant, raises the named error of its kind."""
+    with pytest.raises(error, match=match) as info:
         call()
+    assert type(info.value) is error
 
 
 def test_plain_signed_collected_coefficients_can_exceed_one():

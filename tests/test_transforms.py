@@ -15,6 +15,8 @@ from orbitfuncs.transforms import (
     plancherel_residual, sine_integral_transform,
 )
 
+from orbit_oracles import tm_expand_oracle
+
 RNG = random.Random(4242)
 
 
@@ -100,6 +102,13 @@ def test_tm_expand_sizes():
     zero_only = [p for p in grid_fm(a2, 1).points if all(c == 0 for c in p.s)]
     assert len(zero_only) == 1
 
+
+
+@pytest.mark.parametrize("label,M", [("A3", 6), ("B3", 8)])
+def test_tm_expand_matches_the_element_oracle(label, M):
+    rs = build(label)
+    grid = grid_fm(rs, M)
+    assert tm_expand(rs, grid) == tm_expand_oracle(rs, grid)
 
 def test_lattice_index():
     assert lattice_index(build("A2")) == 3

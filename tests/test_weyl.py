@@ -1,16 +1,20 @@
+import itertools
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbitfuncs.rootsys import build, vec
+from orbitfuncs.rootsys import build, mat_vec, vec
 from orbitfuncs.weyl import (
     generators, generate_group, to_dominant, orbit, signed_orbit,
     stabilizer_order, affine_r0, reflect_highest_root, in_fundamental_domain,
     positive_roots, positive_root_count, orth_group, orth_apply,
     GroupSizeError, WallError,
 )
+
+from orbit_oracles import group_oracle, orbit_oracle, signed_orbit_oracle, stabilizer_oracle
 
 WEYL_ORDERS = {"A1": 2, "A2": 6, "A3": 24, "A4": 120, "B2": 8, "B3": 48,
                "C2": 8, "C3": 48, "D4": 192, "G2": 12}
@@ -34,11 +38,10 @@ def test_generator_actions():
 def test_generators_are_involutions_with_det_minus_one():
     for label in WEYL_ORDERS:
         rs = build(label)
-        n = rs.rank
-        ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         for g in generators(rs):
             assert g.det == -1
-            assert (g * g).matrix == ident
+            m = np.array(g.matrix)
+            assert (m @ m == np.eye(rs.rank, dtype=int)).all()
 
 
 def test_group_orders():
@@ -67,9 +70,9 @@ def test_group_closure_and_det_multiplicativity():
         rng = random.Random(7)
         for _ in range(60):
             w1, w2 = rng.choice(grp), rng.choice(grp)
-            prod = w1 * w2
-            assert prod.matrix in mats
-            assert mats[prod.matrix] == w1.det * w2.det
+            prod = tuple(map(tuple, (np.array(w1.matrix) @ np.array(w2.matrix)).tolist()))
+            assert prod in mats
+            assert mats[prod] == w1.det * w2.det
 
 
 def test_det_matches_word_parity():
@@ -197,6 +200,81 @@ def test_orbit_sizes_and_stabilizer():
 def test_orbit_stabilizer_property_c2(lam):
     rs = build("C2")
     assert len(orbit(rs, lam)) * stabilizer_order(rs, lam) == rs.weyl_order
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4",
+                                   "C2", "C3", "C4", "C5", "D4", "D5", "G2"])
+def test_group_matches_the_bfs_oracle(label):
+    # the same matrices, dets and words in the same order, as Python ints
+    rs = build(label)
+    grp = generate_group(rs)
+    assert [(w.matrix, w.det, w.word) for w in grp] == list(group_oracle(rs))
+    assert all(type(c) is int
+               for w in grp for c in (w.det, *w.word, *itertools.chain(*w.matrix)))
+
+
+def _coordinate(low):
+    """k/q with low <= k <= 6 and q <= 4, often k = low (a wall for 0)."""
+    return st.one_of(st.just(F(low)), st.builds(F, st.integers(low, 6), st.integers(1, 4)))
+
+
+@st.composite
+def _weights(draw, low):
+    rs = build(draw(st.sampled_from(["A2", "A3", "B3", "C3", "G2", "D4"])))
+    lam = draw(st.lists(_coordinate(low), min_size=rs.rank, max_size=rs.rank))
+    return rs, tuple(lam)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_weights(0))
+def test_orbit_matches_the_bfs_oracle(case):
+    rs, lam = case
+    assert orbit(rs, lam) == orbit_oracle(rs, lam)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_weights(1))
+def test_signed_orbit_matches_the_element_oracle(case):
+    rs, lam = case
+    got = signed_orbit(rs, lam)
+    assert got.dominant == vec(lam)
+    assert got.points == signed_orbit_oracle(rs, lam)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_weights(0), st.integers(0, 10 ** 6))
+def test_stabilizer_order_matches_the_parabolic_oracle(case, pick):
+    # lam is dominant, often on a wall; its image under an element of the
+    # group is in general neither dominant nor on a wall itself
+    rs, lam = case
+    grp = group_oracle(rs)
+    x = mat_vec(grp[pick % len(grp)][0], vec(lam))
+    assert stabilizer_order(rs, lam) == stabilizer_oracle(rs, lam)
+    assert stabilizer_order(rs, x) == stabilizer_oracle(rs, x)
+
+
+@pytest.mark.parametrize("label,lam", [("B4", (1, 0, 2, F(1, 2))),
+                                       ("C5", (1, 0, F(2, 3), 0, 1)),
+                                       ("D5", (F(1, 3), 1, 0, 1, 1))])
+def test_large_groups_match_the_oracles(label, lam):
+    rs = build(label)
+    assert orbit(rs, lam) == orbit_oracle(rs, lam)
+    strict = tuple(c + 1 for c in lam)
+    assert signed_orbit(rs, strict).points == signed_orbit_oracle(rs, strict)
+    grp = group_oracle(rs)
+    for x in (lam, strict, mat_vec(grp[len(grp) // 2][0], vec(lam))):
+        assert stabilizer_order(rs, x) == stabilizer_oracle(rs, x)
+
+
+def test_weights_beyond_int64_are_refused():
+    a2 = build("A2")
+    for call in (lambda: orbit(a2, (2 ** 62, 2 ** 62)),
+                 lambda: signed_orbit(a2, (2 ** 62, 1)),
+                 lambda: stabilizer_order(a2, (F(1, 3), 2 ** 62))):
+        with pytest.raises(ValueError, match="too large for exact int64 arithmetic"):
+            call()
+    # the bound is not stricter than the arithmetic needs
+    assert orbit(a2, (2 ** 60, 2 ** 60)) == orbit_oracle(a2, (2 ** 60, 2 ** 60))
 
 
 def test_affine_reflection():
