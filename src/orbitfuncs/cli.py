@@ -31,10 +31,19 @@ def _parse_vec(text: str) -> tuple[Fraction, ...]:
 
 
 def _emit(ctx, data):
-    """Print data in the global --format; csv is not a layout of nested
-    data, so verbs that print data this way fall back to json for it."""
+    """Print a dict in the global --format.  csv prints a flat dict as a
+    header row and a value row; nested data has no csv layout, so csv is
+    refused for it with exit code 1."""
     out = ctx.obj["out"]
-    if ctx.obj["fmt"] in ("json", "csv"):
+    if ctx.obj["fmt"] == "csv":
+        if any(isinstance(v, (dict, list)) for v in data.values()):
+            raise click.ClickException(
+                f"'{ctx.command_path}' prints nested data, which has no csv "
+                f"layout; use --format json or plain")
+        writer = csv.writer(out)
+        writer.writerow(data)
+        writer.writerow(data.values())
+    elif ctx.obj["fmt"] == "json":
         click.echo(json.dumps(data, indent=2), file=out)
     else:
         def walk(d, indent=""):

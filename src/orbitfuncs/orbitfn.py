@@ -8,6 +8,12 @@ Two evaluation routes are provided and cross-checked by the tests:
   sines and cosines in orthogonal coordinates, and the product-over-
   positive-roots formulas for the weight rho.
 
+``eval_batch`` takes the closed form on B, C and D (n^2 trig values and
+one n x n det or permanent per point) and the group sum on A and G2.  The
+closed form sums over all of W, so it counts each orbit point |Stab(lam)|
+times: on a wall it is the normalized value, and the symmetric value is
+it divided by |Stab(lam)|.
+
 Weights stay exact rationals until the final trigonometric evaluation.
 """
 
@@ -21,11 +27,12 @@ from typing import Sequence
 import numpy as np
 
 from .rootsys import (
-    RootSystem, vec, vec_mat, is_dominant, inner, orth_dim, rank_vec,
+    RootSystem, vec, is_dominant, inner, orth_dim, orth_pairing_scale, rank_vec,
+    to_orthogonal,
 )
 from .weyl import (
-    orbit, signed_orbit, stabilizer_order, positive_roots,
-    orth_group, orth_apply, WallError,
+    signed_orbit, stabilizer_order, positive_roots, orth_group, orth_apply,
+    WallError, _distinct, _dominant_vec, _images, _perm_sign, _strict_vec,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -48,31 +55,66 @@ class NearSingularEvaluationError(ArithmeticError):
 
 # -- omega-coordinate evaluation -----------------------------------------
 
-def _terms(rs: RootSystem, kind: str, lamv: tuple) -> tuple[list, np.ndarray]:
-    """The exact weights mu of the orbit-function sum, and the coefficient
-    of each term."""
+def _orbit_terms(rs: RootSystem, kind: str, lamv: tuple) -> tuple[np.ndarray, int, np.ndarray]:
+    """The terms of the sum over W as int64 rows d * mu, one per weight mu,
+    the denominator d, and the coefficient of each term: det w for every
+    w lam (antisymmetric), or 1 (symmetric) or |Stab(lam)| (normalized)
+    for every point of the orbit."""
     if kind == "antisymmetric":
-        pts = signed_orbit(rs, lamv).points
-        return [p for p, _ in pts], np.array([s for _, s in pts], dtype=float)
-    if not is_dominant(lamv):
-        raise ValueError("symmetric orbit functions need a dominant weight")
-    weights = orbit(rs, lamv)
-    c = 1.0 if kind == "symmetric" else float(stabilizer_order(rs, lamv))
-    return weights, np.full(len(weights), c)
+        so = signed_orbit(rs, lamv)
+        return so.rows, so.scale, so.dets.astype(float)
+    rows, _, d = _images(rs, _dominant_vec(rs, lamv))
+    pts = _distinct(rows)
+    c = 1 if kind == "symmetric" else len(rows) // len(pts)
+    return pts, d, np.full(len(pts), float(c))
+
+
+def _group_sum_terms(rs: RootSystem, kind: str, lamv: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Rows mu.S for every term mu of the sum over W (exact, then float),
+    plus the coefficient of each term."""
+    rows, d, coeffs = _orbit_terms(rs, kind, lamv)
+    exact = rows.astype(object) @ np.array(rs.metric, dtype=object) / d
+    return exact.astype(float), coeffs
+
+
+def _group_sum(rows: np.ndarray, coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """The sum over W at an (N, rank) array of omega coordinates: the
+    evaluation of A and G2, and the reference for the closed forms."""
+    return coeffs @ np.exp(TWO_PI * 1j * (rows @ xs.T))
+
+
+def _closed_form_terms(rs: RootSystem, kind: str, lamv: tuple) -> tuple[np.ndarray, np.ndarray, float]:
+    """m = lam in orthogonal coordinates, the map T from the omega
+    coordinates of a point x to y = m(x) / orth_pairing_scale, so that
+    <mu, x> = sum_i m_i(mu) y_i (both exact, then float), and the factor
+    1/|Stab(lam)| of the symmetric kind."""
+    if kind == "antisymmetric":
+        _strict_vec(rs, lamv)
+    else:
+        _dominant_vec(rs, lamv)
+    factor = 1 / stabilizer_order(rs, lamv) if kind == "symmetric" else 1.0
+    m = np.array([float(c) for c in to_orthogonal(rs, lamv)])
+    scale = orth_pairing_scale(rs)
+    unit = np.eye(rs.rank, dtype=int).tolist()
+    T = np.array([[float(c / scale) for c in to_orthogonal(rs, e)] for e in unit])
+    return m, T, factor
 
 
 _TERMS_CACHE: dict = {}
 
 
-def _terms_omega(rs: RootSystem, kind: str, lamv: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Rows mu.S for every term mu, plus the coefficient of each term."""
+def _evaluator(rs: RootSystem, kind: str, lamv: tuple):
+    """The cached evaluation of one (diagram, kind, weight) at an (N, rank)
+    float array: the closed form on B, C, D, the group sum elsewhere."""
     key = (rs.id, kind, lamv)
-    if key in _TERMS_CACHE:
-        return _TERMS_CACHE[key]
-    weights, coeffs = _terms(rs, kind, lamv)
-    rows = np.array([[float(c) for c in vec_mat(p, rs.metric)] for p in weights])
-    _TERMS_CACHE[key] = (rows, coeffs)
-    return rows, coeffs
+    if key not in _TERMS_CACHE:
+        if rs.family in ("B", "C", "D"):
+            m, T, factor = _closed_form_terms(rs, kind, lamv)
+            _TERMS_CACHE[key] = lambda xs: factor * _closed_form(rs.family, kind, m, xs @ T)
+        else:
+            rows, coeffs = _group_sum_terms(rs, kind, lamv)
+            _TERMS_CACHE[key] = lambda xs: _group_sum(rows, coeffs, xs)
+    return _TERMS_CACHE[key]
 
 
 def eval_orbit_function(rs: RootSystem, kind: str, lam: Sequence, x: Sequence) -> complex:
@@ -100,12 +142,19 @@ def _float_points(rs: RootSystem, xs, dim: int) -> np.ndarray:
 
 
 def eval_batch(rs: RootSystem, kind: str, lam: Sequence, xs: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation at an (N, rank) array of omega coordinates."""
+    """Vectorized evaluation at an (N, rank) array of omega coordinates;
+    returns a complex (N,) array.
+
+    B, C and D take the closed form of :func:`closed_form_orth`; it sums
+    over all of W, so on a wall it is the normalized value and the
+    symmetric value is it divided by |Stab(lam)|.  A and G2 take the sum
+    over W (or the orbit).  A weight or point of the wrong length, a
+    non-finite point or a weight that is not dominant raise ValueError;
+    an antisymmetric weight on a wall raises WallError.
+    """
     kind = _norm_kind(kind)
-    rows, coeffs = _terms_omega(rs, kind, rank_vec(rs, lam))
-    xs = _float_points(rs, xs, rs.rank)
-    phases = rows @ xs.T                       # (terms, N) of <mu, x>
-    return coeffs @ np.exp(TWO_PI * 1j * phases)
+    evaluate = _evaluator(rs, kind, rank_vec(rs, lam))
+    return np.asarray(evaluate(_float_points(rs, xs, rs.rank)), dtype=complex)
 
 
 def eval_coroot_point(rs: RootSystem, kind: str, lam: Sequence, b: Sequence):
@@ -129,18 +178,16 @@ def eval_coroot_point(rs: RootSystem, kind: str, lam: Sequence, b: Sequence):
         pts = np.asarray([rank_vec(rs, b)], dtype=object)
     elif pts.ndim != 2 or pts.shape[1] != rs.rank:
         raise ValueError(f"{shape} an array of shape {pts.shape}")
-    weights, coeffs = _terms(rs, kind, lamv)
+    rows, dp, coeffs = _orbit_terms(rs, kind, lamv)
     try:
         coords = [Fraction(c) for c in pts.flat]
     except TypeError:  # a nested sequence, or no number at all
         raise ValueError(f"{shape} a coordinate that is not a rational number") from None
-    dp = math.lcm(*(c.denominator for c in lamv))
     db = math.lcm(*(c.denominator for c in coords))
     D = dp * db
     B = np.array([c.numerator * (db // c.denominator) % D for c in coords],
                  dtype=object).reshape(pts.shape)
-    P = np.array([[int(c * dp) for c in p] for p in weights], dtype=object)
-    k = (P @ B.T) % D                          # (terms, G) exact numerators
+    k = (rows.astype(object) @ B.T) % D        # (terms, G) exact numerators
     vals = coeffs @ np.exp(TWO_PI * 1j * (k / D).astype(float))
     return complex(vals[0]) if single else vals
 
@@ -200,42 +247,58 @@ def eval_orth_batch(rs: RootSystem, kind: str, m: Sequence, xs: np.ndarray) -> n
 
 def _perm_sum(values: np.ndarray, signed: bool):
     """det (signed) or permanent (unsigned) over the last two axes of an
-    array of any batch shape."""
+    array of any batch shape.  A det of n >= 4 is np.linalg.det; smaller
+    ones take the permutation sum, which is faster on many small matrices."""
     values = np.asarray(values)
-    if signed:
+    n = values.shape[-1]
+    if signed and n >= 4:
         return np.linalg.det(values)
-    rows = np.arange(values.shape[-1])
-    return sum(np.prod(values[..., rows, list(p)], axis=-1)
-               for p in itertools.permutations(rows))
+    rows = np.arange(n)
+    total = 0
+    for p in itertools.permutations(range(n)):
+        term = np.prod(values[..., rows, list(p)], axis=-1)
+        total = total - term if signed and _perm_sign(p) < 0 else total + term
+    return total
+
+
+def _closed_form(fam: str, kind: str, m: np.ndarray, ys: np.ndarray):
+    """The sum over W of (det w for the antisymmetric kind times)
+    exp(2 pi i <w m, y>) in orthogonal coordinates, by its determinant or
+    permanent form, at points ys of any batch shape (..., len(m)).
+
+    With theta_ij = 2 pi m_i y_j:  A: det/perm exp(i theta);  B, C:
+    (2i)^n det sin theta (antisymmetric) or 2^n perm cos theta;  D:
+    2^(n-1) perm cos theta + (2i)^n perm sin theta / 2, with det in place
+    of perm for the antisymmetric kind.
+    """
+    signed = kind == "antisymmetric"
+    theta = TWO_PI * m[:, None] * ys[..., None, :]
+    n = len(m)
+    if fam == "A":
+        return _perm_sum(np.exp(1j * theta), signed)
+    if fam in ("B", "C"):
+        if signed:
+            return (2j) ** n * _perm_sum(np.sin(theta), True)
+        return 2 ** n * _perm_sum(np.cos(theta), False)
+    value = 2 ** (n - 1) * _perm_sum(np.cos(theta), signed)
+    if m[-1] == 0:  # a row of zeros: the sine part vanishes
+        return value
+    return value + (2j) ** n / 2 * _perm_sum(np.sin(theta), signed)
 
 
 def closed_form_orth(rs: RootSystem, kind: str, m: Sequence, x: Sequence) -> complex:
-    """Determinant / permanent closed forms in orthogonal coordinates."""
+    """Determinant / permanent closed forms in orthogonal coordinates at
+    one point: the one-point case of the body eval_batch uses on B, C, D."""
     kind = _norm_kind(kind)
-    fam = rs.family
-    if fam not in "ABCD":
+    if rs.family not in ("A", "B", "C", "D"):
         raise ValueError(f"no closed orthogonal form for {rs.id.label}")
+    dim = orth_dim(rs)
+    if len(m) != dim:
+        raise ValueError(f"expected {dim} coordinates")
     if not is_strictly_dominant_orth(rs, m):
         raise WallError(f"{tuple(m)} is not strictly dominant in orthogonal coordinates")
     mv = np.asarray([float(v) for v in m])
-    xv = np.asarray([float(v) for v in x])
-    n = rs.rank
-    if fam == "A":
-        grid = np.exp(TWO_PI * 1j * np.outer(mv, xv))
-        return _perm_sum(grid, signed=(kind == "antisymmetric"))
-    sin = np.sin(TWO_PI * np.outer(mv, xv)).astype(complex)
-    cos = np.cos(TWO_PI * np.outer(mv, xv)).astype(complex)
-    if fam in ("B", "C"):
-        if kind == "antisymmetric":
-            return (2j) ** n * _perm_sum(sin, signed=True)
-        return 2 ** n * _perm_sum(cos, signed=False)
-    # D_n
-    signed = kind == "antisymmetric"
-    cos_part = 2 ** (n - 1) * _perm_sum(cos, signed=signed)
-    if Fraction(m[-1]) == 0:
-        return cos_part
-    sin_part = Fraction(1, 2) * (2j) ** n * _perm_sum(sin, signed=signed)
-    return complex(sin_part) + cos_part
+    return complex(_closed_form(rs.family, kind, mv, _float_points(rs, [x], dim)[0]))
 
 
 # -- rho products ---------------------------------------------------------

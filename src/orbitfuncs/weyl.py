@@ -6,11 +6,13 @@ generator words (identity first), so every element has a shortest word and
 det = (-1)^length.  Orbits, signed orbits and stabilizer orders are array
 operations on it: the weight is scaled to integers by the lcm of its
 denominators, multiplied by every matrix, and turned back into Fractions
-once.  Everything here is exact; no tolerances.
+once (a signed orbit keeps its int64 rows and converts its points when
+they are first read).  Everything here is exact; no tolerances.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -107,6 +109,8 @@ def _group(rs: RootSystem, limit: int = DEFAULT_GROUP_LIMIT) -> _Group:
     mats = np.concatenate(layers)
     assert len(mats) == rs.weyl_order, (len(mats), rs.weyl_order)
     dets = np.array([(-1) ** len(w) for w in words], dtype=np.int64)
+    mats.setflags(write=False)
+    dets.setflags(write=False)
     _GROUP_CACHE[rs.id] = _Group(mats, dets, tuple(words), n * int(np.abs(mats).max()))
     return _GROUP_CACHE[rs.id]
 
@@ -178,7 +182,8 @@ def _dominant_vec(rs: RootSystem, lam: Sequence) -> Vec:
     """lam as an exact rank vector; ValueError unless it is dominant."""
     lamv = rank_vec(rs, lam)
     if not is_dominant(lamv):
-        raise ValueError("orbit() expects a dominant weight")
+        raise ValueError(f"{_vec_str(lamv)} is not dominant; orbits need a "
+                         f"dominant weight")
     return lamv
 
 
@@ -195,26 +200,40 @@ def _strict_vec(rs: RootSystem, lam: Sequence) -> Vec:
     return lamv
 
 
-def orbit(rs: RootSystem, lam: Sequence, limit: int = DEFAULT_GROUP_LIMIT) -> list[Vec]:
-    """Distinct points of the W-orbit of a dominant weight, sorted."""
-    lamv = _dominant_vec(rs, lam)
+def _images(rs: RootSystem, lamv: Vec,
+            limit: int = DEFAULT_GROUP_LIMIT) -> tuple[np.ndarray, np.ndarray, int]:
+    """d * w lam as int64 rows for every w of the group, in its order (the
+    identity first), the dets of the w, and the lcm d of lam's denominators."""
     group = _group(rs, limit)
     v, d = _scaled(group, [lamv])
-    return _unscaled(_distinct(group.mats @ v[0]), d)
+    return group.mats @ v[0], group.dets, d
+
+
+def orbit(rs: RootSystem, lam: Sequence, limit: int = DEFAULT_GROUP_LIMIT) -> list[Vec]:
+    """Distinct points of the W-orbit of a dominant weight, sorted."""
+    rows, _, d = _images(rs, _dominant_vec(rs, lam), limit)
+    return _unscaled(_distinct(rows), d)
 
 
 def stabilizer_order(rs: RootSystem, lam: Sequence) -> int:
     """|W_lam| = #{w in W : w lam = lam}, the order of the stabilizer of any
     weight lam, counted over the rows of the group array."""
-    group = _group(rs)
-    v, _ = _scaled(group, [rank_vec(rs, lam)])
-    return int(np.all(group.mats @ v[0] == v[0], axis=1).sum())
+    rows, _, _ = _images(rs, rank_vec(rs, lam))
+    return int(np.all(rows == rows[0], axis=1).sum())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignedOrbit:
+    """{(w lam, det w) : w in W} as int64 rows scale * w lam and the dets,
+    in the order of the group; ``points`` is its exact view."""
     dominant: Vec
-    points: tuple[tuple[Vec, int], ...]
+    rows: np.ndarray
+    dets: np.ndarray
+    scale: int
+
+    @functools.cached_property
+    def points(self) -> tuple[tuple[Vec, int], ...]:
+        return tuple(zip(_unscaled(self.rows, self.scale), self.dets.tolist()))
 
 
 def signed_orbit(rs: RootSystem, lam: Sequence) -> SignedOrbit:
@@ -225,10 +244,7 @@ def signed_orbit(rs: RootSystem, lam: Sequence) -> SignedOrbit:
     wall WallError.
     """
     lamv = _strict_vec(rs, lam)
-    group = _group(rs)
-    v, d = _scaled(group, [lamv])
-    pts = _unscaled(group.mats @ v[0], d)
-    return SignedOrbit(lamv, tuple(zip(pts, group.dets.tolist())))
+    return SignedOrbit(lamv, *_images(rs, lamv))
 
 
 # -- affine reflection and the fundamental domain -----------------------

@@ -202,3 +202,15 @@ def test_out_writes_the_json_to_the_file(tmp_path):
 def test_threads_flag_is_gone():
     res = CliRunner().invoke(main, ["--threads", "2", "rootsys", "info", "A2"])
     assert res.exit_code == 2 and "No such option" in res.output
+
+
+def test_csv_format_prints_flat_records_and_refuses_nested_ones():
+    res = run("--format", "csv", "eval", "--diagram", "A2", "--kind", "anti",
+              "--lambda", "1,1", "--x", "0.25,0.25")
+    rows = list(csv.reader(io.StringIO(res.output)))
+    assert res.exit_code == 0 and rows[0] == ["re", "im"]
+    assert abs(float(rows[1][1]) + 4) < 1e-12
+    res = CliRunner().invoke(main, ["--format", "csv", "orbit", "plain",
+                                    "--diagram", "A2", "--lambda", "1,0"])
+    assert res.exit_code == 1
+    assert "prints nested data, which has no csv layout" in res.output

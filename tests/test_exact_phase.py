@@ -71,14 +71,42 @@ def test_kernel_matches_fraction_oracle(case):
     assert_matches_oracle(one, want[0])
 
 
-@pytest.mark.parametrize("label,M", [("A2", 12), ("C2", 14), ("G2", 15),
-                                     ("A3", 8), ("B3", 10), ("C3", 10)])
+def integer_phase_oracle(rs, lam, pts) -> np.ndarray:
+    """The antisymmetric kernel row of lam over pts with the integer phases
+    k/D taken from the oracle's Fraction points, one coordinate at a time,
+    and the same float operations as ``eval_coroot_point``."""
+    lamv = vec(lam)
+    terms = signed_orbit_oracle(rs, lamv)
+    coords = [F(c) for p in pts for c in p]
+    dp = math.lcm(*(c.denominator for c in lamv))
+    db = math.lcm(*(c.denominator for c in coords))
+    D = dp * db
+    B = np.array([c.numerator * (db // c.denominator) % D for c in coords],
+                 dtype=object).reshape(len(pts), rs.rank)
+    P = np.array([[int(c * dp) for c in p] for p, _ in terms], dtype=object)
+    coeffs = np.array([s for _, s in terms], dtype=float)
+    return coeffs @ np.exp(TWO_PI * 1j * (((P @ B.T) % D) / D).astype(float))
+
+
+PLAN_CASES = [("A2", 12), ("C2", 14), ("G2", 15), ("A3", 8), ("B3", 10), ("C3", 10)]
+
+
+@pytest.mark.parametrize("label,M", PLAN_CASES)
 def test_plan_kernel_matches_fraction_oracle(label, M):
     rs = build(label)
     plan = build_plan(rs, M)
     want = [[fraction_oracle(rs, "antisymmetric", lam, p.coroot) for p in plan.grid]
             for lam in plan.labels]
     assert_matches_oracle(plan.kernel, want)
+
+
+@pytest.mark.parametrize("label,M", PLAN_CASES)
+def test_plan_kernel_is_bit_identical_to_the_integer_phase_oracle(label, M):
+    rs = build(label)
+    plan = build_plan(rs, M)
+    pts = [p.coroot for p in plan.grid]
+    want = np.array([integer_phase_oracle(rs, lam, pts) for lam in plan.labels])
+    assert np.array_equal(plan.kernel, want)
 
 
 def test_gram_over_torus_matches_fraction_oracle():

@@ -5,7 +5,9 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from orbitfuncs import orbitfn
 from orbitfuncs.rootsys import build, vec, to_orthogonal, orth_pairing_scale
 from orbitfuncs.weyl import generate_group, affine_r0, WallError
 from orbitfuncs.orbitfn import (
@@ -166,6 +168,7 @@ def test_orth_batch_refuses_what_the_single_point_refuses():
 def test_batches_refuse_bad_points():
     a2, b3 = build("A2"), build("B3")
     for call, n, label in ((lambda xs: eval_batch(a2, "anti", (1, 2), xs), 2, "A2"),
+                           (lambda xs: eval_batch(b3, "sym", (1, 0, 2), xs), 3, "B3"),
                            (lambda xs: eval_orth_batch(b3, "anti", (3, 2, 1), xs), 3, "B3")):
         good = np.full((3, n), 0.1)
         with pytest.raises(ValueError, match=f"expected {n} coordinates per point for {label}"):
@@ -177,6 +180,11 @@ def test_batches_refuse_bad_points():
                 call(xs)
     with pytest.raises(ValueError, match="expected 3 coordinates per point for B3"):
         eval_orth(b3, "anti", (3, 2, 1), [0.1, 0.2])
+    for kind in ("anti", "sym"):
+        with pytest.raises(ValueError, match="expected 3 coordinates per point for B3"):
+            closed_form_orth(b3, kind, (3, 2, 1), [0.1, 0.2])
+        with pytest.raises(ValueError, match="expected 3 coordinates"):
+            closed_form_orth(b3, kind, (3, 2), [0.1, 0.2, 0.3])
 
 
 def test_closed_form_d_with_zero_last_coordinate():
@@ -518,3 +526,53 @@ def test_characters_match_known_weight_systems():
 def test_eval_antisymmetric_rejects_wall_weight():
     with pytest.raises(WallError):
         eval_orbit_function(build("A2"), "anti", (1, 0), (0.1, 0.2))
+
+
+@pytest.mark.parametrize("label", ["A2", "B3"])
+def test_eval_batch_refuses_bad_weights(label):
+    rs = build(label)
+    xs = np.full((2, rs.rank), 0.1)
+    lam = (1,) * rs.rank
+    with pytest.raises(ValueError, match=f"expected {rs.rank} coordinates for {label}"):
+        eval_batch(rs, "anti", lam + (1,), xs)
+    bad = (-1,) + lam[1:]
+    for kind in ("sym", "norm", "anti"):
+        with pytest.raises(ValueError, match=r"^\(-1, 1(, 1)?\) is not dominant") as info:
+            eval_batch(rs, kind, bad, xs)
+        assert type(info.value) is ValueError
+    with pytest.raises(WallError, match="lies on a wall"):
+        eval_batch(rs, "anti", (0,) + lam[1:], xs)
+
+
+CLOSED_FORM_DIAGRAMS = ["B2", "C2", "B3", "C3", "D4", "B4", "C4"]
+KINDS = ("antisymmetric", "symmetric", "normalized")
+
+
+@st.composite
+def closed_form_cases(draw):
+    """A routed diagram, a kind, a weight with coordinates k or k/2 (and 0
+    for the symmetric kinds, so that walls are hit), and 1-300 points."""
+    rs = build(draw(st.sampled_from(CLOSED_FORM_DIAGRAMS)))
+    kind = draw(st.sampled_from(KINDS))
+    coordinate = st.builds(F, st.integers(1, 12), st.sampled_from([1, 2]))
+    if kind != "antisymmetric":
+        coordinate = st.one_of(st.just(F(0)), coordinate)
+    lam = tuple(draw(st.lists(coordinate, min_size=rs.rank, max_size=rs.rank)))
+    npts = draw(st.integers(1, 300))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return rs, kind, lam, np.random.default_rng(seed).uniform(-1, 1, (npts, rs.rank))
+
+
+@settings(max_examples=120, deadline=None)
+@given(closed_form_cases())
+# D4 weights with lam_3 = lam_4 have m_4 = 0, where the sine part vanishes
+@example((build("D4"), "antisymmetric", (1, 2, 3, 3), np.full((2, 4), 0.3)))
+@example((build("D4"), "symmetric", (0, 2, 3, 3), np.full((2, 4), 0.3)))
+def test_eval_batch_matches_the_group_sum(case):
+    rs, kind, lam, xs = case
+    got = eval_batch(rs, kind, lam, xs)
+    ref = orbitfn._group_sum(*orbitfn._group_sum_terms(rs, kind, lam), xs)
+    # both routes round every phase; that error grows with |W|
+    tol = 1e-13 * rs.weyl_order * np.maximum(1.0, np.abs(ref))
+    assert got.shape == ref.shape and got.dtype == complex
+    assert np.all(np.abs(got - ref) <= tol)

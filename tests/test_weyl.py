@@ -158,6 +158,8 @@ def test_signed_orbit_tells_non_dominant_from_on_wall():
     assert type(info.value) is ValueError
     with pytest.raises(WallError, match=r"^\(1/2, 0\) lies on a wall"):
         signed_orbit(a2, (F(1, 2), 0))
+    with pytest.raises(ValueError, match=r"^\(-1, 2\) is not dominant"):
+        orbit(a2, (-1, 2))
     from orbitfuncs.transforms import build_plan
     with pytest.raises(ValueError, match="not dominant") as info:
         build_plan(a2, 5, labels=[(-1, 2)])
@@ -323,6 +325,8 @@ def test_cached_results_cannot_be_changed_by_a_caller():
     for cached in (positive_roots(a2), generate_group(a2)):
         with pytest.raises(AttributeError):
             cached.pop()
+    with pytest.raises(ValueError, match="read-only"):
+        signed_orbit(a2, (1, 2)).dets[0] = 5
     rho_cosine_orbit_decomposition(a2).clear()
     assert rho_cosine_orbit_decomposition(a2)[a2.rho] == 1
     assert dimension(a2, (1, 1)) == 8
