@@ -9,10 +9,13 @@ Two evaluation routes are provided and cross-checked by the tests:
   positive-roots formulas for the weight rho.
 
 ``eval_batch`` takes the closed form on B, C and D (n^2 trig values and
-one n x n det or permanent per point) and the group sum on A and G2.  The
-closed form sums over all of W, so it counts each orbit point |Stab(lam)|
-times: on a wall it is the normalized value, and the symmetric value is
-it divided by |Stab(lam)|.
+one n x n det or permanent per point).  The closed form sums over all of
+W, so it counts each orbit point |Stab(lam)| times: on a wall it is the
+normalized value, and the symmetric value is it divided by |Stab(lam)|.
+On A and G2 it sums over the orbit in exact integer exponents: every
+phase is sum_j K_j s_j x_j with integers K_j, so each term is a product
+of integer powers of the r numbers z_j = exp(2 pi i s_j x_j), taken by
+repeated squaring from one table per block of points.
 
 Weights stay exact rationals until the final trigonometric evaluation.
 """
@@ -22,6 +25,8 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -32,7 +37,7 @@ from .rootsys import (
 )
 from .weyl import (
     signed_orbit, stabilizer_order, positive_roots, orth_group, orth_apply,
-    WallError, _distinct, _dominant_vec, _images, _perm_sign, _strict_vec,
+    WallError, _distinct, _dominant_vec, _images, _strict_vec,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -69,18 +74,75 @@ def _orbit_terms(rs: RootSystem, kind: str, lamv: tuple) -> tuple[np.ndarray, in
     return pts, d, np.full(len(pts), float(c))
 
 
-def _group_sum_terms(rs: RootSystem, kind: str, lamv: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Rows mu.S for every term mu of the sum over W (exact, then float),
-    plus the coefficient of each term."""
+def _exponent_terms(rs: RootSystem, kind: str, lamv: tuple) -> tuple[list, list, list]:
+    """The sum over W in exact integer exponents: steps s_j (Fractions)
+    and one row of ints K per term mu with <mu, x> = sum_j K_j s_j x_j,
+    plus the integer coefficient of each term.  s_j is the gcd of the
+    rationals (mu S)_j over the terms, so the K of a column share no
+    factor."""
     rows, d, coeffs = _orbit_terms(rs, kind, lamv)
-    exact = rows.astype(object) @ np.array(rs.metric, dtype=object) / d
-    return exact.astype(float), coeffs
+    exact = rows.astype(object) @ np.array(rs.metric, dtype=object)   # d * mu S
+    cols, steps = [], []
+    for col in exact.T:
+        c = [Fraction(v) / d for v in col]
+        step = Fraction(math.gcd(*(v.numerator for v in c)) or 1,
+                        math.lcm(*(v.denominator for v in c)))
+        cols.append([int(v / step) for v in c])
+        steps.append(step)
+    return [list(K) for K in zip(*cols)], steps, [int(c) for c in coeffs]
 
 
-def _group_sum(rows: np.ndarray, coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """The sum over W at an (N, rank) array of omega coordinates: the
-    evaluation of A and G2, and the reference for the closed forms."""
-    return coeffs @ np.exp(TWO_PI * 1j * (rows @ xs.T))
+_MAX_POWER = 1 << 12   # larger exponents take one exponential each
+
+
+def _powers(angle: np.ndarray, ks: set) -> dict:
+    """{k: exp(i k angle)} for the nonzero integers ks.  With z =
+    exp(i angle), z**|k| is a product of the repeated squares z**(2**b)
+    and z**-|k| its conjugate.  The rounding error of z**|k| grows with
+    |k|, so where some |k| exceeds _MAX_POWER (a weight with a large
+    denominator, or a large weight) every power is its own exponential,
+    as accurate as the phase k * angle."""
+    mags = sorted({abs(k) for k in ks})
+    if mags and mags[-1] > _MAX_POWER:
+        out = {a: np.exp(1j * (a * angle)) for a in mags}
+    else:
+        squares = [np.exp(1j * angle)]
+        while mags and 1 << len(squares) <= mags[-1]:
+            squares.append(squares[-1] * squares[-1])
+        out = {a: reduce(mul, [squares[b] for b in range(a.bit_length()) if a >> b & 1])
+               for a in mags}
+    out.update({k: np.conj(out[-k]) for k in ks if k < 0})
+    return out
+
+
+_CHUNK = 4096   # points per block of the power-table kernel
+
+
+def _power_sum(K: list, steps: list, coeffs: list):
+    """The function that evaluates the sum over W with exponents K (one
+    row per term) at an (N, rank) float array xs: per block of points, r
+    exponentials z_j = exp(2 pi i s_j x_j), the powers z_j**K_j of every
+    column, and each term as the product of its powers, summed per
+    coefficient."""
+    angles = TWO_PI * np.array([float(s) for s in steps])
+    needed = [set(col) - {0} for col in zip(*K)]
+    groups: dict = {}
+    for row, c in zip(K, coeffs):
+        groups.setdefault(c, []).append([(j, k) for j, k in enumerate(row) if k])
+
+    def evaluate(xs: np.ndarray) -> np.ndarray:
+        out = np.zeros(len(xs), dtype=complex)
+        for start in range(0, len(xs), _CHUNK):
+            phases = angles[:, None] * xs[start:start + _CHUNK].T
+            tables = [_powers(phase, ks) for phase, ks in zip(phases, needed)]
+            block = out[start:start + _CHUNK]
+            for c, terms in groups.items():
+                total = np.zeros(len(block), dtype=complex)
+                for factors in terms:      # no factors: the weight 0
+                    total += reduce(mul, (tables[j][k] for j, k in factors)) if factors else 1
+                block += c * total
+        return out
+    return evaluate
 
 
 def _closed_form_terms(rs: RootSystem, kind: str, lamv: tuple) -> tuple[np.ndarray, np.ndarray, float]:
@@ -105,15 +167,15 @@ _TERMS_CACHE: dict = {}
 
 def _evaluator(rs: RootSystem, kind: str, lamv: tuple):
     """The cached evaluation of one (diagram, kind, weight) at an (N, rank)
-    float array: the closed form on B, C, D, the group sum elsewhere."""
+    float array: the closed form on B, C, D, the power-table sum on A and
+    G2."""
     key = (rs.id, kind, lamv)
     if key not in _TERMS_CACHE:
         if rs.family in ("B", "C", "D"):
             m, T, factor = _closed_form_terms(rs, kind, lamv)
             _TERMS_CACHE[key] = lambda xs: factor * _closed_form(rs.family, kind, m, xs @ T)
         else:
-            rows, coeffs = _group_sum_terms(rs, kind, lamv)
-            _TERMS_CACHE[key] = lambda xs: _group_sum(rows, coeffs, xs)
+            _TERMS_CACHE[key] = _power_sum(*_exponent_terms(rs, kind, lamv))
     return _TERMS_CACHE[key]
 
 
@@ -148,9 +210,11 @@ def eval_batch(rs: RootSystem, kind: str, lam: Sequence, xs: np.ndarray) -> np.n
     B, C and D take the closed form of :func:`closed_form_orth`; it sums
     over all of W, so on a wall it is the normalized value and the
     symmetric value is it divided by |Stab(lam)|.  A and G2 take the sum
-    over W (or the orbit).  A weight or point of the wrong length, a
-    non-finite point or a weight that is not dominant raise ValueError;
-    an antisymmetric weight on a wall raises WallError.
+    over W (or the orbit) from power tables: r exponentials per point,
+    and every term a product of their exact integer powers.  A weight or
+    point of the wrong length, a non-finite point or a weight that is not
+    dominant raise ValueError; an antisymmetric weight on a wall raises
+    WallError.
     """
     kind = _norm_kind(kind)
     evaluate = _evaluator(rs, kind, rank_vec(rs, lam))
@@ -247,18 +311,31 @@ def eval_orth_batch(rs: RootSystem, kind: str, m: Sequence, xs: np.ndarray) -> n
 
 def _perm_sum(values: np.ndarray, signed: bool):
     """det (signed) or permanent (unsigned) over the last two axes of an
-    array of any batch shape.  A det of n >= 4 is np.linalg.det; smaller
-    ones take the permutation sum, which is faster on many small matrices."""
+    array of any batch shape, by the Laplace expansion along the rows:
+    the minors of the first i rows on every i-subset of the columns, one
+    row at a time, n 2^(n-1) products in all.  A det of n >= 4 on fewer
+    than 2^(n+4) matrices is np.linalg.det, which is faster there."""
     values = np.asarray(values)
     n = values.shape[-1]
-    if signed and n >= 4:
+    if signed and n >= 4 and values.size // (n * n) < 2 ** (n + 4):
         return np.linalg.det(values)
-    rows = np.arange(n)
-    total = 0
-    for p in itertools.permutations(range(n)):
-        term = np.prod(values[..., rows, list(p)], axis=-1)
-        total = total - term if signed and _perm_sign(p) < 0 else total + term
-    return total
+    minors = {1 << j: values[..., 0, j] for j in range(n)}
+    for i in range(1, n):
+        nxt: dict = {}
+        for cols, minor in minors.items():
+            for j in range(n):
+                if cols >> j & 1:
+                    continue
+                term = minor * values[..., i, j]
+                if signed and (cols >> j).bit_count() % 2:   # odd inversions
+                    term = -term
+                key = cols | 1 << j
+                if key in nxt:
+                    nxt[key] += term
+                else:
+                    nxt[key] = term
+        minors = nxt
+    return minors[(1 << n) - 1]
 
 
 def _closed_form(fam: str, kind: str, m: np.ndarray, ys: np.ndarray):
@@ -305,11 +382,12 @@ def closed_form_orth(rs: RootSystem, kind: str, m: Sequence, x: Sequence) -> com
 
 def rho_products(rs: RootSystem, x: Sequence) -> tuple[complex, complex]:
     """(antisymmetric, symmetric) rho functions as products over positive
-    roots: (2i)^r prod sin(pi <alpha,x>) and 2^r prod cos(pi <alpha,x>)."""
+    roots: (2i)^r prod sin(pi <alpha,x>) and 2^r prod cos(pi <alpha,x>).
+    A point of the wrong length or a non-finite one raises ValueError."""
     pos = positive_roots(rs)
     S = rs.metric
     n = rs.rank
-    xv = np.asarray([float(c) for c in x])
+    xv = _float_points(rs, [x], n)[0]
     sines, cosines = 1.0, 1.0
     for alpha in pos:
         arow = np.array([float(sum(alpha[i] * S[i][j] for i in range(n)))

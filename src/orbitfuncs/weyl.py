@@ -251,11 +251,11 @@ def signed_orbit(rs: RootSystem, lam: Sequence) -> SignedOrbit:
 
 def xi_pairing(rs: RootSystem, x: Sequence) -> Fraction:
     """<x, xi> = sum_i x_i q_i for x in omega coordinates."""
-    return sum(Fraction(c) * q for c, q in zip(x, rs.comarks))
+    return sum(c * q for c, q in zip(rank_vec(rs, x), rs.comarks))
 
 
 def reflect_highest_root(rs: RootSystem, x: Sequence) -> Vec:
-    xv = vec(x)
+    xv = rank_vec(rs, x)
     coef = xi_pairing(rs, xv)  # <x, xi^check> with xi^check = xi
     xi = rs.highest_root_omega
     return tuple(c - coef * z for c, z in zip(xv, xi))
@@ -271,7 +271,7 @@ def affine_r0(rs: RootSystem, x: Sequence) -> Vec:
 def in_fundamental_domain(rs: RootSystem, x: Sequence) -> str:
     """Classify a point against the closed simplex F: one of
     ``"interior"``, ``"boundary"``, ``"outside"``."""
-    xv = vec(x)
+    xv = rank_vec(rs, x)
     level = xi_pairing(rs, xv)
     if any(c < 0 for c in xv) or level > 1:
         return "outside"

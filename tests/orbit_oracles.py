@@ -11,9 +11,15 @@ reads each coefficient off the dominant exponent itself, and the rho
 cosine expansion enumerates all 2^|positive roots| subsets.  They are
 slow, and independent of the group array, ``to_dominant`` and
 ``stabilizer_order``, which makes them the reference for the library.
+``group_sum`` is the float sum over W that ``eval_batch`` ran on every
+family before the closed forms and the power tables: one exponential per
+term and point, with the terms read off the oracle orbits.
 """
 
 import functools
+import math
+
+import numpy as np
 
 from orbitfuncs.orbitalg import OrbitTerm
 from orbitfuncs.rootsys import mat_vec, vec, vec_mat, is_dominant, is_strictly_dominant
@@ -84,6 +90,25 @@ def tm_expand_oracle(rs, grid) -> list:
             b = vec_mat(mat_vec(m, p.omega), rs.metric)
             seen.add(tuple(c % 1 for c in b))
     return sorted(seen)
+
+
+def group_sum_terms(rs, kind: str, lam) -> tuple:
+    """Rows mu S (exact, then float) for every term mu of the sum over W,
+    plus the coefficient of each term: det w for every w lam
+    (antisymmetric), or 1 (symmetric) or |Stab(lam)| (normalized) for
+    every point of the orbit."""
+    if kind == "antisymmetric":
+        terms = signed_orbit_oracle(rs, lam)
+    else:
+        c = 1 if kind == "symmetric" else stabilizer_oracle(rs, lam)
+        terms = [(p, c) for p in orbit_oracle(rs, lam)]
+    rows = np.array([[float(v) for v in vec_mat(p, rs.metric)] for p, _ in terms])
+    return rows, np.array([float(c) for _, c in terms])
+
+
+def group_sum(rows, coeffs, xs):
+    """The sum over W at an (N, rank) array of omega coordinates."""
+    return coeffs @ np.exp(2 * math.pi * 1j * (rows @ np.asarray(xs).T))
 
 
 def _pair_counts(left, right) -> dict:

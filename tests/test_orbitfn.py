@@ -19,6 +19,8 @@ from orbitfuncs.orbitfn import (
     NearSingularEvaluationError, is_strictly_dominant_orth,
 )
 
+from orbit_oracles import group_sum, group_sum_terms
+
 RNG = random.Random(20240)
 
 
@@ -283,6 +285,16 @@ def test_rho_vanishes_on_walls_not_inside():
         interior = _interior_point(rs)
         anti, _ = rho_products(rs, interior)
         assert abs(anti) > 1e-6
+
+
+def test_rho_products_refuse_bad_points():
+    a2 = build("A2")
+    for x in ((0.1,), (0.1, 0.1, 0.1)):
+        with pytest.raises(ValueError, match="expected 2 coordinates per point for A2"):
+            rho_products(a2, x)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="point 0 is not finite"):
+            rho_products(a2, (0.1, bad))
 
 
 def _interior_point(rs):
@@ -571,8 +583,47 @@ def closed_form_cases(draw):
 def test_eval_batch_matches_the_group_sum(case):
     rs, kind, lam, xs = case
     got = eval_batch(rs, kind, lam, xs)
-    ref = orbitfn._group_sum(*orbitfn._group_sum_terms(rs, kind, lam), xs)
+    ref = group_sum(*group_sum_terms(rs, kind, lam), xs)
     # both routes round every phase; that error grows with |W|
     tol = 1e-13 * rs.weyl_order * np.maximum(1.0, np.abs(ref))
     assert got.shape == ref.shape and got.dtype == complex
+    assert np.all(np.abs(got - ref) <= tol)
+
+
+POWER_TABLE_DIAGRAMS = ["A1", "A2", "A3", "A4", "G2"]
+
+
+@st.composite
+def power_table_cases(draw):
+    """A diagram of the power-table route, a kind, a weight with
+    coordinates k/q (and 0 for the symmetric kinds, so that walls are hit)
+    and 0-300 points."""
+    rs = build(draw(st.sampled_from(POWER_TABLE_DIAGRAMS)))
+    kind = draw(st.sampled_from(KINDS))
+    coordinate = st.builds(F, st.integers(1, 12), st.integers(1, 4))
+    if kind != "antisymmetric":
+        coordinate = st.one_of(st.just(F(0)), coordinate)
+    lam = tuple(draw(st.lists(coordinate, min_size=rs.rank, max_size=rs.rank)))
+    npts = draw(st.integers(0, 300))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return rs, kind, lam, np.random.default_rng(seed).uniform(-1, 1, (npts, rs.rank))
+
+
+@settings(max_examples=120, deadline=None)
+@given(power_table_cases())
+# exponents up to 39 = (2 * 40 + 37) / 3: the powers z**32 by five squarings
+@example((build("A2"), "antisymmetric", (40, 37), np.full((3, 2), 0.37)))
+@example((build("G2"), "normalized", (0, 0), np.zeros((0, 2))))
+# a large denominator: exponents near 10**7, one exponential each
+@example((build("A2"), "symmetric", (F(1, 1000003), F(5, 7)),
+          np.random.default_rng(5).uniform(-1, 1, (50, 2))))
+# two full blocks of points and a short one
+@example((build("A3"), "symmetric", (2, 0, 3),
+          np.random.default_rng(3).uniform(-1, 1, (2 * orbitfn._CHUNK + 5, 3))))
+def test_power_tables_match_the_group_sum(case):
+    rs, kind, lam, xs = case
+    got = eval_batch(rs, kind, lam, xs)
+    ref = group_sum(*group_sum_terms(rs, kind, lam), xs)
+    tol = 1e-13 * rs.weyl_order * np.maximum(1.0, np.abs(ref))
+    assert got.shape == ref.shape == (len(xs),) and got.dtype == complex
     assert np.all(np.abs(got - ref) <= tol)

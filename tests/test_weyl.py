@@ -10,7 +10,7 @@ from orbitfuncs.rootsys import build, mat_vec, vec
 from orbitfuncs.weyl import (
     generators, generate_group, to_dominant, orbit, signed_orbit,
     stabilizer_order, affine_r0, reflect_highest_root, in_fundamental_domain,
-    positive_roots, positive_root_count, orth_group, orth_apply,
+    positive_roots, positive_root_count, orth_group, orth_apply, xi_pairing,
     GroupSizeError, WallError,
 )
 
@@ -307,6 +307,14 @@ def test_fundamental_domain_membership():
     for v in [(0, 0), (F(1, 2), 0), (0, 1)]:
         assert in_fundamental_domain(g2, v) == "boundary"
     assert in_fundamental_domain(g2, (F(1, 8), F(1, 8))) == "interior"
+
+
+@pytest.mark.parametrize("call", [xi_pairing, reflect_highest_root, affine_r0,
+                                  in_fundamental_domain])
+@pytest.mark.parametrize("x", [(F(1, 10),), (F(1, 10),) * 3])
+def test_affine_geometry_refuses_points_of_the_wrong_length(call, x):
+    with pytest.raises(ValueError, match=f"expected 2 coordinates for A2, got {len(x)}"):
+        call(build("A2"), x)
 
 
 def test_positive_root_counts():
