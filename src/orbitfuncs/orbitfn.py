@@ -8,14 +8,17 @@ Two evaluation routes are provided and cross-checked by the tests:
   sines and cosines in orthogonal coordinates, and the product-over-
   positive-roots formulas for the weight rho.
 
-``eval_batch`` takes the closed form on B, C and D (n^2 trig values and
-one n x n det or permanent per point).  The closed form sums over all of
-W, so it counts each orbit point |Stab(lam)| times: on a wall it is the
-normalized value, and the symmetric value is it divided by |Stab(lam)|.
-On A and G2 it sums over the orbit in exact integer exponents: every
-phase is sum_j K_j s_j x_j with integers K_j, so each term is a product
-of integer powers of the r numbers z_j = exp(2 pi i s_j x_j), taken by
-repeated squaring from one table per block of points.
+``eval_batch`` takes the closed form on B, C and D (one n x n det or
+permanent per point).  The closed form sums over all of W, so it counts
+each orbit point |Stab(lam)| times: on a wall it is the normalized value,
+and the symmetric value is it divided by |Stab(lam)|.  On A and G2 it
+sums over the orbit.  Both routes work in exact integer exponents: on B,
+C, D every entry exp(2 pi i m_i y_j) of the closed form is z_j**K_i with
+z_j = exp(2 pi i s y_j), s the gcd of the m_i; on A and G2 every phase is
+sum_j K_j s_j x_j, so each term is a product of integer powers of the r
+numbers z_j = exp(2 pi i s_j x_j).  The powers come by repeated squaring
+from one table per block of points, so a point costs n (or r) base
+exponentials, each one a short-angle ``_cis``.
 
 Weights stay exact rationals until the final trigonometric evaluation.
 """
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import OrderedDict, namedtuple
 from fractions import Fraction
 from functools import reduce
 from operator import mul
@@ -74,6 +78,14 @@ def _orbit_terms(rs: RootSystem, kind: str, lamv: tuple) -> tuple[np.ndarray, in
     return pts, d, np.full(len(pts), float(c))
 
 
+def _integer_exponents(values: Sequence[Fraction]) -> tuple[Fraction, list]:
+    """The step s = gcd of the rationals values (1 if all are 0) and the
+    integers K_i = v_i / s, which share no factor."""
+    step = Fraction(math.gcd(*(v.numerator for v in values)) or 1,
+                    math.lcm(*(v.denominator for v in values)))
+    return step, [int(v / step) for v in values]
+
+
 def _exponent_terms(rs: RootSystem, kind: str, lamv: tuple) -> tuple[list, list, list]:
     """The sum over W in exact integer exponents: steps s_j (Fractions)
     and one row of ints K per term mu with <mu, x> = sum_j K_j s_j x_j,
@@ -82,40 +94,53 @@ def _exponent_terms(rs: RootSystem, kind: str, lamv: tuple) -> tuple[list, list,
     factor."""
     rows, d, coeffs = _orbit_terms(rs, kind, lamv)
     exact = rows.astype(object) @ np.array(rs.metric, dtype=object)   # d * mu S
-    cols, steps = [], []
-    for col in exact.T:
-        c = [Fraction(v) / d for v in col]
-        step = Fraction(math.gcd(*(v.numerator for v in c)) or 1,
-                        math.lcm(*(v.denominator for v in c)))
-        cols.append([int(v / step) for v in c])
-        steps.append(step)
-    return [list(K) for K in zip(*cols)], steps, [int(c) for c in coeffs]
+    steps, cols = zip(*(_integer_exponents([Fraction(v) / d for v in col]) for col in exact.T))
+    return [list(K) for K in zip(*cols)], list(steps), [int(c) for c in coeffs]
+
+
+_QUARTER_TURNS = np.array([1, 1j, -1, -1j])   # i**q, indexed by q in -2..2
+
+
+def _cis(turns: np.ndarray) -> np.ndarray:
+    """exp(2 pi i t) for a float array of turns t.  r = t - rint(t), the
+    nearest quarter turn q / 4 = rint(4 r) / 4 and f = r - q / 4 are all
+    exact, so exp(2 pi i t) = i**q exp(2 pi i f) with |2 pi f| <= pi / 4:
+    cos and sin stay on libm's short-argument path (about a third of the
+    cost of a large argument), and the rotation by i**q is exact."""
+    r = turns - np.rint(turns)
+    q = np.rint(4 * r)
+    angle = TWO_PI * (r - 0.25 * q)
+    z = np.empty(np.shape(turns), dtype=complex)
+    np.cos(angle, out=z.real)
+    np.sin(angle, out=z.imag)
+    z *= _QUARTER_TURNS[q.astype(np.intp)]
+    return z
 
 
 _MAX_POWER = 1 << 12   # larger exponents take one exponential each
 
 
-def _powers(angle: np.ndarray, ks: set) -> dict:
-    """{k: exp(i k angle)} for the nonzero integers ks.  With z =
-    exp(i angle), z**|k| is a product of the repeated squares z**(2**b)
+def _powers(turns: np.ndarray, ks: set) -> dict:
+    """{k: exp(2 pi i k t)} for the integers ks and the turns t.  With z =
+    exp(2 pi i t), z**|k| is a product of the repeated squares z**(2**b)
     and z**-|k| its conjugate.  The rounding error of z**|k| grows with
     |k|, so where some |k| exceeds _MAX_POWER (a weight with a large
     denominator, or a large weight) every power is its own exponential,
-    as accurate as the phase k * angle."""
+    as accurate as the phase k * t."""
     mags = sorted({abs(k) for k in ks})
     if mags and mags[-1] > _MAX_POWER:
-        out = {a: np.exp(1j * (a * angle)) for a in mags}
+        out = {a: _cis(a * turns) for a in mags}
     else:
-        squares = [np.exp(1j * angle)]
+        squares = [_cis(turns)]
         while mags and 1 << len(squares) <= mags[-1]:
             squares.append(squares[-1] * squares[-1])
         out = {a: reduce(mul, [squares[b] for b in range(a.bit_length()) if a >> b & 1])
-               for a in mags}
+               if a else np.ones_like(squares[0]) for a in mags}
     out.update({k: np.conj(out[-k]) for k in ks if k < 0})
     return out
 
 
-_CHUNK = 4096   # points per block of the power-table kernel
+_CHUNK = 4096   # points per block of the power-table kernels
 
 
 def _power_sum(K: list, steps: list, coeffs: list):
@@ -124,7 +149,7 @@ def _power_sum(K: list, steps: list, coeffs: list):
     exponentials z_j = exp(2 pi i s_j x_j), the powers z_j**K_j of every
     column, and each term as the product of its powers, summed per
     coefficient."""
-    angles = TWO_PI * np.array([float(s) for s in steps])
+    steps = np.array([float(s) for s in steps])
     needed = [set(col) - {0} for col in zip(*K)]
     groups: dict = {}
     for row, c in zip(K, coeffs):
@@ -133,8 +158,8 @@ def _power_sum(K: list, steps: list, coeffs: list):
     def evaluate(xs: np.ndarray) -> np.ndarray:
         out = np.zeros(len(xs), dtype=complex)
         for start in range(0, len(xs), _CHUNK):
-            phases = angles[:, None] * xs[start:start + _CHUNK].T
-            tables = [_powers(phase, ks) for phase, ks in zip(phases, needed)]
+            turns = steps[:, None] * xs[start:start + _CHUNK].T
+            tables = [_powers(t, ks) for t, ks in zip(turns, needed)]
             block = out[start:start + _CHUNK]
             for c, terms in groups.items():
                 total = np.zeros(len(block), dtype=complex)
@@ -145,9 +170,10 @@ def _power_sum(K: list, steps: list, coeffs: list):
     return evaluate
 
 
-def _closed_form_terms(rs: RootSystem, kind: str, lamv: tuple) -> tuple[np.ndarray, np.ndarray, float]:
-    """m = lam in orthogonal coordinates, the map T from the omega
-    coordinates of a point x to y = m(x) / orth_pairing_scale, so that
+def _closed_form_terms(rs: RootSystem, kind: str, lamv: tuple) -> tuple[list, np.ndarray, float]:
+    """The exponents K_i = m_i / s of m = lam in orthogonal coordinates,
+    s the gcd of the m_i, the map T from the omega coordinates of a point
+    x to the turns s y_j, y = m(x) / orth_pairing_scale, so that
     <mu, x> = sum_i m_i(mu) y_i (both exact, then float), and the factor
     1/|Stab(lam)| of the symmetric kind."""
     if kind == "antisymmetric":
@@ -155,28 +181,78 @@ def _closed_form_terms(rs: RootSystem, kind: str, lamv: tuple) -> tuple[np.ndarr
     else:
         _dominant_vec(rs, lamv)
     factor = 1 / stabilizer_order(rs, lamv) if kind == "symmetric" else 1.0
-    m = np.array([float(c) for c in to_orthogonal(rs, lamv)])
+    step, K = _integer_exponents(to_orthogonal(rs, lamv))
     scale = orth_pairing_scale(rs)
     unit = np.eye(rs.rank, dtype=int).tolist()
-    T = np.array([[float(c / scale) for c in to_orthogonal(rs, e)] for e in unit])
-    return m, T, factor
+    T = np.array([[float(step * c / scale) for c in to_orthogonal(rs, e)] for e in unit])
+    return K, T, factor
 
 
-_TERMS_CACHE: dict = {}
+def _closed_form_sum(fam: str, kind: str, K: list, T: np.ndarray, factor: float):
+    """The function that evaluates the closed form with exponents K at an
+    (N, rank) float array xs: per block of points, n exponentials z_j =
+    exp(2 pi i s y_j) and the entries exp(2 pi i m_i y_j) = z_j**K_i from
+    their powers."""
+    ks = set(K)
+
+    def evaluate(xs: np.ndarray) -> np.ndarray:
+        out = np.empty(len(xs), dtype=complex)
+        for start in range(0, len(xs), _CHUNK):
+            table = _powers(xs[start:start + _CHUNK] @ T, ks)
+            E = np.stack([table[k] for k in K], axis=-2)
+            out[start:start + _CHUNK] = factor * _closed_form(fam, kind, E)
+        return out
+    return evaluate
+
+
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _BoundedCache(OrderedDict):
+    """A mapping that keeps its maxsize most recently used entries and
+    counts hits and misses, with the cache_info() of functools.lru_cache."""
+
+    def __init__(self, maxsize: int):
+        super().__init__()
+        self.maxsize = maxsize
+        self.hits = self.misses = 0
+
+    def lookup(self, key, make):
+        """The entry of key; on a miss make() is stored under it, and the
+        least recently used entry goes if there are more than maxsize."""
+        if key in self:
+            self.hits += 1
+            self.move_to_end(key)
+            return self[key]
+        self.misses += 1
+        value = self[key] = make()
+        if len(self) > self.maxsize:
+            self.popitem(last=False)
+        return value
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self.hits, self.misses, self.maxsize, len(self))
+
+    def clear(self) -> None:
+        super().clear()
+        self.hits = self.misses = 0
+
+
+# entries per cache; a pass of the evaluate bench workload sends 20 keys
+_CACHE_SIZE = 128
+
+_TERMS_CACHE = _BoundedCache(_CACHE_SIZE)
 
 
 def _evaluator(rs: RootSystem, kind: str, lamv: tuple):
     """The cached evaluation of one (diagram, kind, weight) at an (N, rank)
     float array: the closed form on B, C, D, the power-table sum on A and
     G2."""
-    key = (rs.id, kind, lamv)
-    if key not in _TERMS_CACHE:
+    def make():
         if rs.family in ("B", "C", "D"):
-            m, T, factor = _closed_form_terms(rs, kind, lamv)
-            _TERMS_CACHE[key] = lambda xs: factor * _closed_form(rs.family, kind, m, xs @ T)
-        else:
-            _TERMS_CACHE[key] = _power_sum(*_exponent_terms(rs, kind, lamv))
-    return _TERMS_CACHE[key]
+            return _closed_form_sum(rs.family, kind, *_closed_form_terms(rs, kind, lamv))
+        return _power_sum(*_exponent_terms(rs, kind, lamv))
+    return _TERMS_CACHE.lookup((rs.id, kind, lamv), make)
 
 
 def eval_orbit_function(rs: RootSystem, kind: str, lam: Sequence, x: Sequence) -> complex:
@@ -189,17 +265,18 @@ def eval_orbit_function(rs: RootSystem, kind: str, lam: Sequence, x: Sequence) -
     return complex(eval_batch(rs, kind, lam, np.asarray([list(map(float, x))]))[0])
 
 
-def _float_points(rs: RootSystem, xs, dim: int) -> np.ndarray:
-    """xs as an (N, dim) float array; ValueError for another shape or for
-    a point with a non-finite coordinate."""
+def _float_points(rs: RootSystem, xs, dim: int, what: str = "point") -> np.ndarray:
+    """xs as an (N, dim) float array; ValueError naming the diagram for
+    another shape or for a row (a point, or a weight) with a non-finite
+    coordinate."""
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != dim:
-        raise ValueError(f"expected {dim} coordinates per point for "
+        raise ValueError(f"expected {dim} coordinates per {what} for "
                          f"{rs.id.label}, got an array of shape {xs.shape}")
     finite = np.isfinite(xs)
     if not finite.all():
         i = int(np.argmin(finite.all(axis=1)))
-        raise ValueError(f"point {i} is not finite: {xs[i].tolist()}")
+        raise ValueError(f"{what} {i} is not finite for {rs.id.label}: {xs[i].tolist()}")
     return xs
 
 
@@ -209,7 +286,8 @@ def eval_batch(rs: RootSystem, kind: str, lam: Sequence, xs: np.ndarray) -> np.n
 
     B, C and D take the closed form of :func:`closed_form_orth`; it sums
     over all of W, so on a wall it is the normalized value and the
-    symmetric value is it divided by |Stab(lam)|.  A and G2 take the sum
+    symmetric value is it divided by |Stab(lam)|.  Its entries are exact
+    integer powers of n exponentials per point.  A and G2 take the sum
     over W (or the orbit) from power tables: r exponentials per point,
     and every term a product of their exact integer powers.  A weight or
     point of the wrong length, a non-finite point or a weight that is not
@@ -258,32 +336,41 @@ def eval_coroot_point(rs: RootSystem, kind: str, lam: Sequence, b: Sequence):
 
 # -- orthogonal-coordinate evaluation (A, B, C, D) -----------------------
 
-_ORTH_CACHE: dict = {}
+_ORTH_CACHE = _BoundedCache(_CACHE_SIZE)
 
 
 def _orth_terms(rs: RootSystem, kind: str, m: tuple) -> tuple[np.ndarray, np.ndarray]:
-    key = (rs.id, kind, m)
-    if key in _ORTH_CACHE:
-        return _ORTH_CACHE[key]
-    imgs, coeffs = [], []
-    for p, s, d in orth_group(rs):
-        imgs.append([float(v) for v in orth_apply(p, s, m)])
-        coeffs.append(float(d) if kind == "antisymmetric" else 1.0)
-    out = (np.array(imgs), np.array(coeffs))
-    _ORTH_CACHE[key] = out
-    return out
+    def make():
+        imgs, coeffs = [], []
+        for p, s, d in orth_group(rs):
+            imgs.append([float(v) for v in orth_apply(p, s, m)])
+            coeffs.append(float(d) if kind == "antisymmetric" else 1.0)
+        return np.array(imgs), np.array(coeffs)
+    return _ORTH_CACHE.lookup((rs.id, kind, m), make)
+
+
+def _orth_weight(rs: RootSystem, m: Sequence) -> tuple:
+    """m as exact orthogonal coordinates of rs; ValueError naming the
+    diagram for one with no orthogonal model, for a weight of another
+    length or for a non-finite coordinate."""
+    _float_points(rs, [m], orth_dim(rs), "weight")
+    return tuple(Fraction(v) for v in m)
 
 
 def is_strictly_dominant_orth(rs: RootSystem, m: Sequence) -> bool:
-    fam = rs.family
-    mv = [Fraction(v) for v in m]
-    if fam == "A":
-        return all(mv[i] > mv[i + 1] for i in range(len(mv) - 1))
-    if fam in ("B", "C"):
-        return all(mv[i] > mv[i + 1] for i in range(len(mv) - 1)) and mv[-1] > 0
-    if fam == "D":
+    mv = _orth_weight(rs, m)
+    if rs.family == "D":
         return all(mv[i] > mv[i + 1] for i in range(len(mv) - 2)) and mv[-2] > abs(mv[-1])
-    raise ValueError(f"no orthogonal model for {rs.id.label}")
+    decreasing = all(mv[i] > mv[i + 1] for i in range(len(mv) - 1))
+    return decreasing if rs.family == "A" else decreasing and mv[-1] > 0
+
+
+def _strict_orth(rs: RootSystem, m: Sequence) -> tuple:
+    """m checked by _orth_weight, as exact coordinates; WallError unless
+    it is strictly dominant in orthogonal coordinates."""
+    if not is_strictly_dominant_orth(rs, m):
+        raise WallError(f"{tuple(m)} is not strictly dominant in orthogonal coordinates")
+    return tuple(Fraction(v) for v in m)
 
 
 def eval_orth(rs: RootSystem, kind: str, m: Sequence, x: Sequence) -> complex:
@@ -300,11 +387,7 @@ def eval_orth_batch(rs: RootSystem, kind: str, m: Sequence, xs: np.ndarray) -> n
     kind = _norm_kind(kind)
     if kind == "normalized":
         raise ValueError("normalized kind is only defined on omega coordinates")
-    if len(m) != orth_dim(rs):
-        raise ValueError(f"expected {orth_dim(rs)} coordinates")
-    if not is_strictly_dominant_orth(rs, m):
-        raise WallError(f"{tuple(m)} is not strictly dominant in orthogonal coordinates")
-    imgs, coeffs = _orth_terms(rs, kind, tuple(Fraction(v) for v in m))
+    imgs, coeffs = _orth_terms(rs, kind, _strict_orth(rs, m))
     xs = _float_points(rs, xs, orth_dim(rs))
     return coeffs @ np.exp(TWO_PI * 1j * (imgs @ xs.T))
 
@@ -338,44 +421,38 @@ def _perm_sum(values: np.ndarray, signed: bool):
     return minors[(1 << n) - 1]
 
 
-def _closed_form(fam: str, kind: str, m: np.ndarray, ys: np.ndarray):
+def _closed_form(fam: str, kind: str, E: np.ndarray):
     """The sum over W of (det w for the antisymmetric kind times)
     exp(2 pi i <w m, y>) in orthogonal coordinates, by its determinant or
-    permanent form, at points ys of any batch shape (..., len(m)).
+    permanent form, from the entries E_ij = exp(i theta_ij), theta_ij =
+    2 pi m_i y_j, at points of any batch shape (..., n, n): cos theta is
+    E.real and sin theta is E.imag.
 
-    With theta_ij = 2 pi m_i y_j:  A: det/perm exp(i theta);  B, C:
-    (2i)^n det sin theta (antisymmetric) or 2^n perm cos theta;  D:
-    2^(n-1) perm cos theta + (2i)^n perm sin theta / 2, with det in place
-    of perm for the antisymmetric kind.
+    A: det/perm E;  B, C: (2i)^n det sin theta (antisymmetric) or 2^n
+    perm cos theta;  D: 2^(n-1) perm cos theta + (2i)^n perm sin theta / 2,
+    with det in place of perm for the antisymmetric kind.
     """
     signed = kind == "antisymmetric"
-    theta = TWO_PI * m[:, None] * ys[..., None, :]
-    n = len(m)
+    n = E.shape[-1]
     if fam == "A":
-        return _perm_sum(np.exp(1j * theta), signed)
+        return _perm_sum(E, signed)
     if fam in ("B", "C"):
         if signed:
-            return (2j) ** n * _perm_sum(np.sin(theta), True)
-        return 2 ** n * _perm_sum(np.cos(theta), False)
-    value = 2 ** (n - 1) * _perm_sum(np.cos(theta), signed)
-    if m[-1] == 0:  # a row of zeros: the sine part vanishes
+            return (2j) ** n * _perm_sum(E.imag, True)
+        return 2 ** n * _perm_sum(E.real, False)
+    value = 2 ** (n - 1) * _perm_sum(E.real, signed)
+    if not E.imag[..., -1, :].any():  # m_n = 0: the sine part vanishes
         return value
-    return value + (2j) ** n / 2 * _perm_sum(np.sin(theta), signed)
+    return value + (2j) ** n / 2 * _perm_sum(E.imag, signed)
 
 
 def closed_form_orth(rs: RootSystem, kind: str, m: Sequence, x: Sequence) -> complex:
     """Determinant / permanent closed forms in orthogonal coordinates at
     one point: the one-point case of the body eval_batch uses on B, C, D."""
     kind = _norm_kind(kind)
-    if rs.family not in ("A", "B", "C", "D"):
-        raise ValueError(f"no closed orthogonal form for {rs.id.label}")
-    dim = orth_dim(rs)
-    if len(m) != dim:
-        raise ValueError(f"expected {dim} coordinates")
-    if not is_strictly_dominant_orth(rs, m):
-        raise WallError(f"{tuple(m)} is not strictly dominant in orthogonal coordinates")
-    mv = np.asarray([float(v) for v in m])
-    return complex(_closed_form(rs.family, kind, mv, _float_points(rs, [x], dim)[0]))
+    mv = np.array([float(v) for v in _strict_orth(rs, m)])
+    xv = _float_points(rs, [x], len(mv))[0]
+    return complex(_closed_form(rs.family, kind, _cis(np.multiply.outer(mv, xv))))
 
 
 # -- rho products ---------------------------------------------------------
@@ -439,7 +516,7 @@ def rho_products_orth(rs: RootSystem, x: Sequence) -> tuple[complex, complex]:
     For A_n the formulas hold on the zero-sum hyperplane.
     """
     fam, n = rs.family, rs.rank
-    xv = [float(v) for v in x]
+    xv = _float_points(rs, [x], orth_dim(rs))[0].tolist()
     sin, cos = math.sin, math.cos
     pi = math.pi
     if fam == "A":
@@ -450,27 +527,19 @@ def rho_products_orth(rs: RootSystem, x: Sequence) -> tuple[complex, complex]:
                 s *= sin(pi * (xv[i] - xv[j]))
                 c *= cos(pi * (xv[i] - xv[j]))
         return (2j) ** r * s, 2 ** r * c
+    s = c = 1.0   # B, C, D: orth_dim refused every other family
+    for i in range(n):
+        for j in range(i + 1, n):
+            s *= sin(pi * (xv[i] - xv[j])) * sin(pi * (xv[i] + xv[j]))
+            c *= cos(pi * (xv[i] - xv[j])) * cos(pi * (xv[i] + xv[j]))
+    r = n * (n - 1)
     if fam in ("B", "C"):
-        r = n * n
-        s = c = 1.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                s *= sin(pi * (xv[i] - xv[j])) * sin(pi * (xv[i] + xv[j]))
-                c *= cos(pi * (xv[i] - xv[j])) * cos(pi * (xv[i] + xv[j]))
+        r += n
         for i in range(n):
             ang = pi * xv[i] if fam == "B" else 2 * pi * xv[i]
             s *= sin(ang)
             c *= cos(ang)
-        return (2j) ** r * s, 2 ** r * c
-    if fam == "D":
-        r = n * (n - 1)
-        s = c = 1.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                s *= sin(pi * (xv[i] - xv[j])) * sin(pi * (xv[i] + xv[j]))
-                c *= cos(pi * (xv[i] - xv[j])) * cos(pi * (xv[i] + xv[j]))
-        return (2j) ** r * s, 2 ** r * c
-    raise ValueError(f"no orthogonal model for {rs.id.label}")
+    return (2j) ** r * s, 2 ** r * c
 
 
 # -- characters and dimensions -------------------------------------------

@@ -189,6 +189,24 @@ def test_batches_refuse_bad_points():
             closed_form_orth(b3, kind, (3, 2), [0.1, 0.2, 0.3])
 
 
+def test_orthogonal_entry_points_refuse_bad_weights_and_points():
+    b3 = build("B3")
+    with pytest.raises(ValueError, match="expected 3 coordinates per point for B3"):
+        rho_products_orth(b3, (0.1, 0.2))
+    with pytest.raises(ValueError, match="expected 3 coordinates per weight for B3"):
+        is_strictly_dominant_orth(b3, (1,))
+    with pytest.raises(ValueError, match="no orthogonal model for G2"):
+        is_strictly_dominant_orth(build("G2"), (2, 1))
+    for bad in (math.nan, math.inf, -math.inf):
+        for call in (closed_form_orth, eval_orth):
+            with pytest.raises(ValueError, match="weight 0 is not finite for B3"):
+                call(b3, "anti", (3, bad, 1), (0.1, 0.2, 0.3))
+        with pytest.raises(ValueError, match="weight 0 is not finite for B3"):
+            is_strictly_dominant_orth(b3, (bad, 2, 1))
+        with pytest.raises(ValueError, match="point 0 is not finite for B3"):
+            rho_products_orth(b3, (0.1, bad, 0.3))
+
+
 def test_closed_form_d_with_zero_last_coordinate():
     d4 = build("D4")
     m = (3, 2, 1, 0)
@@ -562,11 +580,11 @@ KINDS = ("antisymmetric", "symmetric", "normalized")
 
 @st.composite
 def closed_form_cases(draw):
-    """A routed diagram, a kind, a weight with coordinates k or k/2 (and 0
-    for the symmetric kinds, so that walls are hit), and 1-300 points."""
+    """A routed diagram, a kind, a weight with coordinates k/q (and 0 for
+    the symmetric kinds, so that walls are hit), and 1-300 points."""
     rs = build(draw(st.sampled_from(CLOSED_FORM_DIAGRAMS)))
     kind = draw(st.sampled_from(KINDS))
-    coordinate = st.builds(F, st.integers(1, 12), st.sampled_from([1, 2]))
+    coordinate = st.builds(F, st.integers(1, 12), st.integers(1, 4))
     if kind != "antisymmetric":
         coordinate = st.one_of(st.just(F(0)), coordinate)
     lam = tuple(draw(st.lists(coordinate, min_size=rs.rank, max_size=rs.rank)))
@@ -580,13 +598,32 @@ def closed_form_cases(draw):
 # D4 weights with lam_3 = lam_4 have m_4 = 0, where the sine part vanishes
 @example((build("D4"), "antisymmetric", (1, 2, 3, 3), np.full((2, 4), 0.3)))
 @example((build("D4"), "symmetric", (0, 2, 3, 3), np.full((2, 4), 0.3)))
+# lam_3 < lam_4 gives m_4 < 0: negative exponents, the conjugate powers
+@example((build("D4"), "antisymmetric", (1, 1, 1, 2),
+          np.random.default_rng(7).uniform(-1, 1, (40, 4))))
+@example((build("D4"), "symmetric", (0, 3, F(1, 2), F(5, 2)),
+          np.random.default_rng(8).uniform(-1, 1, (40, 4))))
+# m = (3, 2, 0) and (1, 0, 0): rows of exponent 0
+@example((build("B3"), "symmetric", (1, 2, 0), np.random.default_rng(9).uniform(-1, 1, (40, 3))))
+@example((build("C3"), "normalized", (2, 0, 0), np.random.default_rng(9).uniform(-1, 1, (40, 3))))
+# a large denominator: exponents near 5 * 10**6, one exponential each
+@example((build("B3"), "symmetric", (F(1, 1000003), 0, F(5, 7)),
+          np.random.default_rng(5).uniform(-1, 1, (50, 3))))
+@example((build("C4"), "antisymmetric", (3, 2, 1, F(1, 5)), np.zeros((0, 4))))
+# two full blocks of points and a short one
+@example((build("B3"), "antisymmetric", (1, 2, 3),
+          np.random.default_rng(3).uniform(-1, 1, (2 * orbitfn._CHUNK + 5, 3))))
+@example((build("C3"), "symmetric", (2, 0, 1),
+          np.random.default_rng(4).uniform(-1, 1, (2 * orbitfn._CHUNK + 5, 3))))
+@example((build("D4"), "normalized", (1, 0, 2, 1),
+          np.random.default_rng(6).uniform(-1, 1, (2 * orbitfn._CHUNK + 5, 4))))
 def test_eval_batch_matches_the_group_sum(case):
     rs, kind, lam, xs = case
     got = eval_batch(rs, kind, lam, xs)
     ref = group_sum(*group_sum_terms(rs, kind, lam), xs)
     # both routes round every phase; that error grows with |W|
     tol = 1e-13 * rs.weyl_order * np.maximum(1.0, np.abs(ref))
-    assert got.shape == ref.shape and got.dtype == complex
+    assert got.shape == ref.shape == (len(xs),) and got.dtype == complex
     assert np.all(np.abs(got - ref) <= tol)
 
 
@@ -627,3 +664,50 @@ def test_power_tables_match_the_group_sum(case):
     tol = 1e-13 * rs.weyl_order * np.maximum(1.0, np.abs(ref))
     assert got.shape == ref.shape == (len(xs),) and got.dtype == complex
     assert np.all(np.abs(got - ref) <= tol)
+
+
+def test_cis_matches_mpmath():
+    import mpmath as mp
+
+    rng = np.random.default_rng(11)
+    big = 2.0 ** 40
+    special = [0.0, 0.5, -0.5, 0.25, -0.25, 0.125, -0.375, 1e-300, -1e-9, 7.0, -3.0,
+               big, -big, big + 0.5, -big - 0.25, big - 2.0 ** -12, 2.0 ** 39 + 0.375]
+    turns = np.concatenate([special, rng.uniform(-1, 1, 300), rng.uniform(-40, 40, 300),
+                            rng.uniform(-big, big, 300)])
+    got = orbitfn._cis(turns)
+    with mp.workdps(40):
+        exact = np.array([complex(mp.expjpi(2 * mp.mpf(t))) for t in turns])
+    assert got.shape == turns.shape and got.dtype == complex
+    assert np.max(np.abs(got - exact)) < 4e-16
+    # integers, half and quarter turns come out exact
+    for t, z in ((3.0, 1), (-big, 1), (0.5, -1), (-0.5, -1), (big + 0.5, -1),
+                 (0.25, 1j), (-0.25, -1j), (2.75, -1j)):
+        assert orbitfn._cis(np.array([t]))[0] == z
+    assert orbitfn._cis(np.zeros((2, 0, 3))).shape == (2, 0, 3)
+
+
+@pytest.mark.parametrize("name", ["_TERMS_CACHE", "_ORTH_CACHE"])
+def test_caches_are_bounded_and_an_evicted_key_evaluates_the_same(name, monkeypatch):
+    cache = getattr(orbitfn, name)
+    assert cache.cache_info().maxsize == orbitfn._CACHE_SIZE
+    monkeypatch.setattr(cache, "maxsize", 3)
+    cache.clear()
+    b3 = build("B3")
+    xs = np.random.default_rng(12).uniform(-1, 1, (20, 3))
+    evaluate = eval_batch if name == "_TERMS_CACHE" else eval_orth_batch
+    weights = [(3, 2, 1), (4, 2, 1), (5, 2, 1), (5, 3, 1), (5, 3, 2)]
+    first = [evaluate(b3, "anti", lam, xs) for lam in weights]
+    info = cache.cache_info()
+    assert (info.hits, info.misses, info.maxsize, info.currsize) == (0, 5, 3, 3)
+    cached = lambda lam: any(lam in key for key in cache)
+    assert [cached(lam) for lam in weights] == [False, False, True, True, True]
+    # a hit makes weights[2] the most recently used, so weights[3] and then
+    # weights[4] go; the evicted keys evaluate to the same values again
+    assert np.array_equal(evaluate(b3, "anti", weights[2], xs), first[2])
+    for lam, before in zip(weights[:2], first):
+        assert np.array_equal(evaluate(b3, "anti", lam, xs), before)
+    assert [cached(lam) for lam in weights] == [True, True, True, False, False]
+    info = cache.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 7, 3)
+    assert len(cache) == 3
