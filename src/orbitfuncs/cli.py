@@ -3,6 +3,10 @@
 Exact lattice data (grid coordinates, weights, orbit labels) is printed
 as fraction strings "p/q" so that output can be re-ingested without loss;
 floating-point values are printed as decimals.
+
+Every process runs one verb, so each verb imports the layers it calls
+(and numpy through them) in its body: only click and ``rootsys`` are
+loaded at import time, and ``rootsys info`` runs without numpy.
 """
 
 from __future__ import annotations
@@ -15,19 +19,23 @@ import time
 from fractions import Fraction
 
 import click
-import numpy as np
 
 from . import rootsys as rsmod
 from .rootsys import build, _frac_str
-from . import weyl as weylmod
-from . import orbitfn as ofmod
-from . import orbitalg as algmod
-from . import transforms as trmod
-from . import analysis as anmod
 
 
 def _parse_vec(text: str) -> tuple[Fraction, ...]:
     return tuple(Fraction(part.strip()) for part in text.split(","))
+
+
+def _float_cell(text: str) -> float:
+    """A point coordinate, decimal or "p/q", as the float nearest to its
+    exact value: float() rounds a decimal correctly, and a "p/q" goes
+    through Fraction.  Adding 0.0 turns "-0" into 0.0, as Fraction does."""
+    try:
+        return float(text) + 0.0
+    except ValueError:
+        return float(Fraction(text))
 
 
 def _emit(ctx, data):
@@ -87,6 +95,7 @@ def rootsys_group():
 @click.argument("diagram")
 @click.pass_context
 def rootsys_info(ctx, diagram):
+    """Cartan matrix, metric, marks, rho and Weyl group order of a diagram."""
     rs = build(diagram)
     data = rsmod.to_json_dict(rs)
     _emit(ctx, data)
@@ -102,6 +111,8 @@ def orbit():
 @click.option("--lambda", "lam", required=True, help="comma-separated omega coordinates")
 @click.pass_context
 def orbit_signed(ctx, diagram, lam):
+    """The signed Weyl orbit of a strictly dominant weight."""
+    from . import weyl as weylmod
     rs = build(diagram)
     so = weylmod.signed_orbit(rs, _parse_vec(lam))
     data = {
@@ -117,6 +128,8 @@ def orbit_signed(ctx, diagram, lam):
 @click.option("--lambda", "lam", required=True)
 @click.pass_context
 def orbit_plain(ctx, diagram, lam):
+    """The Weyl orbit of a dominant weight."""
+    from . import weyl as weylmod
     rs = build(diagram)
     pts = weylmod.orbit(rs, _parse_vec(lam))
     data = {"diagram": rs.id.label,
@@ -135,18 +148,19 @@ def orbit_plain(ctx, diagram, lam):
 @click.pass_context
 def eval_cmd(ctx, diagram, kind, lam, xtext, infile):
     """Evaluate an orbit function at one point or a CSV batch."""
+    from . import orbitfn as ofmod
     rs = build(diagram)
     lamv = _parse_vec(lam)
     if (xtext is None) == (infile is None):
         raise click.UsageError("give exactly one of --x or --in")
     if xtext is not None:
-        x = [float(Fraction(v)) for v in xtext.split(",")]
+        x = [_float_cell(v) for v in xtext.split(",")]
         val = ofmod.eval_orbit_function(rs, kind, lamv, x)
         _emit(ctx, {"re": val.real, "im": val.imag})
         return
     with open(infile) as fh:
         rows = list(csv.reader(fh))
-    xs = np.array([[float(Fraction(v)) for v in row] for row in rows[1:]])
+    xs = [[_float_cell(v) for v in row] for row in rows[1:]]
     vals = ofmod.eval_batch(rs, kind, lamv, xs)
     writer = csv.writer(ctx.obj["out"])
     writer.writerow(rows[0] + ["re", "im"])
@@ -174,6 +188,7 @@ def _orbit_sum_payload(osum):
 @click.pass_context
 def product_cmd(ctx, diagram, plain1, signed1, plain2, signed2):
     """Decompose a product of two (signed) orbits."""
+    from . import orbitalg as algmod
     rs = build(diagram)
     given = [v for v in (plain1, signed1, plain2, signed2) if v is not None]
     if len(given) != 2:
@@ -198,6 +213,7 @@ def product_cmd(ctx, diagram, plain1, signed1, plain2, signed2):
 @click.pass_context
 def branch_cmd(ctx, source, rule, lam):
     """Decompose a signed orbit into sub-root-system signed orbits."""
+    from . import orbitalg as algmod
     rs = build(source)
     rule = rule.lower()
     if rule in ("drop", "drop-last", "drop-first"):
@@ -218,6 +234,7 @@ def branch_cmd(ctx, source, rule, lam):
 @click.pass_context
 def grid_cmd(ctx, diagram, big_m, interior):
     """Points of the F_M grid as CSV with exact fraction coordinates."""
+    from . import transforms as trmod
     rs = build(diagram)
     g = trmod.grid_fm(rs, big_m)
     pts = g.interior_points() if interior else g.points
@@ -250,6 +267,8 @@ def transform_cmd(ctx, kind, nvars, size, infile, direction):
     values as two columns re,im are also accepted); rows must match the
     plan's grid/label order, which the forward output documents.
     """
+    import numpy as np
+    from . import transforms as trmod
     if kind.lower() in ONE_D_KINDS:
         plan = trmod.dst_dct_1d(kind, size)
     else:
@@ -286,6 +305,8 @@ def plan_group():
 @click.pass_context
 def plan_verify(ctx, diagram, big_m):
     """Build the F_M plan and print the worst Gram deviation."""
+    import numpy as np
+    from . import transforms as trmod
     rs = build(diagram)
     tol = ctx.obj["tolerance"] or 1e-9
     try:
@@ -309,6 +330,8 @@ def check_group():
 @click.option("--trials", default=20, type=int, show_default=True)
 @click.pass_context
 def check_laplace(ctx, diagram, lam, trials):
+    """The Laplace eigenvalue of antisymmetric orbit functions."""
+    from . import analysis as anmod
     rs = build(diagram)
     tol = ctx.obj["tolerance"] or 1e-5
     rng = random.Random(ctx.obj["seed"])
@@ -331,6 +354,8 @@ def check_laplace(ctx, diagram, lam, trials):
 @click.option("--trials", default=20, type=int, show_default=True)
 @click.pass_context
 def check_shift(ctx, diagram, lam, trials):
+    """Shift-operator eigenrelations at random pairs of points."""
+    from . import analysis as anmod
     rs = build(diagram)
     tol = ctx.obj["tolerance"] or 1e-10
     rng = random.Random(ctx.obj["seed"])
@@ -350,6 +375,8 @@ def check_shift(ctx, diagram, lam, trials):
 @click.option("--max-degree", default=4, type=int, show_default=True)
 @click.pass_context
 def check_hermite(ctx, max_degree):
+    """Hermite eigenfunctions of the (anti)symmetrized 2-D transform."""
+    from . import analysis as anmod
     tol = ctx.obj["tolerance"] or 1e-5
     quad = anmod.PlaneWaveQuadrature.make(6.0, 400)
     worst = 0.0
@@ -372,6 +399,9 @@ def check_hermite(ctx, max_degree):
 @click.pass_context
 def selftest(ctx, quick):
     """Run the invariant suite and report pass/fail per property."""
+    import numpy as np
+    from . import weyl as weylmod, orbitfn as ofmod, orbitalg as algmod
+    from . import transforms as trmod, analysis as anmod
     rng = random.Random(ctx.obj["seed"])
     out = ctx.obj["out"]
     failures = 0

@@ -262,14 +262,17 @@ def eval_orbit_function(rs: RootSystem, kind: str, lam: Sequence, x: Sequence) -
     symmetric:     sum over the orbit of exp(2 pi i <mu, x>)
     normalized:    |W_lam| times the symmetric value
     """
-    return complex(eval_batch(rs, kind, lam, np.asarray([list(map(float, x))]))[0])
+    return complex(eval_batch(rs, kind, lam, [x])[0])
 
 
 def _float_points(rs: RootSystem, xs, dim: int, what: str = "point") -> np.ndarray:
     """xs as an (N, dim) float array; ValueError naming the diagram for
-    another shape or for a row (a point, or a weight) with a non-finite
-    coordinate."""
-    xs = np.asarray(xs, dtype=float)
+    another shape, for a row (a point, or a weight) that is not dim real
+    numbers in float range, or for one with a non-finite coordinate."""
+    try:
+        xs = np.asarray(xs, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(_bad_row(rs, xs, dim, what)) from None
     if xs.ndim != 2 or xs.shape[1] != dim:
         raise ValueError(f"expected {dim} coordinates per {what} for "
                          f"{rs.id.label}, got an array of shape {xs.shape}")
@@ -278,6 +281,20 @@ def _float_points(rs: RootSystem, xs, dim: int, what: str = "point") -> np.ndarr
         i = int(np.argmin(finite.all(axis=1)))
         raise ValueError(f"{what} {i} is not finite for {rs.id.label}: {xs[i].tolist()}")
     return xs
+
+
+def _bad_row(rs: RootSystem, xs, dim: int, what: str) -> str:
+    """The message for rows that np.asarray cannot make one float array
+    of: a ragged or nested row, a non-number, an int beyond float range."""
+    for i, row in enumerate(xs):
+        try:
+            if np.asarray(row, dtype=float).shape == (dim,):
+                continue
+        except (TypeError, ValueError, OverflowError):
+            pass
+        return (f"{what} {i} is not {dim} real numbers in float range "
+                f"for {rs.id.label}: {row!r}")
+    return f"expected {dim} real coordinates per {what} for {rs.id.label}"
 
 
 def eval_batch(rs: RootSystem, kind: str, lam: Sequence, xs: np.ndarray) -> np.ndarray:
@@ -352,9 +369,14 @@ def _orth_terms(rs: RootSystem, kind: str, m: tuple) -> tuple[np.ndarray, np.nda
 def _orth_weight(rs: RootSystem, m: Sequence) -> tuple:
     """m as exact orthogonal coordinates of rs; ValueError naming the
     diagram for one with no orthogonal model, for a weight of another
-    length or for a non-finite coordinate."""
+    length, for a non-finite coordinate or for one that is not a real
+    number."""
     _float_points(rs, [m], orth_dim(rs), "weight")
-    return tuple(Fraction(v) for v in m)
+    try:
+        return tuple(Fraction(v) for v in m)
+    except (TypeError, ValueError):
+        raise ValueError(f"weight {tuple(m)!r} is not exact real numbers "
+                         f"for {rs.id.label}") from None
 
 
 def is_strictly_dominant_orth(rs: RootSystem, m: Sequence) -> bool:
@@ -379,7 +401,7 @@ def eval_orth(rs: RootSystem, kind: str, m: Sequence, x: Sequence) -> complex:
     Requires m strictly dominant in the orthogonal sense, so that the
     group sum and the orbit sum coincide for the symmetric kind too.
     """
-    return complex(eval_orth_batch(rs, kind, m, np.asarray([list(map(float, x))]))[0])
+    return complex(eval_orth_batch(rs, kind, m, [x])[0])
 
 
 def eval_orth_batch(rs: RootSystem, kind: str, m: Sequence, xs: np.ndarray) -> np.ndarray:

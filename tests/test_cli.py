@@ -1,12 +1,18 @@
 import csv
 import io
 import json
+import re
+import subprocess
+import sys
+from fractions import Fraction
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, strategies as st
 
-from orbitfuncs.cli import main
+from orbitfuncs.cli import main, _float_cell
 
 
 def run(*args, **kw):
@@ -214,3 +220,117 @@ def test_csv_format_prints_flat_records_and_refuses_nested_ones():
                                     "--diagram", "A2", "--lambda", "1,0"])
     assert res.exit_code == 1
     assert "prints nested data, which has no csv layout" in res.output
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False), st.integers(1, 17))
+def test_float_cell_rounds_like_fraction(x, k):
+    text = repr(round(x, k))
+    assert _float_cell(text).hex() == float(Fraction(text)).hex()
+
+
+@pytest.mark.parametrize("text", ["1/3", "-2/7", " 0.5", "1e-5", "3", "-0.0"])
+def test_float_cell_reads_fractions_and_decimals(text):
+    assert _float_cell(text).hex() == float(Fraction(text)).hex()
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_eval_refuses_non_finite_cells(cell, tmp_path, monkeypatch, capsys):
+    from orbitfuncs import cli
+    src = tmp_path / "points.csv"
+    src.write_text(f"x1,x2\n0.1,0.2\n0.3,{cell}\n")
+    for source in (["--in", str(src)], ["--x", f"0.3,{cell}"]):
+        monkeypatch.setattr("sys.argv", ["orbitfuncs", "eval", "--diagram", "C2",
+                                         "--lambda", "2,1", *source])
+        with pytest.raises(SystemExit) as exit_:
+            cli.run()
+        assert exit_.value.code == 1
+        assert re.search(r"error: point \d is not finite for C2", capsys.readouterr().err)
+
+
+LAYERS = ("numpy", "orbitfuncs.weyl", "orbitfuncs.orbitfn", "orbitfuncs.orbitalg",
+          "orbitfuncs.transforms", "orbitfuncs.analysis")
+
+
+def _layers_loaded(*argv):
+    """Run one cli command (or only the import, for no argv) in a fresh
+    interpreter; return its exit code, stdout and the LAYERS it loaded."""
+    code = f"""
+import json, sys
+from orbitfuncs import cli
+code = 0
+if {list(argv)!r}:
+    sys.argv = ["orbitfuncs", *{list(argv)!r}]
+    try:
+        cli.run()
+    except SystemExit as exit_:
+        code = exit_.code
+print(json.dumps([code, [m for m in {LAYERS!r} if m in sys.modules]]), file=sys.stderr)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    exit_code, loaded = json.loads(proc.stderr.splitlines()[-1])
+    return exit_code, proc.stdout, set(loaded)
+
+
+def test_import_and_rootsys_info_load_no_layer_and_no_numpy():
+    assert _layers_loaded() == (0, "", set())
+    code, out, loaded = _layers_loaded("rootsys", "info", "B3")
+    assert code == 0 and json.loads(out)["weyl_order"] == 48
+    assert loaded == set()
+
+
+@pytest.mark.parametrize("argv, layers", [
+    (["orbit", "signed", "--diagram", "A2", "--lambda", "1,1"],
+     {"numpy", "orbitfuncs.weyl"}),
+    (["eval", "--diagram", "A2", "--lambda", "1,1", "--x", "0.25,0.25"],
+     {"numpy", "orbitfuncs.weyl", "orbitfuncs.orbitfn"}),
+])
+def test_a_verb_loads_only_its_layers(argv, layers):
+    code, _, loaded = _layers_loaded(*argv)
+    assert code == 0 and loaded == layers
+
+
+# the first help line of every group and command, by its path below main
+HELP = {
+    (): "Weyl-group orbit functions: root data, orbits, evaluation, orbit",
+    ("rootsys",): "Static root-system data.",
+    ("rootsys", "info"): "Cartan matrix, metric, marks, rho and Weyl group order of a diagram.",
+    ("orbit",): "Weyl orbits of dominant weights.",
+    ("orbit", "signed"): "The signed Weyl orbit of a strictly dominant weight.",
+    ("orbit", "plain"): "The Weyl orbit of a dominant weight.",
+    ("eval",): "Evaluate an orbit function at one point or a CSV batch.",
+    ("product",): "Decompose a product of two (signed) orbits.",
+    ("branch",): "Decompose a signed orbit into sub-root-system signed orbits.",
+    ("grid",): "Points of the F_M grid as CSV with exact fraction coordinates.",
+    ("transform",): "Apply a 1-D or multivariate discrete transform to a CSV signal.",
+    ("plan",): "Finite orbit-function transform plans.",
+    ("plan", "verify"): "Build the F_M plan and print the worst Gram deviation.",
+    ("check",): "Numerical verification of operator identities.",
+    ("check", "laplace"): "The Laplace eigenvalue of antisymmetric orbit functions.",
+    ("check", "shift"): "Shift-operator eigenrelations at random pairs of points.",
+    ("check", "hermite"): "Hermite eigenfunctions of the (anti)symmetrized 2-D transform.",
+    ("selftest",): "Run the invariant suite and report pass/fail per property.",
+}
+
+
+def _command_paths(group, path=()):
+    for name, cmd in group.commands.items():
+        yield path + (name,)
+        if isinstance(cmd, click.Group):
+            yield from _command_paths(cmd, path + (name,))
+
+
+def test_every_command_keeps_its_help_line():
+    """A statement above a docstring makes it a plain expression, and the
+    command's help silently goes blank."""
+    assert set(_command_paths(main)) == set(HELP) - {()}
+
+    def help_text(path):
+        res = CliRunner().invoke(main, [*path, "--help"], terminal_width=200)
+        assert res.exit_code == 0
+        return res.output
+
+    for path, line in HELP.items():
+        assert line in " ".join(help_text(path).split())
+        if path:
+            listing = help_text(path[:-1])
+            assert re.search(rf"^  {path[-1]} +{re.escape(line)}$", listing, re.M), path

@@ -205,6 +205,17 @@ def test_orthogonal_entry_points_refuse_bad_weights_and_points():
             is_strictly_dominant_orth(b3, (bad, 2, 1))
         with pytest.raises(ValueError, match="point 0 is not finite for B3"):
             rho_products_orth(b3, (0.1, bad, 0.3))
+    # an int beyond float range, a ragged batch and a nested coordinate
+    with pytest.raises(ValueError, match="weight 0 is not 3 real numbers in float range for B3"):
+        is_strictly_dominant_orth(b3, (10**400, 2, 1))
+    with pytest.raises(ValueError, match=r"point 1 is not 3 real numbers .* for B3: \[0.1, 0.2\]"):
+        eval_batch(b3, "anti", (1, 1, 1), [[.1, .2, .3], [.1, .2]])
+    for call in (eval_orth, eval_orbit_function):
+        with pytest.raises(ValueError, match=r"point 0 is not 3 real numbers .* for B3"):
+            call(b3, "anti", (3, 2, 1), [(.1, .2), .3, .1])
+    # numpy reads bytes as a float, Fraction does not
+    with pytest.raises(ValueError, match="is not exact real numbers for B3"):
+        is_strictly_dominant_orth(b3, (b"3", 2, 1))
 
 
 def test_closed_form_d_with_zero_last_coordinate():
