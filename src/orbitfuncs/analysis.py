@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .rootsys import RootSystem, vec, inner, orth_dim
-from .weyl import orth_group, orth_apply, _group
+from .weyl import orth_action, _group
 from .orbitfn import (
     TWO_PI, eval_orbit_function, eval_batch, eval_orth_batch, _perm_sum,
 )
@@ -198,8 +198,8 @@ def gradient_sum_residual(rs: RootSystem, m: Sequence, x: Sequence,
     character (A, B, C, and even-rank D)."""
     r = orth_dim(rs)
     xv = np.asarray([float(v) for v in x])
-    images = np.array([[float(v) for v in orth_apply(p, s, xv)]
-                       for p, s, _ in orth_group(rs)])
+    perm, signs = orth_action(rs)
+    images = signs * xv[perm]
     worst = 0.0
     for i in range(r):
         e = np.zeros(r)

@@ -277,9 +277,12 @@ def transform_cmd(ctx, kind, nvars, size, infile, direction):
         rows = list(csv.reader(fh))
     header = [h.strip().lower() for h in rows[0]]
     if header[-2:] == ["re", "im"]:
-        f = np.array([float(r[-2]) + 1j * float(r[-1]) for r in rows[1:]])
+        f = np.array([_float_cell(r[-2]) + 1j * _float_cell(r[-1]) for r in rows[1:]])
     else:
-        f = np.array([float(r[-1]) for r in rows[1:]], dtype=complex)
+        f = np.array([_float_cell(r[-1]) for r in rows[1:]], dtype=complex)
+    bad = np.flatnonzero(~np.isfinite(f))
+    if len(bad):
+        raise ValueError(f"signal value {bad[0]} is not finite: {rows[bad[0] + 1]}")
     expect = len(plan.grid) if direction == "forward" else len(plan.labels)
     if len(f) != expect:
         raise click.ClickException(

@@ -7,10 +7,12 @@ and 0 on them, with (dom y, sign) from ``to_dominant``.  Since an orbit is
 W-invariant, a product of two orbit sums is a sum of S+ or S- over the
 points of one factor only, so it costs O(|orbit|) ``to_dominant`` calls
 instead of a loop over pairs of points; the pair loops are kept in the
-tests as brute-force oracles.  A restriction (``branch``) keeps only
-points that are strictly dominant for the subgroup and reads each
-coefficient off the dominant representative itself; the per-family
-branching term generators are validated against it in the tests.
+tests as brute-force oracles.  A restriction (``branch``) is a masked
+array sum: the images of m under the whole group, as integer rows of
+signed permutations, are split into the parts of the subgroup, masked to
+the rows strictly dominant for every part, and their dets summed per
+distinct row; the per-family branching term generators are validated
+against it in the tests.
 """
 
 from __future__ import annotations
@@ -19,10 +21,12 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .rootsys import RootSystem, vec, orth_dim, _vec_str
 from .weyl import (
-    orbit, signed_orbit, to_dominant, stabilizer_order, orth_group, orth_apply,
-    WallError, _perm_sign, _dominant_vec, _strict_vec,
+    orbit, signed_orbit, to_dominant, stabilizer_order, orth_action, WallError,
+    _dominant_vec, _group, _scaled, _strict_vec, _unscaled,
 )
 
 
@@ -116,16 +120,15 @@ def _strictly_decreasing(t) -> bool:
     return all(t[i] > t[i + 1] for i in range(len(t) - 1))
 
 
-def _dominant_for(family: str, t) -> bool:
-    if family == "A":
-        return _strictly_decreasing(t)
-    if family in ("B", "C"):
-        return _strictly_decreasing(t) and t[-1] > 0
+def _dominant_rows(family: str, t: np.ndarray) -> np.ndarray:
+    """Mask of the rows of t, orthogonal coordinates of the given family,
+    that are strictly dominant for it."""
     if family == "D":
-        if len(t) == 1:
-            return True
-        return _strictly_decreasing(t[:-1]) and t[-2] > abs(t[-1])
-    raise ValueError(family)
+        if t.shape[1] == 1:
+            return np.ones(len(t), dtype=bool)
+        return np.all(t[:, :-2] > t[:, 1:-1], axis=1) & (t[:, -2] > np.abs(t[:, -1]))
+    decreasing = np.all(t[:, :-1] > t[:, 1:], axis=1)
+    return decreasing if family == "A" else decreasing & (t[:, -1] > 0)
 
 
 @dataclass(frozen=True)
@@ -170,29 +173,28 @@ def branch(rs: RootSystem, rule: BranchRule, m: Sequence) -> OrbitSum:
         raise WallError("branching needs strictly decreasing coordinates")
 
     if rule.kind == "drop":
-        if fam == "A":
-            restrict = lambda pt: (pt[:-1],)
-            doms = ("A",)
-        else:
-            restrict = lambda pt: (pt[1:],)
-            doms = (fam,)
+        cols, cuts, doms = (slice(0, r - 1) if fam == "A" else slice(1, r)), [], (fam,)
     elif rule.kind == "split":
         p = rule.p
         if not 1 <= p < r:
             raise ValueError(f"split position {p} out of range")
         if fam == "B":
             raise ValueError("no A x B split rule is implemented")
-        restrict = lambda pt: (pt[:p], pt[p:])
-        doms = ("A", fam)
+        cols, cuts, doms = slice(0, r), [p], ("A", fam)
     else:
         raise ValueError(f"unknown rule kind {rule.kind!r}")
 
+    # every w m as integers over the lcm d, restricted to the kept columns
+    perm, signs = orth_action(rs)
+    group = _group(rs)
+    (m_int,), d = _scaled(group, [mv])
+    imgs = (signs * m_int[perm])[:, cols]
+    parts = np.split(imgs, cuts, axis=1)
+    keep = np.logical_and.reduce([_dominant_rows(f, t) for f, t in zip(doms, parts)])
     counter: dict = {}
-    for perm, signs, det in orth_group(rs):
-        parts = restrict(orth_apply(perm, signs, mv))
-        if all(_dominant_for(f, t) for f, t in zip(doms, parts)):
-            key = parts[0] if len(parts) == 1 else parts
-            counter[key] = counter.get(key, 0) + det
+    for lab, det in zip(_unscaled(imgs[keep], d), group.dets[keep].tolist()):
+        key = (lab[:p], lab[p:]) if cuts else lab
+        counter[key] = counter.get(key, 0) + det
     return _collect(counter, "signed")
 
 
@@ -216,8 +218,8 @@ def branch_terms_a_split(m: Sequence, p: int) -> OrbitSum:
     out = []
     for idx in itertools.combinations(range(n), p):
         rest = tuple(i for i in range(n) if i not in idx)
-        seq = idx + rest
-        sign = _perm_sign(seq)
+        # the shuffle has sum(idx) - p(p-1)/2 inversions
+        sign = -1 if (sum(idx) - p * (p - 1) // 2) % 2 else 1
         out.append(OrbitTerm(sign, (tuple(mv[i] for i in idx),
                                     tuple(mv[i] for i in rest)), "signed"))
     return tuple(sorted(out, key=lambda t: t.label))

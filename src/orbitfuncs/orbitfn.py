@@ -3,7 +3,8 @@
 Two evaluation routes are provided and cross-checked by the tests:
 
 * the defining sums over the Weyl group / Weyl orbit, in omega coordinates
-  (any diagram) or in orthogonal coordinates (families A, B, C, D);
+  (any diagram) or in orthogonal coordinates (families A, B, C, D), where
+  the same group array acts by signed permutations (``weyl.orth_action``);
 * closed forms: determinants and permanent-like sums of exponentials,
   sines and cosines in orthogonal coordinates, and the product-over-
   positive-roots formulas for the weight rho.
@@ -40,8 +41,8 @@ from .rootsys import (
     to_orthogonal,
 )
 from .weyl import (
-    signed_orbit, stabilizer_order, positive_roots, orth_group, orth_apply,
-    WallError, _distinct, _dominant_vec, _images, _strict_vec,
+    signed_orbit, stabilizer_order, positive_roots, orth_action, WallError,
+    _distinct, _dominant_vec, _group, _images, _strict_vec,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -266,13 +267,16 @@ def eval_orbit_function(rs: RootSystem, kind: str, lam: Sequence, x: Sequence) -
 
 
 def _float_points(rs: RootSystem, xs, dim: int, what: str = "point") -> np.ndarray:
-    """xs as an (N, dim) float array; ValueError naming the diagram for
-    another shape, for a row (a point, or a weight) that is not dim real
-    numbers in float range, or for one with a non-finite coordinate."""
+    """xs as an (N, dim) float array, N = 0 for an empty sequence;
+    ValueError naming the diagram for another shape, for a row (a point,
+    or a weight) that is not dim real numbers in float range, or for one
+    with a non-finite coordinate."""
     try:
         xs = np.asarray(xs, dtype=float)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(_bad_row(rs, xs, dim, what)) from None
+    if xs.shape == (0,):
+        xs = xs.reshape(0, dim)
     if xs.ndim != 2 or xs.shape[1] != dim:
         raise ValueError(f"expected {dim} coordinates per {what} for "
                          f"{rs.id.label}, got an array of shape {xs.shape}")
@@ -353,19 +357,6 @@ def eval_coroot_point(rs: RootSystem, kind: str, lam: Sequence, b: Sequence):
 
 # -- orthogonal-coordinate evaluation (A, B, C, D) -----------------------
 
-_ORTH_CACHE = _BoundedCache(_CACHE_SIZE)
-
-
-def _orth_terms(rs: RootSystem, kind: str, m: tuple) -> tuple[np.ndarray, np.ndarray]:
-    def make():
-        imgs, coeffs = [], []
-        for p, s, d in orth_group(rs):
-            imgs.append([float(v) for v in orth_apply(p, s, m)])
-            coeffs.append(float(d) if kind == "antisymmetric" else 1.0)
-        return np.array(imgs), np.array(coeffs)
-    return _ORTH_CACHE.lookup((rs.id, kind, m), make)
-
-
 def _orth_weight(rs: RootSystem, m: Sequence) -> tuple:
     """m as exact orthogonal coordinates of rs; ValueError naming the
     diagram for one with no orthogonal model, for a weight of another
@@ -409,9 +400,11 @@ def eval_orth_batch(rs: RootSystem, kind: str, m: Sequence, xs: np.ndarray) -> n
     kind = _norm_kind(kind)
     if kind == "normalized":
         raise ValueError("normalized kind is only defined on omega coordinates")
-    imgs, coeffs = _orth_terms(rs, kind, _strict_orth(rs, m))
+    mv = np.array(_strict_orth(rs, m), dtype=float)
     xs = _float_points(rs, xs, orth_dim(rs))
-    return coeffs @ np.exp(TWO_PI * 1j * (imgs @ xs.T))
+    perm, signs = orth_action(rs)
+    terms = np.exp(TWO_PI * 1j * ((signs * mv[perm]) @ xs.T))
+    return _group(rs).dets @ terms if kind == "antisymmetric" else terms.sum(axis=0)
 
 
 def _perm_sum(values: np.ndarray, signed: bool):

@@ -308,8 +308,14 @@ def is_strictly_dominant(v: Sequence) -> bool:
 
 
 def rank_vec(rs: RootSystem, x: Sequence) -> Vec:
-    """x as an exact vector of rs.rank coordinates (omega or coroot)."""
-    v = vec(x)
+    """x as an exact vector of rs.rank coordinates (omega or coroot);
+    ValueError naming the diagram for another length, or for a coordinate
+    that is not a finite rational (Fraction refuses NaN and infinities)."""
+    try:
+        v = vec(x)
+    except (ValueError, OverflowError):
+        raise ValueError(f"({', '.join(map(str, x))}) are not finite rational "
+                         f"coordinates for {rs.id.label}") from None
     if len(v) != rs.rank:
         raise ValueError(f"expected {rs.rank} coordinates for {rs.id.label}, "
                          f"got {len(v)}: {_vec_str(v)}")

@@ -7,7 +7,9 @@ det = (-1)^length.  Orbits, signed orbits and stabilizer orders are array
 operations on it: the weight is scaled to integers by the lcm of its
 denominators, multiplied by every matrix, and turned back into Fractions
 once (a signed orbit keeps its int64 rows and converts its points when
-they are first read).  Everything here is exact; no tolerances.
+they are first read).  On A, B, C and D the action on orthogonal
+coordinates, a signed permutation per element, is read off the same array
+(``orth_action``).  Everything here is exact; no tolerances.
 """
 
 from __future__ import annotations
@@ -17,13 +19,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .rootsys import (
     RootSystem, Vec, vec, mat_vec, is_dominant, is_strictly_dominant, rank_vec,
-    convert_basis, inner, UnsupportedCoordinatesError, _vec_str,
+    convert_basis, inner, orth_dim, to_orthogonal, from_orthogonal, _vec_str,
 )
 
 IntMat = tuple[tuple[int, ...], ...]
@@ -65,12 +67,14 @@ def generators(rs: RootSystem) -> list[WeylElement]:
 @dataclass
 class _Group:
     """One Weyl group in BFS order: int64 matrices, dets, shortest words, a
-    bound on every row and column sum of |matrix|, and the WeylElement view."""
+    bound on every row and column sum of |matrix|, the WeylElement view and
+    the orthogonal action (perm, signs) of ``orth_action``."""
     mats: np.ndarray
     dets: np.ndarray
     words: tuple[tuple[int, ...], ...]
     gain: int
     elements: tuple[WeylElement, ...] | None = None
+    orth: tuple[np.ndarray, np.ndarray] | None = None
 
 
 _GROUP_CACHE: dict = {}
@@ -331,49 +335,28 @@ def dual_marks(rs: RootSystem) -> tuple[int, ...]:
 
 # -- orthogonal-coordinate group action for A/B/C/D ---------------------
 
-def orth_group(rs: RootSystem) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
-    """Yield (permutation, signs, det) for the Weyl action on orthogonal
-    coordinates: the image of m is  (s_1 m_{p(1)}, ..., s_r m_{p(r)}).
+def orth_action(rs: RootSystem) -> tuple[np.ndarray, np.ndarray]:
+    """The group acting on orthogonal coordinates (A/B/C/D): read-only int
+    arrays perm and signs of shape (|W|, r), in the order of the group,
+    with (w m)_i = signs_i * m[perm_i]; det w is ``_group(rs).dets``.
 
-    A_n: all permutations of the n+1 coordinates, no sign flips.
-    B_n/C_n: permutations with arbitrary sign flips.
-    D_n: permutations with evenly many sign flips.
+    Both are read off the images of the generic m = (r, r-1, ..., 1): each
+    is taken to omega coordinates, moved by every matrix and brought back
+    by the omega -> orthogonal map scaled to integers by the lcm L of its
+    denominators (on A plus the constant of the zero-sum gauge), so that
+    its i-th coordinate is signs_i * L * (r - perm_i).
     """
-    fam = rs.family
-    r = rs.rank + 1 if fam == "A" else rs.rank
-    if fam == "A":
-        for p in itertools.permutations(range(r)):
-            yield p, (1,) * r, _perm_sign(p)
-        return
-    if fam not in ("B", "C", "D"):
-        raise UnsupportedCoordinatesError(f"no orthogonal model for {rs.id.label}")
-    for p in itertools.permutations(range(r)):
-        ps = _perm_sign(p)
-        for signs in itertools.product((1, -1), repeat=r):
-            nneg = signs.count(-1)
-            if fam == "D":
-                if nneg % 2:
-                    continue
-                yield p, signs, ps
-            else:
-                yield p, signs, ps * (-1) ** nneg
-
-
-def _perm_sign(p: Sequence[int]) -> int:
-    seen = [False] * len(p)
-    sign = 1
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        j, clen = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def orth_apply(p: Sequence[int], signs: Sequence[int], m: Sequence) -> tuple:
-    return tuple(signs[i] * m[p[i]] for i in range(len(p)))
+    r = orth_dim(rs)
+    group = _group(rs)
+    if group.orth is None:
+        m = np.arange(r, 0, -1)
+        cols = [to_orthogonal(rs, e) for e in np.eye(rs.rank, dtype=int).tolist()]
+        scale = math.lcm(*(c.denominator for col in cols for c in col))
+        T = np.array([[int(c * scale) for c in col] for col in cols], dtype=np.int64)
+        imgs = group.mats @ np.array([int(c) for c in from_orthogonal(rs, m.tolist())]) @ T
+        imgs += scale * m - imgs[0]   # the identity maps m to itself
+        perm, signs = r - np.abs(imgs) // scale, np.sign(imgs)
+        perm.setflags(write=False)
+        signs.setflags(write=False)
+        group.orth = perm, signs
+    return group.orth

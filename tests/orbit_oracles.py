@@ -13,16 +13,23 @@ slow, and independent of the group array, ``to_dominant`` and
 ``stabilizer_order``, which makes them the reference for the library.
 ``group_sum`` is the float sum over W that ``eval_batch`` ran on every
 family before the closed forms and the power tables: one exponential per
-term and point, with the terms read off the oracle orbits.
+term and point, with the terms read off the oracle orbits.  ``orth_group``
+is the generator over permutations x sign vectors that gave the group on
+orthogonal coordinates before ``weyl.orth_action`` read it off the group
+array, and ``branch_oracle`` the loop that ``orbitalg.branch`` ran over it,
+one element and one ``Fraction`` tuple at a time.
 """
 
 import functools
+import itertools
 import math
 
 import numpy as np
 
 from orbitfuncs.orbitalg import OrbitTerm
-from orbitfuncs.rootsys import mat_vec, vec, vec_mat, is_dominant, is_strictly_dominant
+from orbitfuncs.rootsys import (
+    mat_vec, vec, vec_mat, is_dominant, is_strictly_dominant, UnsupportedCoordinatesError,
+)
 from orbitfuncs.weyl import generators, positive_roots, to_dominant
 
 
@@ -164,3 +171,86 @@ def rho_cosine_oracle(rs) -> dict:
         key = tuple(point)
         counts[key] = counts.get(key, 0) + 1
     return {lab: c for lab, c in counts.items() if is_dominant(lab)}
+
+
+def orth_group(rs):
+    """Yield (permutation, signs, det) for the Weyl action on orthogonal
+    coordinates: the image of m is  (s_1 m_{p(1)}, ..., s_r m_{p(r)}).
+
+    A_n: all permutations of the n+1 coordinates, no sign flips.
+    B_n/C_n: permutations with arbitrary sign flips.
+    D_n: permutations with evenly many sign flips.
+    """
+    fam = rs.family
+    r = rs.rank + 1 if fam == "A" else rs.rank
+    if fam == "A":
+        for p in itertools.permutations(range(r)):
+            yield p, (1,) * r, _perm_sign(p)
+        return
+    if fam not in ("B", "C", "D"):
+        raise UnsupportedCoordinatesError(f"no orthogonal model for {rs.id.label}")
+    for p in itertools.permutations(range(r)):
+        ps = _perm_sign(p)
+        for signs in itertools.product((1, -1), repeat=r):
+            nneg = signs.count(-1)
+            if fam == "D":
+                if nneg % 2:
+                    continue
+                yield p, signs, ps
+            else:
+                yield p, signs, ps * (-1) ** nneg
+
+
+def _perm_sign(p) -> int:
+    seen = [False] * len(p)
+    sign = 1
+    for i in range(len(p)):
+        if seen[i]:
+            continue
+        j, clen = i, 0
+        while not seen[j]:
+            seen[j] = True
+            j = p[j]
+            clen += 1
+        if clen % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def orth_apply(p, signs, m) -> tuple:
+    return tuple(signs[i] * m[p[i]] for i in range(len(p)))
+
+
+def _strictly_decreasing(t) -> bool:
+    return all(t[i] > t[i + 1] for i in range(len(t) - 1))
+
+
+def _dominant_for(family: str, t) -> bool:
+    if family == "A":
+        return _strictly_decreasing(t)
+    if family in ("B", "C"):
+        return _strictly_decreasing(t) and t[-1] > 0
+    if family == "D":
+        if len(t) == 1:
+            return True
+        return _strictly_decreasing(t[:-1]) and t[-2] > abs(t[-1])
+    raise ValueError(family)
+
+
+def branch_oracle(rs, rule, m) -> tuple:
+    """``orbitalg.branch`` for a valid rule and strictly dominant m, by
+    the sign collection over every (perm, signs, det) of ``orth_group``."""
+    fam, mv = rs.family, vec(m)
+    if rule.kind == "drop":
+        restrict = (lambda pt: (pt[:-1],)) if fam == "A" else (lambda pt: (pt[1:],))
+        doms = (fam,)
+    else:
+        restrict = lambda pt: (pt[:rule.p], pt[rule.p:])
+        doms = ("A", fam)
+    counter: dict = {}
+    for perm, signs, det in orth_group(rs):
+        parts = restrict(orth_apply(perm, signs, mv))
+        if all(_dominant_for(f, t) for f, t in zip(doms, parts)):
+            key = parts[0] if len(parts) == 1 else parts
+            counter[key] = counter.get(key, 0) + det
+    return _terms(counter, "signed")

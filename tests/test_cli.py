@@ -247,6 +247,42 @@ def test_eval_refuses_non_finite_cells(cell, tmp_path, monkeypatch, capsys):
         assert re.search(r"error: point \d is not finite for C2", capsys.readouterr().err)
 
 
+def test_eval_of_a_csv_without_rows_prints_the_header(tmp_path):
+    src = tmp_path / "points.csv"
+    src.write_text("x1,x2\n")
+    for diagram in ("A2", "C2"):
+        res = run("eval", "--diagram", diagram, "--lambda", "2,1", "--in", str(src))
+        assert res.exit_code == 0 and res.output == "x1,x2,re,im\n"
+
+
+@pytest.mark.parametrize("header", ["k,value", "k,re,im"])
+def test_transform_reads_fraction_cells_like_their_decimals(header, tmp_path):
+    outputs = []
+    for third in ("1/3", repr(1 / 3)):
+        signal = tmp_path / "signal.csv"
+        cell = f"{third},0" if header.endswith("im") else third
+        signal.write_text(f"{header}\n0,1\n1,{cell}\n2,0.5\n3,2\n")
+        res = run("transform", "--kind", "dct2", "--N", "4", "--in", str(signal))
+        assert res.exit_code == 0
+        outputs.append(res.output)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_transform_refuses_non_finite_cells(cell, tmp_path, monkeypatch, capsys):
+    from orbitfuncs import cli
+    signal = tmp_path / "signal.csv"
+    signal.write_text(f"k,value\n0,1\n1,0.5\n2,{cell}\n3,2\n")
+    monkeypatch.setattr("sys.argv", ["orbitfuncs", "transform", "--kind", "dct2",
+                                     "--N", "4", "--in", str(signal)])
+    with pytest.raises(SystemExit) as exit_:
+        cli.run()
+    assert exit_.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: signal value 2 is not finite: ['2', '{cell}']" in captured.err
+
+
 LAYERS = ("numpy", "orbitfuncs.weyl", "orbitfuncs.orbitfn", "orbitfuncs.orbitalg",
           "orbitfuncs.transforms", "orbitfuncs.analysis")
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbitfuncs.rootsys import build, vec, to_orthogonal
+from orbitfuncs.rootsys import build, vec, to_orthogonal, orth_dim
 from orbitfuncs.weyl import (
     generate_group, WallError, orbit, to_dominant, stabilizer_order,
 )
@@ -19,6 +19,7 @@ from orbitfuncs.orbitalg import (
 )
 from orbit_oracles import (
     plain_signed_oracle, signed_signed_oracle, plain_plain_oracle, rho_cosine_oracle,
+    branch_oracle,
 )
 
 RNG = random.Random(99)
@@ -375,6 +376,8 @@ def test_branch_rejects_bad_input():
         branch(build("B3"), BranchRule("split", 1), (3, 2, 1))
     with pytest.raises(ValueError):
         branch(build("G2"), BranchRule("drop"), (1, 1))
+    with pytest.raises(ValueError, match="too large for exact int64"):
+        branch(build("C3"), BranchRule("drop"), (10 ** 30, 2, 1))
 
 
 def test_branch_d4_split():
@@ -389,6 +392,29 @@ def test_branch_d4_split():
         rhs = sum(t.coefficient * _eval_factor("A", t.label[0], xa)
                   * _eval_factor("D", t.label[1], xb) for t in out)
         assert abs(lhs - rhs) < 1e-9 * (1 + abs(lhs))
+
+
+# the eight rules of the algebra bench workload
+_BENCH_RULES = [("A4", "drop", 0), ("B4", "drop", 0), ("C4", "drop", 0), ("D5", "drop", 0),
+                ("A5", "drop", 0), ("C4", "split", 2), ("A3", "split", 2), ("A5", "split", 3)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_BENCH_RULES),
+       st.sets(st.fractions(min_value=F(1, 3), max_value=9, max_denominator=3),
+               min_size=6, max_size=6),
+       st.fractions(min_value=-3, max_value=3, max_denominator=2))
+def test_branch_equals_the_element_loop_oracle(rule, coords, shift):
+    label, kind, p = rule
+    rs = build(label)
+    m = sorted(coords, reverse=True)[:orth_dim(rs)]
+    if label[0] == "A":   # any strictly decreasing m, not only positive ones
+        m = [c + shift for c in m]
+    br = BranchRule(kind, p)
+    out = branch(rs, br, m)
+    assert out == branch_oracle(rs, br, m)   # labels, order and coefficients
+    if label[0] == "A" and kind == "split":
+        assert terms_dict(out) == terms_dict(branch_terms_a_split(m, p))
 
 
 def test_longest_element_negation_per_diagram():

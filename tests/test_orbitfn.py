@@ -9,7 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from orbitfuncs import orbitfn
 from orbitfuncs.rootsys import build, vec, to_orthogonal, orth_pairing_scale
-from orbitfuncs.weyl import generate_group, affine_r0, WallError
+from orbitfuncs.weyl import (
+    generate_group, affine_r0, in_fundamental_domain, to_dominant, WallError,
+)
 from orbitfuncs.orbitfn import (
     rho_cosine_orbit_decomposition, character_highprec,
     eval_orbit_function, eval_batch, eval_coroot_point, eval_orth,
@@ -324,6 +326,18 @@ def test_rho_products_refuse_bad_points():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="point 0 is not finite"):
             rho_products(a2, (0.1, bad))
+
+
+@pytest.mark.parametrize("call", [
+    lambda rs, x: to_dominant(rs, x),
+    lambda rs, x: in_fundamental_domain(rs, x),
+    lambda rs, x: eval_coroot_point(rs, "anti", (2, 1), x),
+], ids=["to_dominant", "in_fundamental_domain", "eval_coroot_point"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_coordinates_name_the_diagram_and_the_point(call, bad):
+    with pytest.raises(ValueError) as err:
+        call(build("A2"), (bad, 1))
+    assert str(err.value) == f"({bad}, 1) are not finite rational coordinates for A2"
 
 
 def _interior_point(rs):
@@ -698,26 +712,24 @@ def test_cis_matches_mpmath():
     assert orbitfn._cis(np.zeros((2, 0, 3))).shape == (2, 0, 3)
 
 
-@pytest.mark.parametrize("name", ["_TERMS_CACHE", "_ORTH_CACHE"])
-def test_caches_are_bounded_and_an_evicted_key_evaluates_the_same(name, monkeypatch):
-    cache = getattr(orbitfn, name)
+def test_terms_cache_is_bounded_and_an_evicted_key_evaluates_the_same(monkeypatch):
+    cache = orbitfn._TERMS_CACHE
     assert cache.cache_info().maxsize == orbitfn._CACHE_SIZE
     monkeypatch.setattr(cache, "maxsize", 3)
     cache.clear()
     b3 = build("B3")
     xs = np.random.default_rng(12).uniform(-1, 1, (20, 3))
-    evaluate = eval_batch if name == "_TERMS_CACHE" else eval_orth_batch
     weights = [(3, 2, 1), (4, 2, 1), (5, 2, 1), (5, 3, 1), (5, 3, 2)]
-    first = [evaluate(b3, "anti", lam, xs) for lam in weights]
+    first = [eval_batch(b3, "anti", lam, xs) for lam in weights]
     info = cache.cache_info()
     assert (info.hits, info.misses, info.maxsize, info.currsize) == (0, 5, 3, 3)
     cached = lambda lam: any(lam in key for key in cache)
     assert [cached(lam) for lam in weights] == [False, False, True, True, True]
     # a hit makes weights[2] the most recently used, so weights[3] and then
     # weights[4] go; the evicted keys evaluate to the same values again
-    assert np.array_equal(evaluate(b3, "anti", weights[2], xs), first[2])
+    assert np.array_equal(eval_batch(b3, "anti", weights[2], xs), first[2])
     for lam, before in zip(weights[:2], first):
-        assert np.array_equal(evaluate(b3, "anti", lam, xs), before)
+        assert np.array_equal(eval_batch(b3, "anti", lam, xs), before)
     assert [cached(lam) for lam in weights] == [True, True, True, False, False]
     info = cache.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 7, 3)

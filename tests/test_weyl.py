@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction as F
@@ -6,15 +7,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbitfuncs.rootsys import build, mat_vec, vec
+from orbitfuncs.rootsys import build, mat_vec, vec, UnsupportedCoordinatesError
 from orbitfuncs.weyl import (
     generators, generate_group, to_dominant, orbit, signed_orbit,
     stabilizer_order, affine_r0, reflect_highest_root, in_fundamental_domain,
-    positive_roots, positive_root_count, orth_group, orth_apply, xi_pairing,
-    GroupSizeError, WallError,
+    positive_roots, positive_root_count, orth_action, xi_pairing,
+    GroupSizeError, WallError, _group,
 )
 
-from orbit_oracles import group_oracle, orbit_oracle, signed_orbit_oracle, stabilizer_oracle
+from orbit_oracles import (
+    group_oracle, orbit_oracle, signed_orbit_oracle, stabilizer_oracle,
+    orth_apply as oracle_orth_apply, orth_group as oracle_orth_group,
+)
 
 WEYL_ORDERS = {"A1": 2, "A2": 6, "A3": 24, "A4": 120, "B2": 8, "B3": 48,
                "C2": 8, "C3": 48, "D4": 192, "G2": 12}
@@ -350,29 +354,69 @@ def test_positive_roots_contain_simple_and_highest():
         assert rs.highest_root_omega in pos
 
 
-def test_orth_group_b_equals_c_and_d_even():
-    b2 = set(orth_group(build("B2")))
-    c2 = set(orth_group(build("C2")))
-    assert b2 == c2
-    m = (F(5, 2), F(3, 2))
-    orb_b = sorted(orth_apply(p, s, m) for p, s, _ in orth_group(build("B2")))
-    orb_c = sorted(orth_apply(p, s, m) for p, s, _ in orth_group(build("C2")))
+def _orth_elements(rs) -> list:
+    """(perm, signs, det) of every element, in the order of the group."""
+    perm, signs = orth_action(rs)
+    return list(zip(map(tuple, perm.tolist()), map(tuple, signs.tolist()),
+                    _group(rs).dets.tolist()))
+
+
+def test_orth_action_b_equals_c_and_d_even():
+    b2, c2 = build("B2"), build("C2")
+    assert set(_orth_elements(b2)) == set(_orth_elements(c2))
+    m = np.array([F(5, 2), F(3, 2)], dtype=object)
+    orb_b, orb_c = (sorted(map(tuple, signs * m[perm]))
+                    for perm, signs in (orth_action(b2), orth_action(c2)))
     assert orb_b == orb_c
-    d4 = list(orth_group(build("D4")))
-    assert len(d4) == 192
-    assert all(signs.count(-1) % 2 == 0 for _, signs, _ in d4)
+    d4 = build("D4")
+    perm, signs = orth_action(d4)
+    assert perm.shape == signs.shape == (192, 4)
+    assert np.all((signs == -1).sum(axis=1) % 2 == 0)
+    # computed once per diagram, read-only
+    assert orth_action(d4) is orth_action(d4)
+    assert not perm.flags.writeable and not signs.flags.writeable
+    with pytest.raises(UnsupportedCoordinatesError):
+        orth_action(build("G2"))
 
 
-def test_orth_group_matches_omega_action():
-    # the orthogonal-coordinate signed orbit equals the omega one, mapped over
+def test_orth_action_matches_omega_action():
+    # the orthogonal-coordinate signed orbit equals the omega one, mapped
+    # over, element by element in the order of the group
     from orbitfuncs.rootsys import to_orthogonal
     for label, lam in [("A2", (1, 2)), ("B3", (1, 2, 1)), ("C3", (2, 1, 1)), ("D4", (1, 1, 1, 1))]:
         rs = build(label)
-        omega_pts = sorted((to_orthogonal(rs, p), s)
-                           for p, s in signed_orbit(rs, lam).points)
+        omega_pts = [(to_orthogonal(rs, p), s) for p, s in signed_orbit(rs, lam).points]
         m = to_orthogonal(rs, lam)
-        orth_pts = sorted((orth_apply(p, s, m), d) for p, s, d in orth_group(rs))
+        orth_pts = [(tuple(s * m[i] for i, s in zip(p, signs)), d)
+                    for p, signs, d in _orth_elements(rs)]
         assert omega_pts == orth_pts
+
+
+_ORTH_DIAGRAMS = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "B5",
+                  "C2", "C3", "C4", "C5", "D4", "D5"]
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_elements(label: str) -> frozenset:
+    return frozenset(oracle_orth_group(build(label)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_ORTH_DIAGRAMS),
+       st.sets(st.fractions(min_value=F(1, 4), max_value=12, max_denominator=4),
+               min_size=6, max_size=6))
+def test_orth_action_equals_the_orth_group_oracle(label, coords):
+    rs = build(label)
+    elements = _orth_elements(rs)
+    assert len(elements) == rs.weyl_order
+    assert set(elements) == _oracle_elements(label)
+    # on a strictly dominant m the images are all distinct and are the
+    # oracle's, each with its det
+    m = tuple(sorted(coords, reverse=True))[:len(elements[0][0])]
+    got = [(tuple(s * m[i] for i, s in zip(p, signs)), d) for p, signs, d in elements]
+    assert len({pt for pt, _ in got}) == len(got)
+    assert set(got) == {(oracle_orth_apply(p, s, m), d)
+                        for p, s, d in _oracle_elements(label)}
 
 
 @settings(max_examples=40, deadline=None)
