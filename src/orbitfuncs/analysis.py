@@ -36,18 +36,9 @@ def laplace_check(rs: RootSystem, m: Sequence, x: Sequence,
     Returns (fd value, predicted eigenvalue times the value, relative
     error).
     """
-    r = orth_dim(rs)
-    xv = np.asarray([float(v) for v in x])
-    pts = [xv]
-    for i in range(r):
-        e = np.zeros(r)
-        e[i] = h
-        pts.append(xv + e)
-        pts.append(xv - e)
-    vals = eval_orth_batch(rs, "anti", m, np.array(pts))
-    f0 = vals[0]
-    fd = sum((vals[1 + 2 * i] - 2 * f0 + vals[2 + 2 * i]) / h ** 2
-             for i in range(r))
+    fd, f0 = _apply_quadratic_operator(
+        lambda pts: eval_orth_batch(rs, "anti", m, pts), np.eye(orth_dim(rs)),
+        np.asarray([float(v) for v in x]), h)
     eig = -4 * math.pi ** 2 * float(sum(Fraction(v) ** 2 for v in m))
     ref = eig * f0
     rel = abs(fd - ref) / max(abs(ref), 1e-300)
@@ -60,18 +51,19 @@ def laplace_check_omega(rs: RootSystem, lam: Sequence, x: Sequence,
     with the inverse metric as coefficients reproduces -4 pi^2 <lam, lam>.
     Works for every diagram, G_2 included."""
     coeffs = [[float(c) for c in row] for row in rs.metric_inv]
-    fd = _apply_quadratic_operator(
+    fd, f0 = _apply_quadratic_operator(
         lambda pts: eval_batch(rs, "anti", lam, pts), coeffs,
         np.asarray([float(v) for v in x]), h)
-    f0 = eval_orbit_function(rs, "anti", lam, x)
     eig = -4 * math.pi ** 2 * float(inner(rs, lam, lam))
     ref = eig * f0
     rel = abs(fd - ref) / max(abs(ref), 1e-300)
     return fd, ref, rel
 
 
-def _apply_quadratic_operator(f: Callable, coeffs, x: np.ndarray, h: float) -> complex:
-    """sum_ij c_ij D_i D_j f at x by central differences."""
+def _apply_quadratic_operator(f: Callable, coeffs, x: np.ndarray,
+                              h: float) -> tuple[complex, complex]:
+    """sum_ij c_ij D_i D_j f at x by central differences, and f(x), both
+    from one batch of f."""
     n = len(x)
     pts = [x]
     index = {}
@@ -98,7 +90,7 @@ def _apply_quadratic_operator(f: Callable, coeffs, x: np.ndarray, h: float) -> c
         else:
             c = coeffs[i][j] + coeffs[j][i]
             total += c * (vals[k] - vals[k + 1] - vals[k + 2] + vals[k + 3]) / (4 * h ** 2)
-    return total
+    return total, f0
 
 
 def sigma2_check(rs: RootSystem, m: Sequence, x: Sequence,

@@ -26,7 +26,7 @@ import numpy as np
 from .rootsys import RootSystem, vec, orth_dim, _vec_str
 from .weyl import (
     orbit, signed_orbit, to_dominant, stabilizer_order, orth_action, WallError,
-    _dominant_vec, _group, _scaled, _strict_vec, _unscaled,
+    _dominant_rows, _dominant_vec, _group, _scaled, _strict_vec, _unscaled,
 )
 
 
@@ -116,21 +116,6 @@ def expand_function_product(rs: RootSystem, kind1: str, lam: Sequence,
 
 # -- branching -----------------------------------------------------------
 
-def _strictly_decreasing(t) -> bool:
-    return all(t[i] > t[i + 1] for i in range(len(t) - 1))
-
-
-def _dominant_rows(family: str, t: np.ndarray) -> np.ndarray:
-    """Mask of the rows of t, orthogonal coordinates of the given family,
-    that are strictly dominant for it."""
-    if family == "D":
-        if t.shape[1] == 1:
-            return np.ones(len(t), dtype=bool)
-        return np.all(t[:, :-2] > t[:, 1:-1], axis=1) & (t[:, -2] > np.abs(t[:, -1]))
-    decreasing = np.all(t[:, :-1] > t[:, 1:], axis=1)
-    return decreasing if family == "A" else decreasing & (t[:, -1] > 0)
-
-
 @dataclass(frozen=True)
 class BranchRule:
     """Restriction of a signed orbit to a sub-root-system.
@@ -166,11 +151,13 @@ def branch(rs: RootSystem, rule: BranchRule, m: Sequence) -> OrbitSum:
     if r != orth_dim(rs):
         raise ValueError(f"expected {orth_dim(rs)} orthogonal coordinates for "
                          f"{rs.id.label}, got {r}: {_vec_str(mv)}")
-    if fam != "A" and not (_strictly_decreasing(mv) and mv[-1] > 0):
-        # the B/C/D rules are stated for strictly positive decreasing m
-        raise WallError("branching needs m_1 > m_2 > ... > m_r > 0")
-    if fam == "A" and not _strictly_decreasing(mv):
-        raise WallError("branching needs strictly decreasing coordinates")
+    # every w m as integers over the lcm d
+    perm, signs = orth_action(rs)
+    group = _group(rs)
+    (m_int,), d = _scaled(group, [mv])
+    if not _dominant_rows(fam, m_int[None])[0]:
+        raise WallError(f"{_vec_str(mv)} is not strictly dominant for "
+                        f"{rs.id.label}; branching needs a signed orbit")
 
     if rule.kind == "drop":
         cols, cuts, doms = (slice(0, r - 1) if fam == "A" else slice(1, r)), [], (fam,)
@@ -184,10 +171,6 @@ def branch(rs: RootSystem, rule: BranchRule, m: Sequence) -> OrbitSum:
     else:
         raise ValueError(f"unknown rule kind {rule.kind!r}")
 
-    # every w m as integers over the lcm d, restricted to the kept columns
-    perm, signs = orth_action(rs)
-    group = _group(rs)
-    (m_int,), d = _scaled(group, [mv])
     imgs = (signs * m_int[perm])[:, cols]
     parts = np.split(imgs, cuts, axis=1)
     keep = np.logical_and.reduce([_dominant_rows(f, t) for f, t in zip(doms, parts)])

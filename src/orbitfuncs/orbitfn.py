@@ -42,7 +42,7 @@ from .rootsys import (
 )
 from .weyl import (
     signed_orbit, stabilizer_order, positive_roots, orth_action, WallError,
-    _distinct, _dominant_vec, _group, _images, _strict_vec,
+    _distinct, _dominant_rows, _dominant_vec, _group, _images, _strict_vec,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -371,11 +371,7 @@ def _orth_weight(rs: RootSystem, m: Sequence) -> tuple:
 
 
 def is_strictly_dominant_orth(rs: RootSystem, m: Sequence) -> bool:
-    mv = _orth_weight(rs, m)
-    if rs.family == "D":
-        return all(mv[i] > mv[i + 1] for i in range(len(mv) - 2)) and mv[-2] > abs(mv[-1])
-    decreasing = all(mv[i] > mv[i + 1] for i in range(len(mv) - 1))
-    return decreasing if rs.family == "A" else decreasing and mv[-1] > 0
+    return bool(_dominant_rows(rs.family, np.array([_orth_weight(rs, m)], dtype=object))[0])
 
 
 def _strict_orth(rs: RootSystem, m: Sequence) -> tuple:

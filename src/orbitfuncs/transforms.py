@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .rootsys import RootSystem, Vec, vec, vec_mat, _vec_str
+from .rootsys import RootSystem, Vec, vec, _vec_str
 from .weyl import dual_marks, generators, _distinct, _group, _scaled, _unscaled
 from .orbitfn import TWO_PI, eval_coroot_point, eval_batch, _perm_sum
 
@@ -59,35 +59,46 @@ class GridFM:
         return tuple(p for p in self.points if p.interior)
 
 
-def _s_tuples(marks: Sequence[int], M: int):
-    """Nonnegative integer tuples s with sum(s_i * m_i) <= M."""
-    n = len(marks)
-
-    def rec(i, budget):
-        if i == n:
-            yield ()
-            return
-        for si in range(budget // marks[i] + 1):
-            for rest in rec(i + 1, budget - si * marks[i]):
-                yield (si,) + rest
-    yield from rec(0, M)
+def _alcove(marks: Sequence[int], M: int) -> np.ndarray:
+    """The int64 rows s >= 0 with sum(s_i * m_i) <= M, in lexicographic
+    order.  Grown one column at a time, each row of the previous columns
+    repeated once per value its remaining budget allows, so that only the
+    points of the simplex are ever allocated."""
+    rows = np.zeros((int(M >= 0), 0), dtype=np.int64)
+    budget = np.full(len(rows), M, dtype=np.int64)
+    for m in marks:
+        counts = budget // m + 1
+        parent = np.repeat(np.arange(len(rows)), counts)
+        si = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
+        rows = np.column_stack([rows[parent], si])
+        budget = budget[parent] - si * m
+    return rows
 
 
 def grid_fm(rs: RootSystem, M: int) -> GridFM:
     """The grid F_M: points sum(s_i/M) w_i^check of the closed fundamental
-    domain, indexed by s with s_0 + sum s_i m_i = M over the marks m_i."""
+    domain, indexed by s with s_0 + sum s_i m_i = M over the marks m_i.
+
+    omega_i = s_i (2/|alpha_i|^2) / M and the coroot coordinates omega S
+    are integer numerators over one denominator L M, with L the lcm of the
+    denominators of 2/|alpha_i|^2 and of diag(2/|alpha_i|^2) S."""
     if M < 1:
         raise ValueError("M must be a positive integer")
-    pts = []
-    for s in sorted(_s_tuples(rs.marks, M)):
-        s0 = M - sum(si * mi for si, mi in zip(s, rs.marks))
-        omega = tuple(Fraction(si, M) * 2 / rs.root_norms[i]
-                      for i, si in enumerate(s))
-        coroot = vec_mat(vec(omega), rs.metric)
-        interior = s0 > 0 and all(si > 0 for si in s)
-        pts.append(GridPoint(s=s, s0=s0, M=M, omega=omega, coroot=coroot,
-                             interior=interior))
-    return GridFM(rs=rs, M=M, points=tuple(pts))
+    s = _alcove(rs.marks, M)
+    s0 = M - s @ np.array(rs.marks, dtype=np.int64)
+    interior = (s0 > 0) & np.all(s > 0, axis=1)
+    n = rs.rank
+    scale = [2 / x for x in rs.root_norms]
+    # row i: the omega coordinates of s = e_i times M, then its coroot coordinates
+    rows = [[scale[i] * (i == j) for j in range(n)] + [scale[i] * x for x in rs.metric[i]]
+            for i in range(n)]
+    L = math.lcm(*(x.denominator for row in rows for x in row))
+    C = np.array([[int(x * L) for x in row] for row in rows], dtype=np.int64)
+    pts = tuple(GridPoint(s=tuple(si), s0=s0i, M=M, omega=c[:n], coroot=c[n:],
+                          interior=inside)
+                for si, s0i, c, inside in zip(s.tolist(), s0.tolist(),
+                                              _unscaled(s @ C, L * M), interior.tolist()))
+    return GridFM(rs=rs, M=M, points=pts)
 
 
 def tm_expand(rs: RootSystem, grid: GridFM) -> list[Vec]:
@@ -109,6 +120,7 @@ class TransformPlan:
     grid: tuple[GridPoint, ...]
     kernel: np.ndarray        # (labels, grid) values of the antisymmetric functions
     norm: float               # diagonal of the interior-grid Gram matrix
+    residual: float           # max |gram - norm I|, from the separation check
 
     def forward(self, f: np.ndarray) -> np.ndarray:
         """Coefficients a_lambda = <f, phi_lambda> / norm over the grid."""
@@ -134,30 +146,14 @@ def default_labels(rs: RootSystem, M: int) -> tuple[Vec, ...]:
     every sampling point).
     """
     dm = dual_marks(rs)
-    out = []
-    for s in sorted(_s_tuples(dm, M)):
-        if all(si > 0 for si in s) and sum(a * b for a, b in zip(s, dm)) < M:
-            out.append(vec(s))
-    return tuple(out)
+    # s_i >= 1 with sum s_i dm_i <= M - 1 is s - 1 in the alcove of M - 1 - sum dm
+    return tuple(_unscaled(_alcove(dm, M - 1 - sum(dm)) + 1, 1))
 
 
 def lattice_index(rs: RootSystem) -> int:
-    """|P^check / Q^check| = det of the Cartan matrix."""
-    det = Fraction(1)
-    m = [list(row) for row in rs.cartan]
-    n = rs.rank
-    for c in range(n):
-        piv = next(r for r in range(c, n) if m[r][c] != 0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for r in range(c + 1, n):
-            f = m[r][c] * inv
-            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    assert det.denominator == 1 and det > 0
-    return int(det)
+    """|P^check / Q^check| = det of the Cartan matrix: one plus the number
+    of special nodes, those of mark 1."""
+    return 1 + rs.marks.count(1)
 
 
 def build_plan(rs: RootSystem, M: int, labels: Sequence[Vec] | None = None,
@@ -196,7 +192,7 @@ def build_plan(rs: RootSystem, M: int, labels: Sequence[Vec] | None = None,
             f"labels {_vec_str(labels[i])} and {_vec_str(labels[j])} are not "
             f"separated {where}, expected 0")
     return TransformPlan(rs=rs, M=M, labels=labels, grid=grid,
-                         kernel=kernel, norm=norm)
+                         kernel=kernel, norm=norm, residual=float(dev[i, j]))
 
 
 def gram_over_torus(rs: RootSystem, M: int, labels: Sequence[Vec]) -> np.ndarray:

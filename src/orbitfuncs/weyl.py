@@ -204,18 +204,17 @@ def _strict_vec(rs: RootSystem, lam: Sequence) -> Vec:
     return lamv
 
 
-def _images(rs: RootSystem, lamv: Vec,
-            limit: int = DEFAULT_GROUP_LIMIT) -> tuple[np.ndarray, np.ndarray, int]:
+def _images(rs: RootSystem, lamv: Vec) -> tuple[np.ndarray, np.ndarray, int]:
     """d * w lam as int64 rows for every w of the group, in its order (the
     identity first), the dets of the w, and the lcm d of lam's denominators."""
-    group = _group(rs, limit)
+    group = _group(rs)
     v, d = _scaled(group, [lamv])
     return group.mats @ v[0], group.dets, d
 
 
-def orbit(rs: RootSystem, lam: Sequence, limit: int = DEFAULT_GROUP_LIMIT) -> list[Vec]:
+def orbit(rs: RootSystem, lam: Sequence) -> list[Vec]:
     """Distinct points of the W-orbit of a dominant weight, sorted."""
-    rows, _, d = _images(rs, _dominant_vec(rs, lam), limit)
+    rows, _, d = _images(rs, _dominant_vec(rs, lam))
     return _unscaled(_distinct(rows), d)
 
 
@@ -360,3 +359,15 @@ def orth_action(rs: RootSystem) -> tuple[np.ndarray, np.ndarray]:
         signs.setflags(write=False)
         group.orth = perm, signs
     return group.orth
+
+
+def _dominant_rows(family: str, t: np.ndarray) -> np.ndarray:
+    """Mask of the rows of t, orthogonal coordinates of the given family,
+    that are strictly dominant for it: strictly decreasing, and on B and C
+    positive, on D with m_(r-1) > |m_r|."""
+    if family == "D":
+        if t.shape[1] == 1:
+            return np.ones(len(t), dtype=bool)
+        return np.all(t[:, :-2] > t[:, 1:-1], axis=1) & (t[:, -2] > np.abs(t[:, -1]))
+    decreasing = np.all(t[:, :-1] > t[:, 1:], axis=1)
+    return decreasing if family == "A" else decreasing & (t[:, -1] > 0)

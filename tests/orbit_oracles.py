@@ -17,12 +17,16 @@ term and point, with the terms read off the oracle orbits.  ``orth_group``
 is the generator over permutations x sign vectors that gave the group on
 orthogonal coordinates before ``weyl.orth_action`` read it off the group
 array, and ``branch_oracle`` the loop that ``orbitalg.branch`` ran over it,
-one element and one ``Fraction`` tuple at a time.
+one element and one ``Fraction`` tuple at a time.  ``grid_oracle`` and
+``labels_oracle`` are the recursive tuple generator that built the F_M
+grids and the default plan labels before ``transforms._alcove``, with one
+``Fraction`` per coordinate and a ``vec_mat`` per grid point.
 """
 
 import functools
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -30,7 +34,8 @@ from orbitfuncs.orbitalg import OrbitTerm
 from orbitfuncs.rootsys import (
     mat_vec, vec, vec_mat, is_dominant, is_strictly_dominant, UnsupportedCoordinatesError,
 )
-from orbitfuncs.weyl import generators, positive_roots, to_dominant
+from orbitfuncs.transforms import GridFM, GridPoint
+from orbitfuncs.weyl import dual_marks, generators, positive_roots, to_dominant
 
 
 def _closure(rs, gens) -> list:
@@ -97,6 +102,42 @@ def tm_expand_oracle(rs, grid) -> list:
             b = vec_mat(mat_vec(m, p.omega), rs.metric)
             seen.add(tuple(c % 1 for c in b))
     return sorted(seen)
+
+
+def _s_tuples(marks, M):
+    """Nonnegative integer tuples s with sum(s_i * m_i) <= M."""
+    n = len(marks)
+
+    def rec(i, budget):
+        if i == n:
+            yield ()
+            return
+        for si in range(budget // marks[i] + 1):
+            for rest in rec(i + 1, budget - si * marks[i]):
+                yield (si,) + rest
+    yield from rec(0, M)
+
+
+def grid_oracle(rs, M):
+    """The F_M grid one point at a time: omega_i = (s_i/M) 2/|alpha_i|^2 as
+    a Fraction per coordinate, and its coroot coordinates by ``vec_mat``."""
+    pts = []
+    for s in sorted(_s_tuples(rs.marks, M)):
+        s0 = M - sum(si * mi for si, mi in zip(s, rs.marks))
+        omega = tuple(Fraction(si, M) * 2 / rs.root_norms[i]
+                      for i, si in enumerate(s))
+        coroot = vec_mat(vec(omega), rs.metric)
+        interior = s0 > 0 and all(si > 0 for si in s)
+        pts.append(GridPoint(s=s, s0=s0, M=M, omega=omega, coroot=coroot,
+                             interior=interior))
+    return GridFM(rs=rs, M=M, points=tuple(pts))
+
+
+def labels_oracle(rs, M):
+    """The default plan labels filtered from the sorted dual-mark tuples."""
+    dm = dual_marks(rs)
+    return tuple(vec(s) for s in sorted(_s_tuples(dm, M))
+                 if all(si > 0 for si in s) and sum(a * b for a, b in zip(s, dm)) < M)
 
 
 def group_sum_terms(rs, kind: str, lam) -> tuple:

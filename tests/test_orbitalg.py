@@ -380,6 +380,17 @@ def test_branch_rejects_bad_input():
         branch(build("C3"), BranchRule("drop"), (10 ** 30, 2, 1))
 
 
+@pytest.mark.parametrize("label,m", [("D4", (4, 3, 2, -1)), ("D4", (4, 3, 2, 0)),
+                                     ("D5", (5, 4, 3, 2, -1)), ("D5", (6, 4, 3, 1, 0))])
+def test_branch_d_with_a_last_coordinate_not_positive(label, m):
+    # m_(n-1) > |m_n| is strictly dominant for D_n, whatever the sign of m_n
+    rs = build(label)
+    for br in [BranchRule("drop")] + [BranchRule("split", p) for p in range(1, rs.rank)]:
+        assert branch(rs, br, m) == branch_oracle(rs, br, m), br
+    with pytest.raises(WallError, match=r"^\(5, 3, 1, -1\) is not strictly dominant for D4"):
+        branch(build("D4"), BranchRule("drop"), (5, 3, 1, -1))
+
+
 def test_branch_d4_split():
     d4 = build("D4")
     m = vec((4, 3, 2, 1))

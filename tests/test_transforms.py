@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction as F
@@ -8,14 +9,14 @@ import pytest
 from orbitfuncs.rootsys import build, vec
 from orbitfuncs.orbitfn import eval_coroot_point, eval_batch
 from orbitfuncs.transforms import (
-    grid_fm, tm_expand, build_plan, default_labels, gram_over_torus,
+    GridPoint, grid_fm, tm_expand, build_plan, default_labels, gram_over_torus,
     lattice_index, dst_dct_1d, multivariate_plan, PlanSeparationError,
     fundamental_domain_quadrature, continuous_orthogonality_residual,
     mixed_symmetry_orthogonality_residual, series_coefficients,
-    plancherel_residual, sine_integral_transform,
+    plancherel_residual, sine_integral_transform, _alcove,
 )
 
-from orbit_oracles import tm_expand_oracle
+from orbit_oracles import grid_oracle, labels_oracle, tm_expand_oracle
 
 RNG = random.Random(4242)
 
@@ -110,12 +111,68 @@ def test_tm_expand_matches_the_element_oracle(label, M):
     grid = grid_fm(rs, M)
     assert tm_expand(rs, grid) == tm_expand_oracle(rs, grid)
 
+# |P^check / Q^check| from Bourbaki, Plates I-IX
+_LATTICE_INDEX = {
+    **{f"A{n}": n + 1 for n in range(1, 9)}, **{f"B{n}": 2 for n in range(2, 9)},
+    **{f"C{n}": 2 for n in range(2, 9)}, **{f"D{n}": 4 for n in range(4, 9)},
+    "E6": 3, "E7": 2, "E8": 1, "F4": 1, "G2": 1,
+}
+
+
 def test_lattice_index():
-    assert lattice_index(build("A2")) == 3
-    assert lattice_index(build("A3")) == 4
-    assert lattice_index(build("C2")) == 2
-    assert lattice_index(build("D4")) == 4
-    assert lattice_index(build("G2")) == 1
+    for label, index in _LATTICE_INDEX.items():
+        rs = build(label)
+        assert lattice_index(rs) == index, label
+        assert round(np.linalg.det(np.array(rs.cartan, dtype=float))) == index, label
+
+
+def _same(a, b) -> bool:
+    """Equal values of identical Python types, element by element."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+def _assert_grid_is_the_oracle(rs, M):
+    grid, oracle = grid_fm(rs, M), grid_oracle(rs, M)
+    assert grid.M == M and len(grid.points) == len(oracle.points)
+    for p, q in zip(grid.points, oracle.points):
+        for f in dataclasses.fields(GridPoint):
+            assert _same(getattr(p, f.name), getattr(q, f.name)), (rs.id.label, M, f.name)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4",
+                                   "C2", "C3", "C4", "D4", "D5", "G2"])
+def test_grid_and_labels_equal_the_oracle(label):
+    rs = build(label)
+    for M in range(1, 13):
+        _assert_grid_is_the_oracle(rs, M)
+        assert _same(default_labels(rs, M), labels_oracle(rs, M)), M
+
+
+@pytest.mark.parametrize("label", ["E6", "E8", "F4"])
+def test_exceptional_grids_equal_the_oracle(label):
+    rs = build(label)
+    for M in range(1, 13):
+        _assert_grid_is_the_oracle(rs, M)
+
+
+def test_alcove_allocates_the_simplex_in_order():
+    rows = _alcove((1,) * 8, 12)
+    assert rows.shape == (math.comb(20, 8), 8) == (125970, 8)
+    assert np.all(rows >= 0) and np.all(rows.sum(axis=1) <= 12)
+    assert np.all(np.diff(rows @ 13 ** np.arange(7, -1, -1)) > 0)   # strictly lexicographic
+    assert _alcove((2, 3), -1).shape == (0, 2)
+    assert _alcove((2, 3), 0).tolist() == [[0, 0]]
+
+
+def test_plan_stores_its_gram_residual():
+    for label, M in [("A2", 5), ("C2", 7), ("G2", 14)]:
+        plan = build_plan(build(label), M)
+        g = plan.gram()
+        assert plan.residual == float(np.max(np.abs(g - plan.norm * np.eye(len(plan.labels)))))
 
 
 def test_plan_gram_and_roundtrip_a2():
