@@ -3,16 +3,18 @@
 Every product goes through one coset sum.  For a weight y write
 S+(y) = sum_w e^(w y) and S-(y) = sum_w det(w) e^(w y); then
 S+(y) = |Stab(y)| * O(dom y), and S-(y) = sign * O^+-(dom y) off the walls
-and 0 on them, with (dom y, sign) from ``to_dominant``.  Since an orbit is
-W-invariant, a product of two orbit sums is a sum of S+ or S- over the
-points of one factor only, so it costs O(|orbit|) ``to_dominant`` calls
-instead of a loop over pairs of points; the pair loops are kept in the
-tests as brute-force oracles.  A restriction (``branch``) is a masked
-array sum: the images of m under the whole group, as integer rows of
-signed permutations, are split into the parts of the subgroup, masked to
-the rows strictly dominant for every part, and their dets summed per
-distinct row; the per-family branching term generators are validated
-against it in the tests.
+and 0 on them, with (dom y, sign) as from ``to_dominant``.  Since an orbit
+is W-invariant, a product of two orbit sums is a sum of S+ or S- over the
+points of one factor only, instead of a loop over pairs of points; the
+pair loops are kept in the tests as brute-force oracles.  The points
+beta + q of one coset sum are int64 rows over one denominator, descended to
+their dominant forms together (``weyl._dominant_forms``) and summed per
+distinct row; only the distinct labels become Fractions.  A restriction
+(``branch``) is a masked array sum: the images of m under the whole group,
+as integer rows of signed permutations, are split into the parts of the
+subgroup, masked to the rows strictly dominant for every part, and their
+dets summed per distinct row; the per-family branching term generators
+are validated against it in the tests.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ import numpy as np
 
 from .rootsys import RootSystem, vec, orth_dim, _vec_str
 from .weyl import (
-    orbit, signed_orbit, to_dominant, stabilizer_order, orth_action, WallError,
-    _dominant_rows, _dominant_vec, _group, _scaled, _strict_vec, _unscaled,
+    signed_orbit, stabilizer_order, orth_action, WallError,
+    _distinct, _dominant_forms, _dominant_rows, _dominant_vec, _group, _orbit_rows,
+    _scaled, _strict_vec, _unscaled,
 )
 
 
@@ -44,20 +47,26 @@ def _collect(counter: dict, kind: str) -> OrbitSum:
     return tuple(OrbitTerm(c, lab, kind) for lab, c in sorted(counter.items()) if c != 0)
 
 
-def _coset_sum(rs: RootSystem, beta: tuple, terms, signed: bool) -> dict:
+def _coset_sum(rs: RootSystem, beta: tuple, rows: np.ndarray, d: int,
+               coeffs: np.ndarray, signed: bool) -> dict:
     """sum of c * S-(beta + q) (signed) or c * S+(beta + q) (plain) over
-    the (q, c) in terms, as {dominant label: coefficient}."""
-    counter: dict = {}
-    for q, c in terms:
-        dom = to_dominant(rs, tuple(a + b for a, b in zip(beta, q)))
-        if signed:
-            if dom.on_wall:
-                continue
-            c *= dom.sign
-        counter[dom.weight] = counter.get(dom.weight, 0) + c
+    the points q = row / d and their coefficients c, as {dominant label:
+    coefficient}: one batched descent, then one sum per distinct label."""
+    rows, signs, d = _dominant_forms(rs, beta, rows, d)
     if signed:
-        return counter
-    return {lab: c * stabilizer_order(rs, lab) for lab, c in counter.items()}
+        off_walls = rows.all(axis=1)
+        rows, coeffs = rows[off_walls], (coeffs * signs)[off_walls]
+    labels, sums = _distinct(rows, coeffs)
+    if not signed:   # times |Stab(label)|, counted over the group array
+        t = labels.T
+        sums = sums * (_group(rs).mats @ t == t).all(axis=1).sum(axis=0)
+    return dict(zip(_unscaled(labels, d), sums.tolist()))
+
+
+def _orbit_coset_sum(rs: RootSystem, beta: tuple, lam: Sequence, signed: bool) -> dict:
+    """``_coset_sum`` over the points of the orbit of lam, each once."""
+    rows, d = _orbit_rows(rs, lam)
+    return _coset_sum(rs, beta, rows, d, np.ones(len(rows), dtype=np.int64), signed)
 
 
 def product_plain_signed(rs: RootSystem, lam: Sequence, mu: Sequence) -> OrbitSum:
@@ -66,8 +75,7 @@ def product_plain_signed(rs: RootSystem, lam: Sequence, mu: Sequence) -> OrbitSu
     need not be a unit.  As in ``orbit`` and ``signed_orbit``, a factor that
     is not dominant raises ValueError, and a dominant mu on a wall WallError."""
     muv = _strict_vec(rs, mu)
-    terms = [(q, 1) for q in orbit(rs, lam)]
-    return _collect(_coset_sum(rs, muv, terms, signed=True), "signed")
+    return _collect(_orbit_coset_sum(rs, muv, lam, signed=True), "signed")
 
 
 product_plain_signed_coset = product_plain_signed
@@ -78,15 +86,15 @@ def product_signed_signed(rs: RootSystem, lam: Sequence, mu: Sequence) -> OrbitS
     of plain orbits with integer coefficients; labels on walls may carry
     |coefficient| > 1."""
     lamv = _strict_vec(rs, lam)
-    terms = signed_orbit(rs, mu).points
-    return _collect(_coset_sum(rs, lamv, terms, signed=False), "orbit")
+    so = signed_orbit(rs, mu)
+    return _collect(_coset_sum(rs, lamv, so.rows, so.scale, so.dets, signed=False), "orbit")
 
 
 def product_plain_plain(rs: RootSystem, lam: Sequence, mu: Sequence) -> OrbitSum:
     """O(lam) x O(mu) = sum over q in O(mu) of S+(lam + q) / |Stab(lam)|:
     a union of plain orbits with positive multiplicities."""
     lamv = _dominant_vec(rs, lam)
-    counter = _coset_sum(rs, lamv, [(q, 1) for q in orbit(rs, mu)], signed=False)
+    counter = _orbit_coset_sum(rs, lamv, mu, signed=False)
     stab = stabilizer_order(rs, lamv)
     assert all(c % stab == 0 for c in counter.values()), (counter, stab)
     return _collect({lab: c // stab for lab, c in counter.items()}, "orbit")

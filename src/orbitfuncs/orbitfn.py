@@ -38,7 +38,7 @@ import numpy as np
 
 from .rootsys import (
     RootSystem, vec, is_dominant, inner, orth_dim, orth_pairing_scale, rank_vec,
-    to_orthogonal,
+    to_orthogonal, _vec_str,
 )
 from .weyl import (
     signed_orbit, stabilizer_order, positive_roots, orth_action, WallError,
@@ -498,14 +498,15 @@ def rho_cosine_orbit_decomposition(rs: RootSystem) -> dict:
     lower orbits appear as well, so the product is *not* equal to the rho
     orbit sum alone.
     """
-    counts = {rs.rho: 1}
+    counts = {(1,) * rs.rank: 1}   # rho, as are all roots, integral in omega
     for alpha in positive_roots(rs):
+        alpha = tuple(map(int, alpha))
         nxt = dict(counts)
         for e, c in counts.items():
             lower = tuple(a - b for a, b in zip(e, alpha))
             nxt[lower] = nxt.get(lower, 0) + c
         counts = nxt
-    coeffs = {lab: c for lab, c in sorted(counts.items()) if is_dominant(lab)}
+    coeffs = {vec(lab): c for lab, c in sorted(counts.items()) if min(lab) >= 0}
     assert coeffs[rs.rho] == 1
     return coeffs
 
@@ -598,17 +599,25 @@ def character_highprec(rs: RootSystem, lam: Sequence, x: Sequence, dps: int = 60
 
 
 def dimension(rs: RootSystem, lam: Sequence) -> int:
-    """Product formula for the x -> 0 limit of the character, exactly."""
-    lamv = vec(lam)
-    if not is_dominant(lamv) or any(c.denominator != 1 for c in lamv):
-        raise ValueError("dimension needs a dominant integral weight")
-    shifted = tuple(c + 1 for c in lamv)
-    total = Fraction(1)
-    for alpha in positive_roots(rs):
-        total *= inner(rs, shifted, alpha) / inner(rs, rs.rho, alpha)
-    if total.denominator != 1:
-        raise ArithmeticError(f"non-integral dimension {total} for {lamv}")
-    return int(total)
+    """Product formula for the x -> 0 limit of the character, exactly:
+    prod <lam + rho, alpha> / <rho, alpha> over the positive roots, with
+    both pairings one product with the metric scaled to integers and the
+    products taken in Python ints."""
+    lamv = rank_vec(rs, lam)
+    need = f"for {rs.id.label}; dimension needs a dominant integral weight"
+    if not is_dominant(lamv):
+        raise ValueError(f"{_vec_str(lamv)} is not dominant {need}")
+    if any(c.denominator != 1 for c in lamv):
+        raise ValueError(f"{_vec_str(lamv)} is not integral {need}")
+    L = math.lcm(*(c.denominator for row in rs.metric for c in row))
+    S = np.array([[int(c * L) for c in row] for row in rs.metric], dtype=np.int64)
+    pos = np.array([[int(c) for c in alpha] for alpha in positive_roots(rs)], dtype=np.int64)
+    weights = np.array([[int(c) + 1 for c in lamv], [1] * rs.rank], dtype=object)
+    shifted, rho = (weights @ (S @ pos.T)).tolist()
+    num, den = math.prod(shifted), math.prod(rho)
+    if num % den:
+        raise ArithmeticError(f"non-integral dimension {Fraction(num, den)} for {lamv}")
+    return num // den
 
 
 # -- generating-function identities for the A family ---------------------

@@ -59,11 +59,22 @@ class GridFM:
         return tuple(p for p in self.points if p.interior)
 
 
-def _alcove(marks: Sequence[int], M: int) -> np.ndarray:
+#: Ceiling on the rows of one alcove enumeration, C(M + r, r) for marks
+#: all 1: a grid of that many points takes about 0.45 GB of GridPoints.
+#: E8 and A8 at M = 12 need 125970.
+ALCOVE_LIMIT = 500_000
+
+
+def _alcove(marks: Sequence[int], M: int, what: str) -> np.ndarray:
     """The int64 rows s >= 0 with sum(s_i * m_i) <= M, in lexicographic
     order.  Grown one column at a time, each row of the previous columns
     repeated once per value its remaining budget allows, so that only the
-    points of the simplex are ever allocated."""
+    points of the simplex are ever allocated; ValueError naming ``what``
+    before any allocation when there could be more than ALCOVE_LIMIT."""
+    bound = math.comb(M + len(marks), len(marks)) if M >= 0 else 0
+    if bound > ALCOVE_LIMIT:
+        raise ValueError(f"{what} could have C({M} + {len(marks)}, {len(marks)}) = "
+                         f"{bound} points, more than ALCOVE_LIMIT = {ALCOVE_LIMIT}")
     rows = np.zeros((int(M >= 0), 0), dtype=np.int64)
     budget = np.full(len(rows), M, dtype=np.int64)
     for m in marks:
@@ -84,7 +95,7 @@ def grid_fm(rs: RootSystem, M: int) -> GridFM:
     denominators of 2/|alpha_i|^2 and of diag(2/|alpha_i|^2) S."""
     if M < 1:
         raise ValueError("M must be a positive integer")
-    s = _alcove(rs.marks, M)
+    s = _alcove(rs.marks, M, f"the F_{M} grid of {rs.id.label}")
     s0 = M - s @ np.array(rs.marks, dtype=np.int64)
     interior = (s0 > 0) & np.all(s > 0, axis=1)
     n = rs.rank
@@ -147,7 +158,8 @@ def default_labels(rs: RootSystem, M: int) -> tuple[Vec, ...]:
     """
     dm = dual_marks(rs)
     # s_i >= 1 with sum s_i dm_i <= M - 1 is s - 1 in the alcove of M - 1 - sum dm
-    return tuple(_unscaled(_alcove(dm, M - 1 - sum(dm)) + 1, 1))
+    return tuple(_unscaled(_alcove(dm, M - 1 - sum(dm),
+                                   f"the default labels of {rs.id.label} at M = {M}") + 1, 1))
 
 
 def lattice_index(rs: RootSystem) -> int:

@@ -9,7 +9,11 @@ denominators, multiplied by every matrix, and turned back into Fractions
 once (a signed orbit keeps its int64 rows and converts its points when
 they are first read).  On A, B, C and D the action on orthogonal
 coordinates, a signed permutation per element, is read off the same array
-(``orth_action``).  Everything here is exact; no tolerances.
+(``orth_action``).  ``to_dominant`` maps one point to the dominant chamber
+by simple reflections; ``_dominant_forms`` does the same descent for many
+int64 rows at once, and the positive roots are the group images of the
+simple roots with a positive integer height test.  Everything here is
+exact; no tolerances.
 """
 
 from __future__ import annotations
@@ -67,14 +71,16 @@ def generators(rs: RootSystem) -> list[WeylElement]:
 @dataclass
 class _Group:
     """One Weyl group in BFS order: int64 matrices, dets, shortest words, a
-    bound on every row and column sum of |matrix|, the WeylElement view and
-    the orthogonal action (perm, signs) of ``orth_action``."""
+    bound on every row and column sum of |matrix|, the WeylElement view, the
+    orthogonal action (perm, signs) of ``orth_action`` and the positive
+    roots."""
     mats: np.ndarray
     dets: np.ndarray
     words: tuple[tuple[int, ...], ...]
     gain: int
     elements: tuple[WeylElement, ...] | None = None
     orth: tuple[np.ndarray, np.ndarray] | None = None
+    positive: tuple[Vec, ...] | None = None
 
 
 _GROUP_CACHE: dict = {}
@@ -140,11 +146,17 @@ def _scaled(group: _Group, vs: Sequence[Vec]) -> tuple[np.ndarray, int]:
     return np.array(ints, dtype=np.int64), d
 
 
-def _distinct(rows: np.ndarray) -> np.ndarray:
+def _distinct(rows: np.ndarray, weights: np.ndarray | None = None):
     """The distinct rows of an integer array in lexicographic order, as from
-    np.unique(rows, axis=0), whose first call in a process imports numpy.ma."""
-    rows = rows[np.lexsort(rows.T[::-1])]
-    return rows[np.append(True, (rows[1:] != rows[:-1]).any(axis=1))]
+    np.unique(rows, axis=0), whose first call in a process imports numpy.ma;
+    given weights, also the sum of the weights of the copies of each row."""
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    if weights is None:
+        return rows[first]
+    return rows[first], np.add.reduceat(weights[order], np.flatnonzero(first))
 
 
 def _unscaled(rows: np.ndarray, d: int) -> list[Vec]:
@@ -182,6 +194,35 @@ def to_dominant(rs: RootSystem, x: Sequence) -> DominantForm:
     return DominantForm(tuple(cur), sign, any(c == 0 for c in cur))
 
 
+def _dominant_forms(rs: RootSystem, beta: Vec, rows: np.ndarray,
+                    d: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """``to_dominant`` of every point beta + row / d at once: the dominant
+    forms as int64 rows over the lcm D of d and beta's denominators, their
+    signs, and D.  Each round, every row that still has a negative
+    coordinate reflects in its most negative one (lowest index on ties), and
+    its sign flips.  Every row met is a group image of its start, so the
+    bound checked on the starts holds throughout."""
+    group = _group(rs)
+    (b,), db = _scaled(group, [beta])
+    D = math.lcm(d, db)
+    top = int(np.abs(b).max()) * (D // db) + int(np.abs(rows).max()) * (D // d)
+    if max(top, D) * group.gain >= 2 ** 63:
+        raise ValueError(f"{_vec_str(beta)} shifted by points over the denominator {d} "
+                         f"is too large for exact int64 arithmetic")
+    x = rows * (D // d) + b * (D // db)
+    cartan = np.array([[int(c) for c in row] for row in rs.cartan], dtype=np.int64)
+    signs = np.ones(len(x), dtype=np.int64)
+    live = np.arange(len(x))
+    while len(live):
+        j = x[live].argmin(axis=1)
+        xj = x[live, j]
+        neg = xj < 0
+        live, j, xj = live[neg], j[neg], xj[neg]
+        x[live] -= xj[:, None] * cartan[j]
+        signs[live] *= -1
+    return x, signs, D
+
+
 def _dominant_vec(rs: RootSystem, lam: Sequence) -> Vec:
     """lam as an exact rank vector; ValueError unless it is dominant."""
     lamv = rank_vec(rs, lam)
@@ -212,10 +253,16 @@ def _images(rs: RootSystem, lamv: Vec) -> tuple[np.ndarray, np.ndarray, int]:
     return group.mats @ v[0], group.dets, d
 
 
+def _orbit_rows(rs: RootSystem, lam: Sequence) -> tuple[np.ndarray, int]:
+    """The distinct points of the W-orbit of a dominant weight as sorted
+    int64 rows over the lcm d of its denominators, and d."""
+    rows, _, d = _images(rs, _dominant_vec(rs, lam))
+    return _distinct(rows), d
+
+
 def orbit(rs: RootSystem, lam: Sequence) -> list[Vec]:
     """Distinct points of the W-orbit of a dominant weight, sorted."""
-    rows, _, d = _images(rs, _dominant_vec(rs, lam))
-    return _unscaled(_distinct(rows), d)
+    return _unscaled(*_orbit_rows(rs, lam))
 
 
 def stabilizer_order(rs: RootSystem, lam: Sequence) -> int:
@@ -285,25 +332,24 @@ def in_fundamental_domain(rs: RootSystem, x: Sequence) -> str:
 
 # -- positive roots ------------------------------------------------------
 
-_POSROOT_CACHE: dict = {}
-
-
 def positive_roots(rs: RootSystem) -> tuple[Vec, ...]:
-    """All positive roots in omega coordinates.
+    """All positive roots in omega coordinates, sorted.
 
     The root system is the union of the W-orbits of the simple roots; a
-    root is positive when its alpha-basis expansion is nonnegative.
+    root is positive when its alpha-basis expansion is nonnegative, that
+    is when its height, the sum of that expansion, is positive.  Every
+    entry of the inverse Cartan matrix is positive, so the height has the
+    sign of the root times the row sums of it, scaled to integers.
     """
-    if rs.id in _POSROOT_CACHE:
-        return _POSROOT_CACHE[rs.id]
     group = _group(rs)
-    alphas, _ = _scaled(group, rs.cartan)  # row i is alpha_i in omega coordinates
-    roots = _distinct(np.einsum("gjk,ik->gij", group.mats, alphas).reshape(-1, rs.rank))
-    pos = tuple(r for r in _unscaled(roots, 1)
-                if all(c >= 0 for c in convert_basis(rs, r, "omega", "alpha")))
-    assert 2 * len(pos) == len(roots)
-    _POSROOT_CACHE[rs.id] = pos
-    return pos
+    if group.positive is None:
+        alphas, _ = _scaled(group, rs.cartan)  # row i is alpha_i in omega coordinates
+        roots = _distinct(np.einsum("gjk,ik->gij", group.mats, alphas).reshape(-1, rs.rank))
+        heights, _ = _scaled(group, [[sum(row) for row in rs.cartan_inv]])
+        pos = roots[roots @ heights[0] > 0]
+        assert 2 * len(pos) == len(roots)
+        group.positive = tuple(_unscaled(pos, 1))
+    return group.positive
 
 
 def positive_root_count(rs: RootSystem) -> int:

@@ -11,6 +11,11 @@ reads each coefficient off the dominant exponent itself, and the rho
 cosine expansion enumerates all 2^|positive roots| subsets.  They are
 slow, and independent of the group array, ``to_dominant`` and
 ``stabilizer_order``, which makes them the reference for the library.
+``positive_roots_oracle`` and ``dimension_oracle`` are the ``Fraction``
+loops that ``weyl.positive_roots`` and ``orbitfn.dimension`` ran before
+their integer products: the roots as the BFS orbits of the simple roots,
+kept when their alpha-basis expansion is nonnegative, and the dimension
+as a product of ``inner`` ratios.
 ``group_sum`` is the float sum over W that ``eval_batch`` ran on every
 family before the closed forms and the power tables: one exponential per
 term and point, with the terms read off the oracle orbits.  ``orth_group``
@@ -32,10 +37,11 @@ import numpy as np
 
 from orbitfuncs.orbitalg import OrbitTerm
 from orbitfuncs.rootsys import (
-    mat_vec, vec, vec_mat, is_dominant, is_strictly_dominant, UnsupportedCoordinatesError,
+    convert_basis, inner, mat_vec, vec, vec_mat, is_dominant, is_strictly_dominant,
+    UnsupportedCoordinatesError,
 )
 from orbitfuncs.transforms import GridFM, GridPoint
-from orbitfuncs.weyl import dual_marks, generators, positive_roots, to_dominant
+from orbitfuncs.weyl import dual_marks, generators, to_dominant
 
 
 def _closure(rs, gens) -> list:
@@ -86,6 +92,25 @@ def stabilizer_oracle(rs, lam) -> int:
     nu = to_dominant(rs, lam).weight
     gens = generators(rs)
     return len(_closure(rs, [gens[i] for i, c in enumerate(nu) if c == 0]))
+
+
+def positive_roots_oracle(rs) -> tuple:
+    """The sorted roots, the union of the orbits of the simple roots, with
+    a nonnegative alpha-basis expansion."""
+    roots = set().union(*(orbit_oracle(rs, alpha) for alpha in rs.cartan))
+    return tuple(r for r in sorted(roots)
+                 if all(c >= 0 for c in convert_basis(rs, r, "omega", "alpha")))
+
+
+def dimension_oracle(rs, lam) -> int:
+    """prod <lam + rho, alpha> / <rho, alpha> over the positive roots, in
+    Fractions."""
+    shifted = tuple(c + 1 for c in vec(lam))
+    total = Fraction(1)
+    for alpha in positive_roots_oracle(rs):
+        total *= inner(rs, shifted, alpha) / inner(rs, rs.rho, alpha)
+    assert total.denominator == 1
+    return int(total)
 
 
 def signed_orbit_oracle(rs, lam) -> tuple:
@@ -202,7 +227,7 @@ def rho_cosine_oracle(rs) -> dict:
     """2^r prod cos(pi <alpha, x>) expanded over all subsets S of the
     positive roots, one exponential rho - sum(S) each; the dominant
     exponents with their counts."""
-    pos = positive_roots(rs)
+    pos = positive_roots_oracle(rs)
     counts: dict = {}
     for mask in range(1 << len(pos)):
         point = list(rs.rho)

@@ -10,7 +10,7 @@ from orbitfuncs.weyl import (
     generate_group, WallError, orbit, to_dominant, stabilizer_order,
 )
 from orbitfuncs.orbitfn import (
-    eval_orbit_function, eval_orth, rho_cosine_orbit_decomposition,
+    dimension, eval_orbit_function, eval_orth, rho_cosine_orbit_decomposition,
 )
 from orbitfuncs.orbitalg import (
     product_plain_signed, product_plain_signed_coset,
@@ -141,13 +141,23 @@ def _length(n, got):
     (lambda: product_plain_signed(A2, (1, 0), (-1, 2)), ValueError,
      r"^\(-1, 2\) is not dominant"),
     (lambda: product_plain_signed(A2, (1, 0), (1, 0)), WallError, r"^\(1, 0\) lies on a wall"),
+    (lambda: product_plain_signed(A2, (1, 0), (10 ** 30, 1)), ValueError,
+     r"^\(1000000000000000000000000000000, 1\) is too large for exact int64 arithmetic$"),
+    (lambda: dimension(A2, (1, 2, 3)), ValueError,
+     r"^expected 2 coordinates for A2, got 3: \(1, 2, 3\)$"),
+    (lambda: dimension(A2, (1,)), *_length(2, 1)),
+    (lambda: dimension(A2, (-1, 2)), ValueError, r"^\(-1, 2\) is not dominant for A2"),
+    (lambda: dimension(A2, (F(1, 2), 1)), ValueError, r"^\(1/2, 1\) is not integral for A2"),
 ], ids=["plain_plain-lam", "plain_plain-mu", "plain_signed-lam", "plain_signed-mu",
         "signed_signed-mu", "signed_signed-lam", "expand-mu", "orbit-short",
         "orbit-long", "to_dominant", "stabilizer_order", "branch",
-        "plain_signed-not-dominant", "plain_signed-on-wall"])
+        "plain_signed-not-dominant", "plain_signed-on-wall", "plain_signed-too-large",
+        "dimension-long", "dimension-short", "dimension-not-dominant",
+        "dimension-not-integral"])
 def test_weight_of_the_wrong_length_is_refused(call, error, match):
-    """A factor of the wrong length, or a signed factor that is not
-    strictly dominant, raises the named error of its kind."""
+    """A factor of the wrong length, a signed factor that is not strictly
+    dominant, or one too large for int64, and a weight of ``dimension``
+    that is not dominant and integral, raise the named error of its kind."""
     with pytest.raises(error, match=match) as info:
         call()
     assert type(info.value) is error

@@ -21,7 +21,7 @@ from orbitfuncs.orbitfn import (
     NearSingularEvaluationError, is_strictly_dominant_orth,
 )
 
-from orbit_oracles import group_sum, group_sum_terms
+from orbit_oracles import dimension_oracle, group_sum, group_sum_terms
 
 RNG = random.Random(20240)
 
@@ -498,6 +498,17 @@ def test_dimension_values():
     assert dimension(build("A3"), (1, 0, 0)) == 4
     assert dimension(build("B3"), (1, 0, 0)) == 7
     assert dimension(build("D4"), (1, 0, 0, 0)) == 8
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5",
+                        "C2", "C3", "C4", "C5", "D4", "D5", "G2"]),
+       st.lists(st.integers(0, 6) | st.integers(0, 10 ** 6), min_size=5, max_size=5))
+def test_dimension_equals_the_fraction_oracle(label, coords):
+    rs = build(label)
+    lam = tuple(coords[:rs.rank])
+    got = dimension(rs, lam)
+    assert type(got) is int and got == dimension_oracle(rs, lam)
 
 
 # -- A-family identities ---------------------------------------------------

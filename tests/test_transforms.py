@@ -160,12 +160,22 @@ def test_exceptional_grids_equal_the_oracle(label):
 
 
 def test_alcove_allocates_the_simplex_in_order():
-    rows = _alcove((1,) * 8, 12)
+    rows = _alcove((1,) * 8, 12, "A8")
     assert rows.shape == (math.comb(20, 8), 8) == (125970, 8)
     assert np.all(rows >= 0) and np.all(rows.sum(axis=1) <= 12)
     assert np.all(np.diff(rows @ 13 ** np.arange(7, -1, -1)) > 0)   # strictly lexicographic
-    assert _alcove((2, 3), -1).shape == (0, 2)
-    assert _alcove((2, 3), 0).tolist() == [[0, 0]]
+    assert _alcove((2, 3), -1, "G2").shape == (0, 2)
+    assert _alcove((2, 3), 0, "G2").tolist() == [[0, 0]]
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: grid_fm(build("A1"), 2 ** 63), r"^the F_9223372036854775808 grid of A1 could have"),
+    (lambda: grid_fm(build("E8"), 20), r"^the F_20 grid of E8 could have C\(20 \+ 8, 8\) = 3108105"),
+    (lambda: default_labels(build("A2"), 10 ** 4), r"^the default labels of A2 at M = 10000"),
+])
+def test_alcove_beyond_its_ceiling_is_refused_before_allocating(call, match):
+    with pytest.raises(ValueError, match=match + ".* more than ALCOVE_LIMIT = 500000$"):
+        call()
 
 
 def test_plan_stores_its_gram_residual():

@@ -12,12 +12,13 @@ from orbitfuncs.weyl import (
     generators, generate_group, to_dominant, orbit, signed_orbit,
     stabilizer_order, affine_r0, reflect_highest_root, in_fundamental_domain,
     positive_roots, positive_root_count, orth_action, xi_pairing,
-    GroupSizeError, WallError, _group,
+    GroupSizeError, WallError, _dominant_forms, _group,
 )
 
 from orbit_oracles import (
     group_oracle, orbit_oracle, signed_orbit_oracle, stabilizer_oracle,
     orth_apply as oracle_orth_apply, orth_group as oracle_orth_group,
+    positive_roots_oracle,
 )
 
 WEYL_ORDERS = {"A1": 2, "A2": 6, "A3": 24, "A4": 120, "B2": 8, "B3": 48,
@@ -123,6 +124,47 @@ def test_to_dominant_examples():
     # (0,-1) lands on (1,0) after two reflections (exhaustive check)
     res = to_dominant(a2, (0, -1))
     assert (res.weight, res.sign, res.on_wall) == (vec([1, 0]), 1, True)
+
+
+ALGEBRA_DIAGRAMS = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5",
+                    "C2", "C3", "C4", "C5", "D4", "D5", "G2"]
+
+
+@st.composite
+def descent_cases(draw):
+    """A diagram, a rational shift beta and integer rows over a
+    denominator d; small coordinates, so that many rows end on walls."""
+    rs = build(draw(st.sampled_from(ALGEBRA_DIAGRAMS)))
+    n = rs.rank
+    beta = draw(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=3)
+                         | st.just(F(0)), min_size=n, max_size=n))
+    coord = st.integers(-3, 3) | st.integers(-40, 40)
+    rows = draw(st.lists(st.lists(coord, min_size=n, max_size=n), min_size=1, max_size=12))
+    return rs, tuple(beta), np.array(rows, dtype=np.int64), draw(st.sampled_from([1, 2, 3, 6]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(descent_cases())
+def test_batched_descent_equals_to_dominant_row_by_row(case):
+    rs, beta, rows, d = case
+    doms, signs, D = _dominant_forms(rs, beta, rows, d)
+    for row, dom, sign in zip(rows.tolist(), doms.tolist(), signs.tolist()):
+        want = to_dominant(rs, tuple(b + F(c, d) for b, c in zip(beta, row)))
+        assert tuple(F(c, D) for c in dom) == want.weight
+        assert (sign, 0 in dom) == (want.sign, want.on_wall)
+
+
+def test_batched_descent_refuses_points_beyond_int64():
+    a2 = build("A2")
+    with pytest.raises(ValueError, match=r"^\(1, 1\) shifted by points over the "
+                                         r"denominator 1 is too large for exact int64"):
+        _dominant_forms(a2, (1, 1), np.array([[2 ** 62, 0]]), 1)
+
+
+@pytest.mark.parametrize("label", ALGEBRA_DIAGRAMS)
+def test_positive_roots_equal_the_oracle(label):
+    rs = build(label)
+    assert positive_roots(rs) == positive_roots_oracle(rs)
 
 
 # -- signed orbit tables (shared fixtures) --------------------------------
