@@ -12,17 +12,17 @@ construction from an arbitrary family of orthogonal polynomials.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .rootsys import RootSystem, vec, inner, orth_dim
+from .rootsys import RootSystem, inner, orth_dim, rank_vec
 from .weyl import orth_action, _group
 from .orbitfn import (
-    TWO_PI, eval_orbit_function, eval_batch, eval_orth_batch, _perm_sum,
+    TWO_PI, eval_orbit_function, eval_batch, eval_orth_batch, _float_points, _perm_sum,
+    _stab_order,
 )
 
 
@@ -38,7 +38,7 @@ def laplace_check(rs: RootSystem, m: Sequence, x: Sequence,
     """
     fd, f0 = _apply_quadratic_operator(
         lambda pts: eval_orth_batch(rs, "anti", m, pts), np.eye(orth_dim(rs)),
-        np.asarray([float(v) for v in x]), h)
+        _float_points(rs, [x], orth_dim(rs))[0], h)
     eig = -4 * math.pi ** 2 * float(sum(Fraction(v) ** 2 for v in m))
     ref = eig * f0
     rel = abs(fd - ref) / max(abs(ref), 1e-300)
@@ -53,7 +53,7 @@ def laplace_check_omega(rs: RootSystem, lam: Sequence, x: Sequence,
     coeffs = [[float(c) for c in row] for row in rs.metric_inv]
     fd, f0 = _apply_quadratic_operator(
         lambda pts: eval_batch(rs, "anti", lam, pts), coeffs,
-        np.asarray([float(v) for v in x]), h)
+        _float_points(rs, [x], rs.rank)[0], h)
     eig = -4 * math.pi ** 2 * float(inner(rs, lam, lam))
     ref = eig * f0
     rel = abs(fd - ref) / max(abs(ref), 1e-300)
@@ -98,7 +98,7 @@ def sigma2_check(rs: RootSystem, m: Sequence, x: Sequence,
     """Second elementary symmetric polynomial of the coordinate second
     derivatives: eigenvalue (-4 pi^2)^2 sigma_2(m_1^2, ..., m_r^2)."""
     r = orth_dim(rs)
-    xv = np.asarray([float(v) for v in x])
+    xv = _float_points(rs, [x], r)[0]
     f = lambda pts: eval_orth_batch(rs, "anti", m, pts)
     total = 0j
     for i in range(r):
@@ -158,7 +158,7 @@ def shift_operator_check(rs: RootSystem, lam: Sequence, x: Sequence,
     often quoted with the x-side kinds swapped, which fails numerically).
     Returns the relative error of the identity.
     """
-    xv, yv = vec(x), vec(y)
+    xv, yv = rank_vec(rs, x), rank_vec(rs, y)
     group = _group(rs)
     if variant == "det_on_anti":
         kind, use_det, eig_kind, val_kind = "anti", True, "sym", "anti"
@@ -189,7 +189,7 @@ def gradient_sum_residual(rs: RootSystem, m: Sequence, x: Sequence,
     families where the reflection representation misses the determinant
     character (A, B, C, and even-rank D)."""
     r = orth_dim(rs)
-    xv = np.asarray([float(v) for v in x])
+    xv = _float_points(rs, [x], r)[0]
     perm, signs = orth_action(rs)
     images = signs * xv[perm]
     worst = 0.0
@@ -350,8 +350,7 @@ def generic_sym_poly(family: PolynomialFamily, m: Sequence[int], x: Sequence) ->
     """Coset sum over distinct permutations of the label: the permanent
     divided by the order of the label's stabilizer."""
     grid = np.array([family.value(mi, np.asarray(x, dtype=float)) for mi in m])
-    stab = math.prod(math.factorial(c) for c in Counter(m).values())
-    return float(_perm_sum(grid, signed=False)) / stab
+    return float(_perm_sum(grid, signed=False)) / int(_stab_order(m))
 
 
 def generic_anti_poly(family: PolynomialFamily, m: Sequence[int], x: Sequence) -> float:

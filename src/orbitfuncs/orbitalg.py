@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .rootsys import RootSystem, vec, orth_dim, _vec_str
+from .rootsys import RootSystem, vec, orth_vec, _vec_str
 from .weyl import (
     signed_orbit, stabilizer_order, orth_action, WallError,
     _distinct, _dominant_forms, _dominant_rows, _dominant_vec, _group, _orbit_rows,
@@ -154,11 +154,8 @@ def branch(rs: RootSystem, rule: BranchRule, m: Sequence) -> OrbitSum:
     fam = rs.family
     if fam not in "ABCD":
         raise ValueError(f"no branching rules for {rs.id.label}")
-    mv = vec(m)
+    mv = orth_vec(rs, m)
     r = len(mv)
-    if r != orth_dim(rs):
-        raise ValueError(f"expected {orth_dim(rs)} orthogonal coordinates for "
-                         f"{rs.id.label}, got {r}: {_vec_str(mv)}")
     # every w m as integers over the lcm d
     perm, signs = orth_action(rs)
     group = _group(rs)

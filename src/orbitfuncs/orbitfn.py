@@ -344,8 +344,8 @@ def eval_coroot_point(rs: RootSystem, kind: str, lam: Sequence, b: Sequence):
     rows, dp, coeffs = _orbit_terms(rs, kind, lamv)
     try:
         coords = [Fraction(c) for c in pts.flat]
-    except TypeError:  # a nested sequence, or no number at all
-        raise ValueError(f"{shape} a coordinate that is not a rational number") from None
+    except (TypeError, ValueError, OverflowError):  # nested, no number, NaN or infinite
+        raise ValueError(f"{shape} a coordinate that is not a finite rational number") from None
     db = math.lcm(*(c.denominator for c in coords))
     D = dp * db
     B = np.array([c.numerator * (db // c.denominator) % D for c in coords],
@@ -375,11 +375,13 @@ def is_strictly_dominant_orth(rs: RootSystem, m: Sequence) -> bool:
 
 
 def _strict_orth(rs: RootSystem, m: Sequence) -> tuple:
-    """m checked by _orth_weight, as exact coordinates; WallError unless
-    it is strictly dominant in orthogonal coordinates."""
-    if not is_strictly_dominant_orth(rs, m):
-        raise WallError(f"{tuple(m)} is not strictly dominant in orthogonal coordinates")
-    return tuple(Fraction(v) for v in m)
+    """m checked by _orth_weight, as exact coordinates; WallError naming
+    the diagram unless it is strictly dominant in orthogonal coordinates."""
+    mv = _orth_weight(rs, m)
+    if not _dominant_rows(rs.family, np.array([mv], dtype=object))[0]:
+        raise WallError(f"{_vec_str(mv)} is not strictly dominant in orthogonal "
+                        f"coordinates for {rs.id.label}")
+    return mv
 
 
 def eval_orth(rs: RootSystem, kind: str, m: Sequence, x: Sequence) -> complex:
@@ -430,6 +432,17 @@ def _perm_sum(values: np.ndarray, signed: bool):
                     nxt[key] = term
         minors = nxt
     return minors[(1 << n) - 1]
+
+
+def _stab_order(rows) -> np.ndarray:
+    """The order of the permutation stabilizer of each row (the last axis)
+    of an array, the product of the factorials of its entry
+    multiplicities: the product over the entries of each one's rank among
+    the equal entries up to it."""
+    rows = np.asarray(rows)
+    n = rows.shape[-1]
+    ranks = ((rows[..., :, None] == rows[..., None, :]) & np.tri(n, dtype=bool)).sum(axis=-1)
+    return ranks.prod(axis=-1)
 
 
 def _closed_form(fam: str, kind: str, E: np.ndarray):
@@ -512,14 +525,9 @@ def rho_cosine_orbit_decomposition(rs: RootSystem) -> dict:
 
 
 def rho_orth(rs: RootSystem):
-    """rho in the orthogonal coordinate models."""
-    n = rs.rank
-    return {
-        "A": tuple(Fraction(k) for k in range(n, -1, -1)),
-        "B": tuple(Fraction(2 * k - 1, 2) for k in range(n, 0, -1)),
-        "C": tuple(Fraction(k) for k in range(n, 0, -1)),
-        "D": tuple(Fraction(k) for k in range(n - 1, -1, -1)),
-    }[rs.family]
+    """rho in the orthogonal coordinate models, on A_n shifted by n/2 to
+    (n, n-1, ..., 0)."""
+    return to_orthogonal(rs, rs.rho, Fraction(rs.rank, 2) if rs.family == "A" else 0)
 
 
 def rho_products_orth(rs: RootSystem, x: Sequence) -> tuple[complex, complex]:
@@ -560,9 +568,7 @@ def character(rs: RootSystem, lam: Sequence, x: Sequence,
               threshold: float = 1e-12) -> complex:
     """Weyl character: the ratio of the shifted and unshifted rho-type
     antisymmetric orbit functions."""
-    lamv = vec(lam)
-    if not is_dominant(lamv) or any(c.denominator != 1 for c in lamv):
-        raise ValueError("character needs a dominant integral weight")
+    lamv = _dominant_integral(rs, lam, "character")
     shifted = tuple(c + 1 for c in lamv)
     denom = eval_orbit_function(rs, "antisymmetric", rs.rho, x)
     if abs(denom) < threshold:
@@ -581,8 +587,8 @@ def character_highprec(rs: RootSystem, lam: Sequence, x: Sequence, dps: int = 60
     """
     import mpmath as mp
 
-    xv = vec(x)
-    lamv = vec(lam)
+    lamv = _dominant_integral(rs, lam, "character")
+    xv = rank_vec(rs, x)
     shifted = tuple(c + 1 for c in lamv)
 
     def anti(mu):
@@ -598,17 +604,24 @@ def character_highprec(rs: RootSystem, lam: Sequence, x: Sequence, dps: int = 60
         return complex(val)
 
 
+def _dominant_integral(rs: RootSystem, lam: Sequence, what: str) -> tuple:
+    """lam as an exact rank vector; ValueError naming it and the diagram
+    unless it is dominant and integral."""
+    lamv = rank_vec(rs, lam)
+    need = f"for {rs.id.label}; {what} needs a dominant integral weight"
+    if not is_dominant(lamv):
+        raise ValueError(f"{_vec_str(lamv)} is not dominant {need}")
+    if any(c.denominator != 1 for c in lamv):
+        raise ValueError(f"{_vec_str(lamv)} is not integral {need}")
+    return lamv
+
+
 def dimension(rs: RootSystem, lam: Sequence) -> int:
     """Product formula for the x -> 0 limit of the character, exactly:
     prod <lam + rho, alpha> / <rho, alpha> over the positive roots, with
     both pairings one product with the metric scaled to integers and the
     products taken in Python ints."""
-    lamv = rank_vec(rs, lam)
-    need = f"for {rs.id.label}; dimension needs a dominant integral weight"
-    if not is_dominant(lamv):
-        raise ValueError(f"{_vec_str(lamv)} is not dominant {need}")
-    if any(c.denominator != 1 for c in lamv):
-        raise ValueError(f"{_vec_str(lamv)} is not integral {need}")
+    lamv = _dominant_integral(rs, lam, "dimension")
     L = math.lcm(*(c.denominator for row in rs.metric for c in row))
     S = np.array([[int(c * L) for c in row] for row in rs.metric], dtype=np.int64)
     pos = np.array([[int(c) for c in alpha] for alpha in positive_roots(rs)], dtype=np.int64)

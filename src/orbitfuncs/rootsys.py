@@ -269,9 +269,7 @@ def _sanity(rs: RootSystem):
 def inner(rs: RootSystem, x: Sequence, y: Sequence) -> Fraction:
     """Scalar product of two vectors given in omega coordinates: x S y^T."""
     n = rs.rank
-    if len(x) != n or len(y) != n:
-        raise ValueError(f"expected {n} coordinates")
-    xv, yv = vec(x), vec(y)
+    xv, yv = rank_vec(rs, x), rank_vec(rs, y)
     return sum(xv[i] * rs.metric[i][j] * yv[j] for i in range(n) for j in range(n))
 
 
@@ -282,9 +280,7 @@ def convert_basis(rs: RootSystem, v: Sequence, frm: str, to: str) -> Vec:
     """Convert coordinates between the omega, alpha and coroot bases."""
     if frm not in _BASES or to not in _BASES:
         raise ValueError(f"bases must be one of {_BASES}")
-    w = vec(v)
-    if len(w) != rs.rank:
-        raise ValueError(f"expected {rs.rank} coordinates")
+    w = rank_vec(rs, v)
     if frm == to:
         return w
     # via omega coordinates
@@ -307,21 +303,6 @@ def is_strictly_dominant(v: Sequence) -> bool:
     return all(Fraction(c) > 0 for c in v)
 
 
-def rank_vec(rs: RootSystem, x: Sequence) -> Vec:
-    """x as an exact vector of rs.rank coordinates (omega or coroot);
-    ValueError naming the diagram for another length, or for a coordinate
-    that is not a finite rational (Fraction refuses NaN and infinities)."""
-    try:
-        v = vec(x)
-    except (ValueError, OverflowError):
-        raise ValueError(f"({', '.join(map(str, x))}) are not finite rational "
-                         f"coordinates for {rs.id.label}") from None
-    if len(v) != rs.rank:
-        raise ValueError(f"expected {rs.rank} coordinates for {rs.id.label}, "
-                         f"got {len(v)}: {_vec_str(v)}")
-    return v
-
-
 def orth_dim(rs: RootSystem) -> int:
     """Number of orthogonal coordinates (n+1 for A_n, n for B/C/D)."""
     if rs.family == "A":
@@ -329,6 +310,37 @@ def orth_dim(rs: RootSystem) -> int:
     if rs.family in ("B", "C", "D"):
         return rs.rank
     raise UnsupportedCoordinatesError(f"no orthogonal model for {rs.id.label}")
+
+
+def _exact_vec(rs: RootSystem, x, dim: int, what: str) -> Vec:
+    """The body of rank_vec and orth_vec; Fraction refuses NaN, infinities,
+    None and sequences, and a non-sequence is shown by its repr."""
+    try:
+        v = vec(x)
+    except (TypeError, ValueError, OverflowError):
+        try:
+            shown = f"({', '.join(map(str, x))})"
+        except TypeError:   # not a sequence at all
+            shown = repr(x)
+        raise ValueError(f"{shown} are not finite rational {what}coordinates for "
+                         f"{rs.id.label}") from None
+    if len(v) != dim:
+        raise ValueError(f"expected {dim} {what}coordinates for {rs.id.label}, "
+                         f"got {len(v)}: {_vec_str(v)}")
+    return v
+
+
+def rank_vec(rs: RootSystem, x: Sequence) -> Vec:
+    """x as an exact vector of rs.rank coordinates (omega or coroot);
+    ValueError naming the diagram for another length, or for a coordinate
+    that is not a finite rational."""
+    return _exact_vec(rs, x, rs.rank, "")
+
+
+def orth_vec(rs: RootSystem, m: Sequence) -> Vec:
+    """m as an exact vector of orthogonal coordinates; a diagram without
+    an orthogonal model raises UnsupportedCoordinatesError."""
+    return _exact_vec(rs, m, orth_dim(rs), "orthogonal ")
 
 
 def orth_pairing_scale(rs: RootSystem) -> Fraction:
@@ -349,9 +361,7 @@ def to_orthogonal(rs: RootSystem, lam: Sequence, offset: Fraction | int = 0) -> 
     coordinates do not depend on the shift).
     """
     fam, n = rs.family, rs.rank
-    lamv = vec(lam)
-    if len(lamv) != n:
-        raise ValueError(f"expected {n} coordinates")
+    lamv = rank_vec(rs, lam)
     if fam == "A":
         m = [Fraction(0)] * (n + 1)
         total = sum((j + 1) * lamv[j] for j in range(n))
@@ -377,9 +387,7 @@ def to_orthogonal(rs: RootSystem, lam: Sequence, offset: Fraction | int = 0) -> 
 def from_orthogonal(rs: RootSystem, m: Sequence) -> Vec:
     """Inverse of :func:`to_orthogonal` (A_n: modulo the constant-sum gauge)."""
     fam, n = rs.family, rs.rank
-    mv = vec(m)
-    if len(mv) != orth_dim(rs):
-        raise ValueError(f"expected {orth_dim(rs)} orthogonal coordinates")
+    mv = orth_vec(rs, m)
     if fam == "A":
         return tuple(mv[i] - mv[i + 1] for i in range(n))
     if fam == "B":

@@ -20,16 +20,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .rootsys import RootSystem, Vec, vec, _vec_str
+from .rootsys import RootSystem, Vec, rank_vec, _vec_str
 from .weyl import dual_marks, generators, _distinct, _group, _scaled, _unscaled
-from .orbitfn import TWO_PI, eval_coroot_point, eval_batch, _perm_sum
+from .orbitfn import TWO_PI, eval_coroot_point, eval_batch, _perm_sum, _stab_order
 
 
 class PlanSeparationError(RuntimeError):
@@ -180,7 +179,7 @@ def build_plan(rs: RootSystem, M: int, labels: Sequence[Vec] | None = None,
     grid = grid_fm(rs, M).interior_points()
     if labels is None:
         labels = default_labels(rs, M)
-    labels = tuple(vec(l) for l in labels)
+    labels = tuple(rank_vec(rs, l) for l in labels)
     if not labels:
         raise ValueError(f"a plan on the F_{M} grid of {rs.id.label} needs at "
                          f"least one label (default labels need M > "
@@ -244,68 +243,54 @@ class DiscretePlan:
         return float(np.max(np.abs(g - np.diag(self.norms))))
 
 
+#: DCT/DST-1..4 as trig(pi (r + a)(k + b) / N), cos for the DCTs and sin
+#: for the DSTs: the label and node shifts a and b, the labels
+#: range(first, N + extra) and the nodes likewise as (first, extra), and
+#: the ends (0 the first, -1 the last) of the nodes of weight 1/2 and of
+#: the labels of norm N instead of N/2 (Strang, SIAM Review 41 (1999) 135)
+_DCT_DST = {
+    #        a    b    labels  nodes   halved   doubled
+    "dct1": (0,   0,   (0, 1), (0, 1), (0, -1), (0, -1)),
+    "dct2": (0.5, 0,   (0, 0), (0, 0), (0,),    ()),
+    "dct3": (0,   0.5, (0, 0), (0, 0), (),      (0,)),
+    "dct4": (0.5, 0.5, (0, 0), (0, 0), (),      ()),
+    "dst1": (0,   0,   (1, 0), (1, 0), (),      ()),
+    "dst2": (0.5, 0,   (0, 0), (1, 1), (-1,),   ()),
+    "dst3": (0,   0.5, (1, 1), (0, 0), (),      (-1,)),
+    "dst4": (0.5, 0.5, (0, 0), (0, 0), (),      ()),
+}
+
+
 def _dct_dst_data(kind: str, N: int):
-    """(labels, grid nodes, kernel fn, weight fn, norm fn) of the one-variable
-    transforms.  The nodes of ``exp``, ``sine`` and ``cosine`` are the points
-    k/N of the orbit-function grid, those of DCT/DST-1..4 the integer indices
-    of each variant."""
-    half = 0.5
-    if kind == "exp":
-        return (range(1, N + 1), [Fraction(k, N) for k in range(1, N + 1)],
-                lambda m, s: np.exp(1j * (TWO_PI * m * s)) / math.sqrt(N),
-                lambda s: 1.0,
-                lambda m: 1.0)
-    if kind == "sine":
-        return (range(1, N), [Fraction(k, N) for k in range(1, N)],
-                lambda m, s: 2j * np.sin(np.pi * m * s),
-                lambda s: 1.0,
-                lambda m: 2.0 * N)
-    if kind == "cosine":
-        return (range(N + 1), [Fraction(k, N) for k in range(N + 1)],
-                lambda m, s: 2 * np.cos(np.pi * m * s),
-                lambda s: half if s in (0, 1) else 1.0,
-                lambda m: (4.0 if m in (0, N) else 2.0) * N)
-    if kind == "dct1":
-        return (range(N + 1), range(N + 1),
-                lambda r, k: np.cos(np.pi * r * k / N),
-                lambda k: half if k in (0, N) else 1.0,
-                lambda r: (2.0 if r in (0, N) else 1.0) * N / 2)
-    if kind == "dct2":
-        return (range(N), range(N),
-                lambda r, k: np.cos(np.pi * (r + half) * k / N),
-                lambda k: half if k == 0 else 1.0,
-                lambda r: N / 2)
-    if kind == "dct3":
-        return (range(N), range(N),
-                lambda r, k: np.cos(np.pi * r * (k + half) / N),
-                lambda k: 1.0,
-                lambda r: (2.0 if r == 0 else 1.0) * N / 2)
-    if kind == "dct4":
-        return (range(N), range(N),
-                lambda r, k: np.cos(np.pi * (r + half) * (k + half) / N),
-                lambda k: 1.0,
-                lambda r: N / 2)
-    if kind == "dst1":
-        return (range(1, N), range(1, N),
-                lambda r, k: np.sin(np.pi * r * k / N),
-                lambda k: 1.0,
-                lambda r: N / 2)
-    if kind == "dst2":
-        return (range(N), range(1, N + 1),
-                lambda r, k: np.sin(np.pi * (r + half) * k / N),
-                lambda k: half if k == N else 1.0,
-                lambda r: N / 2)
-    if kind == "dst3":
-        return (range(1, N + 1), range(N),
-                lambda r, k: np.sin(np.pi * r * (k + half) / N),
-                lambda k: 1.0,
-                lambda r: (2.0 if r == N else 1.0) * N / 2)
-    if kind == "dst4":
-        return (range(N), range(N),
-                lambda r, k: np.sin(np.pi * (r + half) * (k + half) / N),
-                lambda k: 1.0,
-                lambda r: N / 2)
-    raise ValueError(f"unknown 1-D transform kind {kind!r}")
+    """(labels, grid nodes, kernel fn, node weights, label norms) of the
+    one-variable transforms, the weights and norms as float arrays: 1 and
+    a base norm, halved and doubled at the ends the kind names.  The nodes
+    of ``exp``, ``sine`` and ``cosine`` are the points k/N of the
+    orbit-function grid, those of DCT/DST-1..4 the integer indices of each
+    variant."""
+    if kind in _DCT_DST:
+        a, b, (l0, l1), (k0, k1), halved, doubled = _DCT_DST[kind]
+        trig = np.cos if kind.startswith("dct") else np.sin
+        labels, nodes, norm = range(l0, N + l1), range(k0, N + k1), N / 2
+        kernel = lambda r, k: trig(np.pi * (r + a) * (k + b) / N)
+    elif kind == "exp":
+        labels, halved, doubled, norm = range(1, N + 1), (), (), 1.0
+        kernel = lambda m, s: np.exp(1j * (TWO_PI * m * s)) / math.sqrt(N)
+    elif kind == "sine":
+        labels, halved, doubled, norm = range(1, N), (), (), 2.0 * N
+        kernel = lambda m, s: 2j * np.sin(np.pi * m * s)
+    elif kind == "cosine":
+        labels, halved, doubled, norm = range(N + 1), (0, -1), (0, -1), 2.0 * N
+        kernel = lambda m, s: 2 * np.cos(np.pi * m * s)
+    else:
+        raise ValueError(f"unknown 1-D transform kind {kind!r}")
+    if kind not in _DCT_DST:   # the points k/N of the orbit-function grid
+        nodes = [Fraction(k, N) for k in labels]
+    weights = np.ones(len(nodes))
+    weights[list(halved)] = 0.5
+    norms = np.full(len(labels), norm)
+    norms[list(doubled)] *= 2
+    return labels, nodes, kernel, weights, norms
 
 
 def _one_variable(kind: str, base: str, n: int, N: int, strict: bool):
@@ -332,22 +317,20 @@ def dst_dct_1d(kind: str, N: int) -> DiscretePlan:
     kind = kind.lower()
     if kind == "exp":
         raise ValueError(f"unknown 1-D transform kind {kind!r}")
-    labels, nodes, kfn, wfn, nfn = _one_variable(kind, kind, 1, N, strict=True)
+    labels, nodes, kfn, weights, norms = _one_variable(kind, kind, 1, N, strict=True)
     labels, nodes = tuple(labels), tuple(nodes)
     kernel = kfn(np.array(labels, dtype=float)[:, None],
                  np.array(nodes, dtype=float)).astype(complex)
-    weights = np.array([wfn(k) for k in nodes])
-    norms = np.array([nfn(r) for r in labels])
     return DiscretePlan(kind, labels, nodes, kernel, weights, norms)
 
 
-def _stab_order(t) -> int:
-    """Order of the permutation stabilizer of a tuple: the product of the
-    factorials of its entry multiplicities."""
-    out = 1
-    for c in Counter(t).values():
-        out *= math.factorial(c)
-    return out
+def _decreasing(values, n: int, strict: bool):
+    """The decreasing n-tuples of the increasing values, strictly
+    decreasing if strict, in the order of itertools: as rows of positions
+    in values, and as tuples of them."""
+    pick = itertools.combinations if strict else itertools.combinations_with_replacement
+    rows = np.array(list(pick(range(len(values) - 1, -1, -1), n)), dtype=np.intp)
+    return rows, tuple(map(tuple, np.array(values)[rows].tolist()))
 
 
 # kind -> (one-variable kind, antisymmetric)
@@ -379,18 +362,15 @@ def multivariate_plan(kind: str, n: int, N: int) -> DiscretePlan:
     if kind not in _MULTIVARIATE:
         raise ValueError(f"unknown multivariate kind {kind!r}")
     base, signed = _MULTIVARIATE[kind]
-    labels, nodes, kfn, wfn, nfn = _one_variable(kind, base, n, N, strict=signed)
-    tuples = itertools.combinations if signed else itertools.combinations_with_replacement
-    labels = tuple(tuples(sorted(labels, reverse=True), n))
-    grid = tuple(tuples(sorted(nodes, reverse=True), n))
+    labels, nodes, kfn, w, h = _one_variable(kind, base, n, N, strict=signed)
+    lrows, labels = _decreasing(labels, n, signed)
+    grows, grid = _decreasing(nodes, n, signed)
     nf = math.factorial(n)
     r = np.array(labels, dtype=float)[:, None, :, None]
     k = np.array(grid, dtype=float)[None, :, None, :]
     kernel = np.asarray(_perm_sum(kfn(r, k), signed) / math.sqrt(nf), dtype=complex)
-    weights = np.array([nf * np.prod([wfn(s) for s in t]) / _stab_order(t)
-                        for t in grid])
-    norms = np.array([np.prod([nfn(m) for m in t]) * _stab_order(t)
-                      for t in labels])
+    weights = nf * np.prod(w[grows], axis=1) / _stab_order(grows)
+    norms = np.prod(h[lrows], axis=1) * _stab_order(lrows)
     return DiscretePlan(kind, labels, grid, kernel, weights, norms)
 
 

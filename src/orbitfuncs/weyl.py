@@ -227,8 +227,8 @@ def _dominant_vec(rs: RootSystem, lam: Sequence) -> Vec:
     """lam as an exact rank vector; ValueError unless it is dominant."""
     lamv = rank_vec(rs, lam)
     if not is_dominant(lamv):
-        raise ValueError(f"{_vec_str(lamv)} is not dominant; orbits need a "
-                         f"dominant weight")
+        raise ValueError(f"{_vec_str(lamv)} is not dominant for {rs.id.label}; "
+                         f"orbits need a dominant weight")
     return lamv
 
 
@@ -238,10 +238,10 @@ def _strict_vec(rs: RootSystem, lam: Sequence) -> Vec:
     lamv = rank_vec(rs, lam)
     if not is_strictly_dominant(lamv):
         if not is_dominant(lamv):
-            raise ValueError(f"{_vec_str(lamv)} is not dominant; signed orbits "
-                             f"need a strictly dominant weight")
-        raise WallError(f"{_vec_str(lamv)} lies on a wall; signed orbits need "
-                        f"strict dominance")
+            raise ValueError(f"{_vec_str(lamv)} is not dominant for {rs.id.label}; "
+                             f"signed orbits need a strictly dominant weight")
+        raise WallError(f"{_vec_str(lamv)} lies on a wall of the {rs.id.label} "
+                        f"chamber; signed orbits need strict dominance")
     return lamv
 
 

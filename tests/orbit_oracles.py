@@ -26,21 +26,28 @@ one element and one ``Fraction`` tuple at a time.  ``grid_oracle`` and
 ``labels_oracle`` are the recursive tuple generator that built the F_M
 grids and the default plan labels before ``transforms._alcove``, with one
 ``Fraction`` per coordinate and a ``vec_mat`` per grid point.
+``dct_dst_oracle``, ``dst_dct_1d_oracle`` and ``multivariate_plan_oracle``
+are the one-variable table and the plan builders of ``transforms`` before
+the half-shift table: one branch of per-point weight and norm functions
+per kind, and the weight and norm of every multivariate tuple computed
+one tuple at a time over a ``Counter`` of its entries.
 """
 
 import functools
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 
 from orbitfuncs.orbitalg import OrbitTerm
+from orbitfuncs.orbitfn import _perm_sum
 from orbitfuncs.rootsys import (
     convert_basis, inner, mat_vec, vec, vec_mat, is_dominant, is_strictly_dominant,
     UnsupportedCoordinatesError,
 )
-from orbitfuncs.transforms import GridFM, GridPoint
+from orbitfuncs.transforms import DiscretePlan, GridFM, GridPoint
 from orbitfuncs.weyl import dual_marks, generators, to_dominant
 
 
@@ -320,3 +327,127 @@ def branch_oracle(rs, rule, m) -> tuple:
             key = parts[0] if len(parts) == 1 else parts
             counter[key] = counter.get(key, 0) + det
     return _terms(counter, "signed")
+
+
+def dct_dst_oracle(kind: str, N: int):
+    """(labels, grid nodes, kernel fn, weight fn, norm fn) of a one-variable
+    transform, one branch of five lambdas per kind: the table that
+    ``transforms`` kept before the half-shift table of DCT/DST-1..4."""
+    half = 0.5
+    if kind == "exp":
+        return (range(1, N + 1), [Fraction(k, N) for k in range(1, N + 1)],
+                lambda m, s: np.exp(1j * (2.0 * math.pi * m * s)) / math.sqrt(N),
+                lambda s: 1.0,
+                lambda m: 1.0)
+    if kind == "sine":
+        return (range(1, N), [Fraction(k, N) for k in range(1, N)],
+                lambda m, s: 2j * np.sin(np.pi * m * s),
+                lambda s: 1.0,
+                lambda m: 2.0 * N)
+    if kind == "cosine":
+        return (range(N + 1), [Fraction(k, N) for k in range(N + 1)],
+                lambda m, s: 2 * np.cos(np.pi * m * s),
+                lambda s: half if s in (0, 1) else 1.0,
+                lambda m: (4.0 if m in (0, N) else 2.0) * N)
+    if kind == "dct1":
+        return (range(N + 1), range(N + 1),
+                lambda r, k: np.cos(np.pi * r * k / N),
+                lambda k: half if k in (0, N) else 1.0,
+                lambda r: (2.0 if r in (0, N) else 1.0) * N / 2)
+    if kind == "dct2":
+        return (range(N), range(N),
+                lambda r, k: np.cos(np.pi * (r + half) * k / N),
+                lambda k: half if k == 0 else 1.0,
+                lambda r: N / 2)
+    if kind == "dct3":
+        return (range(N), range(N),
+                lambda r, k: np.cos(np.pi * r * (k + half) / N),
+                lambda k: 1.0,
+                lambda r: (2.0 if r == 0 else 1.0) * N / 2)
+    if kind == "dct4":
+        return (range(N), range(N),
+                lambda r, k: np.cos(np.pi * (r + half) * (k + half) / N),
+                lambda k: 1.0,
+                lambda r: N / 2)
+    if kind == "dst1":
+        return (range(1, N), range(1, N),
+                lambda r, k: np.sin(np.pi * r * k / N),
+                lambda k: 1.0,
+                lambda r: N / 2)
+    if kind == "dst2":
+        return (range(N), range(1, N + 1),
+                lambda r, k: np.sin(np.pi * (r + half) * k / N),
+                lambda k: half if k == N else 1.0,
+                lambda r: N / 2)
+    if kind == "dst3":
+        return (range(1, N + 1), range(N),
+                lambda r, k: np.sin(np.pi * r * (k + half) / N),
+                lambda k: 1.0,
+                lambda r: (2.0 if r == N else 1.0) * N / 2)
+    if kind == "dst4":
+        return (range(N), range(N),
+                lambda r, k: np.sin(np.pi * (r + half) * (k + half) / N),
+                lambda k: 1.0,
+                lambda r: N / 2)
+    raise ValueError(f"unknown 1-D transform kind {kind!r}")
+
+
+def _one_variable_oracle(kind: str, base: str, n: int, N: int, strict: bool):
+    if n >= 1 and N >= 1:
+        data = dct_dst_oracle(base, N)
+        if len(data[0]) >= (n if strict else 1):
+            return data
+    raise ValueError(f"{kind} has no plan with n = {n}, N = {N}: it needs "
+                     f"n >= 1, N >= 1 and at least one label")
+
+
+def dst_dct_1d_oracle(kind: str, N: int) -> DiscretePlan:
+    """``transforms.dst_dct_1d`` with one weight and one norm call per
+    node and label."""
+    kind = kind.lower()
+    if kind == "exp":
+        raise ValueError(f"unknown 1-D transform kind {kind!r}")
+    labels, nodes, kfn, wfn, nfn = _one_variable_oracle(kind, kind, 1, N, strict=True)
+    labels, nodes = tuple(labels), tuple(nodes)
+    kernel = kfn(np.array(labels, dtype=float)[:, None],
+                 np.array(nodes, dtype=float)).astype(complex)
+    weights = np.array([wfn(k) for k in nodes])
+    norms = np.array([nfn(r) for r in labels])
+    return DiscretePlan(kind, labels, nodes, kernel, weights, norms)
+
+
+def _stab_order_oracle(t) -> int:
+    out = 1
+    for c in Counter(t).values():
+        out *= math.factorial(c)
+    return out
+
+
+_MULTIVARIATE_ORACLE = {
+    "anti_exp": ("exp", True), "sym_exp": ("exp", False),
+    "anti_sine": ("sine", True), "sym_cosine": ("cosine", False),
+    **{f"{p}mdct{v}": (f"dct{v}", p == "a") for p in "as" for v in "1234"},
+}
+
+
+def multivariate_plan_oracle(kind: str, n: int, N: int) -> DiscretePlan:
+    """``transforms.multivariate_plan`` with the weight and the norm of
+    every tuple a product of per-point calls over a ``Counter`` of its
+    entries."""
+    kind = kind.lower()
+    if kind not in _MULTIVARIATE_ORACLE:
+        raise ValueError(f"unknown multivariate kind {kind!r}")
+    base, signed = _MULTIVARIATE_ORACLE[kind]
+    labels, nodes, kfn, wfn, nfn = _one_variable_oracle(kind, base, n, N, strict=signed)
+    tuples = itertools.combinations if signed else itertools.combinations_with_replacement
+    labels = tuple(tuples(sorted(labels, reverse=True), n))
+    grid = tuple(tuples(sorted(nodes, reverse=True), n))
+    nf = math.factorial(n)
+    r = np.array(labels, dtype=float)[:, None, :, None]
+    k = np.array(grid, dtype=float)[None, :, None, :]
+    kernel = np.asarray(_perm_sum(kfn(r, k), signed) / math.sqrt(nf), dtype=complex)
+    weights = np.array([nf * np.prod([wfn(s) for s in t]) / _stab_order_oracle(t)
+                        for t in grid])
+    norms = np.array([np.prod([nfn(m) for m in t]) * _stab_order_oracle(t)
+                      for t in labels])
+    return DiscretePlan(kind, labels, grid, kernel, weights, norms)

@@ -254,3 +254,25 @@ def test_sigma_k_dispatcher():
     assert sigma_k_check(c2, (2, 1), (0.23, 0.11), 2) < 1e-3
     with pytest.raises(ValueError):
         sigma_k_check(c2, (2, 1), (0.2, 0.1), 3)
+
+
+def test_malformed_points_are_named():
+    a2, c2 = build("A2"), build("C2")
+    with pytest.raises(ValueError, match=r"^expected 2 coordinates for A2, got 1: "):
+        shift_operator_check(a2, (2, 1), (0.1,), (0.2, 0.3), "det_on_anti")
+    with pytest.raises(ValueError, match=r"^\(0\.2, None\) are not finite rational "
+                                         r"coordinates for A2$"):
+        shift_operator_check(a2, (2, 1), (0.1, 0.2), (0.2, None), "det_on_anti")
+    with pytest.raises(ValueError, match=r"^expected 2 coordinates per point for C2, "
+                                         r"got an array of shape \(1, 1\)$"):
+        gradient_sum_residual(c2, (2, 1), (0.1,))
+    for call in (lambda x: laplace_check(c2, (2, 1), x),
+                 lambda x: laplace_check_omega(c2, (1, 1), x),
+                 lambda x: sigma2_check(c2, (2, 1), x),
+                 lambda x: gradient_sum_residual(c2, (2, 1), x)):
+        with pytest.raises(ValueError, match=r"^point 0 is not 2 real numbers in float "
+                                             r"range for C2"):
+            call((0.1, (1, 2)))
+        for bad in (None, math.nan):   # numpy reads None as NaN
+            with pytest.raises(ValueError, match=r"^point 0 is not finite for C2"):
+                call((0.1, bad))

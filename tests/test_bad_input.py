@@ -1,0 +1,216 @@
+"""Every public entry point refuses bad input with a named error.
+
+One property test feeds the entry points that take weights or points a
+weight or point of the wrong length, with a NaN, infinite, ``None`` or
+nested coordinate, ``None`` itself, a weight that is not dominant where
+dominance is needed, and one on a wall where strict dominance is needed.
+Each must raise a ``ValueError`` (or a subclass: ``WallError``,
+``UnsupportedCoordinatesError``) whose message names the diagram, never
+a ``TypeError``, an ``IndexError``, a ``KeyError`` or a bare numpy
+message.  Plans without labels are refused the same way.
+"""
+
+import math
+import re
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from orbitfuncs.analysis import (
+    gradient_sum_residual, laplace_check, laplace_check_omega, shift_operator_check,
+    sigma2_check,
+)
+from orbitfuncs.orbitalg import (
+    BranchRule, branch, product_plain_plain, product_plain_signed, product_signed_signed,
+)
+from orbitfuncs.orbitfn import (
+    character, character_highprec, closed_form_orth, dimension, eval_batch,
+    eval_coroot_point, eval_orth, rho_orth, rho_products,
+)
+from orbitfuncs.rootsys import (
+    UnsupportedCoordinatesError, build, convert_basis, from_orthogonal, inner,
+    to_orthogonal,
+)
+from orbitfuncs.transforms import build_plan
+from orbitfuncs.weyl import (
+    in_fundamental_domain, orbit, signed_orbit, stabilizer_order, to_dominant,
+)
+
+DIAGRAMS = [build(label) for label in ("A2", "C2", "B3", "G2")]
+
+
+def _dim(rs, space: str) -> int:
+    """The number of coordinates of the space: rank, or the orthogonal
+    dimension (the rank on G2, which has no orthogonal model)."""
+    if space == "orth" and rs.family != "G":
+        return rs.rank + (rs.family == "A")
+    return rs.rank
+
+
+def _good(rs, space: str, need: str) -> tuple:
+    """A point inside the fundamental domain, or a strictly dominant
+    weight, of the space."""
+    if need == "point":
+        return (0.11, 0.07, 0.05, 0.03)[:_dim(rs, space)]
+    if space == "orth":
+        return tuple(range(_dim(rs, space), 0, -1))
+    return (1,) * rs.rank
+
+
+def _rho(rs):
+    return _good(rs, "omega", "strict")
+
+
+def _m(rs):
+    return _good(rs, "orth", "strict")
+
+
+def _x(rs, space: str = "omega") -> tuple:
+    return _good(rs, space, "point")
+
+
+def _q(rs) -> tuple:
+    return tuple(F(1, p) for p in (9, 13, 17)[:rs.rank])
+
+
+# name: (space, what the slot takes: a point, or a weight that may be any,
+# dominant or strictly dominant, and the call with the value v in the slot)
+ENTRIES = {
+    "orbit": ("omega", "dominant", lambda rs, v: orbit(rs, v)),
+    "signed_orbit": ("omega", "strict", lambda rs, v: signed_orbit(rs, v)),
+    "to_dominant": ("omega", "point", lambda rs, v: to_dominant(rs, v)),
+    "stabilizer_order": ("omega", "any", lambda rs, v: stabilizer_order(rs, v)),
+    "in_fundamental_domain": ("omega", "point", lambda rs, v: in_fundamental_domain(rs, v)),
+    "product_plain_plain-lam": ("omega", "dominant",
+                                lambda rs, v: product_plain_plain(rs, v, _rho(rs))),
+    "product_plain_plain-mu": ("omega", "dominant",
+                               lambda rs, v: product_plain_plain(rs, _rho(rs), v)),
+    "product_plain_signed-lam": ("omega", "dominant",
+                                 lambda rs, v: product_plain_signed(rs, v, _rho(rs))),
+    "product_plain_signed-mu": ("omega", "strict",
+                                lambda rs, v: product_plain_signed(rs, _rho(rs), v)),
+    "product_signed_signed-lam": ("omega", "strict",
+                                  lambda rs, v: product_signed_signed(rs, v, _rho(rs))),
+    "product_signed_signed-mu": ("omega", "strict",
+                                 lambda rs, v: product_signed_signed(rs, _rho(rs), v)),
+    "dimension": ("omega", "dominant", lambda rs, v: dimension(rs, v)),
+    "eval_batch-anti": ("omega", "strict", lambda rs, v: eval_batch(rs, "anti", v, [_x(rs)])),
+    "eval_batch-sym": ("omega", "dominant", lambda rs, v: eval_batch(rs, "sym", v, [_x(rs)])),
+    "eval_batch-point": ("omega", "point", lambda rs, v: eval_batch(rs, "anti", _rho(rs), [v])),
+    "eval_coroot_point-weight": ("omega", "strict",
+                                 lambda rs, v: eval_coroot_point(rs, "anti", v, _q(rs))),
+    "eval_coroot_point-point": ("omega", "point",
+                                lambda rs, v: eval_coroot_point(rs, "anti", _rho(rs), v)),
+    "eval_coroot_point-stack": ("omega", "point", lambda rs, v: eval_coroot_point(
+        rs, "anti", _rho(rs), [_q(rs), v])),
+    "inner-x": ("omega", "point", lambda rs, v: inner(rs, v, _rho(rs))),
+    "inner-y": ("omega", "point", lambda rs, v: inner(rs, _rho(rs), v)),
+    "convert_basis": ("omega", "point", lambda rs, v: convert_basis(rs, v, "omega", "alpha")),
+    "to_orthogonal": ("omega", "point", lambda rs, v: to_orthogonal(rs, v)),
+    "from_orthogonal": ("orth", "point", lambda rs, v: from_orthogonal(rs, v)),
+    "branch": ("orth", "strict", lambda rs, v: branch(rs, BranchRule("drop"), v)),
+    "build_plan-label": ("omega", "strict", lambda rs, v: build_plan(rs, 6, labels=[v])),
+    "shift_operator_check-lam": ("omega", "strict", lambda rs, v: shift_operator_check(
+        rs, v, _x(rs), _x(rs), "det_on_anti")),
+    "shift_operator_check-x": ("omega", "point", lambda rs, v: shift_operator_check(
+        rs, _rho(rs), v, _x(rs), "det_on_anti")),
+    "shift_operator_check-y": ("omega", "point", lambda rs, v: shift_operator_check(
+        rs, _rho(rs), _x(rs), v, "det_on_anti")),
+    "character-weight": ("omega", "dominant", lambda rs, v: character(rs, v, _x(rs))),
+    "character-point": ("omega", "point", lambda rs, v: character(rs, _rho(rs), v)),
+    "character_highprec-weight": ("omega", "dominant",
+                                  lambda rs, v: character_highprec(rs, v, _q(rs), dps=20)),
+    "character_highprec-point": ("omega", "point",
+                                 lambda rs, v: character_highprec(rs, _rho(rs), v, dps=20)),
+    "rho_products": ("omega", "point", lambda rs, v: rho_products(rs, v)),
+    "laplace_check-weight": ("orth", "strict", lambda rs, v: laplace_check(
+        rs, v, _x(rs, "orth"))),
+    "laplace_check-point": ("orth", "point", lambda rs, v: laplace_check(rs, _m(rs), v)),
+    "laplace_check_omega-weight": ("omega", "strict",
+                                   lambda rs, v: laplace_check_omega(rs, v, _x(rs))),
+    "laplace_check_omega-point": ("omega", "point",
+                                  lambda rs, v: laplace_check_omega(rs, _rho(rs), v)),
+    "sigma2_check-weight": ("orth", "strict", lambda rs, v: sigma2_check(
+        rs, v, _x(rs, "orth"))),
+    "sigma2_check-point": ("orth", "point", lambda rs, v: sigma2_check(rs, _m(rs), v)),
+    "gradient_sum_residual-weight": ("orth", "strict", lambda rs, v: gradient_sum_residual(
+        rs, v, _x(rs, "orth"))),
+    "gradient_sum_residual-point": ("orth", "point",
+                                    lambda rs, v: gradient_sum_residual(rs, _m(rs), v)),
+    "eval_orth-weight": ("orth", "strict", lambda rs, v: eval_orth(
+        rs, "anti", v, _x(rs, "orth"))),
+    "eval_orth-point": ("orth", "point", lambda rs, v: eval_orth(rs, "anti", _m(rs), v)),
+    "closed_form_orth-weight": ("orth", "strict", lambda rs, v: closed_form_orth(
+        rs, "anti", v, _x(rs, "orth"))),
+    "closed_form_orth-point": ("orth", "point",
+                               lambda rs, v: closed_form_orth(rs, "anti", _m(rs), v)),
+}
+
+_BAD_COORDINATES = [math.nan, math.inf, -math.inf, None, (1, 2), [1]]
+
+
+@st.composite
+def _bad_value(draw, rs, space: str, need: str):
+    """A value that the slot must refuse."""
+    good = list(_good(rs, space, need))
+    n = len(good)
+    cases = ["length", "coordinate", "none"]
+    if need in ("dominant", "strict"):
+        cases.append("not dominant")
+    if need == "strict":
+        cases.append("wall")
+    case = draw(st.sampled_from(cases))
+    i = draw(st.integers(0, n - 1))
+    if case == "length":
+        return (1,) * draw(st.integers(0, n + 2).filter(lambda k: k != n))
+    if case == "none":
+        return None
+    if case == "coordinate":
+        good[i] = draw(st.sampled_from(_BAD_COORDINATES))
+    elif case == "not dominant":
+        good = good[::-1] if space == "orth" else good[:i] + [-1] + good[i + 1:]
+    else:   # on a wall: a zero coordinate, or two equal orthogonal ones
+        if space == "orth":
+            good[min(i, n - 2) + 1] = good[min(i, n - 2)]
+        else:
+            good[i] = 0
+    return tuple(good)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_bad_input_raises_a_named_error(data):
+    name = data.draw(st.sampled_from(sorted(ENTRIES)), label="entry")
+    rs = data.draw(st.sampled_from(DIAGRAMS), label="diagram")
+    space, need, call = ENTRIES[name]
+    value = data.draw(_bad_value(rs, space, need), label="value")
+    with pytest.raises(ValueError) as info:
+        call(rs, value)
+    assert re.search(rf"\b{rs.id.label}\b", str(info.value)), (name, str(info.value))
+
+
+@pytest.mark.parametrize("rs", DIAGRAMS, ids=lambda rs: rs.id.label)
+@pytest.mark.parametrize("name", sorted(ENTRIES))
+def test_good_input_is_accepted(name, rs):
+    # the property above is only meaningful if the same call succeeds on
+    # the good value (G2 has no orthogonal model: every such call refuses)
+    space, need, call = ENTRIES[name]
+    if rs.family == "G" and (space == "orth" or name == "to_orthogonal"):
+        with pytest.raises(ValueError, match=r"\bG2\b"):
+            call(rs, _good(rs, space, need))
+        return
+    call(rs, _good(rs, space, need))
+
+
+@pytest.mark.parametrize("rs", DIAGRAMS, ids=lambda rs: rs.id.label)
+def test_plans_without_labels_are_refused(rs):
+    for call in (lambda: build_plan(rs, 6, labels=[]), lambda: build_plan(rs, 1)):
+        with pytest.raises(ValueError, match=rf"^a plan on the F_\d grid of {rs.id.label} "
+                                             "needs at least one label"):
+            call()
+
+
+def test_rho_orth_without_an_orthogonal_model_is_named():
+    with pytest.raises(UnsupportedCoordinatesError, match=r"^no orthogonal model for G2$"):
+        rho_orth(build("G2"))

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from orbitfuncs import orbitfn
-from orbitfuncs.rootsys import build, vec, to_orthogonal, orth_pairing_scale
+from orbitfuncs.rootsys import (
+    build, vec, to_orthogonal, orth_pairing_scale, UnsupportedCoordinatesError,
+)
 from orbitfuncs.weyl import (
     generate_group, affine_r0, in_fundamental_domain, to_dominant, WallError,
 )
@@ -484,6 +486,47 @@ def test_character_near_singular_guard():
     a2 = build("A2")
     with pytest.raises(NearSingularEvaluationError):
         character(a2, (1, 0), (0.0, 0.0))
+
+
+def test_character_checks_the_weight_before_the_rho_shift():
+    a2 = build("A2")
+    x = (F(1, 9), F(1, 13))
+    need = "for A2; character needs a dominant integral weight"
+    for call in (character, character_highprec):
+        with pytest.raises(ValueError, match=r"^expected 2 coordinates for A2, got 1: \(1\)$"):
+            call(a2, (1,), x)
+        with pytest.raises(ValueError) as info:
+            call(a2, (-1, 2), x)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"(-1, 2) is not dominant {need}"
+        with pytest.raises(ValueError, match=rf"^\(1/2, 1\) is not integral {need}$"):
+            call(a2, (F(1, 2), 1), x)
+    with pytest.raises(ValueError, match=r"^\(None, 1\) are not finite rational coordinates for A2$"):
+        character_highprec(a2, (1, 0), (None, 1))
+
+
+def _rho_orth_table(rs):
+    """rho in the orthogonal models as the per-family table it was."""
+    n = rs.rank
+    return {
+        "A": tuple(F(k) for k in range(n, -1, -1)),
+        "B": tuple(F(2 * k - 1, 2) for k in range(n, 0, -1)),
+        "C": tuple(F(k) for k in range(n, 0, -1)),
+        "D": tuple(F(k) for k in range(n - 1, -1, -1)),
+    }[rs.family]
+
+
+def test_rho_orth_is_rho_in_orthogonal_coordinates():
+    labels = ([f"A{n}" for n in range(1, 10)] + [f"{f}{n}" for f in "BC" for n in range(2, 10)]
+              + [f"D{n}" for n in range(4, 10)])
+    for label in labels:
+        rs = build(label)
+        got = rho_orth(rs)
+        assert got == _rho_orth_table(rs), label
+        assert all(type(c) is F for c in got)
+    for label in ("G2", "E6"):
+        with pytest.raises(UnsupportedCoordinatesError, match=f"^no orthogonal model for {label}$"):
+            rho_orth(build(label))
 
 
 def test_dimension_values():

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from orbitfuncs import orbitfn
-from orbitfuncs.orbitfn import _perm_sum, closed_form_orth
+from orbitfuncs.orbitfn import _perm_sum, _stab_order, closed_form_orth
 from orbitfuncs.rootsys import build, orth_dim
 from orbitfuncs.transforms import dst_dct_1d, multivariate_plan
 
@@ -194,3 +194,13 @@ def test_perm_sum_matches_brute_force(values, signed):
     got = _perm_sum(np.stack([values, values.T]), signed)
     assert got.shape == (2,)
     assert np.all(np.abs(got - ref) <= 1e-12 * scale)
+
+
+@settings(max_examples=80, deadline=None)
+@given(hnp.arrays(np.int64, st.tuples(st.integers(0, 6), st.integers(0, 5)),
+                  elements=st.integers(-2, 2)))
+def test_stab_order_matches_the_multiplicity_factorials(rows):
+    # rows in any order: equal entries need not be adjacent
+    assert _stab_order(rows).tolist() == [stab(r) for r in rows.tolist()]
+    for r in rows.tolist():
+        assert int(_stab_order(r)) == stab(r)

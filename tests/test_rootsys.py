@@ -218,3 +218,37 @@ def test_orthogonal_roundtrip_property(label, coords):
     rs = build(label)
     v = vec(coords[: rs.rank])
     assert from_orthogonal(rs, to_orthogonal(rs, v)) == v
+
+
+@pytest.mark.parametrize("x, shown", [
+    (None, "None"), (5, "5"), ((None, 1), "(None, 1)"), ((1, (2, 3)), "(1, (2, 3))"),
+    ((float("nan"), 1), "(nan, 1)"), (("a", 1), "(a, 1)"),
+])
+def test_malformed_exact_coordinates_are_named(x, shown):
+    a2 = build("A2")
+    for call in (lambda: inner(a2, x, (1, 1)), lambda: inner(a2, (1, 1), x),
+                 lambda: convert_basis(a2, x, "omega", "alpha"),
+                 lambda: to_orthogonal(a2, x)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == f"{shown} are not finite rational coordinates for A2"
+    with pytest.raises(ValueError) as err:
+        from_orthogonal(a2, x)
+    assert str(err.value) == f"{shown} are not finite rational orthogonal coordinates for A2"
+
+
+def test_coordinate_counts_are_named():
+    a2, b3 = build("A2"), build("B3")
+    for call in (lambda: inner(a2, (1,), (1, 1)), lambda: inner(a2, (1, 1), (1,)),
+                 lambda: convert_basis(a2, (1,), "alpha", "omega"),
+                 lambda: to_orthogonal(a2, (1,))):
+        with pytest.raises(ValueError, match=r"^expected 2 coordinates for A2, got 1: \(1\)$"):
+            call()
+    with pytest.raises(ValueError, match=r"^expected 3 orthogonal coordinates for A2, "
+                                         r"got 2: \(1, 0\)$"):
+        from_orthogonal(a2, (1, 0))
+    with pytest.raises(ValueError, match=r"^expected 3 orthogonal coordinates for B3, "
+                                         r"got 4: \(1, 2, 3, 4\)$"):
+        from_orthogonal(b3, (1, 2, 3, 4))
+    with pytest.raises(UnsupportedCoordinatesError, match="^no orthogonal model for G2$"):
+        from_orthogonal(build("G2"), (1, 1))

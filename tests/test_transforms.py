@@ -16,7 +16,10 @@ from orbitfuncs.transforms import (
     plancherel_residual, sine_integral_transform, _alcove,
 )
 
-from orbit_oracles import grid_oracle, labels_oracle, tm_expand_oracle
+from orbit_oracles import (
+    grid_oracle, labels_oracle, tm_expand_oracle, dst_dct_1d_oracle,
+    multivariate_plan_oracle,
+)
 
 RNG = random.Random(4242)
 
@@ -315,6 +318,44 @@ def test_discrete_plan_without_labels_is_refused(build_it, kind, n, N):
     args = (kind, n, N) if build_it is multivariate_plan else (kind, N)
     with pytest.raises(ValueError, match=rf"^{kind} has no plan with n = {n}, N = {N}:"):
         build_it(*args)
+
+
+def _built(build_it, *args):
+    """The plan, or the type and text of the ValueError that refused it."""
+    try:
+        return build_it(*args)
+    except ValueError as err:
+        return type(err), str(err)
+
+
+def _assert_same_plan(got, ref):
+    if isinstance(ref, tuple):
+        assert got == ref
+        return
+    assert got.name == ref.name
+    for a, b in ((got.labels, ref.labels), (got.grid, ref.grid)):
+        assert a == b
+        assert [type(v) for v in np.ravel(np.array(a, dtype=object))] == \
+            [type(v) for v in np.ravel(np.array(b, dtype=object))]
+    for a, b in ((got.kernel, ref.kernel), (got.weights, ref.weights),
+                 (got.norms, ref.norms)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("kind", ["sine", "cosine", "dct1", "dct2", "dct3", "dct4",
+                                  "dst1", "dst2", "dst3", "dst4"])
+def test_one_variable_plans_match_the_per_point_table(kind):
+    for N in range(1, 20):
+        _assert_same_plan(_built(dst_dct_1d, kind, N), _built(dst_dct_1d_oracle, kind, N))
+
+
+@pytest.mark.parametrize("kind", ["anti_exp", "sym_exp", "anti_sine", "sym_cosine",
+                                  *(f"{p}mdct{v}" for p in "as" for v in "1234")])
+def test_multivariate_plans_match_the_per_tuple_loops(kind):
+    for n in range(5):
+        for N in range(6 if n == 4 else 10):
+            _assert_same_plan(_built(multivariate_plan, kind, n, N),
+                              _built(multivariate_plan_oracle, kind, n, N))
 
 
 def test_sampled_function_roundtrip():
