@@ -38,11 +38,11 @@ import numpy as np
 
 from .rootsys import (
     RootSystem, vec, is_dominant, inner, orth_dim, orth_pairing_scale, rank_vec,
-    to_orthogonal, _vec_str,
+    to_orthogonal, _omega_cols, _vec_str,
 )
 from .weyl import (
     signed_orbit, stabilizer_order, positive_roots, orth_action, WallError,
-    _distinct, _dominant_rows, _dominant_vec, _group, _images, _strict_vec,
+    _distinct, _dominant_vec, _group, _images, _strict_vec,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -270,7 +270,9 @@ def _float_points(rs: RootSystem, xs, dim: int, what: str = "point") -> np.ndarr
     """xs as an (N, dim) float array, N = 0 for an empty sequence;
     ValueError naming the diagram for another shape, for a row (a point,
     or a weight) that is not dim real numbers in float range, or for one
-    with a non-finite coordinate."""
+    with a non-finite coordinate, shown as the caller gave it (numpy reads
+    None as NaN)."""
+    given = xs
     try:
         xs = np.asarray(xs, dtype=float)
     except (TypeError, ValueError, OverflowError):
@@ -283,7 +285,8 @@ def _float_points(rs: RootSystem, xs, dim: int, what: str = "point") -> np.ndarr
     finite = np.isfinite(xs)
     if not finite.all():
         i = int(np.argmin(finite.all(axis=1)))
-        raise ValueError(f"{what} {i} is not finite for {rs.id.label}: {xs[i].tolist()}")
+        row = ", ".join(map(str, np.asarray(given, dtype=object)[i]))
+        raise ValueError(f"{what} {i} is not finite for {rs.id.label}: [{row}]")
     return xs
 
 
@@ -371,14 +374,16 @@ def _orth_weight(rs: RootSystem, m: Sequence) -> tuple:
 
 
 def is_strictly_dominant_orth(rs: RootSystem, m: Sequence) -> bool:
-    return bool(_dominant_rows(rs.family, np.array([_orth_weight(rs, m)], dtype=object))[0])
+    """Whether m, in orthogonal coordinates, is strictly dominant: every
+    omega coordinate positive."""
+    return all(c > 0 for c in _omega_cols(rs.family, _orth_weight(rs, m)))
 
 
 def _strict_orth(rs: RootSystem, m: Sequence) -> tuple:
     """m checked by _orth_weight, as exact coordinates; WallError naming
     the diagram unless it is strictly dominant in orthogonal coordinates."""
     mv = _orth_weight(rs, m)
-    if not _dominant_rows(rs.family, np.array([mv], dtype=object))[0]:
+    if not all(c > 0 for c in _omega_cols(rs.family, mv)):
         raise WallError(f"{_vec_str(mv)} is not strictly dominant in orthogonal "
                         f"coordinates for {rs.id.label}")
     return mv
@@ -481,23 +486,31 @@ def closed_form_orth(rs: RootSystem, kind: str, m: Sequence, x: Sequence) -> com
 
 # -- rho products ---------------------------------------------------------
 
+def _root_rows(rs: RootSystem, m: Sequence) -> tuple[np.ndarray, int]:
+    """The positive roots (omega coordinates, integral) times the rational
+    matrix m, exactly: int64 rows over the lcm L of m's denominators, and
+    L."""
+    L = math.lcm(*(c.denominator for row in m for c in row))
+    M = np.array([[int(c * L) for c in row] for row in m], dtype=np.int64)
+    pos = np.array([[int(c) for c in alpha] for alpha in positive_roots(rs)], dtype=np.int64)
+    return pos @ M, L
+
+
+def _root_products(rs: RootSystem, m: Sequence, x: np.ndarray) -> tuple[complex, complex]:
+    """(2i)^R prod sin(pi <alpha, x>) and 2^R prod cos(pi <alpha, x>) over
+    the R positive roots alpha, where m takes alpha to the coordinates of
+    x, so that <alpha, x> is the dot product (alpha m) . x."""
+    rows, L = _root_rows(rs, m)
+    angles = np.pi * ((rows / L) @ x)
+    r = len(rows)
+    return (2j) ** r * float(np.prod(np.sin(angles))), 2 ** r * float(np.prod(np.cos(angles)))
+
+
 def rho_products(rs: RootSystem, x: Sequence) -> tuple[complex, complex]:
     """(antisymmetric, symmetric) rho functions as products over positive
     roots: (2i)^r prod sin(pi <alpha,x>) and 2^r prod cos(pi <alpha,x>).
     A point of the wrong length or a non-finite one raises ValueError."""
-    pos = positive_roots(rs)
-    S = rs.metric
-    n = rs.rank
-    xv = _float_points(rs, [x], n)[0]
-    sines, cosines = 1.0, 1.0
-    for alpha in pos:
-        arow = np.array([float(sum(alpha[i] * S[i][j] for i in range(n)))
-                         for j in range(n)])
-        ang = math.pi * float(arow @ xv)
-        sines *= math.sin(ang)
-        cosines *= math.cos(ang)
-    r = len(pos)
-    return (2j) ** r * sines, (2 ** r) * cosines
+    return _root_products(rs, rs.metric, _float_points(rs, [x], rs.rank)[0])
 
 
 def rho_cosine_orbit_decomposition(rs: RootSystem) -> dict:
@@ -531,35 +544,14 @@ def rho_orth(rs: RootSystem):
 
 
 def rho_products_orth(rs: RootSystem, x: Sequence) -> tuple[complex, complex]:
-    """Per-family products for the rho functions in orthogonal coordinates.
+    """The products of :func:`rho_products` at a point in orthogonal
+    coordinates, with the positive roots in orthogonal coordinates.
 
     For A_n the formulas hold on the zero-sum hyperplane.
     """
-    fam, n = rs.family, rs.rank
-    xv = _float_points(rs, [x], orth_dim(rs))[0].tolist()
-    sin, cos = math.sin, math.cos
-    pi = math.pi
-    if fam == "A":
-        r = n * (n + 1) // 2
-        s = c = 1.0
-        for i in range(n + 1):
-            for j in range(i + 1, n + 1):
-                s *= sin(pi * (xv[i] - xv[j]))
-                c *= cos(pi * (xv[i] - xv[j]))
-        return (2j) ** r * s, 2 ** r * c
-    s = c = 1.0   # B, C, D: orth_dim refused every other family
-    for i in range(n):
-        for j in range(i + 1, n):
-            s *= sin(pi * (xv[i] - xv[j])) * sin(pi * (xv[i] + xv[j]))
-            c *= cos(pi * (xv[i] - xv[j])) * cos(pi * (xv[i] + xv[j]))
-    r = n * (n - 1)
-    if fam in ("B", "C"):
-        r += n
-        for i in range(n):
-            ang = pi * xv[i] if fam == "B" else 2 * pi * xv[i]
-            s *= sin(ang)
-            c *= cos(ang)
-    return (2j) ** r * s, 2 ** r * c
+    xv = _float_points(rs, [x], orth_dim(rs))[0]
+    basis = [to_orthogonal(rs, e) for e in np.eye(rs.rank, dtype=int).tolist()]
+    return _root_products(rs, basis, xv)
 
 
 # -- characters and dimensions -------------------------------------------
@@ -622,11 +614,9 @@ def dimension(rs: RootSystem, lam: Sequence) -> int:
     both pairings one product with the metric scaled to integers and the
     products taken in Python ints."""
     lamv = _dominant_integral(rs, lam, "dimension")
-    L = math.lcm(*(c.denominator for row in rs.metric for c in row))
-    S = np.array([[int(c * L) for c in row] for row in rs.metric], dtype=np.int64)
-    pos = np.array([[int(c) for c in alpha] for alpha in positive_roots(rs)], dtype=np.int64)
+    rows, _ = _root_rows(rs, rs.metric)
     weights = np.array([[int(c) + 1 for c in lamv], [1] * rs.rank], dtype=object)
-    shifted, rho = (weights @ (S @ pos.T)).tolist()
+    shifted, rho = (weights @ rows.T).tolist()
     num, den = math.prod(shifted), math.prod(rho)
     if num % den:
         raise ArithmeticError(f"non-integral dimension {Fraction(num, den)} for {lamv}")

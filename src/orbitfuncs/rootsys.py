@@ -314,7 +314,10 @@ def orth_dim(rs: RootSystem) -> int:
 
 def _exact_vec(rs: RootSystem, x, dim: int, what: str) -> Vec:
     """The body of rank_vec and orth_vec; Fraction refuses NaN, infinities,
-    None and sequences, and a non-sequence is shown by its repr."""
+    None and sequences, and a non-sequence is shown by its repr.  A string
+    is refused whole rather than read as one coordinate per character."""
+    if isinstance(x, (str, bytes)):
+        raise ValueError(f"{x!r} is a string, not {what}coordinates for {rs.id.label}")
     try:
         v = vec(x)
     except (TypeError, ValueError, OverflowError):
@@ -384,20 +387,24 @@ def to_orthogonal(rs: RootSystem, lam: Sequence, offset: Fraction | int = 0) -> 
     raise UnsupportedCoordinatesError(f"no orthogonal model for {rs.id.label}")
 
 
+def _omega_cols(family: str, cols: Sequence) -> list:
+    """The omega coordinates <m, alpha_i^check> of orthogonal coordinates
+    m of A, B, C or D of any width, given as its columns: numbers, or
+    numpy columns of many rows.  m is strictly dominant exactly when every
+    one is positive; D_1 has no roots, so no coordinates."""
+    diffs = [cols[i] - cols[i + 1] for i in range(len(cols) - 1)]
+    if family == "B":
+        return diffs + [2 * cols[-1]]
+    if family == "C":
+        return diffs + [cols[-1]]
+    if family == "D" and len(cols) > 1:
+        return diffs[:-1] + [cols[-2] + cols[-1], diffs[-1]]
+    return diffs
+
+
 def from_orthogonal(rs: RootSystem, m: Sequence) -> Vec:
     """Inverse of :func:`to_orthogonal` (A_n: modulo the constant-sum gauge)."""
-    fam, n = rs.family, rs.rank
-    mv = orth_vec(rs, m)
-    if fam == "A":
-        return tuple(mv[i] - mv[i + 1] for i in range(n))
-    if fam == "B":
-        return tuple(mv[i] - mv[i + 1] for i in range(n - 1)) + (2 * mv[n - 1],)
-    if fam == "C":
-        return tuple(mv[i] - mv[i + 1] for i in range(n - 1)) + (mv[n - 1],)
-    if fam == "D":
-        return tuple(mv[i] - mv[i + 1] for i in range(n - 2)) + \
-            (mv[n - 2] + mv[n - 1], mv[n - 2] - mv[n - 1])
-    raise UnsupportedCoordinatesError(f"no orthogonal model for {rs.id.label}")
+    return tuple(_omega_cols(rs.family, orth_vec(rs, m)))
 
 
 # -- JSON serialization -------------------------------------------------

@@ -29,7 +29,7 @@ import numpy as np
 
 from .rootsys import (
     RootSystem, Vec, vec, mat_vec, is_dominant, is_strictly_dominant, rank_vec,
-    convert_basis, inner, orth_dim, to_orthogonal, from_orthogonal, _vec_str,
+    convert_basis, inner, orth_dim, to_orthogonal, from_orthogonal, _omega_cols, _vec_str,
 )
 
 IntMat = tuple[tuple[int, ...], ...]
@@ -408,12 +408,10 @@ def orth_action(rs: RootSystem) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _dominant_rows(family: str, t: np.ndarray) -> np.ndarray:
-    """Mask of the rows of t, orthogonal coordinates of the given family,
-    that are strictly dominant for it: strictly decreasing, and on B and C
-    positive, on D with m_(r-1) > |m_r|."""
-    if family == "D":
-        if t.shape[1] == 1:
-            return np.ones(len(t), dtype=bool)
-        return np.all(t[:, :-2] > t[:, 1:-1], axis=1) & (t[:, -2] > np.abs(t[:, -1]))
-    decreasing = np.all(t[:, :-1] > t[:, 1:], axis=1)
-    return decreasing if family == "A" else decreasing & (t[:, -1] > 0)
+    """Mask of the rows of t, orthogonal coordinates of the given family
+    of any width, that are strictly dominant for it: every omega
+    coordinate positive."""
+    keep = np.ones(len(t), dtype=bool)
+    for col in _omega_cols(family, list(t.T)):
+        keep &= col > 0
+    return keep

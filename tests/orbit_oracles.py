@@ -31,6 +31,14 @@ are the one-variable table and the plan builders of ``transforms`` before
 the half-shift table: one branch of per-point weight and norm functions
 per kind, and the weight and norm of every multivariate tuple computed
 one tuple at a time over a ``Counter`` of its entries.
+``dominant_rows_oracle``, ``from_orthogonal_oracle``, ``rho_products_oracle``
+and ``rho_products_orth_oracle`` are ``weyl._dominant_rows``,
+``rootsys.from_orthogonal`` and the two rho products as they were written
+per family before the omega columns and the one product over the positive
+roots: the strict-dominance rules and the orthogonal -> omega map of each
+of A, B, C and D, the positive roots of A and of B/C/D in orthogonal
+coordinates spelled out by hand, and the omega-coordinate product paired
+with the metric one root and one ``Fraction`` at a time.
 """
 
 import functools
@@ -42,13 +50,13 @@ from fractions import Fraction
 import numpy as np
 
 from orbitfuncs.orbitalg import OrbitTerm
-from orbitfuncs.orbitfn import _perm_sum
+from orbitfuncs.orbitfn import _float_points, _perm_sum
 from orbitfuncs.rootsys import (
     convert_basis, inner, mat_vec, vec, vec_mat, is_dominant, is_strictly_dominant,
-    UnsupportedCoordinatesError,
+    orth_dim, orth_vec, UnsupportedCoordinatesError,
 )
 from orbitfuncs.transforms import DiscretePlan, GridFM, GridPoint
-from orbitfuncs.weyl import dual_marks, generators, to_dominant
+from orbitfuncs.weyl import dual_marks, generators, positive_roots, to_dominant
 
 
 def _closure(rs, gens) -> list:
@@ -451,3 +459,82 @@ def multivariate_plan_oracle(kind: str, n: int, N: int) -> DiscretePlan:
     norms = np.array([np.prod([nfn(m) for m in t]) * _stab_order_oracle(t)
                       for t in labels])
     return DiscretePlan(kind, labels, grid, kernel, weights, norms)
+
+
+def dominant_rows_oracle(family: str, t: np.ndarray) -> np.ndarray:
+    """Mask of the rows of t, orthogonal coordinates of the given family,
+    that are strictly dominant for it: strictly decreasing, and on B and C
+    positive, on D with m_(r-1) > |m_r|."""
+    if family == "D":
+        if t.shape[1] == 1:
+            return np.ones(len(t), dtype=bool)
+        return np.all(t[:, :-2] > t[:, 1:-1], axis=1) & (t[:, -2] > np.abs(t[:, -1]))
+    decreasing = np.all(t[:, :-1] > t[:, 1:], axis=1)
+    return decreasing if family == "A" else decreasing & (t[:, -1] > 0)
+
+
+def from_orthogonal_oracle(rs, m) -> tuple:
+    """Inverse of :func:`to_orthogonal` (A_n: modulo the constant-sum gauge)."""
+    fam, n = rs.family, rs.rank
+    mv = orth_vec(rs, m)
+    if fam == "A":
+        return tuple(mv[i] - mv[i + 1] for i in range(n))
+    if fam == "B":
+        return tuple(mv[i] - mv[i + 1] for i in range(n - 1)) + (2 * mv[n - 1],)
+    if fam == "C":
+        return tuple(mv[i] - mv[i + 1] for i in range(n - 1)) + (mv[n - 1],)
+    if fam == "D":
+        return tuple(mv[i] - mv[i + 1] for i in range(n - 2)) + \
+            (mv[n - 2] + mv[n - 1], mv[n - 2] - mv[n - 1])
+    raise UnsupportedCoordinatesError(f"no orthogonal model for {rs.id.label}")
+
+
+def rho_products_oracle(rs, x) -> tuple:
+    """(antisymmetric, symmetric) rho functions as products over positive
+    roots: (2i)^r prod sin(pi <alpha,x>) and 2^r prod cos(pi <alpha,x>).
+    A point of the wrong length or a non-finite one raises ValueError."""
+    pos = positive_roots(rs)
+    S = rs.metric
+    n = rs.rank
+    xv = _float_points(rs, [x], n)[0]
+    sines, cosines = 1.0, 1.0
+    for alpha in pos:
+        arow = np.array([float(sum(alpha[i] * S[i][j] for i in range(n)))
+                         for j in range(n)])
+        ang = math.pi * float(arow @ xv)
+        sines *= math.sin(ang)
+        cosines *= math.cos(ang)
+    r = len(pos)
+    return (2j) ** r * sines, (2 ** r) * cosines
+
+
+def rho_products_orth_oracle(rs, x) -> tuple:
+    """Per-family products for the rho functions in orthogonal coordinates.
+
+    For A_n the formulas hold on the zero-sum hyperplane.
+    """
+    fam, n = rs.family, rs.rank
+    xv = _float_points(rs, [x], orth_dim(rs))[0].tolist()
+    sin, cos = math.sin, math.cos
+    pi = math.pi
+    if fam == "A":
+        r = n * (n + 1) // 2
+        s = c = 1.0
+        for i in range(n + 1):
+            for j in range(i + 1, n + 1):
+                s *= sin(pi * (xv[i] - xv[j]))
+                c *= cos(pi * (xv[i] - xv[j]))
+        return (2j) ** r * s, 2 ** r * c
+    s = c = 1.0   # B, C, D: orth_dim refused every other family
+    for i in range(n):
+        for j in range(i + 1, n):
+            s *= sin(pi * (xv[i] - xv[j])) * sin(pi * (xv[i] + xv[j]))
+            c *= cos(pi * (xv[i] - xv[j])) * cos(pi * (xv[i] + xv[j]))
+    r = n * (n - 1)
+    if fam in ("B", "C"):
+        r += n
+        for i in range(n):
+            ang = pi * xv[i] if fam == "B" else 2 * pi * xv[i]
+            s *= sin(ang)
+            c *= cos(ang)
+    return (2j) ** r * s, 2 ** r * c

@@ -274,5 +274,7 @@ def test_malformed_points_are_named():
                                              r"range for C2"):
             call((0.1, (1, 2)))
         for bad in (None, math.nan):   # numpy reads None as NaN
-            with pytest.raises(ValueError, match=r"^point 0 is not finite for C2"):
+            with pytest.raises(ValueError, match=r"^point 0 is not finite for C2") as err:
                 call((0.1, bad))
+            # the message shows the row as given, not numpy's reading of it
+            assert str(err.value).endswith(f": [0.1, {bad}]")

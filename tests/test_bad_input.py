@@ -2,8 +2,9 @@
 
 One property test feeds the entry points that take weights or points a
 weight or point of the wrong length, with a NaN, infinite, ``None`` or
-nested coordinate, ``None`` itself, a weight that is not dominant where
-dominance is needed, and one on a wall where strict dominance is needed.
+nested coordinate, ``None`` itself, a string of digits, a weight that is
+not dominant where dominance is needed, and one on a wall where strict
+dominance is needed.
 Each must raise a ``ValueError`` (or a subclass: ``WallError``,
 ``UnsupportedCoordinatesError``) whose message names the diagram, never
 a ``TypeError``, an ``IndexError``, a ``KeyError`` or a bare numpy
@@ -150,12 +151,18 @@ ENTRIES = {
 _BAD_COORDINATES = [math.nan, math.inf, -math.inf, None, (1, 2), [1]]
 
 
+def _string(good) -> str:
+    """The digits of a good value joined into one string of its length,
+    which must not be read as one coordinate per character."""
+    return "".join(str(int(c) % 10) for c in good)
+
+
 @st.composite
 def _bad_value(draw, rs, space: str, need: str):
     """A value that the slot must refuse."""
     good = list(_good(rs, space, need))
     n = len(good)
-    cases = ["length", "coordinate", "none"]
+    cases = ["length", "coordinate", "none", "string"]
     if need in ("dominant", "strict"):
         cases.append("not dominant")
     if need == "strict":
@@ -166,6 +173,8 @@ def _bad_value(draw, rs, space: str, need: str):
         return (1,) * draw(st.integers(0, n + 2).filter(lambda k: k != n))
     if case == "none":
         return None
+    if case == "string":
+        return _string(good)
     if case == "coordinate":
         good[i] = draw(st.sampled_from(_BAD_COORDINATES))
     elif case == "not dominant":
@@ -201,6 +210,14 @@ def test_good_input_is_accepted(name, rs):
             call(rs, _good(rs, space, need))
         return
     call(rs, _good(rs, space, need))
+
+
+@pytest.mark.parametrize("name", sorted(ENTRIES))
+def test_a_string_is_refused(name):
+    space, need, call = ENTRIES[name]
+    for rs in DIAGRAMS:
+        with pytest.raises(ValueError, match=rf"\b{rs.id.label}\b"):
+            call(rs, _string(_good(rs, space, need)))
 
 
 @pytest.mark.parametrize("rs", DIAGRAMS, ids=lambda rs: rs.id.label)

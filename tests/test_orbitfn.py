@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from orbitfuncs import orbitfn
 from orbitfuncs.rootsys import (
-    build, vec, to_orthogonal, orth_pairing_scale, UnsupportedCoordinatesError,
+    build, vec, to_orthogonal, orth_dim, orth_pairing_scale, UnsupportedCoordinatesError,
 )
 from orbitfuncs.weyl import (
     generate_group, affine_r0, in_fundamental_domain, to_dominant, WallError,
@@ -23,7 +23,10 @@ from orbitfuncs.orbitfn import (
     NearSingularEvaluationError, is_strictly_dominant_orth,
 )
 
-from orbit_oracles import dimension_oracle, group_sum, group_sum_terms
+from orbit_oracles import (
+    dimension_oracle, group_sum, group_sum_terms, rho_products_oracle,
+    rho_products_orth_oracle,
+)
 
 RNG = random.Random(20240)
 
@@ -305,6 +308,21 @@ def test_rho_products_orthogonal_formulas():
             pm = rho_products_orth(rs, [float(v) for v in mx])
             assert abs(po[0] - pm[0]) < 1e-9 * (1 + abs(po[0]))
             assert abs(po[1] - pm[1]) < 1e-9 * (1 + abs(po[1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
+                        "D4", "D5", "G2"]),
+       st.lists(st.floats(-1, 1), min_size=5, max_size=5))
+def test_rho_products_equal_the_per_family_oracles(label, coords):
+    rs = build(label)
+    cases = [(rho_products, rho_products_oracle, rs.rank)]
+    if rs.family != "G":   # G2 has no orthogonal model
+        cases.append((rho_products_orth, rho_products_orth_oracle, orth_dim(rs)))
+    for call, oracle, dim in cases:
+        got, ref = call(rs, coords[:dim]), oracle(rs, coords[:dim])
+        for g, r in zip(got, ref):
+            assert abs(g - r) <= 1e-13 * max(1.0, abs(r)), (label, g, r)
 
 
 def test_rho_vanishes_on_walls_not_inside():

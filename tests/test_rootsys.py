@@ -5,8 +5,10 @@ import pytest
 from orbitfuncs.rootsys import (
     build, parse_diagram, inner, convert_basis, to_orthogonal, from_orthogonal,
     InvalidDiagramError, UnsupportedCoordinatesError, orth_pairing_scale,
-    to_json, from_json, mat, vec,
+    to_json, from_json, mat, orth_dim, vec,
 )
+
+from orbit_oracles import from_orthogonal_oracle
 
 ALL_DESK = ["A1", "A2", "A3", "A4", "B2", "B3", "C2", "C3", "D4", "G2"]
 
@@ -237,6 +239,18 @@ def test_malformed_exact_coordinates_are_named(x, shown):
     assert str(err.value) == f"{shown} are not finite rational orthogonal coordinates for A2"
 
 
+@pytest.mark.parametrize("x", ["12", b"12", "1,2", ""])
+def test_a_string_is_not_read_as_coordinates(x):
+    a2 = build("A2")
+    for call in (lambda: inner(a2, x, (1, 1)), lambda: to_orthogonal(a2, x)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == f"{x!r} is a string, not coordinates for A2"
+    with pytest.raises(ValueError) as err:
+        from_orthogonal(a2, x)
+    assert str(err.value) == f"{x!r} is a string, not orthogonal coordinates for A2"
+
+
 def test_coordinate_counts_are_named():
     a2, b3 = build("A2"), build("B3")
     for call in (lambda: inner(a2, (1,), (1, 1)), lambda: inner(a2, (1, 1), (1,)),
@@ -252,3 +266,15 @@ def test_coordinate_counts_are_named():
         from_orthogonal(b3, (1, 2, 3, 4))
     with pytest.raises(UnsupportedCoordinatesError, match="^no orthogonal model for G2$"):
         from_orthogonal(build("G2"), (1, 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5",
+                        "C2", "C3", "C4", "C5", "D4", "D5", "D6"]),
+       st.lists(rational, min_size=6, max_size=6))
+def test_from_orthogonal_equals_the_per_family_oracle(label, coords):
+    rs = build(label)
+    m = coords[:orth_dim(rs)]
+    got = from_orthogonal(rs, m)
+    assert got == from_orthogonal_oracle(rs, m)
+    assert type(got) is tuple and all(type(c) is F for c in got)

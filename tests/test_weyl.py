@@ -12,13 +12,13 @@ from orbitfuncs.weyl import (
     generators, generate_group, to_dominant, orbit, signed_orbit,
     stabilizer_order, affine_r0, reflect_highest_root, in_fundamental_domain,
     positive_roots, positive_root_count, orth_action, xi_pairing,
-    GroupSizeError, WallError, _dominant_forms, _group,
+    GroupSizeError, WallError, _dominant_forms, _dominant_rows, _group,
 )
 
 from orbit_oracles import (
     group_oracle, orbit_oracle, signed_orbit_oracle, stabilizer_oracle,
     orth_apply as oracle_orth_apply, orth_group as oracle_orth_group,
-    positive_roots_oracle,
+    dominant_rows_oracle, positive_roots_oracle,
 )
 
 WEYL_ORDERS = {"A1": 2, "A2": 6, "A3": 24, "A4": 120, "B2": 8, "B3": 48,
@@ -459,6 +459,41 @@ def test_orth_action_equals_the_orth_group_oracle(label, coords):
     assert len({pt for pt, _ in got}) == len(got)
     assert set(got) == {(oracle_orth_apply(p, s, m), d)
                         for p, s, d in _oracle_elements(label)}
+
+
+@st.composite
+def _orth_rows(draw, width: int):
+    """Rows of orthogonal coordinates for the strict-dominance mask: int64
+    rows of small and large coordinates, as drawn or sorted decreasing (so
+    that strict dominance occurs), or object rows of sorted Fractions."""
+    form = draw(st.sampled_from(["int", "sorted", "fraction"]))
+    if form == "fraction":
+        coord = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+    else:
+        coord = st.integers(-4, 4) | st.integers(-2 ** 61, 2 ** 61)
+    rows = draw(st.lists(st.lists(coord, min_size=width, max_size=width), max_size=30))
+    if form != "int":
+        rows = [sorted(row, reverse=True) for row in rows]
+    dtype = object if form == "fraction" else np.int64
+    return np.array(rows, dtype=dtype).reshape(len(rows), width)
+
+
+@pytest.mark.parametrize("width", range(1, 7))
+@pytest.mark.parametrize("family", "ABCD")
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_dominant_rows_equal_the_per_family_oracle(family, width, data):
+    t = data.draw(_orth_rows(width))
+    got = _dominant_rows(family, t)
+    assert got.dtype == bool and got.shape == (len(t),)
+    assert np.array_equal(got, dominant_rows_oracle(family, t))
+
+
+@pytest.mark.parametrize("width", range(1, 7))
+@pytest.mark.parametrize("family", "ABCD")
+def test_dominant_rows_equal_the_oracle_on_every_small_row(family, width):
+    t = np.array(list(itertools.product(range(-2, 3), repeat=width)), dtype=np.int64)
+    assert np.array_equal(_dominant_rows(family, t), dominant_rows_oracle(family, t))
 
 
 @settings(max_examples=40, deadline=None)
