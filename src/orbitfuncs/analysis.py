@@ -218,15 +218,6 @@ def hermite_polynomial(n: int, x):
     return h1
 
 
-def hermite_explicit(n: int, x: float) -> float:
-    """The factorial-sum definition; a small-n oracle for the recurrence."""
-    total = 0.0
-    for m in range(n // 2 + 1):
-        total += ((-1) ** m * (2 * x) ** (n - 2 * m)
-                  / (math.factorial(m) * math.factorial(n - 2 * m)))
-    return math.factorial(n) * total
-
-
 def hermite_sym_anti(m: Sequence[int], lam: Sequence, variant: str):
     """Symmetrized / antisymmetrized multivariate Hermite polynomials.
 
@@ -255,23 +246,39 @@ class PlaneWaveQuadrature:
         matrix = np.exp(TWO_PI * 1j * np.outer(nodes, nodes)) * cell
         return cls(nodes=nodes, matrix=matrix)
 
-    def apply(self, values: np.ndarray, variant: str) -> np.ndarray:
-        """One application of the transform to a function sampled on the
-        tensor grid; variant "anti" antisymmetrizes, "sym" symmetrizes."""
-        g = self.matrix @ values @ self.matrix.T
-        if variant == "anti":
-            return 0.5 * (g - g.T)
-        return 0.5 * (g + g.T)
+
+def _hermite_factors(q: PlaneWaveQuadrature, m: Sequence[int]) -> np.ndarray:
+    """The (2, R) 1-D factors f_k(x) = exp(-pi x^2) H_{m_k}(sqrt(2 pi) x)
+    on the nodes."""
+    x = q.nodes
+    return np.exp(-math.pi * x ** 2) * np.array(
+        [hermite_polynomial(mi, math.sqrt(TWO_PI) * x) for mi in m])
 
 
-def gaussian_hermite_samples(q: PlaneWaveQuadrature, m: Sequence[int],
-                             variant: str) -> np.ndarray:
-    """exp(-pi |x|^2) H^{variant}_m(sqrt(2 pi) x) on the tensor grid."""
-    x1, x2 = np.meshgrid(q.nodes, q.nodes, indexing="ij")
-    gauss = np.exp(-math.pi * (x1 ** 2 + x2 ** 2))
-    xs = math.sqrt(TWO_PI) * np.stack([x1, x2], axis=-1)
-    h = np.stack([hermite_polynomial(mi, xs) for mi in m], axis=-2)
-    return gauss * _perm_sum(h, signed=(variant == "anti"))
+def _tensor(f: np.ndarray, variant: str) -> np.ndarray:
+    """f_0 (x) f_1 -/+ f_1 (x) f_0 ("anti"/"sym") on the tensor grid,
+    exactly (anti)symmetric."""
+    a, b = f
+    g = np.outer(a, b)
+    return g - g.T if variant == "anti" else g + g.T
+
+
+def _eigen_residual(q: PlaneWaveQuadrature, m: Sequence[int], variant: str,
+                    power: int, eig: complex) -> float:
+    """||T^power g0 - eig g0|| / ||g0|| for the Gaussian-Hermite sample g0,
+    the (anti)symmetrized product of the factors f_k: T g0 = K g0 K^T is
+    the same product of the K f_k."""
+    if variant not in ("anti", "sym"):
+        raise ValueError(f"unknown variant {variant!r}")
+    if len(m) != 2 or min(m) < 0 or (variant == "anti" and m[0] == m[1]):
+        raise ValueError(f"no nonzero {variant} Gaussian-Hermite function of two "
+                         f"variables has the degrees {tuple(m)}")
+    f = _hermite_factors(q, m)
+    kf = f
+    for _ in range(power):
+        kf = kf @ q.matrix.T
+    g0 = _tensor(f, variant)
+    return float(np.linalg.norm(_tensor(kf, variant) - eig * g0) / np.linalg.norm(g0))
 
 
 def transform_eigen_check(m: Sequence[int], variant: str,
@@ -285,11 +292,7 @@ def transform_eigen_check(m: Sequence[int], variant: str,
     fourth power of the transform is the identity.
     """
     q = quadrature or PlaneWaveQuadrature.make(half_width, resolution)
-    g0 = gaussian_hermite_samples(q, m, variant)
-    out = q.apply(g0.astype(complex), variant)
-    eig = 1j ** int(sum(m))
-    num = np.linalg.norm(out - eig * g0)
-    return float(num / np.linalg.norm(g0))
+    return _eigen_residual(q, m, variant, 1, 1j ** int(sum(m)))
 
 
 def transform_fourth_power_residual(m: Sequence[int], variant: str,
@@ -297,11 +300,7 @@ def transform_fourth_power_residual(m: Sequence[int], variant: str,
                                     resolution: int = 400,
                                     quadrature: PlaneWaveQuadrature | None = None) -> float:
     q = quadrature or PlaneWaveQuadrature.make(half_width, resolution)
-    g0 = gaussian_hermite_samples(q, m, variant).astype(complex)
-    g = g0
-    for _ in range(4):
-        g = q.apply(g, variant)
-    return float(np.linalg.norm(g - g0) / np.linalg.norm(g0))
+    return _eigen_residual(q, m, variant, 4, 1)
 
 
 # -- generic orthogonal-polynomial families ---------------------------------

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import OrderedDict, namedtuple
 from fractions import Fraction
 from functools import reduce
 from operator import mul
@@ -38,7 +37,7 @@ import numpy as np
 
 from .rootsys import (
     RootSystem, vec, is_dominant, inner, orth_dim, orth_pairing_scale, rank_vec,
-    to_orthogonal, _omega_cols, _vec_str,
+    to_orthogonal, _BoundedCache, _omega_cols, _rational, _vec_str,
 )
 from .weyl import (
     signed_orbit, stabilizer_order, positive_roots, orth_action, WallError,
@@ -206,39 +205,6 @@ def _closed_form_sum(fam: str, kind: str, K: list, T: np.ndarray, factor: float)
     return evaluate
 
 
-_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
-
-
-class _BoundedCache(OrderedDict):
-    """A mapping that keeps its maxsize most recently used entries and
-    counts hits and misses, with the cache_info() of functools.lru_cache."""
-
-    def __init__(self, maxsize: int):
-        super().__init__()
-        self.maxsize = maxsize
-        self.hits = self.misses = 0
-
-    def lookup(self, key, make):
-        """The entry of key; on a miss make() is stored under it, and the
-        least recently used entry goes if there are more than maxsize."""
-        if key in self:
-            self.hits += 1
-            self.move_to_end(key)
-            return self[key]
-        self.misses += 1
-        value = self[key] = make()
-        if len(self) > self.maxsize:
-            self.popitem(last=False)
-        return value
-
-    def cache_info(self) -> _CacheInfo:
-        return _CacheInfo(self.hits, self.misses, self.maxsize, len(self))
-
-    def clear(self) -> None:
-        super().clear()
-        self.hits = self.misses = 0
-
-
 # entries per cache; a pass of the evaluate bench workload sends 20 keys
 _CACHE_SIZE = 128
 
@@ -271,12 +237,26 @@ def _float_points(rs: RootSystem, xs, dim: int, what: str = "point") -> np.ndarr
     ValueError naming the diagram for another shape, for a row (a point,
     or a weight) that is not dim real numbers in float range, or for one
     with a non-finite coordinate, shown as the caller gave it (numpy reads
-    None as NaN)."""
+    None as NaN), or for a row that is or holds a str or bytes (numpy
+    parses them).  Only what numpy does not read as numbers is searched
+    for strings, so a numeric array costs nothing more."""
     given = xs
+    if not isinstance(xs, np.ndarray):
+        try:
+            xs = np.asarray(xs)
+        except ValueError:   # ragged rows, refused below
+            pass
+    if not (isinstance(xs, np.ndarray) and xs.dtype.kind in "biuf"):
+        for i, row in enumerate(given if np.iterable(given) else ()):
+            for cell in row if np.iterable(row) and not isinstance(row, (str, bytes)) else (row,):
+                if isinstance(cell, (str, bytes)):
+                    raise ValueError(f"{what} {i} holds the string {cell!r}, not a "
+                                     f"real number, for {rs.id.label}")
+        xs = given
     try:
         xs = np.asarray(xs, dtype=float)
     except (TypeError, ValueError, OverflowError):
-        raise ValueError(_bad_row(rs, xs, dim, what)) from None
+        raise ValueError(_bad_row(rs, given, dim, what)) from None
     if xs.shape == (0,):
         xs = xs.reshape(0, dim)
     if xs.ndim != 2 or xs.shape[1] != dim:
@@ -346,8 +326,8 @@ def eval_coroot_point(rs: RootSystem, kind: str, lam: Sequence, b: Sequence):
         raise ValueError(f"{shape} an array of shape {pts.shape}")
     rows, dp, coeffs = _orbit_terms(rs, kind, lamv)
     try:
-        coords = [Fraction(c) for c in pts.flat]
-    except (TypeError, ValueError, OverflowError):  # nested, no number, NaN or infinite
+        coords = [_rational(c) for c in pts.flat]
+    except (TypeError, ValueError, OverflowError):  # nested, a string, NaN or infinite
         raise ValueError(f"{shape} a coordinate that is not a finite rational number") from None
     db = math.lcm(*(c.denominator for c in coords))
     D = dp * db

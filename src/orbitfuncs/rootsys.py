@@ -18,6 +18,7 @@ otherwise), provided by :func:`to_orthogonal` / :func:`from_orthogonal`.
 from __future__ import annotations
 
 import json
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -228,14 +229,50 @@ class RootSystem:
         return f"RootSystem({self.id.label})"
 
 
-_CACHE: dict[DiagramId, RootSystem] = {}
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _BoundedCache(OrderedDict):
+    """A mapping that keeps its maxsize most recently used entries and
+    counts hits and misses, with the cache_info() of functools.lru_cache."""
+
+    def __init__(self, maxsize: int):
+        super().__init__()
+        self.maxsize = maxsize
+        self.hits = self.misses = 0
+
+    def lookup(self, key, make):
+        """The entry of key; on a miss make() is stored under it, and the
+        least recently used entry goes if there are more than maxsize."""
+        if key in self:
+            self.hits += 1
+            self.move_to_end(key)
+            return self[key]
+        self.misses += 1
+        value = self[key] = make()
+        if len(self) > self.maxsize:
+            self.popitem(last=False)
+        return value
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self.hits, self.misses, self.maxsize, len(self))
+
+    def clear(self) -> None:
+        super().clear()
+        self.hits = self.misses = 0
+
+
+# diagrams kept; a bench workload touches at most 11
+_CACHE = _BoundedCache(32)
 
 
 def build(label: str | DiagramId) -> RootSystem:
     """Construct (and cache) the root-system data for a diagram."""
     did = parse_diagram(label)
-    if did in _CACHE:
-        return _CACHE[did]
+    return _CACHE.lookup(did, lambda: _build(did))
+
+
+def _build(did: DiagramId) -> RootSystem:
     M, norms = _cartan_and_norms(did)
     Minv = mat_inverse(M)
     D = tuple(tuple(norms[i] / 2 if i == j else Fraction(0) for j in range(did.rank))
@@ -250,7 +287,6 @@ def build(label: str | DiagramId) -> RootSystem:
         rho=vec([1] * did.rank), weyl_order=_weyl_order(did),
     )
     _sanity(rs)
-    _CACHE[did] = rs
     return rs
 
 
@@ -312,14 +348,25 @@ def orth_dim(rs: RootSystem) -> int:
     raise UnsupportedCoordinatesError(f"no orthogonal model for {rs.id.label}")
 
 
+def _rational(c) -> Fraction:
+    """c as a Fraction, itself if it is one; TypeError for a str or bytes,
+    which Fraction would parse."""
+    if type(c) is Fraction:
+        return c
+    if isinstance(c, (str, bytes)):
+        raise TypeError(f"{c!r} is a string")
+    return Fraction(c)
+
+
 def _exact_vec(rs: RootSystem, x, dim: int, what: str) -> Vec:
-    """The body of rank_vec and orth_vec; Fraction refuses NaN, infinities,
-    None and sequences, and a non-sequence is shown by its repr.  A string
-    is refused whole rather than read as one coordinate per character."""
+    """The body of rank_vec and orth_vec; _rational refuses strings, NaN,
+    infinities, None and sequences, and a non-sequence is shown by its
+    repr.  A whole string is refused rather than read as one coordinate
+    per character."""
     if isinstance(x, (str, bytes)):
         raise ValueError(f"{x!r} is a string, not {what}coordinates for {rs.id.label}")
     try:
-        v = vec(x)
+        v = tuple(map(_rational, x))
     except (TypeError, ValueError, OverflowError):
         try:
             shown = f"({', '.join(map(str, x))})"

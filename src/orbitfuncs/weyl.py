@@ -29,7 +29,8 @@ import numpy as np
 
 from .rootsys import (
     RootSystem, Vec, vec, mat_vec, is_dominant, is_strictly_dominant, rank_vec,
-    convert_basis, inner, orth_dim, to_orthogonal, from_orthogonal, _omega_cols, _vec_str,
+    convert_basis, inner, orth_dim, to_orthogonal, from_orthogonal, _BoundedCache,
+    _omega_cols, _vec_str,
 )
 
 IntMat = tuple[tuple[int, ...], ...]
@@ -83,7 +84,8 @@ class _Group:
     positive: tuple[Vec, ...] | None = None
 
 
-_GROUP_CACHE: dict = {}
+# groups kept; a bench workload touches at most 11 diagrams
+_GROUP_CACHE = _BoundedCache(16)
 
 #: Hard ceiling so that E/F diagrams are rejected rather than enumerated.
 DEFAULT_GROUP_LIMIT = 100_000
@@ -96,8 +98,11 @@ def _group(rs: RootSystem, limit: int = DEFAULT_GROUP_LIMIT) -> _Group:
     if rs.weyl_order > limit:
         raise GroupSizeError(
             f"|W({rs.id.label})| = {rs.weyl_order} exceeds the limit {limit}")
-    if rs.id in _GROUP_CACHE:
-        return _GROUP_CACHE[rs.id]
+    return _GROUP_CACHE.lookup(rs.id, lambda: _close(rs))
+
+
+def _close(rs: RootSystem) -> _Group:
+    """The group of rs closed layer by layer from the simple reflections."""
     gens = np.array([g.matrix for g in generators(rs)], dtype=np.int64)
     n = rs.rank
     layer = np.eye(n, dtype=np.int64)[None]
@@ -121,8 +126,7 @@ def _group(rs: RootSystem, limit: int = DEFAULT_GROUP_LIMIT) -> _Group:
     dets = np.array([(-1) ** len(w) for w in words], dtype=np.int64)
     mats.setflags(write=False)
     dets.setflags(write=False)
-    _GROUP_CACHE[rs.id] = _Group(mats, dets, tuple(words), n * int(np.abs(mats).max()))
-    return _GROUP_CACHE[rs.id]
+    return _Group(mats, dets, tuple(words), n * int(np.abs(mats).max()))
 
 
 def generate_group(rs: RootSystem, limit: int = DEFAULT_GROUP_LIMIT) -> tuple[WeylElement, ...]:

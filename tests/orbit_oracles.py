@@ -39,6 +39,13 @@ roots: the strict-dominance rules and the orthogonal -> omega map of each
 of A, B, C and D, the positive roots of A and of B/C/D in orthogonal
 coordinates spelled out by hand, and the omega-coordinate product paired
 with the metric one root and one ``Fraction`` at a time.
+``gaussian_hermite_samples``, ``plane_wave_apply`` and the two residual
+oracles are the Fourier-transform eigen checks of ``analysis`` before they
+applied the 1-D kernel to each Hermite factor: the eigenfunction sampled
+on the full tensor grid and the dense kernel applied on both sides,
+K g K^T, then projected onto the (anti)symmetric part.
+``hermite_explicit`` is the factorial-sum definition of the Hermite
+polynomials, the oracle of ``analysis.hermite_polynomial``'s recurrence.
 """
 
 import functools
@@ -49,8 +56,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from orbitfuncs.analysis import hermite_polynomial
 from orbitfuncs.orbitalg import OrbitTerm
-from orbitfuncs.orbitfn import _float_points, _perm_sum
+from orbitfuncs.orbitfn import TWO_PI, _float_points, _perm_sum
 from orbitfuncs.rootsys import (
     convert_basis, inner, mat_vec, vec, vec_mat, is_dominant, is_strictly_dominant,
     orth_dim, orth_vec, UnsupportedCoordinatesError,
@@ -538,3 +546,48 @@ def rho_products_orth_oracle(rs, x) -> tuple:
             s *= sin(ang)
             c *= cos(ang)
     return (2j) ** r * s, 2 ** r * c
+
+
+def hermite_explicit(n: int, x: float) -> float:
+    """The factorial-sum definition; a small-n oracle for the recurrence."""
+    total = 0.0
+    for m in range(n // 2 + 1):
+        total += ((-1) ** m * (2 * x) ** (n - 2 * m)
+                  / (math.factorial(m) * math.factorial(n - 2 * m)))
+    return math.factorial(n) * total
+
+
+def gaussian_hermite_samples(q, m, variant: str) -> np.ndarray:
+    """exp(-pi |x|^2) H^{variant}_m(sqrt(2 pi) x) on the tensor grid of the
+    quadrature q (an ``analysis.PlaneWaveQuadrature``)."""
+    x1, x2 = np.meshgrid(q.nodes, q.nodes, indexing="ij")
+    gauss = np.exp(-math.pi * (x1 ** 2 + x2 ** 2))
+    xs = math.sqrt(TWO_PI) * np.stack([x1, x2], axis=-1)
+    h = np.stack([hermite_polynomial(mi, xs) for mi in m], axis=-2)
+    return gauss * _perm_sum(h, signed=(variant == "anti"))
+
+
+def plane_wave_apply(q, values: np.ndarray, variant: str) -> np.ndarray:
+    """One application of the transform to a function sampled on the
+    tensor grid; variant "anti" antisymmetrizes, "sym" symmetrizes."""
+    g = q.matrix @ values @ q.matrix.T
+    if variant == "anti":
+        return 0.5 * (g - g.T)
+    return 0.5 * (g + g.T)
+
+
+def transform_eigen_check_oracle(q, m, variant: str) -> float:
+    """The relative eigen-residual ||T g0 - i^|m| g0|| / ||g0||, two-sided."""
+    g0 = gaussian_hermite_samples(q, m, variant)
+    out = plane_wave_apply(q, g0.astype(complex), variant)
+    eig = 1j ** int(sum(m))
+    return float(np.linalg.norm(out - eig * g0) / np.linalg.norm(g0))
+
+
+def transform_fourth_power_oracle(q, m, variant: str) -> float:
+    """The relative residual ||T^4 g0 - g0|| / ||g0||, two-sided."""
+    g0 = gaussian_hermite_samples(q, m, variant).astype(complex)
+    g = g0
+    for _ in range(4):
+        g = plane_wave_apply(q, g, variant)
+    return float(np.linalg.norm(g - g0) / np.linalg.norm(g0))

@@ -9,10 +9,15 @@ from orbitfuncs.rootsys import build, inner, orth_dim
 from orbitfuncs.analysis import (
     laplace_check, laplace_check_omega, sigma2_check, omega_basis_operator,
     shift_operator_check, gradient_sum_residual,
-    hermite_polynomial, hermite_explicit, hermite_sym_anti,
+    hermite_polynomial, hermite_sym_anti,
     PlaneWaveQuadrature, transform_eigen_check, transform_fourth_power_residual,
     monomial_family, hermite_family, generic_sym_poly, generic_anti_poly,
-    generic_anti_quotient, generic_anti_orthogonality,
+    generic_anti_quotient, generic_anti_orthogonality, _hermite_factors, _tensor,
+)
+
+from orbit_oracles import (
+    gaussian_hermite_samples, hermite_explicit, transform_eigen_check_oracle,
+    transform_fourth_power_oracle,
 )
 
 RNG = random.Random(777)
@@ -206,6 +211,38 @@ def test_transform_fourth_power():
 def test_gaussian_is_fixed_point():
     rel = transform_eigen_check((0, 0), "sym", quadrature=QUAD)
     assert rel < 1e-8  # eigenvalue exactly 1
+
+
+# every decreasing label with |m| <= 4: strictly for "anti", weakly for "sym"
+HERMITE_LABELS = [((m1, m2), variant) for m1 in range(5) for m2 in range(min(m1, 4 - m1) + 1)
+                  for variant in ("anti", "sym") if variant == "sym" or m1 > m2]
+
+
+@pytest.mark.parametrize("m, variant", HERMITE_LABELS)
+def test_factor_route_matches_the_two_sided_oracle(m, variant):
+    # the residuals are about 4e-15: the factor route K f_k and the dense
+    # K g K^T round differently, by a few ulps of the residual
+    assert abs(transform_eigen_check(m, variant, quadrature=QUAD)
+               - transform_eigen_check_oracle(QUAD, m, variant)) < 1e-15
+    assert abs(transform_fourth_power_residual(m, variant, quadrature=QUAD)
+               - transform_fourth_power_oracle(QUAD, m, variant)) < 1e-15
+
+
+def test_eigen_checks_refuse_labels_without_an_eigenfunction():
+    for m, variant in [((1, 1), "anti"), ((2, 1, 0), "anti"), ((-1, 0), "sym"), ((1,), "sym")]:
+        for check in (transform_eigen_check, transform_fourth_power_residual):
+            with pytest.raises(ValueError, match=r"^no nonzero \w+ Gaussian-Hermite function"):
+                check(m, variant, quadrature=QUAD)
+    with pytest.raises(ValueError, match="^unknown variant 'anty'$"):
+        transform_eigen_check((2, 1), "anty", quadrature=QUAD)
+
+
+@pytest.mark.parametrize("m, variant", HERMITE_LABELS)
+def test_factor_route_rebuilds_the_sampled_eigenfunction(m, variant):
+    g0 = _tensor(_hermite_factors(QUAD, m), variant)
+    ref = gaussian_hermite_samples(QUAD, m, variant)
+    assert np.linalg.norm(g0 - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert np.array_equal(g0, -g0.T if variant == "anti" else g0.T)
 
 
 def test_generic_monomials_give_schur():

@@ -2,9 +2,9 @@
 
 One property test feeds the entry points that take weights or points a
 weight or point of the wrong length, with a NaN, infinite, ``None`` or
-nested coordinate, ``None`` itself, a string of digits, a weight that is
-not dominant where dominance is needed, and one on a wall where strict
-dominance is needed.
+nested coordinate, ``None`` itself, a string of digits, a coordinate
+written as a str or bytes, a weight that is not dominant where dominance
+is needed, and one on a wall where strict dominance is needed.
 Each must raise a ``ValueError`` (or a subclass: ``WallError``,
 ``UnsupportedCoordinatesError``) whose message names the diagram, never
 a ``TypeError``, an ``IndexError``, a ``KeyError`` or a bare numpy
@@ -157,12 +157,19 @@ def _string(good) -> str:
     return "".join(str(int(c) % 10) for c in good)
 
 
+def _string_cell(good, i: int, text: type) -> tuple:
+    """The good value with coordinate i written as a str or bytes, which
+    Fraction or numpy would parse as the number."""
+    cell = str(good[i])
+    return tuple(good[:i]) + (cell if text is str else cell.encode(),) + tuple(good[i + 1:])
+
+
 @st.composite
 def _bad_value(draw, rs, space: str, need: str):
     """A value that the slot must refuse."""
     good = list(_good(rs, space, need))
     n = len(good)
-    cases = ["length", "coordinate", "none", "string"]
+    cases = ["length", "coordinate", "none", "string", "string cell"]
     if need in ("dominant", "strict"):
         cases.append("not dominant")
     if need == "strict":
@@ -175,6 +182,8 @@ def _bad_value(draw, rs, space: str, need: str):
         return None
     if case == "string":
         return _string(good)
+    if case == "string cell":
+        return _string_cell(good, i, draw(st.sampled_from([str, bytes])))
     if case == "coordinate":
         good[i] = draw(st.sampled_from(_BAD_COORDINATES))
     elif case == "not dominant":
@@ -214,10 +223,14 @@ def test_good_input_is_accepted(name, rs):
 
 @pytest.mark.parametrize("name", sorted(ENTRIES))
 def test_a_string_is_refused(name):
+    # a whole string, and each coordinate written as a str or as bytes
     space, need, call = ENTRIES[name]
     for rs in DIAGRAMS:
-        with pytest.raises(ValueError, match=rf"\b{rs.id.label}\b"):
-            call(rs, _string(_good(rs, space, need)))
+        good = _good(rs, space, need)
+        for value in [_string(good)] + [_string_cell(good, i, text)
+                                        for i in range(len(good)) for text in (str, bytes)]:
+            with pytest.raises(ValueError, match=rf"\b{rs.id.label}\b"):
+                call(rs, value)
 
 
 @pytest.mark.parametrize("rs", DIAGRAMS, ids=lambda rs: rs.id.label)

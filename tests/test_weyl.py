@@ -261,6 +261,26 @@ def test_group_matches_the_bfs_oracle(label):
                for w in grp for c in (w.det, *w.word, *itertools.chain(*w.matrix)))
 
 
+def test_an_evicted_group_is_closed_again_to_the_same_arrays(monkeypatch):
+    from orbitfuncs import rootsys, weyl
+    for cache in (rootsys._CACHE, weyl._GROUP_CACHE):
+        assert cache.maxsize >= 11   # the diagrams of the largest bench workload
+        monkeypatch.setattr(cache, "maxsize", 1)
+        cache.clear()
+    first = {}
+    for label in ("B3", "A3"):
+        rs = build(label)
+        first[label] = rs, _group(rs)
+    # each diagram and its group went when the other was built
+    for label, (rs, grp) in first.items():
+        again_rs = build(label)
+        again = _group(again_rs)
+        assert again_rs == rs and again_rs is not rs and again is not grp
+        assert np.array_equal(again.mats, grp.mats) and again.mats.dtype == grp.mats.dtype
+        assert np.array_equal(again.dets, grp.dets)
+        assert again.words == grp.words and again.gain == grp.gain
+
+
 def _coordinate(low):
     """k/q with low <= k <= 6 and q <= 4, often k = low (a wall for 0)."""
     return st.one_of(st.just(F(low)), st.builds(F, st.integers(low, 6), st.integers(1, 4)))
