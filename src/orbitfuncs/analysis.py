@@ -21,8 +21,8 @@ import numpy as np
 from .rootsys import RootSystem, inner, orth_dim, rank_vec
 from .weyl import orth_action, _group
 from .orbitfn import (
-    TWO_PI, eval_orbit_function, eval_batch, eval_orth_batch, _float_points, _perm_sum,
-    _stab_order,
+    TWO_PI, eval_orbit_function, eval_batch, eval_orth_batch, _float_points, _pairing,
+    _perm_sum, _stab_order,
 )
 
 
@@ -168,10 +168,11 @@ def shift_operator_check(rs: RootSystem, lam: Sequence, x: Sequence,
         kind, use_det, eig_kind, val_kind = "sym", True, "anti", "anti"
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    # w x + y exactly, in Python ints over one denominator; int / int rounds once
-    d = math.lcm(*(c.denominator for c in xv + yv))
-    xn, yn = ([c.numerator * (d // c.denominator) for c in v] for v in (xv, yv))
-    shifted = ((group.mats.astype(object) @ xn + yn) / d).astype(float)
+    # w x + y exactly, as the pairing of the rows (w, 1) with (x, y); P / D rounds once
+    n = rs.rank
+    eye = np.broadcast_to(np.eye(n, dtype=np.int64), group.mats.shape)
+    P, D = _pairing(np.concatenate([group.mats, eye], axis=2).reshape(-1, 2 * n), 1, xv + yv)
+    shifted = (P / D).astype(float).reshape(-1, n)
     vals = eval_batch(rs, kind, lam, shifted)
     dets = group.dets if use_det else np.ones(len(group.dets), dtype=int)
     lhs = dets @ vals
@@ -207,7 +208,10 @@ def gradient_sum_residual(rs: RootSystem, m: Sequence, x: Sequence,
 # -- Hermite polynomials and transform eigenfunctions -----------------------
 
 def hermite_polynomial(n: int, x):
-    """Physicists' Hermite polynomial by the three-term recurrence."""
+    """Physicists' Hermite polynomial by the three-term recurrence;
+    ValueError naming n for a negative degree."""
+    if n < 0:
+        raise ValueError(f"the Hermite polynomial H_n needs a degree n >= 0, got n = {n}")
     x = np.asarray(x, dtype=float)
     h0 = np.ones_like(x)
     if n == 0:

@@ -86,16 +86,43 @@ def _integer_exponents(values: Sequence[Fraction]) -> tuple[Fraction, list]:
     return step, [int(v / step) for v in values]
 
 
+#: Bound below which every integer of an exact pairing is a float
+_EXACT_FLOAT = 2 ** 53
+
+
+def _pairing(rows: np.ndarray, d: int, values: Sequence) -> tuple[np.ndarray, int]:
+    """The exact pairings (row / d) . v of the int64 rows over d with the
+    vectors v whose exact coordinates are values, n = rows.shape[1] per
+    vector, one vector after another: the integer numerators P, one row
+    per row and one column per v, over the denominator D = d L, with L the
+    lcm of the denominators of values, and D.
+
+    The rows are paired with L v.  Every partial sum is at most n max|row|
+    max|L v|; while that bound and D stay below 2**53, the product is taken
+    in int64, where no sum can overflow and P, P mod D and D are exact
+    floats, so that P / D rounds as Python's int / int does.  Past the
+    bound it is taken in Python ints (object dtype)."""
+    ratios = [c.as_integer_ratio() for c in values]
+    L = math.lcm(*{q for _, q in ratios})
+    ints = [p * (L // q) for p, q in ratios]
+    n = rows.shape[1]
+    top = n * int(np.abs(rows).max(initial=0)) * max(max(ints, default=0), -min(ints, default=0))
+    dtype = np.int64 if max(top, d * L) < _EXACT_FLOAT else object
+    return rows.astype(dtype, copy=False) @ np.array(ints, dtype=dtype).reshape(-1, n).T, d * L
+
+
 def _exponent_terms(rs: RootSystem, kind: str, lamv: tuple) -> tuple[list, list, list]:
     """The sum over W in exact integer exponents: steps s_j (Fractions)
     and one row of ints K per term mu with <mu, x> = sum_j K_j s_j x_j,
     plus the integer coefficient of each term.  s_j is the gcd of the
-    rationals (mu S)_j over the terms, so the K of a column share no
-    factor."""
+    rationals (mu S)_j over the terms: with P_j their numerators over one
+    denominator D, s_j = gcd(P_j) / D and K_j = P_j / gcd(P_j), which
+    share no factor (s_j = 1 and K_j = 0 for a column of zeros)."""
     rows, d, coeffs = _orbit_terms(rs, kind, lamv)
-    exact = rows.astype(object) @ np.array(rs.metric, dtype=object)   # d * mu S
-    steps, cols = zip(*(_integer_exponents([Fraction(v) / d for v in col]) for col in exact.T))
-    return [list(K) for K in zip(*cols)], list(steps), [int(c) for c in coeffs]
+    P, D = _pairing(rows, d, [c for row in rs.metric for c in row])   # mu S; S is symmetric
+    gcds = np.gcd.reduce(P, axis=0)
+    steps = [Fraction(int(g), D) if g else Fraction(1) for g in gcds]
+    return (P // np.where(gcds == 0, 1, gcds)).tolist(), steps, [int(c) for c in coeffs]
 
 
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j])   # i**q, indexed by q in -2..2
@@ -311,9 +338,10 @@ def eval_coroot_point(rs: RootSystem, kind: str, lam: Sequence, b: Sequence):
     product, so every phase is an exact rational k/D.  The group acts by
     integer matrices on omega coordinates, so dp * w lam is integral for dp
     the lcm of the denominators of lam; with db the lcm of those of all of
-    b and D = dp * db, k = (dp * w lam) . (db * b) mod D in Python
-    integers.  Floats enter only at exp(2 pi i k / D); this is what the
-    discrete transforms use.
+    b and D = dp * db, k = (dp * w lam) . (db * b) mod D, from
+    ``_pairing`` (int64 below its bound, Python ints past it).  Floats
+    enter only at exp(2 pi i k / D); this is what the discrete transforms
+    use.
     """
     kind = _norm_kind(kind)
     lamv = rank_vec(rs, lam)
@@ -325,16 +353,12 @@ def eval_coroot_point(rs: RootSystem, kind: str, lam: Sequence, b: Sequence):
     elif pts.ndim != 2 or pts.shape[1] != rs.rank:
         raise ValueError(f"{shape} an array of shape {pts.shape}")
     rows, dp, coeffs = _orbit_terms(rs, kind, lamv)
-    try:
-        coords = [_rational(c) for c in pts.flat]
+    try:   # a Fraction, as on a plan's grid, is itself and costs no call
+        coords = [c if type(c) is Fraction else _rational(c) for c in pts.ravel().tolist()]
     except (TypeError, ValueError, OverflowError):  # nested, a string, NaN or infinite
         raise ValueError(f"{shape} a coordinate that is not a finite rational number") from None
-    db = math.lcm(*(c.denominator for c in coords))
-    D = dp * db
-    B = np.array([c.numerator * (db // c.denominator) % D for c in coords],
-                 dtype=object).reshape(pts.shape)
-    k = (rows.astype(object) @ B.T) % D        # (terms, G) exact numerators
-    vals = coeffs @ np.exp(TWO_PI * 1j * (k / D).astype(float))
+    P, D = _pairing(rows, dp, coords)        # (terms, G) exact numerators over D
+    vals = coeffs @ np.exp(TWO_PI * 1j * ((P % D) / D).astype(float))
     return complex(vals[0]) if single else vals
 
 
@@ -468,12 +492,10 @@ def closed_form_orth(rs: RootSystem, kind: str, m: Sequence, x: Sequence) -> com
 
 def _root_rows(rs: RootSystem, m: Sequence) -> tuple[np.ndarray, int]:
     """The positive roots (omega coordinates, integral) times the rational
-    matrix m, exactly: int64 rows over the lcm L of m's denominators, and
+    matrix m, exactly: integer rows over the lcm L of m's denominators, and
     L."""
-    L = math.lcm(*(c.denominator for row in m for c in row))
-    M = np.array([[int(c * L) for c in row] for row in m], dtype=np.int64)
     pos = np.array([[int(c) for c in alpha] for alpha in positive_roots(rs)], dtype=np.int64)
-    return pos @ M, L
+    return _pairing(pos, 1, [c for col in zip(*m) for c in col])
 
 
 def _root_products(rs: RootSystem, m: Sequence, x: np.ndarray) -> tuple[complex, complex]:
@@ -591,12 +613,11 @@ def _dominant_integral(rs: RootSystem, lam: Sequence, what: str) -> tuple:
 def dimension(rs: RootSystem, lam: Sequence) -> int:
     """Product formula for the x -> 0 limit of the character, exactly:
     prod <lam + rho, alpha> / <rho, alpha> over the positive roots, with
-    both pairings one product with the metric scaled to integers and the
-    products taken in Python ints."""
+    both pairings exact (``_pairing``) with the metric scaled to integers
+    and the products taken in Python ints."""
     lamv = _dominant_integral(rs, lam, "dimension")
     rows, _ = _root_rows(rs, rs.metric)
-    weights = np.array([[int(c) + 1 for c in lamv], [1] * rs.rank], dtype=object)
-    shifted, rho = (weights @ rows.T).tolist()
+    shifted, rho = _pairing(rows, 1, [int(c) + 1 for c in lamv] + [1] * rs.rank)[0].T.tolist()
     num, den = math.prod(shifted), math.prod(rho)
     if num % den:
         raise ArithmeticError(f"non-integral dimension {Fraction(num, den)} for {lamv}")

@@ -360,16 +360,17 @@ def _rational(c) -> Fraction:
 
 def _exact_vec(rs: RootSystem, x, dim: int, what: str) -> Vec:
     """The body of rank_vec and orth_vec; _rational refuses strings, NaN,
-    infinities, None and sequences, and a non-sequence is shown by its
-    repr.  A whole string is refused rather than read as one coordinate
-    per character."""
+    infinities, None and sequences, and a non-sequence, or a str or bytes
+    cell, is shown by its repr.  A whole string is refused rather than
+    read as one coordinate per character."""
     if isinstance(x, (str, bytes)):
         raise ValueError(f"{x!r} is a string, not {what}coordinates for {rs.id.label}")
     try:
         v = tuple(map(_rational, x))
     except (TypeError, ValueError, OverflowError):
         try:
-            shown = f"({', '.join(map(str, x))})"
+            shown = "(" + ", ".join(repr(c) if isinstance(c, (str, bytes)) else str(c)
+                                    for c in x) + ")"
         except TypeError:   # not a sequence at all
             shown = repr(x)
         raise ValueError(f"{shown} are not finite rational {what}coordinates for "

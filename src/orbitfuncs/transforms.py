@@ -19,7 +19,9 @@ volume 1 and the fundamental domain has volume 1/|W|.
 from __future__ import annotations
 
 import itertools
+import logging
 import math
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -29,6 +31,8 @@ import numpy as np
 from .rootsys import RootSystem, Vec, rank_vec, _vec_str
 from .weyl import dual_marks, generators, _distinct, _group, _scaled, _unscaled
 from .orbitfn import TWO_PI, eval_coroot_point, eval_batch, _perm_sum, _stab_order
+
+_log = logging.getLogger(__name__)
 
 
 class PlanSeparationError(RuntimeError):
@@ -87,16 +91,24 @@ def _alcove(marks: Sequence[int], M: int, what: str) -> np.ndarray:
 
 def grid_fm(rs: RootSystem, M: int) -> GridFM:
     """The grid F_M: points sum(s_i/M) w_i^check of the closed fundamental
-    domain, indexed by s with s_0 + sum s_i m_i = M over the marks m_i.
+    domain, indexed by s with s_0 + sum s_i m_i = M over the marks m_i."""
+    return GridFM(rs=rs, M=M, points=_grid_points(rs, M, interior_only=False))
+
+
+def _grid_points(rs: RootSystem, M: int, interior_only: bool) -> tuple[GridPoint, ...]:
+    """The points of F_M, or only its interior ones, in the order of s.
 
     omega_i = s_i (2/|alpha_i|^2) / M and the coroot coordinates omega S
     are integer numerators over one denominator L M, with L the lcm of the
-    denominators of 2/|alpha_i|^2 and of diag(2/|alpha_i|^2) S."""
+    denominators of 2/|alpha_i|^2 and of diag(2/|alpha_i|^2) S; only the
+    points kept are converted to Fractions."""
     if M < 1:
         raise ValueError("M must be a positive integer")
     s = _alcove(rs.marks, M, f"the F_{M} grid of {rs.id.label}")
     s0 = M - s @ np.array(rs.marks, dtype=np.int64)
     interior = (s0 > 0) & np.all(s > 0, axis=1)
+    if interior_only:
+        s, s0, interior = s[interior], s0[interior], interior[interior]
     n = rs.rank
     scale = [2 / x for x in rs.root_norms]
     # row i: the omega coordinates of s = e_i times M, then its coroot coordinates
@@ -104,11 +116,10 @@ def grid_fm(rs: RootSystem, M: int) -> GridFM:
             for i in range(n)]
     L = math.lcm(*(x.denominator for row in rows for x in row))
     C = np.array([[int(x * L) for x in row] for row in rows], dtype=np.int64)
-    pts = tuple(GridPoint(s=tuple(si), s0=s0i, M=M, omega=c[:n], coroot=c[n:],
-                          interior=inside)
-                for si, s0i, c, inside in zip(s.tolist(), s0.tolist(),
-                                              _unscaled(s @ C, L * M), interior.tolist()))
-    return GridFM(rs=rs, M=M, points=pts)
+    return tuple(GridPoint(s=tuple(si), s0=s0i, M=M, omega=c[:n], coroot=c[n:],
+                           interior=inside)
+                 for si, s0i, c, inside in zip(s.tolist(), s0.tolist(),
+                                               _unscaled(s @ C, L * M), interior.tolist()))
 
 
 def tm_expand(rs: RootSystem, grid: GridFM) -> list[Vec]:
@@ -174,9 +185,13 @@ def build_plan(rs: RootSystem, M: int, labels: Sequence[Vec] | None = None,
     The expected Gram diagonal over the interior grid is c M^n with
     c = |P^check/Q^check|; the Weyl expansion of the grid multiplies it by
     |W|.  Off-diagonal entries beyond tol * diagonal mean the sampling set
-    does not separate two labels and the build fails.
+    does not separate two labels and the build fails.  The times of the
+    grid, the labels, the kernel and the separation check are logged at
+    DEBUG.
     """
-    grid = grid_fm(rs, M).interior_points()
+    start = time.perf_counter()
+    grid = _grid_points(rs, M, interior_only=True)
+    gridded = time.perf_counter()
     if labels is None:
         labels = default_labels(rs, M)
     labels = tuple(rank_vec(rs, l) for l in labels)
@@ -184,14 +199,20 @@ def build_plan(rs: RootSystem, M: int, labels: Sequence[Vec] | None = None,
         raise ValueError(f"a plan on the F_{M} grid of {rs.id.label} needs at "
                          f"least one label (default labels need M > "
                          f"{sum(dual_marks(rs))})")
+    labelled = time.perf_counter()
     # the reshape keeps an empty grid a stack of points
     coroots = np.array([p.coroot for p in grid], dtype=object).reshape(-1, rs.rank)
     kernel = np.array([eval_coroot_point(rs, "antisymmetric", lam, coroots)
                        for lam in labels])
+    evaluated = time.perf_counter()
     norm = float(lattice_index(rs) * M ** rs.rank)
     g = kernel @ kernel.conj().T
     dev = np.abs(g - norm * np.eye(len(labels)))
     i, j = np.unravel_index(np.argmax(dev), dev.shape)
+    _log.debug("build_plan %s M=%d, %d labels x %d points: grid %.3f ms, labels %.3f ms, "
+               "kernel %.3f ms, separation check %.3f ms", rs.id.label, M, len(labels),
+               len(grid), 1e3 * (gridded - start), 1e3 * (labelled - gridded),
+               1e3 * (evaluated - labelled), 1e3 * (time.perf_counter() - evaluated))
     if dev[i, j] > tol * norm:
         where = f"on the F_{M} grid of {rs.id.label}: gram = {g[i, j]:.3e}"
         if i == j:
@@ -318,10 +339,13 @@ def dst_dct_1d(kind: str, N: int) -> DiscretePlan:
     if kind == "exp":
         raise ValueError(f"unknown 1-D transform kind {kind!r}")
     labels, nodes, kfn, weights, norms = _one_variable(kind, kind, 1, N, strict=True)
-    labels, nodes = tuple(labels), tuple(nodes)
-    kernel = kfn(np.array(labels, dtype=float)[:, None],
-                 np.array(nodes, dtype=float)).astype(complex)
-    return DiscretePlan(kind, labels, nodes, kernel, weights, norms)
+    kernel = _table(kfn, labels, nodes).astype(complex)
+    return DiscretePlan(kind, tuple(labels), tuple(nodes), kernel, weights, norms)
+
+
+def _table(kfn: Callable, labels, nodes) -> np.ndarray:
+    """The one-variable kernel kfn(r, k) at every label r and node k."""
+    return kfn(np.array(labels, dtype=float)[:, None], np.array(nodes, dtype=float))
 
 
 def _decreasing(values, n: int, strict: bool):
@@ -352,7 +376,9 @@ def multivariate_plan(kind: str, n: int, N: int) -> DiscretePlan:
 
     Every kind is formed from its one-variable transform (kernel K, node
     weights w, label norms h): the kernel is |S_n|^{-1/2} det K(r_i, k_j)
-    for the antisymmetric kinds and the permanent for the symmetric ones;
+    for the antisymmetric kinds and the permanent for the symmetric ones,
+    its entries gathered from the table of K on the one-variable labels
+    and nodes;
     the weight of a node tuple t is n! prod_j w(t_j) / |Stab(t)| and the
     norm of a label tuple r is prod_i h(r_i) |Stab(r)|, where |Stab| is
     the order of the tuple's permutation stabilizer (1 for strictly
@@ -362,13 +388,13 @@ def multivariate_plan(kind: str, n: int, N: int) -> DiscretePlan:
     if kind not in _MULTIVARIATE:
         raise ValueError(f"unknown multivariate kind {kind!r}")
     base, signed = _MULTIVARIATE[kind]
-    labels, nodes, kfn, w, h = _one_variable(kind, base, n, N, strict=signed)
-    lrows, labels = _decreasing(labels, n, signed)
+    values, nodes, kfn, w, h = _one_variable(kind, base, n, N, strict=signed)
+    lrows, labels = _decreasing(values, n, signed)
     grows, grid = _decreasing(nodes, n, signed)
     nf = math.factorial(n)
-    r = np.array(labels, dtype=float)[:, None, :, None]
-    k = np.array(grid, dtype=float)[None, :, None, :]
-    kernel = np.asarray(_perm_sum(kfn(r, k), signed) / math.sqrt(nf), dtype=complex)
+    # entry (i, j) of the matrix of label tuple l and node tuple g is K(l_i, g_j)
+    E = _table(kfn, values, nodes)[lrows[:, None, :, None], grows[None, :, None, :]]
+    kernel = np.asarray(_perm_sum(E, signed) / math.sqrt(nf), dtype=complex)
     weights = nf * np.prod(w[grows], axis=1) / _stab_order(grows)
     norms = np.prod(h[lrows], axis=1) * _stab_order(lrows)
     return DiscretePlan(kind, labels, grid, kernel, weights, norms)

@@ -28,9 +28,9 @@ from typing import Sequence
 import numpy as np
 
 from .rootsys import (
-    RootSystem, Vec, vec, mat_vec, is_dominant, is_strictly_dominant, rank_vec,
-    convert_basis, inner, orth_dim, to_orthogonal, from_orthogonal, _BoundedCache,
-    _omega_cols, _vec_str,
+    DiagramId, RootSystem, Vec, vec, mat_vec, is_dominant, is_strictly_dominant, rank_vec,
+    inner, orth_dim, to_orthogonal, from_orthogonal, _BoundedCache, _marks, _omega_cols,
+    _vec_str,
 )
 
 IntMat = tuple[tuple[int, ...], ...]
@@ -371,15 +371,14 @@ def dual_marks(rs: RootSystem) -> tuple[int, ...]:
 
     These drive the label-side alcove constraint of the discrete
     transforms: a weight lambda pairs integrally with the refined torus
-    of F_M exactly when sum lambda_i * dual_marks_i falls in M Z.  For
-    simply-laced diagrams they coincide with the marks.
+    of F_M exactly when sum lambda_i * dual_marks_i falls in M Z.  They
+    are the marks of the dual diagram, the one with every arrow reversed:
+    B and C swap, and F4 and G2 are their own duals with the node order
+    reversed; for simply-laced diagrams they are the marks.
     """
-    xi_s = highest_short_root(rs)
-    a = convert_basis(rs, xi_s, "omega", "alpha")
-    norm = inner(rs, xi_s, xi_s)
-    out = [ai * ni / norm for ai, ni in zip(a, rs.root_norms)]
-    assert all(c.denominator == 1 for c in out)
-    return tuple(map(int, out))
+    family = {"B": "C", "C": "B"}.get(rs.family, rs.family)
+    marks = _marks(DiagramId(family, rs.rank))
+    return marks[::-1] if family in ("F", "G") else marks
 
 
 # -- orthogonal-coordinate group action for A/B/C/D ---------------------

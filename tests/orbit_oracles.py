@@ -46,6 +46,14 @@ on the full tensor grid and the dense kernel applied on both sides,
 K g K^T, then projected onto the (anti)symmetric part.
 ``hermite_explicit`` is the factorial-sum definition of the Hermite
 polynomials, the oracle of ``analysis.hermite_polynomial``'s recurrence.
+``exponent_terms_oracle``, ``shift_operator_check_oracle`` and
+``dual_marks_oracle`` are ``orbitfn._exponent_terms``,
+``analysis.shift_operator_check`` and ``weyl.dual_marks`` before the exact
+int64 pairing and the static dual marks: the terms times the metric and
+the group times a point as object-dtype products in Python ints, one
+``Fraction`` per entry for the steps and exponents, and the dual marks
+read off the highest short root found among the positive roots by
+``Fraction`` inner products.
 """
 
 import functools
@@ -58,13 +66,17 @@ import numpy as np
 
 from orbitfuncs.analysis import hermite_polynomial
 from orbitfuncs.orbitalg import OrbitTerm
-from orbitfuncs.orbitfn import TWO_PI, _float_points, _perm_sum
+from orbitfuncs.orbitfn import (
+    TWO_PI, eval_batch, eval_orbit_function, _float_points, _orbit_terms, _perm_sum,
+)
 from orbitfuncs.rootsys import (
-    convert_basis, inner, mat_vec, vec, vec_mat, is_dominant, is_strictly_dominant,
-    orth_dim, orth_vec, UnsupportedCoordinatesError,
+    convert_basis, inner, mat_vec, rank_vec, vec, vec_mat, is_dominant,
+    is_strictly_dominant, orth_dim, orth_vec, UnsupportedCoordinatesError,
 )
 from orbitfuncs.transforms import DiscretePlan, GridFM, GridPoint
-from orbitfuncs.weyl import dual_marks, generators, positive_roots, to_dominant
+from orbitfuncs.weyl import (
+    generators, highest_short_root, positive_roots, to_dominant, _group,
+)
 
 
 def _closure(rs, gens) -> list:
@@ -183,7 +195,7 @@ def grid_oracle(rs, M):
 
 def labels_oracle(rs, M):
     """The default plan labels filtered from the sorted dual-mark tuples."""
-    dm = dual_marks(rs)
+    dm = dual_marks_oracle(rs)
     return tuple(vec(s) for s in sorted(_s_tuples(dm, M))
                  if all(si > 0 for si in s) and sum(a * b for a, b in zip(s, dm)) < M)
 
@@ -591,3 +603,55 @@ def transform_fourth_power_oracle(q, m, variant: str) -> float:
     for _ in range(4):
         g = plane_wave_apply(q, g, variant)
     return float(np.linalg.norm(g - g0) / np.linalg.norm(g0))
+
+
+def exponent_terms_oracle(rs, kind: str, lamv) -> tuple:
+    """The exponent rows K, the steps s_j and the coefficients of the sum
+    over W: the terms times the metric as an object-dtype product, and per
+    column the step s_j = gcd of its rationals (1 if all are 0) and K_ij =
+    v_ij / s_j, one ``Fraction`` per entry."""
+    rows, d, coeffs = _orbit_terms(rs, kind, lamv)
+    exact = rows.astype(object) @ np.array(rs.metric, dtype=object)   # d * mu S
+    steps, cols = [], []
+    for col in exact.T:
+        values = [Fraction(v) / d for v in col]
+        step = Fraction(math.gcd(*(v.numerator for v in values)) or 1,
+                        math.lcm(*(v.denominator for v in values)))
+        steps.append(step)
+        cols.append([int(v / step) for v in values])
+    return [list(K) for K in zip(*cols)], steps, [int(c) for c in coeffs]
+
+
+def shift_operator_check_oracle(rs, lam, x, y, variant: str) -> float:
+    """The relative error of the shift-operator eigenrelation, with w x + y
+    as an object-dtype product of the group and x in Python ints over one
+    denominator, divided once."""
+    xv, yv = rank_vec(rs, x), rank_vec(rs, y)
+    group = _group(rs)
+    kind, use_det, eig_kind, val_kind = {
+        "det_on_anti": ("anti", True, "sym", "anti"),
+        "plain_on_anti": ("anti", False, "anti", "sym"),
+        "det_on_sym": ("sym", True, "anti", "anti"),
+    }[variant]
+    d = math.lcm(*(c.denominator for c in xv + yv))
+    xn, yn = ([c.numerator * (d // c.denominator) for c in v] for v in (xv, yv))
+    shifted = ((group.mats.astype(object) @ xn + yn) / d).astype(float)
+    vals = eval_batch(rs, kind, lam, shifted)
+    dets = group.dets if use_det else np.ones(len(group.dets), dtype=int)
+    lhs = dets @ vals
+    rhs = (eval_orbit_function(rs, eig_kind, lam, [float(c) for c in yv])
+           * eval_orbit_function(rs, val_kind, lam, [float(c) for c in xv]))
+    scale = max(abs(rhs), float(np.mean(np.abs(vals))), 1e-12)
+    return abs(lhs - rhs) / scale
+
+
+def dual_marks_oracle(rs) -> tuple:
+    """The coefficients of the highest-short-root coroot in the coroot
+    basis: the alpha-basis coefficients of the highest short root times
+    |alpha_i|^2 / |xi_s|^2."""
+    xi_s = highest_short_root(rs)
+    a = convert_basis(rs, xi_s, "omega", "alpha")
+    norm = inner(rs, xi_s, xi_s)
+    out = [ai * ni / norm for ai, ni in zip(a, rs.root_norms)]
+    assert all(c.denominator == 1 for c in out)
+    return tuple(map(int, out))

@@ -16,8 +16,8 @@ from orbitfuncs.analysis import (
 )
 
 from orbit_oracles import (
-    gaussian_hermite_samples, hermite_explicit, transform_eigen_check_oracle,
-    transform_fourth_power_oracle,
+    gaussian_hermite_samples, hermite_explicit, shift_operator_check_oracle,
+    transform_eigen_check_oracle, transform_fourth_power_oracle,
 )
 
 RNG = random.Random(777)
@@ -141,6 +141,23 @@ def test_shift_operator_eigenrelations():
                 assert rel < 1e-10, (label, variant, lam, rel)
 
 
+@pytest.mark.parametrize("label", ["A2", "C2", "G2", "B3"])
+def test_shift_operator_check_is_the_object_product(label):
+    # float points have power-of-two denominators near 2**53: the Python-int
+    # branch of the pairing; small rationals take the int64 one
+    rs = build(label)
+    rng = random.Random(label)
+    for _ in range(3):
+        lam = tuple(rng.randint(1, 3) for _ in range(rs.rank))
+        for x, y in (([rng.uniform(-0.6, 0.6) for _ in range(rs.rank)],
+                      [rng.uniform(-0.6, 0.6) for _ in range(rs.rank)]),
+                     ([F(rng.randint(-9, 9), rng.randint(1, 40)) for _ in range(rs.rank)],
+                      [F(rng.randint(-9, 9), rng.randint(1, 40)) for _ in range(rs.rank)])):
+            for variant in ("det_on_anti", "plain_on_anti", "det_on_sym"):
+                assert (shift_operator_check(rs, lam, x, y, variant)
+                        == shift_operator_check_oracle(rs, lam, x, y, variant))
+
+
 def test_shift_operator_at_zero_shift():
     # with y = 0 the plain average of phi over the group vanishes, matching
     # the eigenvalue phi_lam(0) = 0
@@ -171,6 +188,16 @@ def test_hermite_polynomials():
         assert np.max(np.abs(rec - ref)) < 1e-8 * (1 + np.max(np.abs(ref)))
     assert hermite_polynomial(1, 0.5) == 1.0
     assert hermite_polynomial(2, 0.5) == pytest.approx(4 * 0.25 - 2)
+
+
+@pytest.mark.parametrize("n", [-1, -3])
+def test_a_negative_hermite_degree_is_refused(n):
+    with pytest.raises(ValueError, match=rf"^the Hermite polynomial H_n needs a degree "
+                                         rf"n >= 0, got n = {n}$"):
+        hermite_polynomial(n, 0.5)
+    for variant, m in (("anti", (1, n)), ("sym", (n, n)), ("anti", (n, n - 1))):
+        with pytest.raises(ValueError, match=rf"got n = {n}$"):
+            hermite_sym_anti(m, (0.3, -0.2), variant)
 
 
 def test_hermite_sym_anti_values():

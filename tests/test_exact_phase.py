@@ -8,6 +8,7 @@ the plan kernels built from it.  Its orbits come from ``orbit_oracles``,
 so it shares no code with the group array either.
 """
 
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -15,11 +16,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbitfuncs.orbitfn import TWO_PI, eval_coroot_point
-from orbitfuncs.rootsys import build, vec
+from orbitfuncs.orbitfn import TWO_PI, eval_coroot_point, _exponent_terms, _pairing
+from orbitfuncs.rootsys import build, rank_vec, vec
 from orbitfuncs.transforms import build_plan, default_labels, gram_over_torus, grid_fm
 
-from orbit_oracles import orbit_oracle, signed_orbit_oracle, stabilizer_oracle, tm_expand_oracle
+from orbit_oracles import (
+    exponent_terms_oracle, orbit_oracle, signed_orbit_oracle, stabilizer_oracle,
+    tm_expand_oracle,
+)
 
 KINDS = ("antisymmetric", "symmetric", "normalized")
 
@@ -142,3 +146,91 @@ def test_wrong_length_is_refused(lam, b):
 def test_plan_with_a_short_label_is_refused():
     with pytest.raises(ValueError, match=r"expected 2 coordinates for A2, got 1: \(1\)"):
         build_plan(build("A2"), 5, labels=[(1,)])
+
+
+# -- the exact pairing: both branches, and the exponents of eval_batch ----
+
+def _kind(kind):
+    return {"anti": "antisymmetric", "sym": "symmetric", "norm": "normalized"}[kind]
+
+
+def _pattern_weights(pattern):
+    """Every weight of an evaluate-workload pattern: "1" is an entry 1..3,
+    "0" a zero entry, "rho" is rho."""
+    if pattern == "rho":
+        return [(1,) * 2]
+    return [tuple(v if c == "1" else 0 for c, v in zip(pattern, vals))
+            for vals in itertools.product((1, 2, 3), repeat=len(pattern))]
+
+
+# the A and G2 keys of the evaluate workload: (diagram, kind, weight pattern)
+EVALUATE_KEYS = [("A2", "anti", "11"), ("A2", "sym", "10"), ("A2", "norm", "01"),
+                 ("G2", "anti", "11"), ("G2", "sym", "01"), ("A3", "anti", "111"),
+                 ("A3", "sym", "101"), ("A2", "anti", "rho"), ("G2", "anti", "rho")]
+
+
+def _assert_same_terms(got, want):
+    assert got == want
+    for a, b in zip(got, want):   # ints stay ints, steps stay Fractions
+        assert [type(v) for v in np.ravel(np.array(a, dtype=object))] == \
+            [type(v) for v in np.ravel(np.array(b, dtype=object))]
+
+
+@pytest.mark.parametrize("label,kind,pattern", EVALUATE_KEYS)
+def test_exponent_terms_are_the_fraction_loop(label, kind, pattern):
+    rs = build(label)
+    for lam in _pattern_weights(pattern):
+        lamv = rank_vec(rs, lam)
+        _assert_same_terms(_exponent_terms(rs, _kind(kind), lamv),
+                           exponent_terms_oracle(rs, _kind(kind), lamv))
+
+
+nonnegative = st.builds(F, st.integers(0, 40), st.integers(1, 12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["A1", "A2", "A3", "A4", "B3", "C3", "G2"]),
+       st.sampled_from(KINDS), st.lists(nonnegative, min_size=4, max_size=4))
+def test_exponent_terms_are_the_fraction_loop_on_drawn_weights(label, kind, coords):
+    rs = build(label)
+    lamv = rank_vec(rs, coords[:rs.rank])
+    if kind == "antisymmetric" and 0 in lamv:
+        lamv = tuple(c + 1 for c in lamv)
+    _assert_same_terms(_exponent_terms(rs, kind, lamv), exponent_terms_oracle(rs, kind, lamv))
+
+
+def test_exponent_terms_of_the_zero_weight():
+    # one term, the weight 0: every column is zero, so every step is 1
+    rs = build("A2")
+    got = _exponent_terms(rs, "symmetric", (F(0), F(0)))
+    assert got == ([[0, 0]], [F(1), F(1)], [1]) == exponent_terms_oracle(rs, "symmetric", (F(0), F(0)))
+
+
+# A2, lam = (1, 2): the terms d w lam have |entries| <= 3 with d = 1, so the
+# int64 bound of a pairing with points over the denominator Q is
+# 2 * 3 * max|Q b| < 2**53
+Q = 2 ** 40
+BELOW = (2 ** 53 - 1) // 6
+
+
+@pytest.mark.parametrize("pts,branch", [
+    ([(F(BELOW, Q), F(1, Q)), (F(-BELOW, Q), F(7, Q))], np.int64),   # just below
+    ([(F(BELOW + 1, Q), F(1, Q)), (F(5, 8), F(-1, Q))], object),     # at the bound
+    ([(F(1, 2 ** 53 + 1), F(1, 3)), (F(2, 5), F(-3, 2 ** 53 + 1))], object),
+])
+def test_both_branches_of_the_pairing_are_the_integer_phase_oracle(pts, branch):
+    a2, lam = build("A2"), (1, 2)
+    rows = np.array([[int(c) for c in p] for p, _ in signed_orbit_oracle(a2, vec(lam))])
+    assert np.abs(rows).max() == 3
+    P, D = _pairing(rows, 1, [c for p in pts for c in p])
+    assert P.dtype == branch and D == math.lcm(*(c.denominator for p in pts for c in p))
+    assert P.tolist() == [[sum(int(r) * c * D for r, c in zip(row, p)) for p in pts]
+                          for row in rows]
+    got = eval_coroot_point(a2, "anti", lam, pts)
+    assert np.array_equal(got, integer_phase_oracle(a2, lam, pts))
+
+
+def test_the_pairing_bound_is_checked_on_the_denominator_too():
+    rows = np.array([[1, 0]])
+    assert _pairing(rows, 1, [F(1, 2 ** 53 - 1), 0])[0].dtype == np.int64
+    assert _pairing(rows, 2, [F(1, 2 ** 53 - 1), 0])[0].dtype == object

@@ -224,7 +224,7 @@ def test_orthogonal_roundtrip_property(label, coords):
 
 @pytest.mark.parametrize("x, shown", [
     (None, "None"), (5, "5"), ((None, 1), "(None, 1)"), ((1, (2, 3)), "(1, (2, 3))"),
-    ((float("nan"), 1), "(nan, 1)"), (("a", 1), "(a, 1)"),
+    ((float("nan"), 1), "(nan, 1)"), (("a", 1), "('a', 1)"), ((b"1", 2), "(b'1', 2)"),
 ])
 def test_malformed_exact_coordinates_are_named(x, shown):
     a2 = build("A2")

@@ -1,6 +1,8 @@
 import dataclasses
+import logging
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -18,7 +20,7 @@ from orbitfuncs.transforms import (
 
 from orbit_oracles import (
     grid_oracle, labels_oracle, tm_expand_oracle, dst_dct_1d_oracle,
-    multivariate_plan_oracle,
+    multivariate_plan_oracle, dual_marks_oracle,
 )
 
 RNG = random.Random(4242)
@@ -235,6 +237,50 @@ def test_dual_marks():
     assert dual_marks(build("B3")) == (2, 2, 1)
     assert dual_marks(build("G2")) == (3, 2)
     assert dual_marks(build("D4")) == (1, 2, 1, 1)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4",
+                                   "C2", "C3", "C4", "D4", "D5", "G2"])
+def test_static_dual_marks_match_the_highest_short_root(label):
+    from orbitfuncs.weyl import dual_marks
+    rs = build(label)
+    assert dual_marks(rs) == dual_marks_oracle(rs)
+    assert all(type(c) is int for c in dual_marks(rs))
+
+
+def test_dual_marks_of_the_exceptional_diagrams():
+    # Bourbaki, Plates VIII and V: F4 is its own dual with the node order
+    # reversed, and the simply-laced E6 has its marks
+    from orbitfuncs.weyl import dual_marks
+    assert build("F4").marks == (2, 3, 4, 2)
+    assert dual_marks(build("F4")) == (2, 4, 3, 2)
+    assert dual_marks(build("E6")) == build("E6").marks == (1, 2, 3, 2, 1, 2)
+
+
+@pytest.mark.parametrize("label,M", [("A2", 7), ("C2", 9), ("G2", 12), ("B3", 8)])
+def test_plan_grid_is_the_interior_of_the_grid(label, M):
+    rs = build(label)
+    got, want = build_plan(rs, M).grid, grid_fm(rs, M).interior_points()
+    assert got == want
+    for p, q in zip(got, want):
+        for f in dataclasses.fields(GridPoint):
+            assert _same(getattr(p, f.name), getattr(q, f.name)), f.name
+
+
+def test_plan_phases_are_logged_at_debug(caplog, capsys):
+    a2 = build("A2")
+    build_plan(a2, 6)
+    assert not caplog.records and capsys.readouterr() == ("", "")
+    with caplog.at_level(logging.DEBUG, logger="orbitfuncs.transforms"):
+        plan = build_plan(a2, 6)
+    (record,) = caplog.records
+    assert record.name == "orbitfuncs.transforms" and record.levelno == logging.DEBUG
+    msg = record.getMessage()
+    assert msg.startswith(f"build_plan A2 M=6, {len(plan.labels)} labels x "
+                          f"{len(plan.grid)} points: grid ")
+    for phase in ("grid", "labels", "kernel", "separation check"):
+        assert re.search(rf"{phase} \d+\.\d{{3}} ms", msg), phase
+    assert capsys.readouterr() == ("", "")
 
 
 def test_label_and_grid_counts_match():
