@@ -209,9 +209,10 @@ def gradient_sum_residual(rs: RootSystem, m: Sequence, x: Sequence,
 
 def hermite_polynomial(n: int, x):
     """Physicists' Hermite polynomial by the three-term recurrence;
-    ValueError naming n for a negative degree."""
-    if n < 0:
-        raise ValueError(f"the Hermite polynomial H_n needs a degree n >= 0, got n = {n}")
+    ValueError naming n for a degree that is not an integer n >= 0."""
+    if not isinstance(n, (int, np.integer)) or n < 0:
+        raise ValueError(f"the Hermite polynomial H_n needs an integer degree n >= 0, "
+                         f"got n = {n}")
     x = np.asarray(x, dtype=float)
     h0 = np.ones_like(x)
     if n == 0:

@@ -190,14 +190,15 @@ def test_hermite_polynomials():
     assert hermite_polynomial(2, 0.5) == pytest.approx(4 * 0.25 - 2)
 
 
-@pytest.mark.parametrize("n", [-1, -3])
-def test_a_negative_hermite_degree_is_refused(n):
-    with pytest.raises(ValueError, match=rf"^the Hermite polynomial H_n needs a degree "
-                                         rf"n >= 0, got n = {n}$"):
+@pytest.mark.parametrize("n", [-1, -3, 2.5, "2"])
+def test_a_hermite_degree_that_is_not_a_natural_number_is_refused(n):
+    with pytest.raises(ValueError, match=rf"^the Hermite polynomial H_n needs an integer "
+                                         rf"degree n >= 0, got n = {n}$"):
         hermite_polynomial(n, 0.5)
-    for variant, m in (("anti", (1, n)), ("sym", (n, n)), ("anti", (n, n - 1))):
-        with pytest.raises(ValueError, match=rf"got n = {n}$"):
-            hermite_sym_anti(m, (0.3, -0.2), variant)
+    if isinstance(n, int):
+        for variant, m in (("anti", (1, n)), ("sym", (n, n)), ("anti", (n, n - 1))):
+            with pytest.raises(ValueError, match=rf"got n = {n}$"):
+                hermite_sym_anti(m, (0.3, -0.2), variant)
 
 
 def test_hermite_sym_anti_values():
