@@ -18,10 +18,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .rootsys import RootSystem, inner, orth_dim, rank_vec
+from .rootsys import RootSystem, inner, orth_dim, rank_vec, _count, _positive
 from .weyl import orth_action, _group
 from .orbitfn import (
-    TWO_PI, eval_orbit_function, eval_batch, eval_orth_batch, _float_points, _pairing,
+    eval_orbit_function, eval_batch, eval_orth_batch, _cis, _float_points, _pairing,
     _perm_sum, _stab_order,
 )
 
@@ -63,7 +63,9 @@ def laplace_check_omega(rs: RootSystem, lam: Sequence, x: Sequence,
 def _apply_quadratic_operator(f: Callable, coeffs, x: np.ndarray,
                               h: float) -> tuple[complex, complex]:
     """sum_ij c_ij D_i D_j f at x by central differences, and f(x), both
-    from one batch of f."""
+    from one batch of f; ValueError unless the step h is a positive finite
+    number."""
+    h = _positive(h, "h")
     n = len(x)
     pts = [x]
     index = {}
@@ -99,6 +101,7 @@ def sigma2_check(rs: RootSystem, m: Sequence, x: Sequence,
     derivatives: eigenvalue (-4 pi^2)^2 sigma_2(m_1^2, ..., m_r^2)."""
     r = orth_dim(rs)
     xv = _float_points(rs, [x], r)[0]
+    h = _positive(h, "h")
     f = lambda pts: eval_orth_batch(rs, "anti", m, pts)
     total = 0j
     for i in range(r):
@@ -122,9 +125,9 @@ def sigma_k_check(rs: RootSystem, m: Sequence, x: Sequence, k: int,
     """Eigencheck of the k-th elementary symmetric polynomial in the
     coordinate second derivatives; k = 1 is the Laplacian."""
     if k == 1:
-        return laplace_check(rs, m, x, h or 1e-4)[2]
+        return laplace_check(rs, m, x, 1e-4 if h is None else h)[2]
     if k == 2:
-        return sigma2_check(rs, m, x, h or 1e-3)
+        return sigma2_check(rs, m, x, 1e-3 if h is None else h)
     raise ValueError("only k <= 2 is supported (mixed stencil order)")
 
 
@@ -191,6 +194,7 @@ def gradient_sum_residual(rs: RootSystem, m: Sequence, x: Sequence,
     character (A, B, C, and even-rank D)."""
     r = orth_dim(rs)
     xv = _float_points(rs, [x], r)[0]
+    h = _positive(h, "h")
     perm, signs = orth_action(rs)
     images = signs * xv[perm]
     worst = 0.0
@@ -246,9 +250,13 @@ class PlaneWaveQuadrature:
 
     @classmethod
     def make(cls, half_width: float = 6.0, resolution: int = 400):
+        """ValueError unless half_width is a positive finite number and
+        resolution an integer >= 1."""
+        half_width = _positive(half_width, "half_width")
+        resolution = _count(resolution, "resolution")
         cell = 2 * half_width / resolution
         nodes = -half_width + (np.arange(resolution) + 0.5) * cell
-        matrix = np.exp(TWO_PI * 1j * np.outer(nodes, nodes)) * cell
+        matrix = _cis(np.outer(nodes, nodes)) * cell
         return cls(nodes=nodes, matrix=matrix)
 
 
@@ -257,7 +265,7 @@ def _hermite_factors(q: PlaneWaveQuadrature, m: Sequence[int]) -> np.ndarray:
     on the nodes."""
     x = q.nodes
     return np.exp(-math.pi * x ** 2) * np.array(
-        [hermite_polynomial(mi, math.sqrt(TWO_PI) * x) for mi in m])
+        [hermite_polynomial(mi, math.sqrt(2 * math.pi) * x) for mi in m])
 
 
 def _tensor(f: np.ndarray, variant: str) -> np.ndarray:

@@ -21,7 +21,8 @@ numbers z_j = exp(2 pi i s_j x_j).  The powers come by repeated squaring
 from one table per block of points, so a point costs n (or r) base
 exponentials, each one a short-angle ``_cis``.
 
-Weights stay exact rationals until the final trigonometric evaluation.
+Weights stay exact rationals until ``_cis``, the one kernel of every float
+phase in the package but the textbook ``transforms._dct_dst_data`` tables.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 
 from .rootsys import (
     RootSystem, vec, is_dominant, inner, orth_dim, orth_pairing_scale, rank_vec,
-    to_orthogonal, _BoundedCache, _omega_cols, _rational, _vec_str,
+    to_orthogonal, _BoundedCache, _omega_cols, _orth_basis, _rational, _vec_str,
 )
 from .weyl import (
     signed_orbit, stabilizer_order, positive_roots, orth_action, WallError,
@@ -134,10 +135,10 @@ def _cis(turns: np.ndarray) -> np.ndarray:
     exact, so exp(2 pi i t) = i**q exp(2 pi i f) with |2 pi f| <= pi / 4:
     cos and sin stay on libm's short-argument path (about a third of the
     cost of a large argument), and the rotation by i**q is exact."""
-    r = turns - np.rint(turns)
-    q = np.rint(4 * r)
-    angle = TWO_PI * (r - 0.25 * q)
-    z = np.empty(np.shape(turns), dtype=complex)
+    r4 = 4.0 * (turns - np.rint(turns))
+    q = np.rint(r4)
+    angle = (r4 - q) * (0.25 * TWO_PI)   # TWO_PI * f to the bit: both are exact scalings
+    z = np.empty(r4.shape, dtype=complex)
     np.cos(angle, out=z.real)
     np.sin(angle, out=z.imag)
     z *= _QUARTER_TURNS[q.astype(np.intp)]
@@ -210,8 +211,7 @@ def _closed_form_terms(rs: RootSystem, kind: str, lamv: tuple) -> tuple[list, np
     factor = 1 / stabilizer_order(rs, lamv) if kind == "symmetric" else 1.0
     step, K = _integer_exponents(to_orthogonal(rs, lamv))
     scale = orth_pairing_scale(rs)
-    unit = np.eye(rs.rank, dtype=int).tolist()
-    T = np.array([[float(step * c / scale) for c in to_orthogonal(rs, e)] for e in unit])
+    T = np.array([[float(step * c / scale) for c in row] for row in _orth_basis(rs)])
     return K, T, factor
 
 
@@ -358,7 +358,7 @@ def eval_coroot_point(rs: RootSystem, kind: str, lam: Sequence, b: Sequence):
     except (TypeError, ValueError, OverflowError):  # nested, a string, NaN or infinite
         raise ValueError(f"{shape} a coordinate that is not a finite rational number") from None
     P, D = _pairing(rows, dp, coords)        # (terms, G) exact numerators over D
-    vals = coeffs @ np.exp(TWO_PI * 1j * ((P % D) / D).astype(float))
+    vals = coeffs @ _cis(((P % D) / D).astype(float, copy=False))
     return complex(vals[0]) if single else vals
 
 
@@ -410,7 +410,7 @@ def eval_orth_batch(rs: RootSystem, kind: str, m: Sequence, xs: np.ndarray) -> n
     mv = np.array(_strict_orth(rs, m), dtype=float)
     xs = _float_points(rs, xs, orth_dim(rs))
     perm, signs = orth_action(rs)
-    terms = np.exp(TWO_PI * 1j * ((signs * mv[perm]) @ xs.T))
+    terms = _cis((signs * mv[perm]) @ xs.T)
     return _group(rs).dets @ terms if kind == "antisymmetric" else terms.sum(axis=0)
 
 
@@ -419,8 +419,15 @@ def _perm_sum(values: np.ndarray, signed: bool):
     array of any batch shape, by the Laplace expansion along the rows:
     the minors of the first i rows on every i-subset of the columns, one
     row at a time, n 2^(n-1) products in all.  A det of n >= 4 on fewer
-    than 2^(n+4) matrices is np.linalg.det, which is faster there."""
+    than 2^(n+4) matrices is np.linalg.det, which is faster there.
+    ValueError unless the matrices are square: as many labels (rows) as
+    coordinates (columns)."""
     values = np.asarray(values)
+    if values.ndim < 2 or values.shape[-2] != values.shape[-1]:
+        got = (f"{values.shape[-2]} labels and {values.shape[-1]} coordinates"
+               if values.ndim >= 2 else f"an array of shape {values.shape}")
+        raise ValueError(f"a determinant or permanent needs as many labels (rows) as "
+                         f"coordinates (columns), got {got}")
     n = values.shape[-1]
     if signed and n >= 4 and values.size // (n * n) < 2 ** (n + 4):
         return np.linalg.det(values)
@@ -503,9 +510,8 @@ def _root_products(rs: RootSystem, m: Sequence, x: np.ndarray) -> tuple[complex,
     the R positive roots alpha, where m takes alpha to the coordinates of
     x, so that <alpha, x> is the dot product (alpha m) . x."""
     rows, L = _root_rows(rs, m)
-    angles = np.pi * ((rows / L) @ x)
-    r = len(rows)
-    return (2j) ** r * float(np.prod(np.sin(angles))), 2 ** r * float(np.prod(np.cos(angles)))
+    z = _cis(0.5 * ((rows / L) @ x))   # exp(i pi <alpha, x>); the halving is exact
+    return (2j) ** len(z) * float(np.prod(z.imag)), 2 ** len(z) * float(np.prod(z.real))
 
 
 def rho_products(rs: RootSystem, x: Sequence) -> tuple[complex, complex]:
@@ -551,9 +557,7 @@ def rho_products_orth(rs: RootSystem, x: Sequence) -> tuple[complex, complex]:
 
     For A_n the formulas hold on the zero-sum hyperplane.
     """
-    xv = _float_points(rs, [x], orth_dim(rs))[0]
-    basis = [to_orthogonal(rs, e) for e in np.eye(rs.rank, dtype=int).tolist()]
-    return _root_products(rs, basis, xv)
+    return _root_products(rs, _orth_basis(rs), _float_points(rs, [x], orth_dim(rs))[0])
 
 
 # -- characters and dimensions -------------------------------------------

@@ -21,7 +21,8 @@ import json
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, isfinite, nan
+from numbers import Integral
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -358,6 +359,28 @@ def _rational(c) -> Fraction:
     return Fraction(c)
 
 
+def _positive(value, name: str) -> float:
+    """value as a positive finite float (a step or a width); ValueError
+    naming it otherwise, and for a str or bytes."""
+    x = nan
+    if not isinstance(value, (str, bytes)):
+        try:
+            x = float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    if not (isfinite(x) and x > 0):
+        raise ValueError(f"{name} must be a positive finite number, got {name} = {value!r}")
+    return x
+
+
+def _count(value, name: str) -> int:
+    """value as an int >= 1 (a number of quadrature cells); ValueError
+    naming it otherwise."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {name} = {value!r}")
+    return int(value)
+
+
 def _exact_vec(rs: RootSystem, x, dim: int, what: str) -> Vec:
     """The body of rank_vec and orth_vec; _rational refuses strings, NaN,
     infinities, None and sequences, and a non-sequence, or a str or bytes
@@ -433,6 +456,11 @@ def to_orthogonal(rs: RootSystem, lam: Sequence, offset: Fraction | int = 0) -> 
         m.append((lamv[n - 2] - lamv[n - 1]) / 2)
         return tuple(m)
     raise UnsupportedCoordinatesError(f"no orthogonal model for {rs.id.label}")
+
+
+def _orth_basis(rs: RootSystem) -> tuple[Vec, ...]:
+    """The omega -> orthogonal map: the fundamental weights, one per row."""
+    return tuple(to_orthogonal(rs, [int(i == j) for j in range(rs.rank)]) for i in range(rs.rank))
 
 
 def _omega_cols(family: str, cols: Sequence) -> list:

@@ -28,9 +28,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .rootsys import RootSystem, Vec, rank_vec, _vec_str
+from .rootsys import RootSystem, Vec, rank_vec, _count, _positive, _vec_str
 from .weyl import dual_marks, generators, _distinct, _group, _scaled, _unscaled
-from .orbitfn import TWO_PI, eval_coroot_point, eval_batch, _perm_sum, _stab_order
+from .orbitfn import eval_coroot_point, eval_batch, _cis, _perm_sum, _stab_order
 
 _log = logging.getLogger(__name__)
 
@@ -296,7 +296,7 @@ def _dct_dst_data(kind: str, N: int):
         kernel = lambda r, k: trig(np.pi * (r + a) * (k + b) / N)
     elif kind == "exp":
         labels, halved, doubled, norm = range(1, N + 1), (), (), 1.0
-        kernel = lambda m, s: np.exp(1j * (TWO_PI * m * s)) / math.sqrt(N)
+        kernel = lambda m, s: np.exp(2j * np.pi * m * s) / math.sqrt(N)
     elif kind == "sine":
         labels, halved, doubled, norm = range(1, N), (), (), 2.0 * N
         kernel = lambda m, s: 2j * np.sin(np.pi * m * s)
@@ -408,8 +408,10 @@ def fundamental_domain_quadrature(rs: RootSystem, resolution: int = 200):
     Returns (omega coordinates of the nodes as an (K, n) array, cell
     weight).  In these coordinates the torus cell has volume 1, so the
     weights sum to ~ 1/|W| and the antisymmetric functions satisfy
-    int_F phi conj(phi') = delta.
+    int_F phi conj(phi') = delta.  ValueError unless resolution is an
+    integer >= 1.
     """
+    resolution = _count(resolution, "resolution")
     n = rs.rank
     Sinv = np.array([[float(x) for x in row] for row in rs.metric_inv])
     S = np.array([[float(x) for x in row] for row in rs.metric])
@@ -504,17 +506,20 @@ def _chamber_points(n: int, upper: float, resolution: int):
 
 
 def _integral_transform(f: Callable, lams: Sequence, upper: float,
-                        resolution: int, trig: Callable, signed: bool) -> np.ndarray:
-    n = len(lams[0])
-    if n > 2:
-        raise ValueError("quadrature transform supports n <= 2 only")
-    pts, cell = _chamber_points(n, upper, resolution)
+                        resolution: int, signed: bool) -> np.ndarray:
+    """ValueError naming the argument for no labels, labels of mixed
+    lengths or of a length other than 1 or 2, a width upper that is not a
+    positive finite number, or a resolution that is not an integer >= 1."""
+    n = len(lams[0]) if len(lams) else 0
+    if not 1 <= n <= 2 or any(len(lam) != n for lam in lams):
+        raise ValueError(f"the quadrature transform needs one or more labels lams, all of "
+                         f"length 1 or all of length 2, got {list(lams)!r}")
+    pts, cell = _chamber_points(n, _positive(upper, "upper"), _count(resolution, "resolution"))
     fv = np.asarray(f(pts), dtype=float)
     out = []
-    for lam in lams:
-        lamv = np.asarray([float(v) for v in lam])
-        kern = _perm_sum(trig(TWO_PI * lamv[:, None] * pts[:, None, :]), signed)
-        out.append(np.sum(fv * kern) * cell)
+    for lam in np.array(lams, dtype=float):
+        z = _cis(lam[:, None] * pts[:, None, :])
+        out.append(np.sum(fv * _perm_sum(z.imag if signed else z.real, signed)) * cell)
     return np.array(out)
 
 
@@ -523,11 +528,11 @@ def sine_integral_transform(f: Callable, lams: Sequence, upper: float,
     """Multivariate sine integral transform over the truncated positive
     chamber {upper > x_1 > ... > x_n > 0}: ftilde(lam) = int f det(sin
     2 pi lam_i x_j) dx.  n is inferred from the label length; n <= 2."""
-    return _integral_transform(f, lams, upper, resolution, np.sin, signed=True)
+    return _integral_transform(f, lams, upper, resolution, signed=True)
 
 
 def cosine_integral_transform(f: Callable, lams: Sequence, upper: float,
                               resolution: int = 400) -> np.ndarray:
     """Symmetric counterpart of :func:`sine_integral_transform` with the
     permanent-style cosine kernel."""
-    return _integral_transform(f, lams, upper, resolution, np.cos, signed=False)
+    return _integral_transform(f, lams, upper, resolution, signed=False)

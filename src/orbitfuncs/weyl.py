@@ -29,8 +29,7 @@ import numpy as np
 
 from .rootsys import (
     DiagramId, RootSystem, Vec, vec, mat_vec, is_dominant, is_strictly_dominant, rank_vec,
-    inner, orth_dim, to_orthogonal, from_orthogonal, _BoundedCache, _marks, _omega_cols,
-    _vec_str,
+    inner, orth_dim, from_orthogonal, _BoundedCache, _marks, _omega_cols, _orth_basis, _vec_str,
 )
 
 IntMat = tuple[tuple[int, ...], ...]
@@ -398,7 +397,7 @@ def orth_action(rs: RootSystem) -> tuple[np.ndarray, np.ndarray]:
     group = _group(rs)
     if group.orth is None:
         m = np.arange(r, 0, -1)
-        cols = [to_orthogonal(rs, e) for e in np.eye(rs.rank, dtype=int).tolist()]
+        cols = _orth_basis(rs)
         scale = math.lcm(*(c.denominator for col in cols for c in col))
         T = np.array([[int(c * scale) for c in col] for col in cols], dtype=np.int64)
         imgs = group.mats @ np.array([int(c) for c in from_orthogonal(rs, m.tolist())]) @ T

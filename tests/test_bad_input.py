@@ -8,7 +8,9 @@ is needed, and one on a wall where strict dominance is needed.
 Each must raise a ``ValueError`` (or a subclass: ``WallError``,
 ``UnsupportedCoordinatesError``) whose message names the diagram, never
 a ``TypeError``, an ``IndexError``, a ``KeyError`` or a bare numpy
-message.  Plans without labels are refused the same way.
+message.  Plans without labels are refused the same way, and quadrature
+sizes, finite-difference steps and integral-transform labels by the name
+of the argument.
 """
 
 import math
@@ -20,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from orbitfuncs.analysis import (
     gradient_sum_residual, laplace_check, laplace_check_omega, shift_operator_check,
-    sigma2_check,
+    sigma2_check, sigma_k_check, transform_eigen_check,
 )
 from orbitfuncs.orbitalg import (
     BranchRule, branch, product_plain_plain, product_plain_signed, product_signed_signed,
@@ -33,7 +35,10 @@ from orbitfuncs.rootsys import (
     UnsupportedCoordinatesError, build, convert_basis, from_orthogonal, inner,
     to_orthogonal,
 )
-from orbitfuncs.transforms import build_plan
+from orbitfuncs.transforms import (
+    build_plan, continuous_orthogonality_residual, cosine_integral_transform,
+    fundamental_domain_quadrature, series_coefficients, sine_integral_transform,
+)
 from orbitfuncs.weyl import (
     in_fundamental_domain, orbit, signed_orbit, stabilizer_order, to_dominant,
 )
@@ -244,3 +249,41 @@ def test_plans_without_labels_are_refused(rs):
 def test_rho_orth_without_an_orthogonal_model_is_named():
     with pytest.raises(UnsupportedCoordinatesError, match=r"^no orthogonal model for G2$"):
         rho_orth(build("G2"))
+
+
+def _ones(pts):
+    return [1.0] * len(pts)
+
+
+_A2, _B2 = build("A2"), build("B2")
+
+# the argument each call gets wrong: before these were refused, a size of
+# zero or below came back as inf, nan or [0], or as a ZeroDivisionError, a
+# step h = 0 as nan (as a residual of 0.0 from gradient_sum_residual, and
+# as the default step from sigma_k_check), and labels that are missing or
+# ragged as an IndexError
+SIZES_STEPS_AND_LABELS = [
+    ("resolution", lambda: fundamental_domain_quadrature(_A2, 0)),
+    ("resolution", lambda: continuous_orthogonality_residual(_A2, (2, 1), (1, 2), 0)),
+    ("resolution", lambda: series_coefficients(_A2, _ones, [(1, 1)], -1)),
+    ("resolution", lambda: transform_eigen_check((1, 0), "anti", resolution=0)),
+    ("resolution", lambda: transform_eigen_check((1, 0), "anti", resolution=-3)),
+    ("half_width", lambda: transform_eigen_check((1, 0), "anti", half_width=0)),
+    ("resolution", lambda: sine_integral_transform(_ones, [(1, 2)], 1.0, resolution=0)),
+    ("upper", lambda: cosine_integral_transform(_ones, [(1, 2)], -1.0)),
+    ("lams", lambda: sine_integral_transform(_ones, [], 1.0)),
+    ("lams", lambda: sine_integral_transform(_ones, [(1, 2), (1,)], 1.0)),
+    ("h", lambda: laplace_check(_B2, (2, 1), (0.3, 0.1), h=0)),
+    ("h", lambda: laplace_check(_B2, (2, 1), (0.3, 0.1), h=math.nan)),
+    ("h", lambda: laplace_check_omega(_B2, (2, 1), (0.3, 0.1), h=0)),
+    ("h", lambda: sigma2_check(_B2, (2, 1), (0.3, 0.1), h=0)),
+    ("h", lambda: gradient_sum_residual(_B2, (2, 1), (0.3, 0.1), h=0)),
+    ("h", lambda: sigma_k_check(_B2, (2, 1), (0.3, 0.1), 2, h=0)),
+]
+
+
+@pytest.mark.parametrize("arg,call", SIZES_STEPS_AND_LABELS,
+                         ids=[f"{arg}-{i}" for i, (arg, _) in enumerate(SIZES_STEPS_AND_LABELS)])
+def test_sizes_steps_and_labels_are_refused_by_name(arg, call):
+    with pytest.raises(ValueError, match=rf"\b{arg}\b"):
+        call()

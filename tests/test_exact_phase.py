@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbitfuncs.orbitfn import TWO_PI, eval_coroot_point, _exponent_terms, _pairing
+from orbitfuncs.orbitfn import TWO_PI, eval_coroot_point, _cis, _exponent_terms, _pairing
 from orbitfuncs.rootsys import build, rank_vec, vec
 from orbitfuncs.transforms import build_plan, default_labels, gram_over_torus, grid_fm
 
@@ -89,7 +89,7 @@ def integer_phase_oracle(rs, lam, pts) -> np.ndarray:
                  dtype=object).reshape(len(pts), rs.rank)
     P = np.array([[int(c * dp) for c in p] for p, _ in terms], dtype=object)
     coeffs = np.array([s for _, s in terms], dtype=float)
-    return coeffs @ np.exp(TWO_PI * 1j * (((P @ B.T) % D) / D).astype(float))
+    return coeffs @ _cis((((P @ B.T) % D) / D).astype(float))
 
 
 PLAN_CASES = [("A2", 12), ("C2", 14), ("G2", 15), ("A3", 8), ("B3", 10), ("C3", 10)]

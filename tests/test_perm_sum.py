@@ -19,7 +19,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from orbitfuncs import orbitfn
-from orbitfuncs.orbitfn import _perm_sum, _stab_order, closed_form_orth
+from orbitfuncs.analysis import (
+    generic_anti_poly, generic_sym_poly, hermite_family, hermite_sym_anti,
+)
+from orbitfuncs.orbitfn import _perm_sum, _stab_order, closed_form_orth, det_powers
 from orbitfuncs.rootsys import build, orth_dim
 from orbitfuncs.transforms import dst_dct_1d, multivariate_plan
 
@@ -204,3 +207,22 @@ def test_stab_order_matches_the_multiplicity_factorials(rows):
     assert _stab_order(rows).tolist() == [stab(r) for r in rows.tolist()]
     for r in rows.tolist():
         assert int(_stab_order(r)) == stab(r)
+
+
+# the public functions that form one matrix of labels (rows) against
+# coordinates (columns) and take its det or permanent
+RECTANGULAR = {
+    "generic_anti_poly": lambda m, x: generic_anti_poly(hermite_family(4), m, x),
+    "generic_sym_poly": lambda m, x: generic_sym_poly(hermite_family(4), m, x),
+    "det_powers": det_powers,
+    "hermite_sym_anti": lambda m, x: hermite_sym_anti(m, x, "sym"),
+}
+
+
+@pytest.mark.parametrize("m,x", [((2, 1, 0), (0.1, 0.2)), ((2, 1), (0.1, 0.2, 0.3))],
+                         ids=["more labels", "more coordinates"])
+@pytest.mark.parametrize("name", sorted(RECTANGULAR))
+def test_a_matrix_that_is_not_square_is_refused(name, m, x):
+    # more labels than coordinates used to return a wrong value, fewer an IndexError
+    with pytest.raises(ValueError, match=rf"got {len(m)} labels and {len(x)} coordinates$"):
+        RECTANGULAR[name](m, x)
