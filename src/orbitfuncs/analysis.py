@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .rootsys import RootSystem, inner, orth_dim, rank_vec, _count, _positive
+from .rootsys import RootSystem, inner, orth_dim, rank_vec, _count, _integer, _positive
 from .weyl import orth_action, _group
 from .orbitfn import (
     eval_orbit_function, eval_batch, eval_orth_batch, _cis, _float_points, _pairing,
@@ -326,11 +326,20 @@ class PolynomialFamily:
     coefficients: tuple[tuple[float, ...], ...]
     gauss: tuple[np.ndarray, np.ndarray]
 
+    def _coefficients(self, k: int) -> np.ndarray:
+        """The coefficients of degree k; ValueError naming k and the top
+        degree of the table for a degree that is not in it."""
+        top = len(self.coefficients) - 1
+        if not (_integer(k) and 0 <= k <= top):
+            raise ValueError(f"the {self.name} family has the degrees 0..{top}, "
+                             f"got degree {k!r}")
+        return np.asarray(self.coefficients[k])
+
     def value(self, k: int, x):
-        return np.polynomial.polynomial.polyval(x, np.asarray(self.coefficients[k]))
+        return np.polynomial.polynomial.polyval(x, self._coefficients(k))
 
     def derivative_value(self, k: int, order: int, x):
-        c = np.polynomial.polynomial.polyder(np.asarray(self.coefficients[k]), order)
+        c = np.polynomial.polynomial.polyder(self._coefficients(k), order)
         return np.polynomial.polynomial.polyval(x, c)
 
 

@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import reduce
 from operator import mul
-from typing import Sequence
 
 import numpy as np
 
@@ -330,21 +330,43 @@ def eval_batch(rs: RootSystem, kind: str, lam: Sequence, xs: np.ndarray) -> np.n
     return np.asarray(evaluate(_float_points(rs, xs, rs.rank)), dtype=complex)
 
 
+def _weight_stack(lam) -> bool:
+    """Whether lam is a stack of weights: a non-empty sequence (or array),
+    not a string, whose every item is one too.  Anything else is one
+    weight, which rank_vec checks and refuses by name."""
+    def seq(x):
+        return isinstance(x, (Sequence, np.ndarray)) and not isinstance(x, (str, bytes))
+    return seq(lam) and len(lam) > 0 and all(seq(item) for item in lam)
+
+
+#: Phase values (terms times points) per block of labels of one
+#: eval_coroot_point call: a memory bound on the stacked exact table, which
+#: is |W| times the size of the values it sums to.  A block always holds at
+#: least one label.
+_PHASE_BLOCK = 1 << 16
+
+
 def eval_coroot_point(rs: RootSystem, kind: str, lam: Sequence, b: Sequence):
-    """Evaluate at one point, or a sequence of points, given by exact
-    coroot-basis coordinates b; returns a complex, or a (G,) array.
+    """Evaluate one weight, or a sequence of L weights, at one point, or a
+    sequence of G points, given by exact coroot-basis coordinates b;
+    returns a complex, a (G,) array for one weight, an (L,) array for one
+    point, or an (L, G) array.
 
     The pairing with a weight in omega coordinates is the plain dot
     product, so every phase is an exact rational k/D.  The group acts by
     integer matrices on omega coordinates, so dp * w lam is integral for dp
     the lcm of the denominators of lam; with db the lcm of those of all of
-    b and D = dp * db, k = (dp * w lam) . (db * b) mod D, from
-    ``_pairing`` (int64 below its bound, Python ints past it).  Floats
-    enter only at exp(2 pi i k / D); this is what the discrete transforms
-    use.
+    b and D = dp * db, k = (dp * w lam) . (db * b) mod D.  The terms of
+    every weight are stacked, a block of weights at a time, into one
+    ``_pairing`` with the points, converted once (int64 below its bound,
+    Python ints past it), and each row is reduced mod its own weight's D.
+    Floats enter only at one exp(2 pi i k / D) of the whole block; each
+    weight's value is its coefficients times its rows of that table.  This
+    is what the discrete transforms use.
     """
     kind = _norm_kind(kind)
-    lamv = rank_vec(rs, lam)
+    stacked = _weight_stack(lam)
+    lamvs = [rank_vec(rs, l) for l in lam] if stacked else [rank_vec(rs, lam)]
     pts = np.asarray(b, dtype=object)
     single = pts.ndim == 1 and not any(np.ndim(c) for c in pts)
     shape = f"expected {rs.rank} coordinates per point for {rs.id.label}, got"
@@ -352,14 +374,34 @@ def eval_coroot_point(rs: RootSystem, kind: str, lam: Sequence, b: Sequence):
         pts = np.asarray([rank_vec(rs, b)], dtype=object)
     elif pts.ndim != 2 or pts.shape[1] != rs.rank:
         raise ValueError(f"{shape} an array of shape {pts.shape}")
-    rows, dp, coeffs = _orbit_terms(rs, kind, lamv)
+    terms = [_orbit_terms(rs, kind, lamv) for lamv in lamvs]
     try:   # a Fraction, as on a plan's grid, is itself and costs no call
         coords = [c if type(c) is Fraction else _rational(c) for c in pts.ravel().tolist()]
     except (TypeError, ValueError, OverflowError):  # nested, a string, NaN or infinite
         raise ValueError(f"{shape} a coordinate that is not a finite rational number") from None
-    P, D = _pairing(rows, dp, coords)        # (terms, G) exact numerators over D
-    vals = coeffs @ _cis(((P % D) / D).astype(float, copy=False))
-    return complex(vals[0]) if single else vals
+    out = np.empty((len(terms), len(pts)), dtype=complex)
+    first = 0
+    while first < len(terms):
+        last, size = first + 1, len(terms[first][0])
+        while last < len(terms) and (size + len(terms[last][0])) * len(pts) <= _PHASE_BLOCK:
+            size += len(terms[last][0])
+            last += 1
+        block = terms[first:last]
+        dp = max(d for _, d, _ in block)
+        P, D = _pairing(np.concatenate([rows for rows, _, _ in block]), dp, coords)
+        # each weight's rows over its own D = d db (db = D / dp), exact in P's dtype
+        Ds = np.repeat(np.array([d * (D // dp) for _, d, _ in block], dtype=P.dtype),
+                       [len(rows) for rows, _, _ in block])[:, None]
+        Z = _cis(((P % Ds) / Ds).astype(float, copy=False))
+        start = 0
+        for i, (rows, _, coeffs) in enumerate(block):
+            out[first + i] = coeffs @ Z[start:start + len(rows)]
+            start += len(rows)
+        first = last
+    vals = out[:, 0] if single else out
+    if stacked:
+        return vals
+    return complex(vals[0]) if single else vals[0]
 
 
 # -- orthogonal-coordinate evaluation (A, B, C, D) -----------------------

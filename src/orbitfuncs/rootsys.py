@@ -373,10 +373,15 @@ def _positive(value, name: str) -> float:
     return x
 
 
+def _integer(value) -> bool:
+    """Whether value is an integer (a bool is not)."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def _count(value, name: str) -> int:
-    """value as an int >= 1 (a number of quadrature cells); ValueError
-    naming it otherwise."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+    """value as an int >= 1 (a number of quadrature cells, a grid or
+    transform size); ValueError naming it otherwise."""
+    if not _integer(value) or value < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {name} = {value!r}")
     return int(value)
 

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .rootsys import RootSystem, Vec, rank_vec, _count, _positive, _vec_str
+from .rootsys import RootSystem, Vec, rank_vec, _count, _integer, _positive, _vec_str
 from .weyl import dual_marks, generators, _distinct, _group, _scaled, _unscaled
 from .orbitfn import eval_coroot_point, eval_batch, _cis, _perm_sum, _stab_order
 
@@ -91,7 +91,8 @@ def _alcove(marks: Sequence[int], M: int, what: str) -> np.ndarray:
 
 def grid_fm(rs: RootSystem, M: int) -> GridFM:
     """The grid F_M: points sum(s_i/M) w_i^check of the closed fundamental
-    domain, indexed by s with s_0 + sum s_i m_i = M over the marks m_i."""
+    domain, indexed by s with s_0 + sum s_i m_i = M over the marks m_i;
+    ValueError naming M unless it is an integer >= 1."""
     return GridFM(rs=rs, M=M, points=_grid_points(rs, M, interior_only=False))
 
 
@@ -102,8 +103,7 @@ def _grid_points(rs: RootSystem, M: int, interior_only: bool) -> tuple[GridPoint
     are integer numerators over one denominator L M, with L the lcm of the
     denominators of 2/|alpha_i|^2 and of diag(2/|alpha_i|^2) S; only the
     points kept are converted to Fractions."""
-    if M < 1:
-        raise ValueError("M must be a positive integer")
+    M = _count(M, "M")
     s = _alcove(rs.marks, M, f"the F_{M} grid of {rs.id.label}")
     s0 = M - s @ np.array(rs.marks, dtype=np.int64)
     interior = (s0 > 0) & np.all(s > 0, axis=1)
@@ -164,8 +164,10 @@ def default_labels(rs: RootSystem, M: int) -> tuple[Vec, ...]:
     coincide for simply-laced diagrams but differ for B, C, G: reusing
     the grid tuples as labels makes the plan singular there (weights
     congruent modulo M times the root lattice evaluate identically on
-    every sampling point).
+    every sampling point).  ValueError naming M unless it is an integer
+    >= 1.
     """
+    M = _count(M, "M")
     dm = dual_marks(rs)
     # s_i >= 1 with sum s_i dm_i <= M - 1 is s - 1 in the alcove of M - 1 - sum dm
     return tuple(_unscaled(_alcove(dm, M - 1 - sum(dm),
@@ -185,9 +187,10 @@ def build_plan(rs: RootSystem, M: int, labels: Sequence[Vec] | None = None,
     The expected Gram diagonal over the interior grid is c M^n with
     c = |P^check/Q^check|; the Weyl expansion of the grid multiplies it by
     |W|.  Off-diagonal entries beyond tol * diagonal mean the sampling set
-    does not separate two labels and the build fails.  The times of the
-    grid, the labels, the kernel and the separation check are logged at
-    DEBUG.
+    does not separate two labels and the build fails.  The kernel is one
+    :func:`eval_coroot_point` call on all the labels and interior points.
+    The times of the grid, the labels, the kernel and the separation check
+    are logged at DEBUG.  ValueError naming M unless it is an integer >= 1.
     """
     start = time.perf_counter()
     grid = _grid_points(rs, M, interior_only=True)
@@ -202,8 +205,7 @@ def build_plan(rs: RootSystem, M: int, labels: Sequence[Vec] | None = None,
     labelled = time.perf_counter()
     # the reshape keeps an empty grid a stack of points
     coroots = np.array([p.coroot for p in grid], dtype=object).reshape(-1, rs.rank)
-    kernel = np.array([eval_coroot_point(rs, "antisymmetric", lam, coroots)
-                       for lam in labels])
+    kernel = eval_coroot_point(rs, "antisymmetric", labels, coroots)
     evaluated = time.perf_counter()
     norm = float(lattice_index(rs) * M ** rs.rank)
     g = kernel @ kernel.conj().T
@@ -230,8 +232,7 @@ def build_plan(rs: RootSystem, M: int, labels: Sequence[Vec] | None = None,
 def gram_over_torus(rs: RootSystem, M: int, labels: Sequence[Vec]) -> np.ndarray:
     """Gram matrix of the antisymmetric functions over the full Weyl
     expansion of F_M modulo the coroot lattice (definitional check)."""
-    pts = tm_expand(rs, grid_fm(rs, M))
-    V = np.array([eval_coroot_point(rs, "antisymmetric", lam, pts) for lam in labels])
+    V = eval_coroot_point(rs, "antisymmetric", labels, tm_expand(rs, grid_fm(rs, M)))
     return V @ V.conj().T
 
 
@@ -317,9 +318,13 @@ def _dct_dst_data(kind: str, N: int):
 def _one_variable(kind: str, base: str, n: int, N: int, strict: bool):
     """The table entry ``base`` of a ``kind`` plan on n variables of size N.
 
-    Raises ValueError when the plan would have no labels: n < 1, N < 1, or
-    fewer than n one-variable labels to form strictly decreasing tuples.
+    Raises ValueError naming n or N for one that is not an integer, and
+    when the plan would have no labels: n < 1, N < 1, or fewer than n
+    one-variable labels to form strictly decreasing tuples.
     """
+    for value, name in ((n, "n"), (N, "N")):
+        if not _integer(value):
+            _count(value, name)   # refuses it by name
     if n >= 1 and N >= 1:
         data = _dct_dst_data(base, N)
         if len(data[0]) >= (n if strict else 1):

@@ -304,6 +304,16 @@ def test_generic_hermite_matches_dedicated():
         hermite_sym_anti((2, 2), xs, "sym") / 2, rel=1e-10)
 
 
+@pytest.mark.parametrize("m", [(5, 1), (1, 3), (2, -1), (2, 1.0)])
+@pytest.mark.parametrize("call", [generic_anti_poly, generic_sym_poly, generic_anti_quotient])
+def test_a_degree_beyond_the_family_table_is_refused_by_name(call, m):
+    # an IndexError past the top degree before; -1 read the top degree
+    bad = next(k for k in m if k not in (0, 1, 2) or isinstance(k, float))
+    with pytest.raises(ValueError, match=rf"^the hermite family has the degrees 0\.\.2, "
+                                         rf"got degree {bad!r}$"):
+        call(hermite_family(2), m, (0.1, 0.2))
+
+
 def test_generic_anti_orthogonality_hermite():
     fam = hermite_family(8)
     labels = [(1, 0), (2, 0), (2, 1), (3, 1)]

@@ -17,6 +17,7 @@ import math
 import re
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -36,8 +37,9 @@ from orbitfuncs.rootsys import (
     to_orthogonal,
 )
 from orbitfuncs.transforms import (
-    build_plan, continuous_orthogonality_residual, cosine_integral_transform,
-    fundamental_domain_quadrature, series_coefficients, sine_integral_transform,
+    build_plan, continuous_orthogonality_residual, cosine_integral_transform, default_labels,
+    dst_dct_1d, fundamental_domain_quadrature, grid_fm, multivariate_plan,
+    series_coefficients, sine_integral_transform,
 )
 from orbitfuncs.weyl import (
     in_fundamental_domain, orbit, signed_orbit, stabilizer_order, to_dominant,
@@ -110,6 +112,8 @@ ENTRIES = {
                                 lambda rs, v: eval_coroot_point(rs, "anti", _rho(rs), v)),
     "eval_coroot_point-stack": ("omega", "point", lambda rs, v: eval_coroot_point(
         rs, "anti", _rho(rs), [_q(rs), v])),
+    "eval_coroot_point-labels": ("omega", "strict", lambda rs, v: eval_coroot_point(
+        rs, "anti", [_rho(rs), v], _q(rs))),
     "inner-x": ("omega", "point", lambda rs, v: inner(rs, v, _rho(rs))),
     "inner-y": ("omega", "point", lambda rs, v: inner(rs, _rho(rs), v)),
     "convert_basis": ("omega", "point", lambda rs, v: convert_basis(rs, v, "omega", "alpha")),
@@ -280,6 +284,31 @@ SIZES_STEPS_AND_LABELS = [
     ("h", lambda: gradient_sum_residual(_B2, (2, 1), (0.3, 0.1), h=0)),
     ("h", lambda: sigma_k_check(_B2, (2, 1), (0.3, 0.1), 2, h=0)),
 ]
+
+
+# a size that is not an integer >= 1 was a TypeError from range or
+# math.comb, and M = True made "the F_True grid"; the integer beside it
+# works, as a Python or a numpy int
+SIZES = [
+    ("M", 2.5, 3, lambda v: grid_fm(_A2, v)),
+    ("M", 7.5, 7, lambda v: build_plan(_A2, v)),
+    ("M", True, 5, lambda v: build_plan(_A2, v)),
+    ("M", 7.5, 8, lambda v: default_labels(_A2, v)),
+    ("N", 2.5, 3, lambda v: dst_dct_1d("dct2", v)),
+    ("N", 3.5, 4, lambda v: multivariate_plan("anti_exp", 2, v)),
+    ("n", 2.5, 2, lambda v: multivariate_plan("anti_exp", v, 4)),
+    ("n", "2", 2, lambda v: multivariate_plan("sym_cosine", v, 4)),
+]
+
+
+@pytest.mark.parametrize("arg,bad,good,call", SIZES,
+                         ids=[f"{arg}-{i}" for i, (arg, *_) in enumerate(SIZES)])
+def test_a_size_that_is_not_a_whole_number_is_refused_by_name(arg, bad, good, call):
+    with pytest.raises(ValueError, match=rf"^{arg} must be an integer >= 1, "
+                                         rf"got {arg} = {re.escape(repr(bad))}$"):
+        call(bad)
+    np.testing.assert_equal(*(vars(out) if hasattr(out, "__dict__") else out
+                              for out in (call(good), call(np.int64(good)))))
 
 
 @pytest.mark.parametrize("arg,call", SIZES_STEPS_AND_LABELS,

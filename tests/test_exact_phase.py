@@ -18,7 +18,10 @@ from hypothesis import given, settings, strategies as st
 
 from orbitfuncs.orbitfn import TWO_PI, eval_coroot_point, _cis, _exponent_terms, _pairing
 from orbitfuncs.rootsys import build, rank_vec, vec
-from orbitfuncs.transforms import build_plan, default_labels, gram_over_torus, grid_fm
+from orbitfuncs import orbitfn
+from orbitfuncs.transforms import (
+    build_plan, default_labels, gram_over_torus, grid_fm, tm_expand,
+)
 
 from orbit_oracles import (
     exponent_terms_oracle, orbit_oracle, signed_orbit_oracle, stabilizer_oracle,
@@ -234,3 +237,99 @@ def test_the_pairing_bound_is_checked_on_the_denominator_too():
     rows = np.array([[1, 0]])
     assert _pairing(rows, 1, [F(1, 2 ** 53 - 1), 0])[0].dtype == np.int64
     assert _pairing(rows, 2, [F(1, 2 ** 53 - 1), 0])[0].dtype == object
+
+
+# -- a stack of weights: one call for a whole plan ---------------------------
+
+def _per_label(rs, kind, labels, pts):
+    return np.array([eval_coroot_point(rs, kind, lam, pts) for lam in labels])
+
+
+@pytest.mark.parametrize("label,Ms", [("A2", (3, 7, 12)), ("C2", (5, 9, 14)), ("G2", (7, 15)),
+                                      ("A3", (5, 8)), ("B3", (7, 10)), ("C3", (7, 10))])
+def test_a_stack_of_weights_is_the_per_label_call_to_the_bit(label, Ms):
+    rs = build(label)
+    for M in Ms:
+        plan = build_plan(rs, M)
+        pts = [p.coroot for p in plan.grid]
+        want = np.array([integer_phase_oracle(rs, lam, pts) for lam in plan.labels])
+        for got in (eval_coroot_point(rs, "anti", plan.labels, pts),
+                    _per_label(rs, "anti", plan.labels, pts), plan.kernel):
+            assert got.shape == (len(plan.labels), len(pts))
+            assert np.array_equal(got, want)
+        for kind in ("sym", "norm"):
+            assert np.array_equal(eval_coroot_point(rs, kind, plan.labels, pts),
+                                  _per_label(rs, kind, plan.labels, pts))
+
+
+def test_weights_of_different_denominators_share_one_stack():
+    # d = 1, 2 and 6: each weight's rows stay over their own denominator
+    a2 = build("A2")
+    labels = [(F(1, 2), 1), (1, 1), (F(1, 3), F(5, 2)), (2, F(7, 6))]
+    pts = [(F(1, 7), F(2, 9)), (F(3, 11), F(-1, 13)), (F(1, 3), F(1, 3)), (0.3, -0.125)]
+    want = np.array([integer_phase_oracle(a2, lam, pts) for lam in labels])
+    assert np.array_equal(eval_coroot_point(a2, "anti", labels, pts), want)
+    assert_matches_oracle(want, [[fraction_oracle(a2, "antisymmetric", lam, b) for b in pts]
+                                 for lam in labels])
+
+
+def _spy_on_pairing(monkeypatch):
+    """The dtype of every pairing that eval_coroot_point makes."""
+    seen = []
+
+    def spy(rows, d, values):
+        P, D = real(rows, d, values)
+        seen.append(P.dtype)
+        return P, D
+    real = orbitfn._pairing
+    monkeypatch.setattr(orbitfn, "_pairing", spy)
+    return seen
+
+
+def test_a_stack_past_the_int64_bound_takes_python_ints(monkeypatch):
+    seen = _spy_on_pairing(monkeypatch)
+    a2 = build("A2")
+    labels = [(1, 2), (F(1, 2), 3), (2, 1)]
+    pts = [(F(1, 2 ** 53 + 1), F(1, 3)), (F(2, 5), F(-3, 2 ** 53 + 1))]
+    got = eval_coroot_point(a2, "anti", labels, pts)
+    assert seen == [object]
+    assert np.array_equal(got, [integer_phase_oracle(a2, lam, pts) for lam in labels])
+
+
+@pytest.mark.parametrize("block,per_block", [(1, 1), (48 * 3, 3), (48 * 5 + 47, 5)])
+def test_weights_taken_in_several_blocks_are_bit_identical(monkeypatch, block, per_block):
+    # B3 at M = 10: 14 labels of 48 terms each; a block holds at least one
+    # label, and as many as its values allow
+    b3 = build("B3")
+    plan = build_plan(b3, 10)
+    pts = [p.coroot for p in plan.grid]
+    seen = _spy_on_pairing(monkeypatch)
+    monkeypatch.setattr(orbitfn, "_PHASE_BLOCK", block * len(pts))
+    got = eval_coroot_point(b3, "anti", plan.labels, pts)
+    assert len(plan.labels) == 14 and len(seen) == -(-14 // per_block)
+    assert np.array_equal(got, plan.kernel)
+
+
+def test_the_four_result_shapes():
+    a2 = build("A2")
+    labels, pts = [(1, 2), (2, 1), (1, 1)], [(F(1, 5), F(2, 5)), (F(1, 7), 0)]
+    grid = eval_coroot_point(a2, "anti", labels, pts)
+    one_one = eval_coroot_point(a2, "anti", labels[0], pts[0])
+    assert isinstance(one_one, complex) and one_one == grid[0, 0]
+    one_many = eval_coroot_point(a2, "anti", labels[0], pts)
+    assert one_many.shape == (2,) and np.array_equal(one_many, grid[0])
+    many_one = eval_coroot_point(a2, "anti", labels, pts[1])
+    assert many_one.shape == (3,) and np.array_equal(many_one, grid[:, 1])
+    assert grid.shape == (3, 2) and grid.dtype == complex
+    empty = eval_coroot_point(a2, "anti", labels, np.empty((0, 2), dtype=object))
+    assert empty.shape == (3, 0) and empty.dtype == complex
+    as_array = eval_coroot_point(a2, "anti", np.array(labels), pts)
+    assert np.array_equal(as_array, grid)
+
+
+@pytest.mark.parametrize("label", ["A2", "C2", "G2"])
+def test_gram_over_torus_is_the_per_label_product_to_the_bit(label):
+    rs = build(label)
+    labels = default_labels(rs, 9)
+    V = _per_label(rs, "anti", labels, tm_expand(rs, grid_fm(rs, 6)))
+    assert np.array_equal(gram_over_torus(rs, 6, labels), V @ V.conj().T)
