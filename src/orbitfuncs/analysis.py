@@ -343,7 +343,16 @@ class PolynomialFamily:
         return np.polynomial.polynomial.polyval(x, c)
 
 
+def _max_degree(family: str, max_degree) -> int:
+    """max_degree as an int >= 0; ValueError naming it otherwise."""
+    if not _integer(max_degree) or max_degree < 0:
+        raise ValueError(f"the {family} family needs an integer max_degree >= 0, "
+                         f"got max_degree = {max_degree!r}")
+    return int(max_degree)
+
+
 def monomial_family(max_degree: int) -> PolynomialFamily:
+    max_degree = _max_degree("monomial", max_degree)
     coeffs = tuple(tuple(0.0 if i != k else 1.0 for i in range(k + 1))
                    for k in range(max_degree + 1))
     nodes, weights = np.polynomial.legendre.leggauss(max_degree + 1)
@@ -352,6 +361,7 @@ def monomial_family(max_degree: int) -> PolynomialFamily:
 
 def hermite_family(max_degree: int) -> PolynomialFamily:
     """Orthonormal Hermite polynomials for the weight exp(-x^2)."""
+    max_degree = _max_degree("hermite", max_degree)
     coeffs = []
     prev = np.array([1.0])
     cur = np.array([0.0, 2.0])

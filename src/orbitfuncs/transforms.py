@@ -133,6 +133,15 @@ def tm_expand(rs: RootSystem, grid: GridFM) -> list[Vec]:
 
 # -- the finite orbit-function transform ----------------------------------
 
+def _values(x, count: int, per: str) -> np.ndarray:
+    """x as a complex array with one entry (or row) per grid point or per
+    label of a plan; ValueError naming the expected count otherwise."""
+    x = np.asarray(x, dtype=complex)
+    if x.ndim == 0 or len(x) != count:
+        raise ValueError(f"expected {count} values, one per {per}, got an array of shape {x.shape}")
+    return x
+
+
 @dataclass(frozen=True)
 class TransformPlan:
     rs: RootSystem
@@ -145,11 +154,11 @@ class TransformPlan:
 
     def forward(self, f: np.ndarray) -> np.ndarray:
         """Coefficients a_lambda = <f, phi_lambda> / norm over the grid."""
-        return (self.kernel.conj() @ np.asarray(f, dtype=complex)) / self.norm
+        return (self.kernel.conj() @ _values(f, self.kernel.shape[1], "grid point")) / self.norm
 
     def inverse(self, a: np.ndarray) -> np.ndarray:
         """Signal values sum_lambda a_lambda phi_lambda(x_j)."""
-        return self.kernel.T @ np.asarray(a, dtype=complex)
+        return self.kernel.T @ _values(a, self.kernel.shape[0], "label")
 
     def gram(self) -> np.ndarray:
         return self.kernel @ self.kernel.conj().T
@@ -251,11 +260,11 @@ class DiscretePlan:
     norms: np.ndarray
 
     def forward(self, f: np.ndarray) -> np.ndarray:
-        f = np.asarray(f, dtype=complex)
+        f = _values(f, self.kernel.shape[1], "grid point")
         return (self.kernel.conj() * self.weights) @ f / self.norms
 
     def inverse(self, a: np.ndarray) -> np.ndarray:
-        return self.kernel.T @ np.asarray(a, dtype=complex)
+        return self.kernel.T @ _values(a, self.kernel.shape[0], "label")
 
     def gram(self) -> np.ndarray:
         return (self.kernel * self.weights) @ self.kernel.conj().T
@@ -476,7 +485,11 @@ def series_coefficients(rs: RootSystem, f: Callable, labels,
 
 def series_synthesis(rs: RootSystem, coeffs, labels, xs: np.ndarray) -> np.ndarray:
     """Evaluate sum_lambda c_lambda phi_lambda at omega-coordinate points:
-    the inverse of :func:`series_coefficients` on its span."""
+    the inverse of :func:`series_coefficients` on its span; ValueError
+    unless there is one coefficient per label."""
+    if len(coeffs) != len(labels):
+        raise ValueError(f"expected one coefficient per label, got {len(coeffs)} "
+                         f"coefficients for {len(labels)} labels")
     out = np.zeros(len(xs), dtype=complex)
     for c, lam in zip(coeffs, labels):
         out += c * eval_batch(rs, "anti", lam, xs)

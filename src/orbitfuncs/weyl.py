@@ -3,11 +3,12 @@
 Group elements are integer matrices acting on omega coordinates (column
 vectors).  Each group is built once as an int64 array, in BFS order over
 generator words (identity first), so every element has a shortest word and
-det = (-1)^length.  Orbits, signed orbits and stabilizer orders are array
-operations on it: the weight is scaled to integers by the lcm of its
-denominators, multiplied by every matrix, and turned back into Fractions
-once (a signed orbit keeps its int64 rows and converts its points when
-they are first read).  On A, B, C and D the action on orthogonal
+det = (-1)^length; each layer is one array step on the images of rho.
+Orbits, signed orbits and stabilizer orders are array operations on it:
+the weight is scaled to integers by the lcm of its denominators,
+multiplied by every matrix, and turned back into Fractions once (a signed
+orbit keeps its int64 rows and converts its points when they are first
+read).  On A, B, C and D the action on orthogonal
 coordinates, a signed permutation per element, is read off the same array
 (``orth_action``).  ``to_dominant`` maps one point to the dominant chamber
 by simple reflections; ``_dominant_forms`` does the same descent for many
@@ -100,29 +101,52 @@ def _group(rs: RootSystem, limit: int = DEFAULT_GROUP_LIMIT) -> _Group:
     return _GROUP_CACHE.lookup(rs.id, lambda: _close(rs))
 
 
+def _first_keys(keys: list) -> list[int]:
+    """The index of the first occurrence of each distinct key, ascending."""
+    last = len(keys) - 1
+    return sorted(dict(zip(reversed(keys), range(last, -1, -1))).values())
+
+
 def _close(rs: RootSystem) -> _Group:
-    """The group of rs closed layer by layer from the simple reflections."""
-    gens = np.array([g.matrix for g in generators(rs)], dtype=np.int64)
+    """The group of rs closed layer by layer from the images of rho.
+
+    rho = (1, ..., 1) is regular, so w -> v = w rho is injective, and r_g w
+    is one longer than w exactly when v_g > 0 (Humphreys, *Reflection Groups
+    and Coxeter Groups*, 1990, 1.6-1.7).  Every |v_k| <= h - 1 (h the
+    Coxeter number), so p . v with p = (2h - 1)^(0..n-1) is a key of w,
+    exact in int64 while (2h - 1)^n < 2^63: up to rank 8 on every diagram
+    (59^8 on E8), and on every group small enough to hold.  An element of
+    a layer is the (n + 1, n + 1) array Q [m | v] with Q = [I; p]: its
+    matrix m, v as an extra column, and the key in the corner.  The
+    candidate r_g w is that array minus Q A[g] (x) its row g, A the Cartan
+    matrix.  One step forms every candidate with v_g > 0, in the order
+    (element, generator), and keeps the first of each key; so the order,
+    the shortest words and dets = (-1)^layer are those of the closure over
+    all n |layer| products with a seen set.  There are |positive roots| =
+    n h / 2 steps.
+    """
     n = rs.rank
-    layer = np.eye(n, dtype=np.int64)[None]
-    layers, words = [layer], [()]
-    seen = {layer[0].tobytes()}
-    while len(layer):
-        # candidate f * n + g is r_g times element f of the layer
-        cand = np.einsum("gij,fjk->fgik", gens, layer).reshape(-1, n, n)
-        new = []
-        for i, m in enumerate(cand):
-            key = m.tobytes()
-            if key not in seen:
-                seen.add(key)
-                new.append(i)
-        prev = words[len(words) - len(layer):]
-        words += [(i % n,) + prev[i // n] for i in new]
-        layer = cand[new]
-        layers.append(layer)
+    h = 1 + sum(rs.marks)
+    A = np.array([[int(c) for c in row] for row in rs.cartan], dtype=np.int64)
+    Q = np.eye(n + 1, n, dtype=np.int64)
+    Q[n] = (2 * h - 1) ** np.arange(n)
+    b = (A @ Q.T)[:, :, None]
+    top = np.eye(n, n + 1, dtype=np.int64)
+    top[:, n] = 1
+    layer = (Q @ top)[None]
+    layers, words, prev = [layer[:, :n, :n]], [()], [()]
+    for _ in range(n * h // 2):
+        f, g = (layer[:, :n, n] > 0).nonzero()
+        cand = layer.take(f, 0) - b.take(g, 0) * layer[f, g][:, None, :]
+        first = _first_keys(cand[:, n, n].tolist())
+        layer = cand.take(first, 0)
+        f, g = f.tolist(), g.tolist()
+        prev = [(g[i],) + prev[f[i]] for i in first]
+        words += prev
+        layers.append(layer[:, :n, :n])
     mats = np.concatenate(layers)
     assert len(mats) == rs.weyl_order, (len(mats), rs.weyl_order)
-    dets = np.array([(-1) ** len(w) for w in words], dtype=np.int64)
+    dets = np.repeat((-1) ** np.arange(len(layers), dtype=np.int64), [len(x) for x in layers])
     mats.setflags(write=False)
     dets.setflags(write=False)
     return _Group(mats, dets, tuple(words), n * int(np.abs(mats).max()))
@@ -132,8 +156,12 @@ def generate_group(rs: RootSystem, limit: int = DEFAULT_GROUP_LIMIT) -> tuple[We
     """All Weyl group elements, BFS order (identity first)."""
     group = _group(rs, limit)
     if group.elements is None:
-        group.elements = tuple(WeylElement(tuple(map(tuple, m.tolist())), d, w)
-                               for m, d, w in zip(group.mats, group.dets.tolist(), group.words))
+        # one list of all entries, read n at a time into rows and n rows at
+        # a time into matrices
+        entries = iter(group.mats.ravel().tolist())
+        mats = zip(*[zip(*[entries] * rs.rank)] * rs.rank)
+        group.elements = tuple(WeylElement(m, d, w) for m, d, w in
+                               zip(mats, group.dets.tolist(), group.words))
     return group.elements
 
 

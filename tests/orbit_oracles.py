@@ -44,6 +44,11 @@ oracles are the Fourier-transform eigen checks of ``analysis`` before they
 applied the 1-D kernel to each Hermite factor: the eigenfunction sampled
 on the full tensor grid and the dense kernel applied on both sides,
 K g K^T, then projected onto the (anti)symmetric part.
+``close_oracle`` is the loop that ``weyl._close`` ran before it stepped
+on the images of rho: every product of a generator with an element of the
+last layer, one ``tobytes`` key per product checked against a seen set.
+It builds the generators from the Cartan matrix, so it also closes F4 and
+E6, whose groups ``weyl._group`` refuses.
 ``hermite_explicit`` is the factorial-sum definition of the Hermite
 polynomials, the oracle of ``analysis.hermite_polynomial``'s recurrence.
 ``exponent_terms_oracle``, ``shift_operator_check_oracle`` and
@@ -97,6 +102,34 @@ def _closure(rs, gens) -> list:
                     nxt.append(seen[gm])
         frontier = nxt
     return list(seen.values())
+
+
+def close_oracle(rs):
+    """(mats, dets, words, gain) of the group of rs, as ``weyl._close``
+    returns them: the int64 matrices in BFS order (identity first), their
+    dets, shortest words and n * max |entry|."""
+    n = rs.rank
+    gens = np.array([[[int(k == c) - int(c == i) * int(rs.cartan[i][k]) for c in range(n)]
+                      for k in range(n)] for i in range(n)], dtype=np.int64)
+    layer = np.eye(n, dtype=np.int64)[None]
+    layers, words = [layer], [()]
+    seen = {layer[0].tobytes()}
+    while len(layer):
+        # candidate f * n + g is r_g times element f of the layer
+        cand = np.einsum("gij,fjk->fgik", gens, layer).reshape(-1, n, n)
+        new = []
+        for i, m in enumerate(cand):
+            key = m.tobytes()
+            if key not in seen:
+                seen.add(key)
+                new.append(i)
+        prev = words[len(words) - len(layer):]
+        words += [(i % n,) + prev[i // n] for i in new]
+        layer = cand[new]
+        layers.append(layer)
+    mats = np.concatenate(layers)
+    dets = np.array([(-1) ** len(w) for w in words], dtype=np.int64)
+    return mats, dets, tuple(words), n * int(np.abs(mats).max())
 
 
 @functools.cache

@@ -9,8 +9,10 @@ Each must raise a ``ValueError`` (or a subclass: ``WallError``,
 ``UnsupportedCoordinatesError``) whose message names the diagram, never
 a ``TypeError``, an ``IndexError``, a ``KeyError`` or a bare numpy
 message.  Plans without labels are refused the same way, and quadrature
-sizes, finite-difference steps and integral-transform labels by the name
-of the argument.
+sizes, finite-difference steps, integral-transform labels and the sizes of
+the polynomial families by the name of the argument.  A plan refuses a
+vector of the wrong length, and a series one coefficient too many or too
+few, by the count it expected.
 """
 
 import math
@@ -22,8 +24,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitfuncs.analysis import (
-    gradient_sum_residual, laplace_check, laplace_check_omega, shift_operator_check,
-    sigma2_check, sigma_k_check, transform_eigen_check,
+    gradient_sum_residual, hermite_family, laplace_check, laplace_check_omega, monomial_family,
+    shift_operator_check, sigma2_check, sigma_k_check, transform_eigen_check,
 )
 from orbitfuncs.orbitalg import (
     BranchRule, branch, product_plain_plain, product_plain_signed, product_signed_signed,
@@ -39,7 +41,7 @@ from orbitfuncs.rootsys import (
 from orbitfuncs.transforms import (
     build_plan, continuous_orthogonality_residual, cosine_integral_transform, default_labels,
     dst_dct_1d, fundamental_domain_quadrature, grid_fm, multivariate_plan,
-    series_coefficients, sine_integral_transform,
+    series_coefficients, series_synthesis, sine_integral_transform,
 )
 from orbitfuncs.weyl import (
     in_fundamental_domain, orbit, signed_orbit, stabilizer_order, to_dominant,
@@ -316,3 +318,42 @@ def test_a_size_that_is_not_a_whole_number_is_refused_by_name(arg, bad, good, ca
 def test_sizes_steps_and_labels_are_refused_by_name(arg, call):
     with pytest.raises(ValueError, match=rf"\b{arg}\b"):
         call()
+
+
+# a family size that is not an integer >= 0 was a TypeError from range
+# (2.5), an empty family (-1), or numpy's "deg must be a positive integer"
+@pytest.mark.parametrize("name,family", [("hermite", hermite_family),
+                                         ("monomial", monomial_family)])
+@pytest.mark.parametrize("bad", [2.5, -1, True, "2", None])
+def test_a_family_size_that_is_not_an_integer_is_refused_by_name(name, family, bad):
+    with pytest.raises(ValueError, match=rf"^the {name} family needs an integer max_degree "
+                                         rf">= 0, got max_degree = {re.escape(repr(bad))}$"):
+        family(bad)
+    assert family(np.int64(3)).coefficients == family(3).coefficients
+    assert len(family(0).coefficients) == 1
+
+
+# a vector of the wrong length was numpy's "matmul: Input operand 1 has a
+# mismatch in its core dimension"
+@pytest.mark.parametrize("plan", [build_plan(_A2, 5), multivariate_plan("anti_exp", 2, 4)],
+                         ids=["build_plan", "multivariate_plan"])
+def test_a_plan_refuses_a_vector_of_the_wrong_length_by_its_count(plan):
+    labels, points = plan.kernel.shape
+    for call, count, per in ((plan.forward, points, "grid point"),
+                             (plan.inverse, labels, "label")):
+        for bad in (np.ones(count - 1), np.ones(count + 1), 1.0):
+            with pytest.raises(ValueError, match=rf"^expected {count} values, one per {per}, "):
+                call(bad)
+    a = np.arange(labels) + 1j
+    assert np.max(np.abs(plan.forward(plan.inverse(a)) - a)) < 1e-10
+
+
+# coefficients beyond the labels were dropped by zip without a word
+def test_a_series_refuses_coefficients_that_do_not_match_its_labels():
+    xs = np.array([[0.1, 0.2], [0.2, 0.1]])
+    labels = [(1, 1), (2, 1)]
+    for coeffs in ([1.0], [1.0, 2.0, 3.0]):
+        with pytest.raises(ValueError, match=rf"^expected one coefficient per label, got "
+                                             rf"{len(coeffs)} coefficients for 2 labels$"):
+            series_synthesis(_A2, coeffs, labels, xs)
+    assert series_synthesis(_A2, [1.0, 2.0], labels, xs).shape == (2,)

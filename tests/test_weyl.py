@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -12,11 +13,11 @@ from orbitfuncs.weyl import (
     generators, generate_group, to_dominant, orbit, signed_orbit,
     stabilizer_order, affine_r0, reflect_highest_root, in_fundamental_domain,
     positive_roots, positive_root_count, orth_action, xi_pairing,
-    GroupSizeError, WallError, _dominant_forms, _dominant_rows, _group,
+    GroupSizeError, WallError, _close, _distinct, _dominant_forms, _dominant_rows, _group,
 )
 
 from orbit_oracles import (
-    group_oracle, orbit_oracle, signed_orbit_oracle, stabilizer_oracle,
+    close_oracle, group_oracle, orbit_oracle, signed_orbit_oracle, stabilizer_oracle,
     orth_apply as oracle_orth_apply, orth_group as oracle_orth_group,
     dominant_rows_oracle, positive_roots_oracle,
 )
@@ -259,6 +260,61 @@ def test_group_matches_the_bfs_oracle(label):
     assert [(w.matrix, w.det, w.word) for w in grp] == list(group_oracle(rs))
     assert all(type(c) is int
                for w in grp for c in (w.det, *w.word, *itertools.chain(*w.matrix)))
+
+
+@pytest.mark.parametrize("label", ["A5", "A6", "B5", "C5", "D5", "F4"])
+def test_close_matches_the_loop_over_all_products(label):
+    # F4 through _close itself: the public entry points still refuse it
+    rs = build(label)
+    mats, dets, words, gain = close_oracle(rs)
+    grp = _close(rs)
+    assert grp.mats.dtype == mats.dtype and np.array_equal(grp.mats, mats)
+    assert grp.dets.dtype == dets.dtype and np.array_equal(grp.dets, dets)
+    assert grp.words == words and grp.gain == gain
+    assert grp.mats.flags.c_contiguous and not grp.mats.flags.writeable
+
+
+def test_close_e6_gives_distinct_elements_with_reduced_words():
+    rs = build("E6")
+    grp = _close(rs)
+    n = rs.rank
+    assert grp.mats.shape == (51840, n, n)
+    assert len(_distinct(grp.mats.reshape(len(grp.mats), -1))) == 51840
+    lengths = np.array([len(w) for w in grp.words])
+    assert np.array_equal(grp.dets, (-1) ** lengths)
+    # the length of w is the number of positive roots it sends negative:
+    # the roots are the images of the simple roots (the Cartan rows), and
+    # a root is positive when its alpha-height, its pairing with the row
+    # sums of the inverse Cartan matrix, is positive
+    cartan = np.array(rs.cartan, dtype=np.int64)
+    roots = _distinct(np.einsum("gjk,ik->gij", grp.mats, cartan).reshape(-1, n))
+    sums = [sum(row) for row in rs.cartan_inv]
+    d = math.lcm(*(c.denominator for c in sums))
+    height = np.array([int(c * d) for c in sums])
+    positive = roots[roots @ height > 0]
+    assert len(roots) == 72 and len(positive) == 36
+    inversions = (np.einsum("k,gkj->gj", height, grp.mats) @ positive.T < 0).sum(axis=1)
+    assert np.array_equal(inversions, lengths)
+    # every layer of the BFS is one length, in increasing order
+    assert np.array_equal(np.unique(lengths), np.arange(37))
+    assert (np.diff(lengths) >= 0).all()
+
+
+def test_close_leaves_numpy_ma_unimported():
+    import os
+    import subprocess
+    import sys
+    import orbitfuncs
+    code = ("import sys\n"
+            "from orbitfuncs.rootsys import build\n"
+            "from orbitfuncs.weyl import _close\n"
+            "for label in ('A3', 'D5', 'E6'):\n"
+            "    _close(build(label))\n"
+            "print('numpy' in sys.modules, 'numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(orbitfuncs.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False"]
 
 
 def test_an_evicted_group_is_closed_again_to_the_same_arrays(monkeypatch):
