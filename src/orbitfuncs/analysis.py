@@ -251,12 +251,23 @@ class PlaneWaveQuadrature:
     @classmethod
     def make(cls, half_width: float = 6.0, resolution: int = 400):
         """ValueError unless half_width is a positive finite number and
-        resolution an integer >= 1."""
+        resolution an integer >= 1.
+
+        The nodes (p - (R - 1) / 2) * cell are exactly antisymmetric,
+        node[R-1-p] = -node[p], and _cis is conjugate-symmetric to the bit,
+        so K[R-1-p] = conj(K[p]) and K = K^T hold exactly: only the
+        top-left ceil(R/2) x ceil(R/2) block takes phases, and the rest is
+        the same matrix as _cis(np.outer(nodes, nodes)) * cell."""
         half_width = _positive(half_width, "half_width")
-        resolution = _count(resolution, "resolution")
-        cell = 2 * half_width / resolution
-        nodes = -half_width + (np.arange(resolution) + 0.5) * cell
-        matrix = _cis(np.outer(nodes, nodes)) * cell
+        R = _count(resolution, "resolution")
+        cell = 2 * half_width / R
+        nodes = (np.arange(R) - (R - 1) / 2) * cell
+        h = (R + 1) // 2
+        matrix = np.empty((R, R), dtype=complex)
+        matrix[:h, :h] = _cis(np.outer(nodes[:h], nodes[:h])) * cell
+        # K[p, R-1-a] = K[R-1-a, p] = conj(K[a, p]) = conj(K[p, a])
+        matrix[:h, h:] = np.conj(matrix[:h, :R - h][:, ::-1])
+        matrix[h:] = np.conj(matrix[:R - h][::-1])
         return cls(nodes=nodes, matrix=matrix)
 
 

@@ -19,13 +19,12 @@ are validated against it in the tests.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .rootsys import RootSystem, vec, orth_vec, _vec_str
+from .rootsys import RootSystem, orth_vec, _vec_str
 from .weyl import (
     signed_orbit, stabilizer_order, orth_action, WallError,
     _distinct, _dominant_forms, _dominant_rows, _dominant_vec, _group, _orbit_rows,
@@ -185,29 +184,3 @@ def branch(rs: RootSystem, rule: BranchRule, m: Sequence) -> OrbitSum:
         counter[key] = counter.get(key, 0) + det
     return _collect(counter, "signed")
 
-
-def branch_terms_a_drop(m: Sequence) -> OrbitSum:
-    """Closed-form generator for the A_n -> A_{n-1} restriction: drop one
-    coordinate; the sign is +1 when evenly many coordinates follow it."""
-    mv = vec(m)
-    out = []
-    for i in range(len(mv)):
-        label = mv[:i] + mv[i + 1:]
-        sign = 1 if (len(mv) - 1 - i) % 2 == 0 else -1
-        out.append(OrbitTerm(sign, label, "signed"))
-    return tuple(sorted(out, key=lambda t: t.label))
-
-
-def branch_terms_a_split(m: Sequence, p: int) -> OrbitSum:
-    """A_{n-1} -> A_{p-1} x A_{q-1}: one term per p-subset, signed by the
-    parity of the shuffle putting the subset first."""
-    mv = vec(m)
-    n = len(mv)
-    out = []
-    for idx in itertools.combinations(range(n), p):
-        rest = tuple(i for i in range(n) if i not in idx)
-        # the shuffle has sum(idx) - p(p-1)/2 inversions
-        sign = -1 if (sum(idx) - p * (p - 1) // 2) % 2 else 1
-        out.append(OrbitTerm(sign, (tuple(mv[i] for i in idx),
-                                    tuple(mv[i] for i in rest)), "signed"))
-    return tuple(sorted(out, key=lambda t: t.label))

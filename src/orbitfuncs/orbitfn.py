@@ -19,7 +19,7 @@ z_j = exp(2 pi i s y_j), s the gcd of the m_i; on A and G2 every phase is
 sum_j K_j s_j x_j, so each term is a product of integer powers of the r
 numbers z_j = exp(2 pi i s_j x_j).  The powers come by repeated squaring
 from one table per block of points, so a point costs n (or r) base
-exponentials, each one a short-angle ``_cis``.
+exponentials, each one ``_cis`` value.
 
 Weights stay exact rationals until ``_cis``, the one kernel of every float
 phase in the package but the textbook ``transforms._dct_dst_data`` tables.
@@ -127,22 +127,61 @@ def _exponent_terms(rs: RootSystem, kind: str, lamv: tuple) -> tuple[list, list,
 
 
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j])   # i**q, indexed by q in -2..2
+_TURN_STEPS = 4096   # table entries per turn, and values per block of _cis
+_TURN_TABLE = None   # exp(2 pi i j / 4096) for j = 0..4095, built by the first _cis
 
 
 def _cis(turns: np.ndarray) -> np.ndarray:
-    """exp(2 pi i t) for a float array of turns t.  r = t - rint(t), the
-    nearest quarter turn q / 4 = rint(4 r) / 4 and f = r - q / 4 are all
-    exact, so exp(2 pi i t) = i**q exp(2 pi i f) with |2 pi f| <= pi / 4:
-    cos and sin stay on libm's short-argument path (about a third of the
-    cost of a large argument), and the rotation by i**q is exact."""
-    r4 = 4.0 * (turns - np.rint(turns))
-    q = np.rint(r4)
-    angle = (r4 - q) * (0.25 * TWO_PI)   # TWO_PI * f to the bit: both are exact scalings
-    z = np.empty(r4.shape, dtype=complex)
-    np.cos(angle, out=z.real)
-    np.sin(angle, out=z.imag)
-    z *= _QUARTER_TURNS[q.astype(np.intp)]
-    return z
+    """exp(2 pi i t) for an array of turns t, of any shape.
+
+    The first call builds the table T[j] = exp(2 pi i j / 4096) from the
+    exact turns j / 4096: with r = j / 4096 - rint(j / 4096), the nearest
+    quarter turn q / 4 = rint(4 r) / 4 and f = r - q / 4 are exact, so
+    T[j] = i**q exp(2 pi i f) with |2 pi f| <= pi / 4, by libm's cos and
+    sin on their short-argument path and an exact rotation by i**q.
+
+    Every call reduces each turn exactly, y = 4096 (t - rint t) and k =
+    rint y in -2048..2048, and returns T[k mod 4096] (1 + w) for the rest
+    a = 2 pi (y - k) / 4096, |a| <= pi / 4096, of the angle: w = (cos a -
+    1) + i sin a = a^2 (a^2 / 24 - 1/2) + i a (1 - a^2 / 6), cut off below
+    3e-18.  It is formed as T + T w, so that the small correction rounds
+    once into T.  The error stays about 2u (u = 2**-53), integer, half and
+    quarter turns come out exact, and _cis(-t) == conj(_cis(t)) holds to
+    the bit but for the sign of a zero part.  The turns are taken in
+    blocks of 4096 of the flattened input, written in place into one
+    output array, so that every temporary stays below glibc's mmap
+    threshold and no block page-faults on fresh memory."""
+    global _TURN_TABLE
+    if _TURN_TABLE is None:
+        j = np.arange(_TURN_STEPS) / _TURN_STEPS
+        r4 = 4.0 * (j - np.rint(j))
+        q = np.rint(r4)
+        angle = (r4 - q) * (0.25 * TWO_PI)   # TWO_PI * f to the bit: both are exact scalings
+        table = np.empty(_TURN_STEPS, dtype=complex)
+        np.cos(angle, out=table.real)
+        np.sin(angle, out=table.imag)
+        table *= _QUARTER_TURNS[q.astype(np.intp)]
+        table.flags.writeable = False
+        _TURN_TABLE = table
+    turns = np.asarray(turns, dtype=float)
+    out = np.empty(turns.shape, dtype=complex)
+    flat, flat_out = turns.reshape(-1), out.reshape(-1)
+    for start in range(0, flat.size, _TURN_STEPS):
+        t = flat[start:start + _TURN_STEPS]
+        y = t - np.rint(t)
+        y *= _TURN_STEPS
+        k = np.rint(y)
+        a = y - k
+        a *= TWO_PI / _TURN_STEPS
+        a2 = a * a
+        w = np.empty(a.shape, dtype=complex)
+        np.multiply(a2, a2 * (1 / 24) - 0.5, out=w.real)
+        np.multiply(a, 1 - a2 * (1 / 6), out=w.imag)
+        T = _TURN_TABLE[k.astype(np.intp)]   # a negative k reads from the end
+        block = flat_out[start:start + _TURN_STEPS]
+        np.multiply(T, w, out=block)
+        block += T
+    return out
 
 
 _MAX_POWER = 1 << 12   # larger exponents take one exponential each

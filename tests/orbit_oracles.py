@@ -59,6 +59,12 @@ the group times a point as object-dtype products in Python ints, one
 ``Fraction`` per entry for the steps and exponents, and the dual marks
 read off the highest short root found among the positive roots by
 ``Fraction`` inner products.
+``cis_oracle`` is ``orbitfn._cis`` before its table of 4096 turns: one
+libm cos and sin per value after an exact reduction to the nearest quarter
+turn.  ``branch_terms_a_drop`` and ``branch_terms_a_split`` are the
+closed-form A_n branching generators that ``orbitalg`` kept beside
+``branch``: one term per dropped coordinate or per p-subset, signed by the
+parity of the shuffle.
 """
 
 import functools
@@ -688,3 +694,49 @@ def dual_marks_oracle(rs) -> tuple:
     out = [ai * ni / norm for ai, ni in zip(a, rs.root_norms)]
     assert all(c.denominator == 1 for c in out)
     return tuple(map(int, out))
+
+
+_QUARTER_TURNS = np.array([1, 1j, -1, -1j])   # i**q, indexed by q in -2..2
+
+
+def cis_oracle(turns: np.ndarray) -> np.ndarray:
+    """exp(2 pi i t) for a float array of turns t.  r = t - rint(t), the
+    nearest quarter turn q / 4 = rint(4 r) / 4 and f = r - q / 4 are all
+    exact, so exp(2 pi i t) = i**q exp(2 pi i f) with |2 pi f| <= pi / 4:
+    cos and sin stay on libm's short-argument path, and the rotation by
+    i**q is exact."""
+    r4 = 4.0 * (turns - np.rint(turns))
+    q = np.rint(r4)
+    angle = (r4 - q) * (0.25 * TWO_PI)
+    z = np.empty(r4.shape, dtype=complex)
+    np.cos(angle, out=z.real)
+    np.sin(angle, out=z.imag)
+    z *= _QUARTER_TURNS[q.astype(np.intp)]
+    return z
+
+
+def branch_terms_a_drop(m) -> tuple:
+    """Closed-form generator for the A_n -> A_{n-1} restriction: drop one
+    coordinate; the sign is +1 when evenly many coordinates follow it."""
+    mv = vec(m)
+    out = []
+    for i in range(len(mv)):
+        label = mv[:i] + mv[i + 1:]
+        sign = 1 if (len(mv) - 1 - i) % 2 == 0 else -1
+        out.append(OrbitTerm(sign, label, "signed"))
+    return tuple(sorted(out, key=lambda t: t.label))
+
+
+def branch_terms_a_split(m, p: int) -> tuple:
+    """A_{n-1} -> A_{p-1} x A_{q-1}: one term per p-subset, signed by the
+    parity of the shuffle putting the subset first."""
+    mv = vec(m)
+    n = len(mv)
+    out = []
+    for idx in itertools.combinations(range(n), p):
+        rest = tuple(i for i in range(n) if i not in idx)
+        # the shuffle has sum(idx) - p(p-1)/2 inversions
+        sign = -1 if (sum(idx) - p * (p - 1) // 2) % 2 else 1
+        out.append(OrbitTerm(sign, (tuple(mv[i] for i in idx),
+                                    tuple(mv[i] for i in rest)), "signed"))
+    return tuple(sorted(out, key=lambda t: t.label))

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from orbitfuncs.orbitfn import _cis
 from orbitfuncs.rootsys import build, inner, orth_dim
 from orbitfuncs.analysis import (
     laplace_check, laplace_check_omega, sigma2_check, omega_basis_operator,
@@ -221,6 +222,17 @@ def test_hermite_anti_antisymmetry():
 
 
 QUAD = PlaneWaveQuadrature.make(6.0, 400)
+
+
+@pytest.mark.parametrize("resolution", [400, 401, 7])
+def test_quadrature_from_a_quarter_block_is_the_full_kernel(resolution):
+    # the nodes are exactly antisymmetric, so filling K from its top-left
+    # block by K = K^T and K[R-1-p] = conj(K[p]) changes no value
+    q = PlaneWaveQuadrature.make(6.0, resolution)
+    cell = 12.0 / resolution
+    assert np.array_equal(q.nodes[::-1], -q.nodes)
+    assert q.matrix.shape == (resolution, resolution) and q.matrix.dtype == complex
+    assert np.array_equal(q.matrix, _cis(np.outer(q.nodes, q.nodes)) * cell)
 
 
 def test_transform_eigen_small_labels():

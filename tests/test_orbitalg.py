@@ -15,11 +15,11 @@ from orbitfuncs.orbitfn import (
 from orbitfuncs.orbitalg import (
     product_plain_signed, product_plain_signed_coset,
     product_signed_signed, product_plain_plain, expand_function_product,
-    BranchRule, branch, branch_terms_a_drop, branch_terms_a_split,
+    BranchRule, branch,
 )
 from orbit_oracles import (
     plain_signed_oracle, signed_signed_oracle, plain_plain_oracle, rho_cosine_oracle,
-    branch_oracle,
+    branch_oracle, branch_terms_a_drop, branch_terms_a_split,
 )
 
 RNG = random.Random(99)

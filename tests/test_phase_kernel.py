@@ -3,7 +3,10 @@
 The first test reads the source: ``TWO_PI`` is read only inside ``_cis``,
 and no module calls ``np.sin``, ``np.cos`` or a complex ``np.exp`` outside
 ``_cis`` and the textbook tables of ``transforms._dct_dst_data``; the
-second shows that the parser finds such a call.  The last two bound the
+second shows that the parser finds such a call.  The next ones pin the
+kernel itself: its table of 4096 turns against mpmath, its conjugate
+symmetry, and its blocks and shapes against ``cis_oracle``, the kernel it
+replaced.  The last two bound the
 error of the two defining sums against 50-digit mpmath sums, with bounds from the condition number of each sum (its term
 count, Σ|c| and the size of its phases) in units of the roundoff
 u = 2**-53, not one fixed relative tolerance.
@@ -16,13 +19,17 @@ from fractions import Fraction as F
 
 import mpmath as mp
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import orbitfuncs
-from orbitfuncs.orbitfn import eval_coroot_point, eval_orth_batch
+from orbitfuncs import orbitfn
+from orbitfuncs.orbitfn import eval_coroot_point, eval_orth_batch, _cis
 from orbitfuncs.rootsys import build, orth_dim, to_orthogonal
 
-from orbit_oracles import orbit_oracle, orth_group, signed_orbit_oracle, stabilizer_oracle
+from orbit_oracles import (
+    cis_oracle, orbit_oracle, orth_group, signed_orbit_oracle, stabilizer_oracle,
+)
 
 U = 2.0 ** -53
 SRC = pathlib.Path(orbitfuncs.__file__).parent
@@ -82,6 +89,81 @@ def test_the_check_finds_a_stray_phase():
            "g = lambda t: np.sin(np.pi * t)\n")
     assert _phase_uses(ast.parse(src)) == [("f", "complex exp"), ("f", "TWO_PI"),
                                            (None, "np.sin")]
+
+
+# -- the kernel: a table of 4096 turns and a two-term correction ------------
+
+STEPS = orbitfn._TURN_STEPS
+
+
+def _table() -> np.ndarray:
+    _cis(np.zeros(1))   # the first call builds the table
+    return orbitfn._TURN_TABLE
+
+
+def test_the_turn_table_is_within_2e16_of_mpmath():
+    table = _table()
+    assert table.shape == (STEPS,) and table.dtype == complex and STEPS == 4096
+    assert not table.flags.writeable
+    with mp.workdps(40):
+        exact = np.array([complex(mp.expjpi(mp.mpf(2 * j) / STEPS)) for j in range(STEPS)])
+    assert np.max(np.abs(table - exact)) < 2e-16
+    # the quarter turns are exact
+    assert [table[j * STEPS // 4] for j in range(4)] == [1, 1j, -1, -1j]
+
+
+def test_a_table_turn_returns_its_entry_to_the_bit():
+    table = _table()
+    j = np.arange(STEPS)
+    for turns, entries in ((j / STEPS, table), (j / STEPS + 5, table),
+                           (-j / STEPS, table[-j]), (j / STEPS - 2.0 ** 30, table)):
+        assert np.array_equal(_cis(turns).view(np.int64), entries.view(np.int64))
+
+
+turn = st.one_of(st.floats(-2.0 ** 40, 2.0 ** 40, allow_nan=False),
+                 st.floats(-1, 1, allow_nan=False),
+                 st.builds(lambda k, e: k / 2.0 ** e, st.integers(-2 ** 40, 2 ** 40),
+                           st.integers(0, 14)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(turn, min_size=1, max_size=40))
+@example([0.0, 0.5, -0.5, 0.25, 1 / 8192, -3 / 8192, 2.0 ** 40 - 2.0 ** -12, 2.0 ** -1074])
+def test_cis_of_minus_t_is_the_conjugate(ts):
+    # equal floats are equal bits but for the sign of a zero part
+    t = np.array(ts)
+    assert np.array_equal(_cis(-t), np.conj(_cis(t)))
+
+
+def _agrees_with_the_oracle(turns):
+    got, ref = _cis(turns), cis_oracle(np.asarray(turns, dtype=float))
+    assert got.shape == np.shape(turns) and got.dtype == complex
+    # each is within 4e-16 of exp(2 pi i t) (test_cis_matches_mpmath)
+    assert np.all(np.abs(got - ref) <= 4e-16 + 4e-16)
+
+
+@pytest.mark.parametrize("size", [0, 1, STEPS - 1, STEPS, STEPS + 1, 3 * STEPS + 1])
+def test_every_block_agrees_with_the_oracle(size):
+    rng = np.random.default_rng(size)
+    scale = rng.choice([1.0, 40.0, 2.0 ** 40], size)
+    turns = rng.uniform(-1, 1, size) * scale
+    _agrees_with_the_oracle(turns)
+    # one turn comes out the same in every block
+    if size > STEPS:
+        same = np.full(size, 0.3)
+        assert np.all(_cis(same) == _cis(same[:1])[0])
+
+
+def test_shapes_and_strides_agree_with_the_oracle():
+    rng = np.random.default_rng(8)
+    wide = rng.uniform(-50, 50, (STEPS + 3, 3))
+    _agrees_with_the_oracle(wide.T)            # non-contiguous, spans two blocks
+    assert np.array_equal(_cis(wide.T), _cis(wide).T)
+    _agrees_with_the_oracle(np.array(0.375))   # 0-d
+    assert _cis(np.array(0.25)).shape == () and _cis(np.array(0.25)) == 1j
+    _agrees_with_the_oracle(rng.uniform(-2, 2, 1000))
+    _agrees_with_the_oracle(np.zeros((2, 0, 3)))
+    _agrees_with_the_oracle(rng.uniform(-2, 2, (3, 5, 7))[:, ::2, 1:])
 
 
 # -- eval_coroot_point: exact phases k / D ---------------------------------

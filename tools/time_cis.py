@@ -1,0 +1,110 @@
+"""Time the phase kernel and its largest callers for one or more source trees.
+
+    python3 tools/time_cis.py PARENT/src CHANGE/src [--rounds 5]
+
+Each round starts one process per source tree, in turn.  A process times,
+best of several calls after one warm call:
+
+* ``orbitfn._cis`` on 160, 4096, 16384 and 160 000 turns, in ns per value;
+* ``orbitfn.eval_batch`` on the 20 keys of the ``evaluate`` bench workload
+  (``bench/workloads.py`` ``EVAL_KEYS``, weights drawn by its seed 1), in
+  ns per point, and the sum of their best times in ms;
+* ``analysis.PlaneWaveQuadrature.make(6, 400)``, in ms;
+
+and the minor page faults per call of each (``resource.getrusage`` around
+the timed calls).  The script prints, per tree, the median over the rounds
+of every figure.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+from workloads import make_tasks  # noqa: E402  (pure Python, no orbitfuncs)
+
+CIS_SIZES = (160, 4096, 16384, 160_000)
+
+CHILD = """
+import json, resource, sys, time
+import numpy as np
+from orbitfuncs.analysis import PlaneWaveQuadrature
+from orbitfuncs.orbitfn import _cis, eval_batch
+from orbitfuncs.rootsys import build
+
+def best(call, reps):
+    call()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    times = []
+    for _ in range(reps):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return min(times), faults / reps
+
+cis_sizes, keys = json.loads(sys.argv[1])
+rng = np.random.default_rng(1)
+out = {}
+for n in cis_sizes:
+    turns = rng.uniform(-40, 40, n)
+    t, f = best(lambda: _cis(turns), max(5, 2_000_000 // n))
+    out[f"cis_{n}"] = {"ns_per_value": t / n * 1e9, "faults": f}
+total, total_faults = 0.0, 0.0
+for diagram, kind, lam, points in keys:
+    rs = build(diagram)
+    lam = tuple(rs.rho) if lam == "rho" else tuple(lam)
+    xs = rng.uniform(-1.0, 1.0, (points, rs.rank))
+    t, f = best(lambda: eval_batch(rs, kind, lam, xs), 5)
+    out[f"eval_{diagram}_{kind}_{''.join(map(str, lam))}"] = {
+        "ns_per_value": t / points * 1e9, "faults": f}
+    total, total_faults = total + t, total_faults + f
+out["eval_total"] = {"ms": total * 1e3, "faults": total_faults}
+t, f = best(lambda: PlaneWaveQuadrature.make(6.0, 400), 10)
+out["quadrature_6_400"] = {"ms": t * 1e3, "faults": f}
+print(json.dumps(out))
+"""
+
+
+def eval_keys() -> list:
+    """(diagram, kind, weight or "rho", points) of the first use of each
+    eval_batch key of the evaluate workload, seed 1."""
+    keys = []
+    for task in make_tasks("evaluate", 1):
+        key = [task.get(k) for k in ("diagram", "kind", "lam", "points")]
+        if task["op"] == "eval_batch" and key not in keys:
+            keys.append(key)
+    return keys
+
+
+def run(src: str, cases: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", CHILD, cases],
+                         env=env, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src", nargs="+", help="a source directory holding orbitfuncs")
+    parser.add_argument("--rounds", type=int, default=5)
+    args = parser.parse_args()
+    cases = json.dumps([CIS_SIZES, eval_keys()])
+    runs = [[] for _ in args.src]   # one list per tree, also when a tree is given twice
+    for _ in range(args.rounds):
+        for src, rounds in zip(args.src, runs):
+            rounds.append(run(src, cases))
+    for src, rounds in zip(args.src, runs):
+        medians = {name: {field: round(statistics.median(r[name][field] for r in rounds), 3)
+                          for field in figures}
+                   for name, figures in rounds[0].items()}
+        print(json.dumps({"src": src, "rounds": len(rounds), "median": medians}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
