@@ -42,7 +42,7 @@ from .rootsys import (
 )
 from .weyl import (
     signed_orbit, stabilizer_order, positive_roots, orth_action, WallError,
-    _distinct, _dominant_vec, _group, _images, _strict_vec,
+    _check_group_size, _distinct, _dominant_vec, _group, _images, _strict_vec,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -611,8 +611,11 @@ def rho_cosine_orbit_decomposition(rs: RootSystem) -> dict:
     into a dict of exponents, and the dominant ones give the coefficients.
     The leading term is the rho orbit with coefficient 1; for rank >= 2
     lower orbits appear as well, so the product is *not* equal to the rho
-    orbit sum alone.
+    orbit sum alone.  The dict grows with the weights of V(rho), so a
+    diagram whose group is larger than ``weyl.DEFAULT_GROUP_LIMIT`` is
+    refused with GroupSizeError, although no group is built.
     """
+    _check_group_size(rs)
     counts = {(1,) * rs.rank: 1}   # rho, as are all roots, integral in omega
     for alpha in positive_roots(rs):
         alpha = tuple(map(int, alpha))

@@ -17,7 +17,9 @@ otherwise), provided by :func:`to_orthogonal` / :func:`from_orthogonal`.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
@@ -225,6 +227,49 @@ class RootSystem:
     @property
     def highest_root_omega(self) -> Vec:
         return vec_mat(vec(self.marks), self.cartan)
+
+    # Derived data, computed on first use and kept with the instance (a
+    # cached_property writes the instance dict, which the frozen dataclass
+    # allows); _build does not compute them.
+
+    @functools.cached_property
+    def _positive_roots(self) -> tuple[Vec, ...]:
+        """The positive roots in omega coordinates, sorted, from the Cartan
+        matrix alone; ``weyl.positive_roots`` is their accessor.
+
+        alpha_i is row i of the Cartan matrix, and r_j beta = beta - beta_j
+        alpha_j.  A positive root beta with beta_j < 0 goes to the positive
+        root r_j beta, of height ht beta - beta_j, and every positive root
+        that is not simple is reached so from a lower one (Humphreys,
+        *Introduction to Lie Algebras and Representation Theory*, 1972,
+        10.2, Lemmas A-B).  So a breadth-first search from the simple roots
+        in Python ints finds them all, in |positive roots| * rank steps.
+        """
+        simple = [tuple(int(c) for c in row) for row in self.cartan]
+        roots, seen = list(simple), set(simple)
+        for beta in roots:   # the list grows while it is read
+            for j, bj in enumerate(beta):
+                if bj < 0:
+                    gamma = tuple(b - bj * a for b, a in zip(beta, simple[j]))
+                    if gamma not in seen:
+                        seen.add(gamma)
+                        roots.append(gamma)
+        frac = {c: Fraction(c) for c in {c for r in roots for c in r}}
+        return tuple(tuple(frac[c] for c in r) for r in sorted(roots))
+
+    @functools.cached_property
+    def _coweight_rows(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(C, L) with row i of C / L the omega coordinates of the i-th
+        fundamental coweight, 2 / |alpha_i|^2 times e_i, followed by its
+        coroot coordinates; L is the lcm of their denominators, so C is
+        integral.  A point sum s_i omega_i^check / M of F_M has the
+        coordinates s C / (L M)."""
+        n = self.rank
+        scale = [2 / x for x in self.root_norms]
+        rows = [[scale[i] * (i == j) for j in range(n)] + [scale[i] * x for x in self.metric[i]]
+                for i in range(n)]
+        L = math.lcm(*(x.denominator for row in rows for x in row))
+        return tuple(tuple(int(x * L) for x in row) for row in rows), L
 
     def __repr__(self) -> str:  # keep dataclass repr short
         return f"RootSystem({self.id.label})"

@@ -93,33 +93,33 @@ def grid_fm(rs: RootSystem, M: int) -> GridFM:
     """The grid F_M: points sum(s_i/M) w_i^check of the closed fundamental
     domain, indexed by s with s_0 + sum s_i m_i = M over the marks m_i;
     ValueError naming M unless it is an integer >= 1."""
-    return GridFM(rs=rs, M=M, points=_grid_points(rs, M, interior_only=False))
-
-
-def _grid_points(rs: RootSystem, M: int, interior_only: bool) -> tuple[GridPoint, ...]:
-    """The points of F_M, or only its interior ones, in the order of s.
-
-    omega_i = s_i (2/|alpha_i|^2) / M and the coroot coordinates omega S
-    are integer numerators over one denominator L M, with L the lcm of the
-    denominators of 2/|alpha_i|^2 and of diag(2/|alpha_i|^2) S; only the
-    points kept are converted to Fractions."""
     M = _count(M, "M")
     s = _alcove(rs.marks, M, f"the F_{M} grid of {rs.id.label}")
+    return GridFM(rs=rs, M=M, points=_grid_points(rs, M, s))
+
+
+def _interior_points(rs: RootSystem, M: int) -> tuple[GridPoint, ...]:
+    """The interior points of F_M, in the order of s: s_i >= 1 and s_0 >= 1,
+    that is s - 1 in the alcove of M - 1 - sum m_i."""
+    M = _count(M, "M")
+    s = _alcove(rs.marks, M - 1 - sum(rs.marks),
+                f"the interior of the F_{M} grid of {rs.id.label}")
+    return _grid_points(rs, M, s + 1)
+
+
+def _grid_points(rs: RootSystem, M: int, s: np.ndarray) -> tuple[GridPoint, ...]:
+    """The GridPoints of the rows s of F_M.  Their omega and coroot
+    coordinates s C are integer numerators over one denominator L M, with
+    C and L kept with the root system (``RootSystem._coweight_rows``)."""
+    n = rs.rank
+    C, L = rs._coweight_rows
     s0 = M - s @ np.array(rs.marks, dtype=np.int64)
     interior = (s0 > 0) & np.all(s > 0, axis=1)
-    if interior_only:
-        s, s0, interior = s[interior], s0[interior], interior[interior]
-    n = rs.rank
-    scale = [2 / x for x in rs.root_norms]
-    # row i: the omega coordinates of s = e_i times M, then its coroot coordinates
-    rows = [[scale[i] * (i == j) for j in range(n)] + [scale[i] * x for x in rs.metric[i]]
-            for i in range(n)]
-    L = math.lcm(*(x.denominator for row in rows for x in row))
-    C = np.array([[int(x * L) for x in row] for row in rows], dtype=np.int64)
     return tuple(GridPoint(s=tuple(si), s0=s0i, M=M, omega=c[:n], coroot=c[n:],
                            interior=inside)
                  for si, s0i, c, inside in zip(s.tolist(), s0.tolist(),
-                                               _unscaled(s @ C, L * M), interior.tolist()))
+                                               _unscaled(s @ np.array(C, dtype=np.int64), L * M),
+                                               interior.tolist()))
 
 
 def tm_expand(rs: RootSystem, grid: GridFM) -> list[Vec]:
@@ -202,7 +202,7 @@ def build_plan(rs: RootSystem, M: int, labels: Sequence[Vec] | None = None,
     are logged at DEBUG.  ValueError naming M unless it is an integer >= 1.
     """
     start = time.perf_counter()
-    grid = _grid_points(rs, M, interior_only=True)
+    grid = _interior_points(rs, M)
     gridded = time.perf_counter()
     if labels is None:
         labels = default_labels(rs, M)

@@ -12,8 +12,8 @@ read).  On A, B, C and D the action on orthogonal
 coordinates, a signed permutation per element, is read off the same array
 (``orth_action``).  ``to_dominant`` maps one point to the dominant chamber
 by simple reflections; ``_dominant_forms`` does the same descent for many
-int64 rows at once, and the positive roots are the group images of the
-simple roots with a positive integer height test.  Everything here is
+int64 rows at once.  The positive roots are root data, found from the
+Cartan matrix without the group (``positive_roots``).  Everything here is
 exact; no tolerances.
 """
 
@@ -72,16 +72,14 @@ def generators(rs: RootSystem) -> list[WeylElement]:
 @dataclass
 class _Group:
     """One Weyl group in BFS order: int64 matrices, dets, shortest words, a
-    bound on every row and column sum of |matrix|, the WeylElement view, the
-    orthogonal action (perm, signs) of ``orth_action`` and the positive
-    roots."""
+    bound on every row and column sum of |matrix|, the WeylElement view and
+    the orthogonal action (perm, signs) of ``orth_action``."""
     mats: np.ndarray
     dets: np.ndarray
     words: tuple[tuple[int, ...], ...]
     gain: int
     elements: tuple[WeylElement, ...] | None = None
     orth: tuple[np.ndarray, np.ndarray] | None = None
-    positive: tuple[Vec, ...] | None = None
 
 
 # groups kept; a bench workload touches at most 11 diagrams
@@ -95,10 +93,15 @@ def _group(rs: RootSystem, limit: int = DEFAULT_GROUP_LIMIT) -> _Group:
     """The cached group of rs, closed layer by layer on first use."""
     if rs.family in ("E", "F"):
         raise ValueError(f"group enumeration is not supported for {rs.id.label}")
+    _check_group_size(rs, limit)
+    return _GROUP_CACHE.lookup(rs.id, lambda: _close(rs))
+
+
+def _check_group_size(rs: RootSystem, limit: int = DEFAULT_GROUP_LIMIT) -> None:
+    """GroupSizeError when |W| exceeds limit."""
     if rs.weyl_order > limit:
         raise GroupSizeError(
             f"|W({rs.id.label})| = {rs.weyl_order} exceeds the limit {limit}")
-    return _GROUP_CACHE.lookup(rs.id, lambda: _close(rs))
 
 
 def _first_keys(keys: list) -> list[int]:
@@ -364,23 +367,10 @@ def in_fundamental_domain(rs: RootSystem, x: Sequence) -> str:
 # -- positive roots ------------------------------------------------------
 
 def positive_roots(rs: RootSystem) -> tuple[Vec, ...]:
-    """All positive roots in omega coordinates, sorted.
-
-    The root system is the union of the W-orbits of the simple roots; a
-    root is positive when its alpha-basis expansion is nonnegative, that
-    is when its height, the sum of that expansion, is positive.  Every
-    entry of the inverse Cartan matrix is positive, so the height has the
-    sign of the root times the row sums of it, scaled to integers.
-    """
-    group = _group(rs)
-    if group.positive is None:
-        alphas, _ = _scaled(group, rs.cartan)  # row i is alpha_i in omega coordinates
-        roots = _distinct(np.einsum("gjk,ik->gij", group.mats, alphas).reshape(-1, rs.rank))
-        heights, _ = _scaled(group, [[sum(row) for row in rs.cartan_inv]])
-        pos = roots[roots @ heights[0] > 0]
-        assert 2 * len(pos) == len(roots)
-        group.positive = tuple(_unscaled(pos, 1))
-    return group.positive
+    """All positive roots in omega coordinates, sorted: found once per root
+    system from its Cartan matrix, without the group, and kept with it
+    (``RootSystem._positive_roots``)."""
+    return rs._positive_roots
 
 
 def positive_root_count(rs: RootSystem) -> int:

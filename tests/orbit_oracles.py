@@ -15,7 +15,10 @@ slow, and independent of the group array, ``to_dominant`` and
 loops that ``weyl.positive_roots`` and ``orbitfn.dimension`` ran before
 their integer products: the roots as the BFS orbits of the simple roots,
 kept when their alpha-basis expansion is nonnegative, and the dimension
-as a product of ``inner`` ratios.
+as a product of ``inner`` ratios.  ``positive_roots_group_oracle`` is
+``weyl.positive_roots`` before it searched the Cartan matrix: every group
+matrix times every simple root, kept when the integer height test is
+positive.
 ``group_sum`` is the float sum over W that ``eval_batch`` ran on every
 family before the closed forms and the power tables: one exponential per
 term and point, with the terms read off the oracle orbits.  ``orth_group``
@@ -86,7 +89,8 @@ from orbitfuncs.rootsys import (
 )
 from orbitfuncs.transforms import DiscretePlan, GridFM, GridPoint
 from orbitfuncs.weyl import (
-    generators, highest_short_root, positive_roots, to_dominant, _group,
+    generators, highest_short_root, positive_roots, to_dominant, _distinct, _group, _scaled,
+    _unscaled,
 )
 
 
@@ -174,6 +178,19 @@ def positive_roots_oracle(rs) -> tuple:
     roots = set().union(*(orbit_oracle(rs, alpha) for alpha in rs.cartan))
     return tuple(r for r in sorted(roots)
                  if all(c >= 0 for c in convert_basis(rs, r, "omega", "alpha")))
+
+
+def positive_roots_group_oracle(rs) -> tuple:
+    """The sorted distinct images of the simple roots under every matrix of
+    the group array, kept when their height has the sign of the root times
+    the row sums of the inverse Cartan matrix, positive."""
+    group = _group(rs)
+    alphas, _ = _scaled(group, rs.cartan)  # row i is alpha_i in omega coordinates
+    roots = _distinct(np.einsum("gjk,ik->gij", group.mats, alphas).reshape(-1, rs.rank))
+    heights, _ = _scaled(group, [[sum(row) for row in rs.cartan_inv]])
+    pos = roots[roots @ heights[0] > 0]
+    assert 2 * len(pos) == len(roots)
+    return tuple(_unscaled(pos, 1))
 
 
 def dimension_oracle(rs, lam) -> int:

@@ -10,12 +10,13 @@ import pytest
 
 from orbitfuncs.rootsys import build, vec
 from orbitfuncs.orbitfn import eval_coroot_point, eval_batch
+from orbitfuncs.weyl import dual_marks
 from orbitfuncs.transforms import (
     GridPoint, grid_fm, tm_expand, build_plan, default_labels, gram_over_torus,
     lattice_index, dst_dct_1d, multivariate_plan, PlanSeparationError,
     fundamental_domain_quadrature, continuous_orthogonality_residual,
     mixed_symmetry_orthogonality_residual, series_coefficients,
-    plancherel_residual, sine_integral_transform, _alcove,
+    plancherel_residual, sine_integral_transform, _alcove, _interior_points,
 )
 
 from orbit_oracles import (
@@ -164,6 +165,27 @@ def test_exceptional_grids_equal_the_oracle(label):
         _assert_grid_is_the_oracle(rs, M)
 
 
+@pytest.mark.parametrize("label", ["A2", "C2", "G2", "A3", "B3", "C3"])
+def test_plan_grid_is_the_interior_of_the_oracle_grid(label):
+    rs = build(label)
+    for M in range(1, 16):
+        got = _interior_points(rs, M)
+        want = [p for p in grid_oracle(rs, M).points if p.interior]
+        assert _same(got, tuple(want)), M
+        if M > sum(dual_marks(rs)):   # default labels exist
+            assert build_plan(rs, M).grid == got
+    assert _interior_points(rs, sum(rs.marks)) == ()
+
+
+def test_grid_constants_are_kept_with_the_root_system():
+    rs = build("G2")
+    C, L = rs._coweight_rows
+    assert rs._coweight_rows[0] is C and all(type(c) is int for row in C for c in row)
+    assert all(p.omega == tuple(F(c, L * 5) for c in
+                                (np.array(p.s) @ np.array(C))[:2].tolist())
+               for p in grid_fm(rs, 5).points)
+
+
 def test_alcove_allocates_the_simplex_in_order():
     rows = _alcove((1,) * 8, 12, "A8")
     assert rows.shape == (math.comb(20, 8), 8) == (125970, 8)
@@ -177,6 +199,8 @@ def test_alcove_allocates_the_simplex_in_order():
     (lambda: grid_fm(build("A1"), 2 ** 63), r"^the F_9223372036854775808 grid of A1 could have"),
     (lambda: grid_fm(build("E8"), 20), r"^the F_20 grid of E8 could have C\(20 \+ 8, 8\) = 3108105"),
     (lambda: default_labels(build("A2"), 10 ** 4), r"^the default labels of A2 at M = 10000"),
+    (lambda: build_plan(build("A1"), 2 ** 63),
+     r"^the interior of the F_9223372036854775808 grid of A1 could have"),
 ])
 def test_alcove_beyond_its_ceiling_is_refused_before_allocating(call, match):
     with pytest.raises(ValueError, match=match + ".* more than ALCOVE_LIMIT = 500000$"):
