@@ -214,7 +214,7 @@ def gradient_sum_residual(rs: RootSystem, m: Sequence, x: Sequence,
 def hermite_polynomial(n: int, x):
     """Physicists' Hermite polynomial by the three-term recurrence;
     ValueError naming n for a degree that is not an integer n >= 0."""
-    if not isinstance(n, (int, np.integer)) or n < 0:
+    if not _integer(n) or n < 0:
         raise ValueError(f"the Hermite polynomial H_n needs an integer degree n >= 0, "
                          f"got n = {n}")
     x = np.asarray(x, dtype=float)
@@ -235,9 +235,9 @@ def hermite_sym_anti(m: Sequence[int], lam: Sequence, variant: str):
     """
     if variant not in ("anti", "sym"):
         raise ValueError(f"unknown variant {variant!r}")
+    grid = np.array([hermite_polynomial(mi, lam) for mi in m])
     if variant == "anti" and not all(a > b for a, b in zip(m, m[1:])):
         raise ValueError("antisymmetric labels must decrease strictly")
-    grid = np.array([hermite_polynomial(mi, lam) for mi in m])
     return float(_perm_sum(grid, signed=(variant == "anti")))
 
 

@@ -70,11 +70,22 @@ def _emit(ctx, data):
         walk(data)
 
 
+def _positive_tolerance(ctx, param, value):
+    try:
+        return None if value is None else rsmod._positive(value, "--tolerance")
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), ctx, param) from None
+
+
+def _tolerance(ctx, default: float) -> float:
+    return default if ctx.obj["tolerance"] is None else ctx.obj["tolerance"]
+
+
 @click.group()
 @click.option("--format", "fmt", default="json",
               type=click.Choice(["json", "plain", "csv"]), show_default=True)
 @click.option("--out", "outfile", default=None, type=click.Path(writable=True))
-@click.option("--tolerance", default=None, type=float,
+@click.option("--tolerance", default=None, type=float, callback=_positive_tolerance,
               help="override the default tolerance of a check")
 @click.option("--seed", default=0, type=int, help="seed for randomized checks")
 @click.pass_context
@@ -310,7 +321,7 @@ def plan_verify(ctx, diagram, big_m):
     """Build the F_M plan and print the worst Gram deviation."""
     from . import transforms as trmod
     rs = build(diagram)
-    tol = ctx.obj["tolerance"] or 1e-9
+    tol = _tolerance(ctx, 1e-9)
     try:
         plan = trmod.build_plan(rs, big_m, tol=tol)
     except trmod.PlanSeparationError as exc:
@@ -333,7 +344,7 @@ def check_laplace(ctx, diagram, lam, trials):
     """The Laplace eigenvalue of antisymmetric orbit functions."""
     from . import analysis as anmod
     rs = build(diagram)
-    tol = ctx.obj["tolerance"] or 1e-5
+    tol = _tolerance(ctx, 1e-5)
     rng = random.Random(ctx.obj["seed"])
     m = _parse_vec(lam)
     worst = 0.0
@@ -357,7 +368,7 @@ def check_shift(ctx, diagram, lam, trials):
     """Shift-operator eigenrelations at random pairs of points."""
     from . import analysis as anmod
     rs = build(diagram)
-    tol = ctx.obj["tolerance"] or 1e-10
+    tol = _tolerance(ctx, 1e-10)
     rng = random.Random(ctx.obj["seed"])
     lamv = _parse_vec(lam)
     worst = 0.0
@@ -377,7 +388,7 @@ def check_shift(ctx, diagram, lam, trials):
 def check_hermite(ctx, max_degree):
     """Hermite eigenfunctions of the (anti)symmetrized 2-D transform."""
     from . import analysis as anmod
-    tol = ctx.obj["tolerance"] or 1e-5
+    tol = _tolerance(ctx, 1e-5)
     quad = anmod.PlaneWaveQuadrature.make(6.0, 400)
     worst = 0.0
     for total in range(1, max_degree + 1):

@@ -58,14 +58,6 @@ def vec_mat(v: Vec, m: Mat) -> Vec:
     return tuple(sum(v[i] * m[i][k] for i in range(len(v))) for k in range(n))
 
 
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    n, k, p = len(a), len(b), len(b[0])
-    return tuple(
-        tuple(sum(a[i][j] * b[j][c] for j in range(k)) for c in range(p))
-        for i in range(n)
-    )
-
-
 def mat_inverse(m: Mat) -> Mat:
     """Exact inverse by Gauss-Jordan elimination over the rationals."""
     n = len(m)
@@ -167,38 +159,17 @@ def _cartan_and_norms(did: DiagramId) -> tuple[Mat, Vec]:
     return mat(M), tuple(norms)
 
 
-def _marks(did: DiagramId) -> tuple[int, ...]:
-    fam, n = did.family, did.rank
-    if fam == "A":
-        return (1,) * n
-    if fam == "B":
-        return (1,) + (2,) * (n - 1)
-    if fam == "C":
-        return (2,) * (n - 1) + (1,)
-    if fam == "D":
-        return (1,) + (2,) * (n - 3) + (1, 1)
-    if fam == "G":
-        return (2, 3)
-    if fam == "F":
-        return (2, 3, 4, 2)
-    return {6: (1, 2, 3, 2, 1, 2),
-            7: (2, 3, 4, 3, 2, 1, 2),
-            8: (2, 3, 4, 5, 6, 4, 2, 3)}[n]
-
-
-def _weyl_order(did: DiagramId) -> int:
-    fam, n = did.family, did.rank
-    if fam == "A":
-        return factorial(n + 1)
-    if fam in ("B", "C"):
-        return 2 ** n * factorial(n)
-    if fam == "D":
-        return 2 ** (n - 1) * factorial(n)
-    if fam == "G":
-        return 12
-    if fam == "F":
-        return 1152
-    return {6: 51840, 7: 2903040, 8: 696729600}[n]
+def _dominant_root(cartan: Sequence[Sequence[int]], i: int) -> tuple[int, ...]:
+    """The alpha coordinates of the dominant root in the orbit of alpha_i,
+    row i of the integer Cartan matrix, by r_j beta = beta - beta_j alpha_j
+    while some beta_j < 0.  The roots of one length form one orbit
+    (Humphreys 1972, 10.4): a long alpha_i gives the highest root."""
+    beta, coeffs = list(cartan[i]), [int(j == i) for j in range(len(cartan))]
+    while (j := next((j for j, b in enumerate(beta) if b < 0), None)) is not None:
+        bj = beta[j]
+        beta = [b - bj * a for b, a in zip(beta, cartan[j])]
+        coeffs[j] -= bj
+    return tuple(coeffs)
 
 
 @dataclass(frozen=True)
@@ -271,6 +242,15 @@ class RootSystem:
         L = math.lcm(*(x.denominator for row in rows for x in row))
         return tuple(tuple(int(x * L) for x in row) for row in rows), L
 
+    @functools.cached_property
+    def _dual_marks(self) -> tuple[int, ...]:
+        """c_i |alpha_i|^2 / |theta_s|^2 for the highest short root
+        theta_s = sum c_i alpha_i; ``weyl.dual_marks`` is their accessor."""
+        norms = self.root_norms
+        short = norms.index(min(norms))
+        coeffs = _dominant_root([tuple(map(int, row)) for row in self.cartan], short)
+        return tuple(int(c * x / norms[short]) for c, x in zip(coeffs, norms))
+
     def __repr__(self) -> str:  # keep dataclass repr short
         return f"RootSystem({self.id.label})"
 
@@ -318,19 +298,31 @@ def build(label: str | DiagramId) -> RootSystem:
     return _CACHE.lookup(did, lambda: _build(did))
 
 
+def _connection_index(marks: tuple[int, ...]) -> int:
+    """det C = |P^check / Q^check|: one plus the number of special nodes,
+    those of mark 1."""
+    return 1 + marks.count(1)
+
+
+def lattice_index(rs: RootSystem) -> int:
+    return _connection_index(rs.marks)
+
+
 def _build(did: DiagramId) -> RootSystem:
+    """The root data of did from its Cartan matrix C and root lengths:
+    S = C^-1 D scales the columns of C^-1 and S^-1 = D^-1 C the rows of C,
+    and |W| = n! m_1 ... m_n det C (Bourbaki, Ch. VI, 2.4)."""
     M, norms = _cartan_and_norms(did)
     Minv = mat_inverse(M)
-    D = tuple(tuple(norms[i] / 2 if i == j else Fraction(0) for j in range(did.rank))
-              for i in range(did.rank))
-    S = mat_mul(Minv, D)
-    Sinv = mat_inverse(S)
-    marks = _marks(did)
+    S = tuple(tuple(x * norms[j] / 2 for j, x in enumerate(row)) for row in Minv)
+    Sinv = tuple(tuple(2 * x / norms[i] for x in row) for i, row in enumerate(M))
+    marks = _dominant_root([tuple(map(int, row)) for row in M], norms.index(max(norms)))
     comarks = tuple(int(m * norms[i] / 2) for i, m in enumerate(marks))
     rs = RootSystem(
         id=did, cartan=M, cartan_inv=Minv, root_norms=norms,
         metric=S, metric_inv=Sinv, marks=marks, comarks=comarks,
-        rho=vec([1] * did.rank), weyl_order=_weyl_order(did),
+        rho=vec([1] * did.rank),
+        weyl_order=factorial(did.rank) * math.prod(marks) * _connection_index(marks),
     )
     _sanity(rs)
     return rs

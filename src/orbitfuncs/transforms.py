@@ -28,7 +28,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .rootsys import RootSystem, Vec, rank_vec, _count, _integer, _positive, _vec_str
+from .rootsys import (
+    RootSystem, Vec, lattice_index, rank_vec, _count, _integer, _positive, _vec_str,
+)
 from .weyl import dual_marks, generators, _distinct, _group, _scaled, _unscaled
 from .orbitfn import eval_coroot_point, eval_batch, _cis, _perm_sum, _stab_order
 
@@ -183,12 +185,6 @@ def default_labels(rs: RootSystem, M: int) -> tuple[Vec, ...]:
                                    f"the default labels of {rs.id.label} at M = {M}") + 1, 1))
 
 
-def lattice_index(rs: RootSystem) -> int:
-    """|P^check / Q^check| = det of the Cartan matrix: one plus the number
-    of special nodes, those of mark 1."""
-    return 1 + rs.marks.count(1)
-
-
 def build_plan(rs: RootSystem, M: int, labels: Sequence[Vec] | None = None,
                tol: float = 1e-9) -> TransformPlan:
     """Evaluation-matrix plan over the interior of F_M.
@@ -199,8 +195,10 @@ def build_plan(rs: RootSystem, M: int, labels: Sequence[Vec] | None = None,
     does not separate two labels and the build fails.  The kernel is one
     :func:`eval_coroot_point` call on all the labels and interior points.
     The times of the grid, the labels, the kernel and the separation check
-    are logged at DEBUG.  ValueError naming M unless it is an integer >= 1.
+    are logged at DEBUG.  ValueError naming M unless it is an integer >= 1,
+    and naming tol unless it is a positive finite number.
     """
+    tol = _positive(tol, "tol")
     start = time.perf_counter()
     grid = _interior_points(rs, M)
     gridded = time.perf_counter()

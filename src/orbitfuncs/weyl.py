@@ -29,15 +29,15 @@ from typing import Sequence
 import numpy as np
 
 from .rootsys import (
-    DiagramId, RootSystem, Vec, vec, mat_vec, is_dominant, is_strictly_dominant, rank_vec,
-    inner, orth_dim, from_orthogonal, _BoundedCache, _marks, _omega_cols, _orth_basis, _vec_str,
+    RootSystem, Vec, vec, mat_vec, is_dominant, is_strictly_dominant, rank_vec,
+    inner, orth_dim, from_orthogonal, _BoundedCache, _omega_cols, _orth_basis, _vec_str,
 )
 
 IntMat = tuple[tuple[int, ...], ...]
 
 
 class GroupSizeError(RuntimeError):
-    """Raised when a Weyl group exceeds the caller-supplied size limit."""
+    """Raised when a Weyl group has more than DEFAULT_GROUP_LIMIT elements."""
 
 
 class WallError(ValueError):
@@ -85,23 +85,23 @@ class _Group:
 # groups kept; a bench workload touches at most 11 diagrams
 _GROUP_CACHE = _BoundedCache(16)
 
-#: Hard ceiling so that E/F diagrams are rejected rather than enumerated.
+#: The most elements of a closed group; of E and F, only E7 and E8 exceed it.
 DEFAULT_GROUP_LIMIT = 100_000
 
 
-def _group(rs: RootSystem, limit: int = DEFAULT_GROUP_LIMIT) -> _Group:
+def _group(rs: RootSystem) -> _Group:
     """The cached group of rs, closed layer by layer on first use."""
     if rs.family in ("E", "F"):
         raise ValueError(f"group enumeration is not supported for {rs.id.label}")
-    _check_group_size(rs, limit)
+    _check_group_size(rs)
     return _GROUP_CACHE.lookup(rs.id, lambda: _close(rs))
 
 
-def _check_group_size(rs: RootSystem, limit: int = DEFAULT_GROUP_LIMIT) -> None:
-    """GroupSizeError when |W| exceeds limit."""
-    if rs.weyl_order > limit:
-        raise GroupSizeError(
-            f"|W({rs.id.label})| = {rs.weyl_order} exceeds the limit {limit}")
+def _check_group_size(rs: RootSystem) -> None:
+    """GroupSizeError when |W| exceeds DEFAULT_GROUP_LIMIT."""
+    if rs.weyl_order > DEFAULT_GROUP_LIMIT:
+        raise GroupSizeError(f"|W({rs.id.label})| = {rs.weyl_order} exceeds the limit "
+                             f"{DEFAULT_GROUP_LIMIT}")
 
 
 def _first_keys(keys: list) -> list[int]:
@@ -155,9 +155,9 @@ def _close(rs: RootSystem) -> _Group:
     return _Group(mats, dets, tuple(words), n * int(np.abs(mats).max()))
 
 
-def generate_group(rs: RootSystem, limit: int = DEFAULT_GROUP_LIMIT) -> tuple[WeylElement, ...]:
+def generate_group(rs: RootSystem) -> tuple[WeylElement, ...]:
     """All Weyl group elements, BFS order (identity first)."""
-    group = _group(rs, limit)
+    group = _group(rs)
     if group.elements is None:
         # one list of all entries, read n at a time into rows and n rows at
         # a time into matrices
@@ -389,13 +389,10 @@ def dual_marks(rs: RootSystem) -> tuple[int, ...]:
     These drive the label-side alcove constraint of the discrete
     transforms: a weight lambda pairs integrally with the refined torus
     of F_M exactly when sum lambda_i * dual_marks_i falls in M Z.  They
-    are the marks of the dual diagram, the one with every arrow reversed:
-    B and C swap, and F4 and G2 are their own duals with the node order
-    reversed; for simply-laced diagrams they are the marks.
+    are the marks of the dual diagram, so B and C swap them, F4 and G2
+    reverse them, and on a simply-laced diagram they are the marks.
     """
-    family = {"B": "C", "C": "B"}.get(rs.family, rs.family)
-    marks = _marks(DiagramId(family, rs.rank))
-    return marks[::-1] if family in ("F", "G") else marks
+    return rs._dual_marks
 
 
 # -- orthogonal-coordinate group action for A/B/C/D ---------------------

@@ -62,6 +62,12 @@ the group times a point as object-dtype products in Python ints, one
 ``Fraction`` per entry for the steps and exponents, and the dual marks
 read off the highest short root found among the positive roots by
 ``Fraction`` inner products.
+``marks_oracle``, ``weyl_order_oracle``, ``dual_marks_table_oracle`` and
+``build_oracle`` are the root data of ``rootsys`` before they were derived
+from the Cartan matrix: the marks and |W| typed in per family, the dual
+marks read off the marks of the dual diagram (B and C swapped, F4 and G2
+reversed), and the metric as the full ``Fraction`` product C^-1 D with its
+inverse by a second elimination.
 ``cis_oracle`` is ``orbitfn._cis`` before its table of 4096 turns: one
 libm cos and sin per value after an exact reduction to the nearest quarter
 turn.  ``branch_terms_a_drop`` and ``branch_terms_a_split`` are the
@@ -84,8 +90,9 @@ from orbitfuncs.orbitfn import (
     TWO_PI, eval_batch, eval_orbit_function, _float_points, _orbit_terms, _perm_sum,
 )
 from orbitfuncs.rootsys import (
-    convert_basis, inner, mat_vec, rank_vec, vec, vec_mat, is_dominant,
-    is_strictly_dominant, orth_dim, orth_vec, UnsupportedCoordinatesError,
+    DiagramId, RootSystem, convert_basis, inner, mat_inverse, mat_vec, rank_vec, vec, vec_mat,
+    is_dominant, is_strictly_dominant, orth_dim, orth_vec, UnsupportedCoordinatesError,
+    _cartan_and_norms, _sanity,
 )
 from orbitfuncs.transforms import DiscretePlan, GridFM, GridPoint
 from orbitfuncs.weyl import (
@@ -711,6 +718,71 @@ def dual_marks_oracle(rs) -> tuple:
     out = [ai * ni / norm for ai, ni in zip(a, rs.root_norms)]
     assert all(c.denominator == 1 for c in out)
     return tuple(map(int, out))
+
+
+def marks_oracle(did) -> tuple:
+    """The coefficients of the highest root in the simple roots, per family
+    (Bourbaki, Ch. VI, Plates I-IX)."""
+    fam, n = did.family, did.rank
+    if fam == "A":
+        return (1,) * n
+    if fam == "B":
+        return (1,) + (2,) * (n - 1)
+    if fam == "C":
+        return (2,) * (n - 1) + (1,)
+    if fam == "D":
+        return (1,) + (2,) * (n - 3) + (1, 1)
+    if fam == "G":
+        return (2, 3)
+    if fam == "F":
+        return (2, 3, 4, 2)
+    return {6: (1, 2, 3, 2, 1, 2),
+            7: (2, 3, 4, 3, 2, 1, 2),
+            8: (2, 3, 4, 5, 6, 4, 2, 3)}[n]
+
+
+def weyl_order_oracle(did) -> int:
+    """|W| per family."""
+    fam, n = did.family, did.rank
+    if fam == "A":
+        return math.factorial(n + 1)
+    if fam in ("B", "C"):
+        return 2 ** n * math.factorial(n)
+    if fam == "D":
+        return 2 ** (n - 1) * math.factorial(n)
+    if fam == "G":
+        return 12
+    if fam == "F":
+        return 1152
+    return {6: 51840, 7: 2903040, 8: 696729600}[n]
+
+
+def dual_marks_table_oracle(did) -> tuple:
+    """The marks of the dual diagram: B and C swap, F4 and G2 reverse."""
+    family = {"B": "C", "C": "B"}.get(did.family, did.family)
+    marks = marks_oracle(DiagramId(family, did.rank))
+    return marks[::-1] if family in ("F", "G") else marks
+
+
+def build_oracle(did) -> RootSystem:
+    """The RootSystem of did with the marks and |W| of the tables, the metric
+    S = C^-1 D as a full matrix product and S^-1 by a second elimination."""
+    M, norms = _cartan_and_norms(did)
+    n = did.rank
+    Minv = mat_inverse(M)
+    D = tuple(tuple(norms[i] / 2 if i == j else Fraction(0) for j in range(n))
+              for i in range(n))
+    S = tuple(tuple(sum(Minv[i][j] * D[j][c] for j in range(n)) for c in range(n))
+              for i in range(n))
+    marks = marks_oracle(did)
+    rs = RootSystem(
+        id=did, cartan=M, cartan_inv=Minv, root_norms=norms,
+        metric=S, metric_inv=mat_inverse(S), marks=marks,
+        comarks=tuple(int(m * norms[i] / 2) for i, m in enumerate(marks)),
+        rho=vec([1] * n), weyl_order=weyl_order_oracle(did),
+    )
+    _sanity(rs)
+    return rs
 
 
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j])   # i**q, indexed by q in -2..2

@@ -191,7 +191,7 @@ def test_hermite_polynomials():
     assert hermite_polynomial(2, 0.5) == pytest.approx(4 * 0.25 - 2)
 
 
-@pytest.mark.parametrize("n", [-1, -3, 2.5, "2"])
+@pytest.mark.parametrize("n", [-1, -3, 2.5, "2", True, False])
 def test_a_hermite_degree_that_is_not_a_natural_number_is_refused(n):
     with pytest.raises(ValueError, match=rf"^the Hermite polynomial H_n needs an integer "
                                          rf"degree n >= 0, got n = {n}$"):

@@ -39,9 +39,9 @@ from orbitfuncs.rootsys import (
     to_orthogonal,
 )
 from orbitfuncs.transforms import (
-    build_plan, continuous_orthogonality_residual, cosine_integral_transform, default_labels,
-    dst_dct_1d, fundamental_domain_quadrature, grid_fm, multivariate_plan,
-    series_coefficients, series_synthesis, sine_integral_transform,
+    PlanSeparationError, build_plan, continuous_orthogonality_residual,
+    cosine_integral_transform, default_labels, dst_dct_1d, fundamental_domain_quadrature,
+    grid_fm, multivariate_plan, series_coefficients, series_synthesis, sine_integral_transform,
 )
 from orbitfuncs.weyl import (
     in_fundamental_domain, orbit, signed_orbit, stabilizer_order, to_dominant,
@@ -311,6 +311,19 @@ def test_a_size_that_is_not_a_whole_number_is_refused_by_name(arg, bad, good, ca
         call(bad)
     np.testing.assert_equal(*(vars(out) if hasattr(out, "__dict__") else out
                               for out in (call(good), call(np.int64(good)))))
+
+
+# a plan tolerance that is not a positive finite number switched the
+# separation check off (NaN: a plan with residual 147 from two equal
+# labels), refused valid labels (-1), or was a bare TypeError ("1e-9")
+@pytest.mark.parametrize("bad", [math.nan, -1, 0, math.inf, "1e-9", None, -1e-9])
+def test_a_plan_tolerance_that_is_not_positive_and_finite_is_refused_by_name(bad):
+    with pytest.raises(ValueError, match=rf"^tol must be a positive finite number, "
+                                         rf"got tol = {re.escape(repr(bad))}$"):
+        build_plan(_A2, 7, labels=[(1, 1), (1, 1)], tol=bad)
+    with pytest.raises(PlanSeparationError, match="are not separated"):
+        build_plan(_A2, 7, labels=[(1, 1), (1, 1)])
+    assert build_plan(_A2, 7, labels=[(1, 1), (2, 1)], tol=1e-12).residual < 1e-12 * 49 * 3
 
 
 @pytest.mark.parametrize("arg,call", SIZES_STEPS_AND_LABELS,

@@ -150,6 +150,27 @@ def test_check_laplace_exit_codes():
     assert res.exit_code == 1
 
 
+# --tolerance 0 was read as "no tolerance" and replaced by the default, and
+# --tolerance nan printed "tolerance": NaN, which is not JSON, and exited 0
+# whatever the error
+@pytest.mark.parametrize("verb", [["plan", "verify", "--diagram", "A2", "--M", "7"],
+                                  ["check", "laplace", "--diagram", "C2", "--lambda", "2,1",
+                                   "--trials", "1"]])
+@pytest.mark.parametrize("bad", ["nan", "0", "-1", "inf", "-inf"])
+def test_a_tolerance_that_is_not_positive_and_finite_is_refused_when_parsed(bad, verb):
+    res = CliRunner().invoke(main, ["--tolerance", bad, *verb])
+    assert res.exit_code == 2
+    assert f"Invalid value for '--tolerance': --tolerance must be a positive finite " \
+           f"number, got --tolerance = {float(bad)!r}" in res.output
+
+
+def test_a_given_tolerance_replaces_the_default_of_the_check():
+    for given, used in ((), 1e-5), (("--tolerance", "0.25"), 0.25):
+        res = run(*given, "check", "laplace", "--diagram", "C2", "--lambda", "2,1",
+                  "--trials", "1")
+        assert res.exit_code == 0 and json.loads(res.output)["tolerance"] == used
+
+
 def test_check_shift():
     res = run("check", "shift", "--diagram", "A2", "--lambda", "2,1",
               "--trials", "4")

@@ -264,7 +264,10 @@ def test_dual_marks():
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4",
-                                   "C2", "C3", "C4", "D4", "D5", "G2"])
+                                   "C2", "C3", "C4", "D4", "D5", "G2",
+                                   "A6", "A7", "A8", "B5", "B6", "B7", "B8",
+                                   "C5", "C6", "C7", "C8", "D6", "D7", "D8",
+                                   "E6", "E7", "E8", "F4"])
 def test_static_dual_marks_match_the_highest_short_root(label):
     from orbitfuncs.weyl import dual_marks
     rs = build(label)
