@@ -18,7 +18,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .rootsys import RootSystem, inner, orth_dim, rank_vec, _count, _integer, _positive
+from .rootsys import (
+    RootSystem, inner, orth_dim, rank_vec, _BoundedCache, _count, _integer, _positive,
+)
 from .weyl import orth_action, _group
 from .orbitfn import (
     eval_orbit_function, eval_batch, eval_orth_batch, _cis, _float_points, _pairing,
@@ -36,13 +38,9 @@ def laplace_check(rs: RootSystem, m: Sequence, x: Sequence,
     Returns (fd value, predicted eigenvalue times the value, relative
     error).
     """
-    fd, f0 = _apply_quadratic_operator(
-        lambda pts: eval_orth_batch(rs, "anti", m, pts), np.eye(orth_dim(rs)),
-        _float_points(rs, [x], orth_dim(rs))[0], h)
-    eig = -4 * math.pi ** 2 * float(sum(Fraction(v) ** 2 for v in m))
-    ref = eig * f0
-    rel = abs(fd - ref) / max(abs(ref), 1e-300)
-    return fd, ref, rel
+    return _quadratic_check(rs, lambda pts: eval_orth_batch(rs, "anti", m, pts),
+                            np.eye(orth_dim(rs)), x, h,
+                            lambda: sum(Fraction(v) ** 2 for v in m))
 
 
 def laplace_check_omega(rs: RootSystem, lam: Sequence, x: Sequence,
@@ -50,49 +48,67 @@ def laplace_check_omega(rs: RootSystem, lam: Sequence, x: Sequence,
     """The same eigencheck in omega coordinates: the second-order operator
     with the inverse metric as coefficients reproduces -4 pi^2 <lam, lam>.
     Works for every diagram, G_2 included."""
-    coeffs = [[float(c) for c in row] for row in rs.metric_inv]
-    fd, f0 = _apply_quadratic_operator(
-        lambda pts: eval_batch(rs, "anti", lam, pts), coeffs,
-        _float_points(rs, [x], rs.rank)[0], h)
-    eig = -4 * math.pi ** 2 * float(inner(rs, lam, lam))
-    ref = eig * f0
-    rel = abs(fd - ref) / max(abs(ref), 1e-300)
-    return fd, ref, rel
+    return _quadratic_check(rs, lambda pts: eval_batch(rs, "anti", lam, pts),
+                            rs.metric_inv, x, h, lambda: inner(rs, lam, lam))
 
 
-def _apply_quadratic_operator(f: Callable, coeffs, x: np.ndarray,
-                              h: float) -> tuple[complex, complex]:
-    """sum_ij c_ij D_i D_j f at x by central differences, and f(x), both
-    from one batch of f; ValueError unless the step h is a positive finite
-    number."""
+def _quadratic_check(rs: RootSystem, f: Callable, coeffs, x: Sequence, h: float,
+                     eigenvalue: Callable) -> tuple[complex, complex, float]:
+    """sum_i c_ii D_i^2 f + sum_{i<j} (c_ij + c_ji) D_i D_j f at x, zero
+    coefficients skipped, against -4 pi^2 eigenvalue() f(x); the eigenvalue
+    is taken after f has checked the weight."""
+    c = np.array(coeffs, dtype=float).tolist()
+    n = len(c)
+    op = tuple((c[i][i], ((i, 2),)) for i in range(n) if c[i][i])
+    op += tuple((c[i][j] + c[j][i], ((i, 1), (j, 1)))
+                for i in range(n) for j in range(i + 1, n) if c[i][j] + c[j][i])
+    fd, f0 = (v.item() for v in _central_differences(f, _float_points(rs, [x], n), (op,), h))
+    ref = -4 * math.pi ** 2 * float(eigenvalue()) * f0
+    return fd, ref, abs(fd - ref) / max(abs(ref), 1e-300)
+
+
+_STENCILS = _BoundedCache(32)   # (ops, n, h) -> _stencil(ops, n, h), built once
+
+
+def _central_differences(f: Callable, x: np.ndarray, ops: tuple,
+                         h: float) -> tuple[np.ndarray, np.ndarray]:
+    """The (len(ops), N) values of the operators ops at the rows of the
+    (N, n) array x, and the (N,) values f(x), from one call of f on x and
+    the union of the stencil points; ValueError unless the step h is a
+    positive finite number.  An operator is a tuple of terms
+    (c, ((i, k_i), ...)), the sum of c * prod_i D_i^{k_i} with k_i in {1, 2}."""
     h = _positive(h, "h")
-    n = len(x)
-    pts = [x]
-    index = {}
-    for i in range(n):
-        for j in range(n):
-            if coeffs[i][j] == 0 or (j, i) in index:
-                continue
-            if i == j:
-                e = np.zeros(n)
-                e[i] = h
-                index[(i, i)] = len(pts)
-                pts.extend([x + e, x - e])
-            else:
-                ei, ej = np.zeros(n), np.zeros(n)
-                ei[i], ej[j] = h, h
-                index[(i, j)] = len(pts)
-                pts.extend([x + ei + ej, x + ei - ej, x - ei + ej, x - ei - ej])
-    vals = f(np.array(pts))
-    f0 = vals[0]
-    total = 0j
-    for (i, j), k in index.items():
-        if i == j:
-            total += coeffs[i][i] * (vals[k] - 2 * f0 + vals[k + 1]) / h ** 2
-        else:
-            c = coeffs[i][j] + coeffs[j][i]
-            total += c * (vals[k] - vals[k + 1] - vals[k + 2] + vals[k + 3]) / (4 * h ** 2)
-    return total, f0
+    n = x.shape[1]
+    W, offsets = _STENCILS.lookup((ops, n, h), lambda: _stencil(ops, n, h))
+    vals = f((x + offsets[:, None]).reshape(-1, n)).reshape(len(offsets), -1)
+    return W @ vals, vals[0]
+
+
+def _stencil(ops: tuple, n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """The (len(ops), P) weights and the (P, n) offsets, 0 first, of the
+    points of the stencils, read-only.  A term's stencil is the product of
+    the 1-D central differences (f(x+h) - f(x-h)) / 2h and
+    (f(x+h) - 2 f(x) + f(x-h)) / h^2."""
+    central = {1: ((1, 0.5 / h), (-1, -0.5 / h)),
+               2: ((1, h ** -2), (0, -2 * h ** -2), (-1, h ** -2))}
+    index = {(0,) * n: 0}   # offset in steps of h -> point
+    weights = []
+    for op in ops:
+        w = {}
+        weights.append(w)
+        for c, axes in op:
+            stencil = [((0,) * n, c)]
+            for i, k in axes:
+                stencil = [(off[:i] + (step,) + off[i + 1:], cw * sw)
+                           for off, cw in stencil for step, sw in central[k]]
+            for off, cw in stencil:
+                j = index.setdefault(off, len(index))
+                w[j] = w.get(j, 0.0) + cw
+    W = np.array([[w.get(j, 0.0) for j in range(len(index))] for w in weights], dtype=complex)
+    offsets = h * np.array(list(index), dtype=float)
+    for a in (W, offsets):
+        a.setflags(write=False)
+    return W, offsets
 
 
 def sigma2_check(rs: RootSystem, m: Sequence, x: Sequence,
@@ -100,20 +116,9 @@ def sigma2_check(rs: RootSystem, m: Sequence, x: Sequence,
     """Second elementary symmetric polynomial of the coordinate second
     derivatives: eigenvalue (-4 pi^2)^2 sigma_2(m_1^2, ..., m_r^2)."""
     r = orth_dim(rs)
-    xv = _float_points(rs, [x], r)[0]
-    h = _positive(h, "h")
-    f = lambda pts: eval_orth_batch(rs, "anti", m, pts)
-    total = 0j
-    for i in range(r):
-        for j in range(i + 1, r):
-            # 9-point stencil for D_i^2 D_j^2
-            ei, ej = np.zeros(r), np.zeros(r)
-            ei[i], ej[j] = h, h
-            pts = [xv + a * ei + b * ej for a in (1, 0, -1) for b in (1, 0, -1)]
-            v = f(np.array(pts)).reshape(3, 3)
-            di2 = (v[0] - 2 * v[1] + v[2]) / h ** 2      # D_i^2 along axis 0
-            total += (di2[0] - 2 * di2[1] + di2[2]) / h ** 2
-    f0 = complex(f(xv[None, :])[0])
+    op = tuple((1.0, ((i, 2), (j, 2))) for i in range(r) for j in range(i + 1, r))
+    total, f0 = (v.item() for v in _central_differences(
+        lambda pts: eval_orth_batch(rs, "anti", m, pts), _float_points(rs, [x], r), (op,), h))
     sig2 = sum(Fraction(m[i]) ** 2 * Fraction(m[j]) ** 2
                for i in range(r) for j in range(i + 1, r))
     ref = (4 * math.pi ** 2) ** 2 * float(sig2) * f0
@@ -194,19 +199,12 @@ def gradient_sum_residual(rs: RootSystem, m: Sequence, x: Sequence,
     character (A, B, C, and even-rank D)."""
     r = orth_dim(rs)
     xv = _float_points(rs, [x], r)[0]
-    h = _positive(h, "h")
     perm, signs = orth_action(rs)
-    images = signs * xv[perm]
-    worst = 0.0
-    for i in range(r):
-        e = np.zeros(r)
-        e[i] = h
-        up = eval_orth_batch(rs, "anti", m, images + e)
-        dn = eval_orth_batch(rs, "anti", m, images - e)
-        grads = (up - dn) / (2 * h)
-        scale = float(np.sum(np.abs(grads))) or 1.0
-        worst = max(worst, abs(np.sum(grads)) / scale)
-    return worst
+    ops = tuple(((1.0, ((i, 1),)),) for i in range(r))   # D_i at every image w x
+    grads, _ = _central_differences(lambda pts: eval_orth_batch(rs, "anti", m, pts),
+                                    signs * xv[perm], ops, h)
+    scale = np.sum(np.abs(grads), axis=1)
+    return float(np.max(np.abs(np.sum(grads, axis=1)) / np.where(scale > 0, scale, 1.0)))
 
 
 # -- Hermite polynomials and transform eigenfunctions -----------------------

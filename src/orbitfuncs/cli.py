@@ -92,6 +92,9 @@ def _tolerance(ctx, default: float) -> float:
 def main(ctx, fmt, outfile, tolerance, seed):
     """Weyl-group orbit functions: root data, orbits, evaluation, orbit
     algebra, grids, discrete transforms, and verification suites."""
+    if tolerance is not None and ctx.invoked_subcommand not in ("plan", "check"):
+        raise click.UsageError(f"--tolerance is read only by 'plan verify' and the 'check' "
+                               f"verbs, not by '{ctx.invoked_subcommand}'")
     ctx.ensure_object(dict)
     ctx.obj.update(fmt=fmt, tolerance=tolerance, seed=seed,
                    out=ctx.with_resource(open(outfile, "w")) if outfile else sys.stdout)
@@ -201,17 +204,12 @@ def product_cmd(ctx, diagram, plain1, signed1, plain2, signed2):
     """Decompose a product of two (signed) orbits."""
     from . import orbitalg as algmod
     rs = build(diagram)
-    given = [v for v in (plain1, signed1, plain2, signed2) if v is not None]
-    if len(given) != 2:
+    factors = [(kind, v) for kind, v in (("orbit", plain1), ("signed", signed1),
+                                         ("orbit", plain2), ("signed", signed2)) if v is not None]
+    if len(factors) != 2:
         raise click.UsageError("give exactly two orbit factors")
-    if plain1 and signed1 and not (plain2 or signed2):
-        osum = algmod.product_plain_signed(rs, _parse_vec(plain1), _parse_vec(signed1))
-    elif signed1 and signed2:
-        osum = algmod.product_signed_signed(rs, _parse_vec(signed1), _parse_vec(signed2))
-    elif plain1 and plain2:
-        osum = algmod.product_plain_plain(rs, _parse_vec(plain1), _parse_vec(plain2))
-    else:
-        raise click.UsageError("unsupported factor combination")
+    (kind1, lam), (kind2, mu) = factors
+    osum = algmod.expand_function_product(rs, kind1, _parse_vec(lam), kind2, _parse_vec(mu))
     _emit(ctx, {"diagram": rs.id.label, "terms": _orbit_sum_payload(osum)})
 
 
@@ -228,6 +226,10 @@ def branch_cmd(ctx, source, rule, lam):
     rs = build(source)
     rule = rule.lower()
     if rule in ("drop", "drop-last", "drop-first"):
+        end = "last" if rs.family == "A" else "first"   # the coordinate that drop removes
+        if rule not in ("drop", f"drop-{end}") and rs.family in "ABCD":
+            raise click.UsageError(f"--rule {rule} does not apply to {rs.id.label}: drop removes "
+                                   f"the {end} coordinate on {rs.family}; use drop-{end} or drop")
         br = algmod.BranchRule("drop")
     elif rule.startswith("split-"):
         br = algmod.BranchRule("split", int(rule.split("-", 1)[1]))

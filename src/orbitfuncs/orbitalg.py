@@ -99,11 +99,13 @@ def product_plain_plain(rs: RootSystem, lam: Sequence, mu: Sequence) -> OrbitSum
     return _collect({lab: c // stab for lab, c in counter.items()}, "orbit")
 
 
+# each product looked up by its name at call time, so that a caller which
+# rebinds it (the bench tracer) sees the calls made through this table
 _PRODUCTS = {
-    ("orbit", "orbit"): product_plain_plain,
-    ("orbit", "signed"): product_plain_signed,
+    ("orbit", "orbit"): lambda rs, lam, mu: product_plain_plain(rs, lam, mu),
+    ("orbit", "signed"): lambda rs, lam, mu: product_plain_signed(rs, lam, mu),
     ("signed", "orbit"): lambda rs, lam, mu: product_plain_signed(rs, mu, lam),
-    ("signed", "signed"): product_signed_signed,
+    ("signed", "signed"): lambda rs, lam, mu: product_signed_signed(rs, lam, mu),
 }
 
 
@@ -134,13 +136,6 @@ class BranchRule:
     """
     kind: str
     p: int = 0
-
-    def targets(self, rs: RootSystem) -> tuple[tuple[str, int], ...]:
-        fam, n = rs.family, rs.rank
-        if self.kind == "drop":
-            return ((fam, n - 1),)
-        q = (n + 1 if fam == "A" else n) - self.p
-        return (("A", self.p - 1), (fam, q))
 
 
 def branch(rs: RootSystem, rule: BranchRule, m: Sequence) -> OrbitSum:

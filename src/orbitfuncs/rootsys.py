@@ -83,6 +83,9 @@ class DiagramId:
         fam, n = self.family, self.rank
         if fam not in _FAMILIES:
             raise InvalidDiagramError(f"unknown family {fam!r}")
+        if not _integer(n):
+            raise InvalidDiagramError(f"rank {n!r} of family {fam} is not an integer")
+        object.__setattr__(self, "rank", int(n))   # a numpy integer as an int
         bounds = {"A": (1, None), "B": (2, None), "C": (2, None), "D": (4, None),
                   "E": (6, 8), "F": (4, 4), "G": (2, 2)}
         lo, hi = bounds[fam]

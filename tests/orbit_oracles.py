@@ -74,6 +74,14 @@ turn.  ``branch_terms_a_drop`` and ``branch_terms_a_split`` are the
 closed-form A_n branching generators that ``orbitalg`` kept beside
 ``branch``: one term per dropped coordinate or per p-subset, signed by the
 parity of the shuffle.
+``quadratic_operator_oracle``, ``sigma2_stencil_oracle`` and
+``gradient_oracle`` are the three central-difference stencils that
+``analysis`` wrote out before its one stencil builder: the second-order
+operator of both Laplace checks from one batch, the 9-point D_i^2 D_j^2
+stencil with one call of the function per pair of axes and one for f(x),
+and the gradient at the images of x with two calls per axis.  Each takes
+the function f of an (N, n) array of points and also returns the rounding
+scale sum_k |w_k f(x_k)| of its stencil sums.
 """
 
 import functools
@@ -829,3 +837,71 @@ def branch_terms_a_split(m, p: int) -> tuple:
         out.append(OrbitTerm(sign, (tuple(mv[i] for i in idx),
                                     tuple(mv[i] for i in rest)), "signed"))
     return tuple(sorted(out, key=lambda t: t.label))
+
+
+def quadratic_operator_oracle(f, coeffs, x: np.ndarray, h: float) -> tuple:
+    """sum_ij c_ij D_i D_j f at the point x by central differences, f(x)
+    and the rounding scale of the sum, all from one batch of f: two points
+    per nonzero c_ii, four per pair i < j with a nonzero c_ij or c_ji."""
+    n = len(x)
+    pts = [x]
+    index = {}
+    for i in range(n):
+        for j in range(n):
+            if coeffs[i][j] == 0 or (j, i) in index:
+                continue
+            if i == j:
+                e = np.zeros(n)
+                e[i] = h
+                index[(i, i)] = len(pts)
+                pts.extend([x + e, x - e])
+            else:
+                ei, ej = np.zeros(n), np.zeros(n)
+                ei[i], ej[j] = h, h
+                index[(i, j)] = len(pts)
+                pts.extend([x + ei + ej, x + ei - ej, x - ei + ej, x - ei - ej])
+    vals = f(np.array(pts))
+    f0 = vals[0]
+    total, scale = 0j, 0.0
+    for (i, j), k in index.items():
+        if i == j:
+            total += coeffs[i][i] * (vals[k] - 2 * f0 + vals[k + 1]) / h ** 2
+            scale += abs(coeffs[i][i]) * (abs(vals[k]) + 2 * abs(f0) + abs(vals[k + 1])) / h ** 2
+        else:
+            c = coeffs[i][j] + coeffs[j][i]
+            total += c * (vals[k] - vals[k + 1] - vals[k + 2] + vals[k + 3]) / (4 * h ** 2)
+            scale += abs(c) * sum(abs(v) for v in vals[k:k + 4]) / (4 * h ** 2)
+    return total, f0, scale
+
+
+def sigma2_stencil_oracle(f, x: np.ndarray, h: float) -> tuple:
+    """sum_{i<j} D_i^2 D_j^2 f at the point x by one 9-point stencil and
+    one call of f per pair, f(x) by one more call, and the rounding scale
+    of the sum."""
+    r = len(x)
+    total, scale = 0j, 0.0
+    for i in range(r):
+        for j in range(i + 1, r):
+            ei, ej = np.zeros(r), np.zeros(r)
+            ei[i], ej[j] = h, h
+            pts = [x + a * ei + b * ej for a in (1, 0, -1) for b in (1, 0, -1)]
+            v = f(np.array(pts)).reshape(3, 3)
+            di2 = (v[0] - 2 * v[1] + v[2]) / h ** 2      # D_i^2 along axis 0
+            total += (di2[0] - 2 * di2[1] + di2[2]) / h ** 2
+            scale += float(np.sum(np.abs(np.outer([1, 2, 1], [1, 2, 1]) * v))) / h ** 4
+    return total, complex(f(x[None, :])[0]), scale
+
+
+def gradient_oracle(f, images: np.ndarray, h: float) -> tuple:
+    """The (r, N) central-difference gradients of f at the N rows of
+    images, two calls of f per axis, and the rounding scale
+    (|f(y + h e_i)| + |f(y - h e_i)|) / 2h of each."""
+    r = images.shape[1]
+    grads, scales = [], []
+    for i in range(r):
+        e = np.zeros(r)
+        e[i] = h
+        up, dn = f(images + e), f(images - e)
+        grads.append((up - dn) / (2 * h))
+        scales.append((np.abs(up) + np.abs(dn)) / (2 * h))
+    return np.array(grads), np.array(scales)

@@ -5,20 +5,24 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from orbitfuncs.orbitfn import _cis
+from orbitfuncs import analysis
+from orbitfuncs.orbitfn import _cis, _float_points, eval_batch, eval_orth_batch
 from orbitfuncs.rootsys import build, inner, orth_dim
+from orbitfuncs.weyl import orth_action
 from orbitfuncs.analysis import (
     laplace_check, laplace_check_omega, sigma2_check, omega_basis_operator,
     shift_operator_check, gradient_sum_residual,
     hermite_polynomial, hermite_sym_anti,
     PlaneWaveQuadrature, transform_eigen_check, transform_fourth_power_residual,
     monomial_family, hermite_family, generic_sym_poly, generic_anti_poly,
-    generic_anti_quotient, generic_anti_orthogonality, _hermite_factors, _tensor,
+    generic_anti_quotient, generic_anti_orthogonality, _central_differences, _hermite_factors,
+    _tensor,
 )
 
 from orbit_oracles import (
-    gaussian_hermite_samples, hermite_explicit, shift_operator_check_oracle,
-    transform_eigen_check_oracle, transform_fourth_power_oracle,
+    gaussian_hermite_samples, gradient_oracle, hermite_explicit, quadratic_operator_oracle,
+    shift_operator_check_oracle, sigma2_stencil_oracle, transform_eigen_check_oracle,
+    transform_fourth_power_oracle,
 )
 
 RNG = random.Random(777)
@@ -365,3 +369,139 @@ def test_malformed_points_are_named():
                 call((0.1, bad))
             # the message shows the row as given, not numpy's reading of it
             assert str(err.value).endswith(f": [0.1, {bad}]")
+
+
+# -- the one stencil builder against the three stencils it replaced ---------
+
+U = 2.0 ** -53
+
+
+def _stencil_cases() -> list:
+    """(diagram, orthogonal label, point): the fixed points of the tests and
+    of selftest, the D4 point where |f| = 4e-14, and interior points drawn
+    as in test_laplace_orthogonal_families."""
+    rng = random.Random(24)
+    cases = [("C2", (2, 1), (0.21, 0.13)), ("C2", (2, 1), (0.23, 0.11)),
+             ("C2", (2, 1), (0.71, 0.33)), ("B3", (F(7, 2), F(5, 2), F(1, 2)), (0.31, 0.19, 0.07)),
+             ("D4", (5, 3, 2, 1), (1.3, 0.9, 0.6, 0.2))]
+    for label in ["A2", "A3", "B3", "C2", "C3", "D4"]:
+        r = orth_dim(build(label))
+        for _ in range(3):
+            m = sorted(rng.sample(range(1, 5 + r), r), reverse=True)
+            base = sorted((rng.uniform(0.05, 0.45) for _ in range(r)), reverse=True)
+            cases.append((label, tuple(m), tuple(v + 0.3 * (r - i) for i, v in enumerate(base))))
+    return cases
+
+
+STENCIL_CASES = _stencil_cases()
+
+
+def _pointwise(evaluate):
+    """evaluate one point per call, so that a value does not depend on the
+    batch it is computed in and the two routes differ only in how they sum"""
+    return lambda rs, kind, lam, pts: np.array([evaluate(rs, kind, lam, [p])[0] for p in pts])
+
+
+def _rounding(points: int, scale: float) -> float:
+    """The rounding of a sum of `points` stencil terms of total size scale,
+    on either route, as tests/test_phase_kernel.py bounds a phase sum."""
+    return (2 * points + 8) * U * scale
+
+
+@pytest.mark.parametrize("label, m, x", STENCIL_CASES)
+def test_laplace_check_is_the_quadratic_operator_oracle(label, m, x, monkeypatch):
+    monkeypatch.setattr(analysis, "eval_orth_batch", _pointwise(eval_orth_batch))
+    rs = build(label)
+    r = orth_dim(rs)
+    fd, ref, rel = laplace_check(rs, m, x)
+    f = lambda pts: analysis.eval_orth_batch(rs, "anti", m, pts)
+    ofd, f0, scale = quadratic_operator_oracle(f, np.eye(r), _float_points(rs, [x], r)[0], 1e-4)
+    assert ref == -4 * math.pi ** 2 * float(sum(F(v) ** 2 for v in m)) * f0
+    bound = _rounding(2 * r + 1, scale)
+    assert abs(fd - ofd) <= bound
+    assert abs(rel - abs(ofd - ref) / abs(ref)) <= bound / abs(ref) + 4 * U * rel
+
+
+@pytest.mark.parametrize("label, lam, x", [
+    ("A2", (1, 1), (0.11, 0.17)), ("A2", (2, 1), (0.2, 0.1)), ("C2", (1, 2), (0.05, 0.3)),
+    ("G2", (2, 1), (0.13, 0.07)), ("G2", (1, 3), (0.29, 0.05)),
+    ("B3", (1, 2, 1), (0.11, 0.23, 0.07))])
+def test_laplace_check_omega_is_the_quadratic_operator_oracle(label, lam, x, monkeypatch):
+    monkeypatch.setattr(analysis, "eval_batch", _pointwise(eval_batch))
+    rs = build(label)
+    n = rs.rank
+    fd, ref, _ = laplace_check_omega(rs, lam, x)
+    coeffs = [[float(c) for c in row] for row in rs.metric_inv]
+    f = lambda pts: analysis.eval_batch(rs, "anti", lam, pts)
+    ofd, f0, scale = quadratic_operator_oracle(f, coeffs, _float_points(rs, [x], n)[0], 1e-4)
+    assert ref == -4 * math.pi ** 2 * float(inner(rs, lam, lam)) * f0
+    assert abs(fd - ofd) <= _rounding(1 + 2 * n * n, scale)
+
+
+@pytest.mark.parametrize("label, m, x", STENCIL_CASES)
+def test_sigma2_check_is_the_nine_point_oracle(label, m, x, monkeypatch):
+    monkeypatch.setattr(analysis, "eval_orth_batch", _pointwise(eval_orth_batch))
+    rs = build(label)
+    r = orth_dim(rs)
+    rel = sigma2_check(rs, m, x)
+    f = lambda pts: analysis.eval_orth_batch(rs, "anti", m, pts)
+    total, f0, scale = sigma2_stencil_oracle(f, _float_points(rs, [x], r)[0], 1e-3)
+    sig2 = sum(F(m[i]) ** 2 * F(m[j]) ** 2 for i in range(r) for j in range(i + 1, r))
+    ref = (4 * math.pi ** 2) ** 2 * float(sig2) * f0
+    bound = _rounding(9 * r * (r - 1) // 2, scale) / abs(ref) + 4 * U * rel
+    assert abs(rel - abs(total - ref) / abs(ref)) <= bound
+
+
+@pytest.mark.parametrize("label, m, x", STENCIL_CASES)
+def test_gradient_sum_residual_is_the_per_axis_oracle(label, m, x, monkeypatch):
+    monkeypatch.setattr(analysis, "eval_orth_batch", _pointwise(eval_orth_batch))
+    rs = build(label)
+    perm, signs = orth_action(rs)
+    images = signs * _float_points(rs, [x], orth_dim(rs))[0][perm]
+    grads, scales = gradient_oracle(lambda pts: analysis.eval_orth_batch(rs, "anti", m, pts),
+                                    images, 1e-5)
+    size = np.abs(grads).sum(axis=1)
+    oracle = np.abs(grads.sum(axis=1)) / size
+    # each gradient rounds within a 3-point bound, and each sum over the
+    # |W| images within |W| u of its size; the ratio at most doubles that
+    err = _rounding(3, scales.sum(axis=1)) + len(images) * U * size
+    assert abs(gradient_sum_residual(rs, m, x) - np.max(oracle)) <= np.max(2 * err / size)
+
+
+def test_each_derivative_check_calls_its_function_once(monkeypatch):
+    calls = []
+    for name in ("eval_orth_batch", "eval_batch"):
+        def spy(*args, _name=name, _call=getattr(analysis, name)):
+            calls.append(_name)
+            return _call(*args)
+        monkeypatch.setattr(analysis, name, spy)
+    c2, a3, g2 = build("C2"), build("A3"), build("G2")
+    for check, name in [(lambda: laplace_check(c2, (2, 1), (0.21, 0.13)), "eval_orth_batch"),
+                        (lambda: laplace_check(a3, (4, 2, 1, 0), (1.2, 0.9, 0.5, 0.1)),
+                         "eval_orth_batch"),
+                        (lambda: laplace_check_omega(g2, (2, 1), (0.13, 0.07)), "eval_batch"),
+                        (lambda: laplace_check_omega(a3, (1, 2, 1), (0.1, 0.2, 0.05)),
+                         "eval_batch"),
+                        (lambda: sigma2_check(a3, (4, 2, 1, 0), (1.2, 0.9, 0.5, 0.1)),
+                         "eval_orth_batch"),
+                        (lambda: gradient_sum_residual(a3, (4, 2, 1, 0), (1.2, 0.9, 0.5, 0.1)),
+                         "eval_orth_batch")]:
+        calls.clear()
+        check()
+        assert calls == [name]
+
+
+def test_central_differences_are_exact_on_quadratics():
+    # the central differences are exact for a polynomial of degree <= 2 in
+    # each variable, so only rounding (about u |f| / h^4) is left
+    def f(pts):
+        x0, x1, x2 = pts.T
+        return (x0 ** 2 * x1 ** 2 + 3 * x0 * x1 + x2 ** 2).astype(complex)
+    ops = (((1.0, ((0, 2),)),), ((2.0, ((0, 1), (1, 1))),),
+           ((1.0, ((0, 2), (1, 2))), (-1.0, ((2, 1),))))
+    x = np.array([[0.3, -0.7, 0.4], [1.1, 0.2, -0.5]])
+    vals, f0 = _central_differences(f, x, ops, 1e-2)
+    x0, x1, x2 = x.T
+    want = [2 * x1 ** 2, 2 * (4 * x0 * x1 + 3), 4 - 2 * x2]
+    assert np.allclose(vals, want, rtol=0, atol=1e-6)
+    assert np.array_equal(f0, f(x))

@@ -76,6 +76,64 @@ def test_branch_command():
     assert got == {(("2", "1"), 1), (("2", "0"), -1), (("1", "0"), 1)}
 
 
+PLAIN_SIGNED_ORDERS = [("--plain", "--signed"), ("--plain", "--signed2"),
+                       ("--signed", "--plain2"), ("--plain2", "--signed2")]
+
+
+# --plain with --signed2 and --signed with --plain2 exited 2 with
+# "unsupported factor combination", although the library multiplies them
+@pytest.mark.parametrize("first, second", PLAIN_SIGNED_ORDERS)
+def test_product_takes_a_plain_and_a_signed_factor_in_any_order(first, second):
+    from orbitfuncs.orbitalg import product_plain_signed
+    from orbitfuncs.rootsys import build
+    plain, signed = "2,0", "3,1"
+    values = {first: plain if "plain" in first else signed,
+              second: plain if "plain" in second else signed}
+    res = run("product", "--diagram", "A2", first, values[first], second, values[second])
+    assert res.exit_code == 0
+    want = product_plain_signed(build("A2"), (2, 0), (3, 1))
+    assert json.loads(res.output)["terms"] == [
+        {"coefficient": t.coefficient, "label": [str(c) for c in t.label], "kind": "signed"}
+        for t in want]
+
+
+@pytest.mark.parametrize("plain_or_signed", ["plain", "signed"])
+def test_product_of_two_factors_of_one_kind(plain_or_signed):
+    from orbitfuncs.orbitalg import product_plain_plain, product_signed_signed
+    from orbitfuncs.rootsys import build
+    product = product_plain_plain if plain_or_signed == "plain" else product_signed_signed
+    res = run("product", "--diagram", "C2", f"--{plain_or_signed}", "1,1",
+              f"--{plain_or_signed}2", "2,1")
+    assert res.exit_code == 0
+    terms = json.loads(res.output)["terms"]
+    assert [(t["coefficient"], tuple(t["label"])) for t in terms] == [
+        (t.coefficient, tuple(str(c) for c in t.label))
+        for t in product(build("C2"), (1, 1), (2, 1))]
+
+
+@pytest.mark.parametrize("factors", [[], ["--plain", "1,0"],
+                                     ["--plain", "1,0", "--signed", "1,1", "--signed2", "1,1"]])
+def test_product_needs_exactly_two_factors(factors):
+    res = CliRunner().invoke(main, ["product", "--diagram", "A2", *factors])
+    assert res.exit_code == 2 and "give exactly two orbit factors" in res.output
+
+
+# drop-first on A and drop-last on B, C and D printed the terms of the
+# other end's drop, which is the only one the library has
+@pytest.mark.parametrize("source, rule, lam, end", [
+    ("A3", "drop-first", "3,2,1,0", "last"), ("B3", "drop-last", "3,2,1", "first"),
+    ("C3", "drop-last", "3,2,1", "first"), ("D4", "drop-last", "4,3,2,1", "first")])
+def test_a_drop_alias_of_the_other_end_is_refused(source, rule, lam, end):
+    res = CliRunner().invoke(main, ["branch", "--from", source, "--rule", rule, "--lambda", lam])
+    assert res.exit_code == 2
+    assert f"--rule {rule} does not apply to {source}: drop removes the {end} coordinate" \
+           in res.output
+    same = run("branch", "--from", source, "--rule", f"drop-{end}", "--lambda", lam)
+    assert same.exit_code == 0
+    assert json.loads(same.output)["terms"] == json.loads(
+        run("branch", "--from", source, "--rule", "drop", "--lambda", lam).output)["terms"]
+
+
 def test_grid_csv_roundtrip():
     res = run("grid", "--diagram", "G2", "--M", "3")
     rows = list(csv.reader(io.StringIO(res.output)))
@@ -169,6 +227,31 @@ def test_a_given_tolerance_replaces_the_default_of_the_check():
         res = run(*given, "check", "laplace", "--diagram", "C2", "--lambda", "2,1",
                   "--trials", "1")
         assert res.exit_code == 0 and json.loads(res.output)["tolerance"] == used
+
+
+# --tolerance was accepted and ignored by every verb that does not read it:
+# "--tolerance 1e-30 selftest --quick" exited 0 with its own thresholds
+@pytest.mark.parametrize("verb", [
+    ["selftest", "--quick"], ["rootsys", "info", "A2"],
+    ["orbit", "signed", "--diagram", "A2", "--lambda", "1,1"],
+    ["eval", "--diagram", "A2", "--lambda", "1,1", "--x", "0.1,0.2"],
+    ["product", "--diagram", "A2", "--plain", "1,0", "--signed", "1,1"],
+    ["branch", "--from", "A2", "--rule", "drop", "--lambda", "2,1,0"],
+    ["grid", "--diagram", "A2", "--M", "3"]])
+def test_a_tolerance_for_a_verb_that_does_not_read_it_is_refused(verb):
+    res = CliRunner().invoke(main, ["--tolerance", "1e-3", *verb])
+    assert res.exit_code == 2
+    assert (f"--tolerance is read only by 'plan verify' and the 'check' verbs, "
+            f"not by '{verb[0]}'") in res.output
+
+
+@pytest.mark.parametrize("verb", [["plan", "verify", "--diagram", "A2", "--M", "7"],
+                                  ["check", "shift", "--diagram", "A2", "--lambda", "2,1",
+                                   "--trials", "1"],
+                                  ["check", "hermite", "--max-degree", "1"]])
+def test_the_verbs_that_read_a_tolerance_take_it(verb):
+    res = run("--tolerance", "0.5", *verb)
+    assert res.exit_code == 0
 
 
 def test_check_shift():

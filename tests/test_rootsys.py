@@ -1,10 +1,12 @@
+import re
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from orbitfuncs.rootsys import (
     build, parse_diagram, inner, convert_basis, to_orthogonal, from_orthogonal,
-    InvalidDiagramError, UnsupportedCoordinatesError, orth_pairing_scale,
+    DiagramId, InvalidDiagramError, UnsupportedCoordinatesError, orth_pairing_scale,
     to_json, from_json, mat, orth_dim, vec,
 )
 
@@ -19,6 +21,22 @@ def test_parse_labels():
     for bad in ["A0", "B1", "D3", "G3", "E5", "F5", "H2", "A", "2A"]:
         with pytest.raises(InvalidDiagramError):
             parse_diagram(bad)
+
+
+# a bool rank built "ATrue" with |W| = 2, a float rank labelled "A2.0",
+# and a rank of 2.5 was a bare TypeError from range in build
+@pytest.mark.parametrize("family, rank", [("A", True), ("A", False), ("A", 2.0), ("B", 2.5),
+                                          ("C", "3"), ("D", None), ("G", F(2))])
+def test_a_rank_that_is_not_an_integer_is_refused_by_name(family, rank):
+    with pytest.raises(InvalidDiagramError, match=rf"^rank {re.escape(repr(rank))} of family "
+                                                  rf"{family} is not an integer$"):
+        build(DiagramId(family, rank))
+
+
+def test_a_numpy_integer_rank_is_a_rank():
+    assert DiagramId("A", np.int64(2)).label == "A2"
+    assert type(DiagramId("A", np.int64(2)).rank) is int
+    assert build(DiagramId("B", np.int64(3))).weyl_order == 48
 
 
 def test_cartan_matrices_rank2_rank3():
