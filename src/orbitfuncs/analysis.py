@@ -209,6 +209,8 @@ def gradient_sum_residual(rs: RootSystem, m: Sequence, x: Sequence,
 
 # -- Hermite polynomials and transform eigenfunctions -----------------------
 
+_BLOCK = 2 ** 14   # entries per block of an R x R array that is never formed whole
+
 def hermite_polynomial(n: int, x):
     """Physicists' Hermite polynomial by the three-term recurrence;
     ValueError naming n for a degree that is not an integer n >= 0."""
@@ -255,17 +257,22 @@ class PlaneWaveQuadrature:
         node[R-1-p] = -node[p], and _cis is conjugate-symmetric to the bit,
         so K[R-1-p] = conj(K[p]) and K = K^T hold exactly: only the
         top-left ceil(R/2) x ceil(R/2) block takes phases, and the rest is
-        the same matrix as _cis(np.outer(nodes, nodes)) * cell."""
+        the same matrix as _cis(np.outer(nodes, nodes)) * cell.  The block
+        takes its phases a slab of rows at a time and the copies are written
+        in place, so no temporary of the matrix's size is formed."""
         half_width = _positive(half_width, "half_width")
         R = _count(resolution, "resolution")
         cell = 2 * half_width / R
         nodes = (np.arange(R) - (R - 1) / 2) * cell
         h = (R + 1) // 2
         matrix = np.empty((R, R), dtype=complex)
-        matrix[:h, :h] = _cis(np.outer(nodes[:h], nodes[:h])) * cell
+        rows = max(1, 3072 // h)   # _cis holds about 100 bytes a phase
+        for start in range(0, h, rows):
+            matrix[start:start + rows, :h] = _cis(np.outer(nodes[start:start + rows], nodes[:h]))
+        matrix[:h, :h] *= cell
         # K[p, R-1-a] = K[R-1-a, p] = conj(K[a, p]) = conj(K[p, a])
-        matrix[:h, h:] = np.conj(matrix[:h, :R - h][:, ::-1])
-        matrix[h:] = np.conj(matrix[:R - h][::-1])
+        np.conj(matrix[:h, :R - h][:, ::-1], out=matrix[:h, h:])
+        np.conj(matrix[:R - h][::-1], out=matrix[h:])
         return cls(nodes=nodes, matrix=matrix)
 
 
@@ -277,19 +284,18 @@ def _hermite_factors(q: PlaneWaveQuadrature, m: Sequence[int]) -> np.ndarray:
         [hermite_polynomial(mi, math.sqrt(2 * math.pi) * x) for mi in m])
 
 
-def _tensor(f: np.ndarray, variant: str) -> np.ndarray:
-    """f_0 (x) f_1 -/+ f_1 (x) f_0 ("anti"/"sym") on the tensor grid,
-    exactly (anti)symmetric."""
-    a, b = f
-    g = np.outer(a, b)
-    return g - g.T if variant == "anti" else g + g.T
-
-
 def _eigen_residual(q: PlaneWaveQuadrature, m: Sequence[int], variant: str,
                     power: int, eig: complex) -> float:
     """||T^power g0 - eig g0|| / ||g0|| for the Gaussian-Hermite sample g0,
-    the (anti)symmetrized product of the factors f_k: T g0 = K g0 K^T is
-    the same product of the K f_k."""
+    the (anti)symmetrized product f_0 (x) f_1 -/+ f_1 (x) f_0 of the
+    factors f_k: T g0 = K g0 K^T is the same product of the K f_k.
+
+    Neither tensor is formed.  The residual is the rank-4 product U V^T
+    with U = [K f_0, -/+ K f_1, -eig f_0, +/- eig f_1] and V = [K f_1,
+    K f_0, f_1, f_0], and g0 is [f_0, -/+ f_1] [f_1, f_0]^T; both are
+    squared and summed a block of rows at a time.  The residual is about
+    1e-15 of g0, so it is summed entry by entry and never expanded through
+    the Gram matrices U^T U and V^T V, which would cancel to u ||g0||^2."""
     if variant not in ("anti", "sym"):
         raise ValueError(f"unknown variant {variant!r}")
     if len(m) != 2 or min(m) < 0 or (variant == "anti" and m[0] == m[1]):
@@ -299,8 +305,18 @@ def _eigen_residual(q: PlaneWaveQuadrature, m: Sequence[int], variant: str,
     kf = f
     for _ in range(power):
         kf = kf @ q.matrix.T
-    g0 = _tensor(f, variant)
-    return float(np.linalg.norm(_tensor(kf, variant) - eig * g0) / np.linalg.norm(g0))
+    s = -1.0 if variant == "anti" else 1.0
+    u = np.stack([kf[0], s * kf[1], -eig * f[0], -s * eig * f[1]], axis=1)
+    u0 = np.stack([f[0], s * f[1]], axis=1)
+    v, v0 = np.stack([kf[1], kf[0], f[1], f[0]]), f[::-1]
+    rows = max(1, _BLOCK // len(f[0]))
+    sq = sq0 = 0.0
+    for start in range(0, len(u), rows):
+        r = (u[start:start + rows] @ v).ravel()
+        g = (u0[start:start + rows] @ v0).ravel()
+        sq += np.vdot(r, r).real
+        sq0 += g @ g
+    return math.sqrt(sq / sq0)
 
 
 def transform_eigen_check(m: Sequence[int], variant: str,

@@ -232,7 +232,13 @@ def branch_cmd(ctx, source, rule, lam):
                                    f"the {end} coordinate on {rs.family}; use drop-{end} or drop")
         br = algmod.BranchRule("drop")
     elif rule.startswith("split-"):
-        br = algmod.BranchRule("split", int(rule.split("-", 1)[1]))
+        pos = rule[len("split-"):]
+        try:
+            p = int(pos)
+        except ValueError:
+            raise click.UsageError(f"--rule {rule} needs an integer split position after "
+                                   f"'split-', got {pos!r}") from None
+        br = algmod.BranchRule("split", p)
     else:
         raise click.UsageError(f"unknown rule {rule!r}")
     osum = algmod.branch(rs, br, _parse_vec(lam))

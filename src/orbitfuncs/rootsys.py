@@ -81,7 +81,7 @@ class DiagramId:
 
     def __post_init__(self):
         fam, n = self.family, self.rank
-        if fam not in _FAMILIES:
+        if not (isinstance(fam, str) and len(fam) == 1 and fam in _FAMILIES):
             raise InvalidDiagramError(f"unknown family {fam!r}")
         if not _integer(n):
             raise InvalidDiagramError(f"rank {n!r} of family {fam} is not an integer")

@@ -414,6 +414,8 @@ def multivariate_plan(kind: str, n: int, N: int) -> DiscretePlan:
 
 # -- continuous transforms at desk scale -----------------------------------
 
+_SLAB = 2 ** 16   # box points per slab of fundamental_domain_quadrature, or one first-axis row
+
 def fundamental_domain_quadrature(rs: RootSystem, resolution: int = 200):
     """Midpoint rule on F in coroot coordinates.
 
@@ -427,19 +429,22 @@ def fundamental_domain_quadrature(rs: RootSystem, resolution: int = 200):
     n = rs.rank
     Sinv = np.array([[float(x) for x in row] for row in rs.metric_inv])
     S = np.array([[float(x) for x in row] for row in rs.metric])
+    comarks = np.array([float(q) for q in rs.comarks])
     # bounding box of the simplex {0, rows of S / q_i} in coroot coordinates
     verts = np.vstack([np.zeros(n)] +
                       [S[i] / rs.comarks[i] for i in range(n)])
     lo, hi = verts.min(axis=0), verts.max(axis=0)
     axes = [lo[k] + (hi[k] - lo[k]) * (np.arange(resolution) + 0.5) / resolution
             for k in range(n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    c = np.stack([m.ravel() for m in mesh], axis=1)
-    theta = c @ Sinv
-    level = theta @ np.array([float(q) for q in rs.comarks])
-    mask = np.all(theta >= 0, axis=1) & (level <= 1)
+    # the box a slab of the first axis at a time, each slab in C order
+    step = max(1, _SLAB // resolution ** (n - 1))
+    nodes = []
+    for start in range(0, resolution, step):
+        mesh = np.meshgrid(axes[0][start:start + step], *axes[1:], indexing="ij")
+        theta = np.stack([m.ravel() for m in mesh], axis=1) @ Sinv
+        nodes.append(theta[np.all(theta >= 0, axis=1) & (theta @ comarks <= 1)])
     cell = float(np.prod((hi - lo) / resolution))
-    return theta[mask], cell
+    return np.concatenate(nodes), cell
 
 
 def continuous_orthogonality_residual(rs: RootSystem, lam, mu,
@@ -512,30 +517,45 @@ def _chamber_points(n: int, upper: float, resolution: int):
     extensions over the chamber without a diagonal-strip error.  The
     supplied function is therefore evaluated at unordered points too and
     must implement the matching extension (any globally defined formula
-    does)."""
+    does).  Returns the axis, the (resolution^n, n) nodes ax x ... x ax in
+    C order, and the weight of each."""
     ax = (np.arange(resolution) + 0.5) * upper / resolution
     cell = (upper / resolution) ** n
     if n == 1:
-        return ax[:, None], cell
+        return ax, ax[:, None], cell
     g1, g2 = np.meshgrid(ax, ax, indexing="ij")
-    return np.stack([g1.ravel(), g2.ravel()], axis=1), cell / 2
+    return ax, np.stack([g1.ravel(), g2.ravel()], axis=1), cell / 2
 
 
 def _integral_transform(f: Callable, lams: Sequence, upper: float,
                         resolution: int, signed: bool) -> np.ndarray:
     """ValueError naming the argument for no labels, labels of mixed
     lengths or of a length other than 1 or 2, a width upper that is not a
-    positive finite number, or a resolution that is not an integer >= 1."""
+    positive finite number, or a resolution that is not an integer >= 1.
+
+    The nodes are ax x ax, so the kernel det / perm (K(lam_i, x_j)) on them
+    is built from the 1-D tables s_i = K(lam_i, ax): s_0 for n = 1, and
+    outer(s_0, s_1) -/+ outer(s_1, s_0) for n = 2, the products and the
+    order of _perm_sum on the 2 x 2 matrices at each node."""
     n = len(lams[0]) if len(lams) else 0
     if not 1 <= n <= 2 or any(len(lam) != n for lam in lams):
         raise ValueError(f"the quadrature transform needs one or more labels lams, all of "
                          f"length 1 or all of length 2, got {list(lams)!r}")
-    pts, cell = _chamber_points(n, _positive(upper, "upper"), _count(resolution, "resolution"))
+    ax, pts, cell = _chamber_points(n, _positive(upper, "upper"),
+                                    _count(resolution, "resolution"))
     fv = np.asarray(f(pts), dtype=float)
     out = []
     for lam in np.array(lams, dtype=float):
-        z = _cis(lam[:, None] * pts[:, None, :])
-        out.append(np.sum(fv * _perm_sum(z.imag if signed else z.real, signed)) * cell)
+        z = _cis(np.multiply.outer(lam, ax))   # z[i, a] = exp(2 pi i lam_i ax_a)
+        s = z.imag if signed else z.real
+        if n == 1:
+            kernel = fv * s[0]
+        else:
+            kernel = np.multiply.outer(s[0], s[1]).ravel()
+            (np.subtract if signed else np.add)(
+                kernel, np.multiply.outer(s[1], s[0]).ravel(), out=kernel)
+            kernel *= fv
+        out.append(np.sum(kernel) * cell)
     return np.array(out)
 
 

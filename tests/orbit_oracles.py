@@ -47,6 +47,16 @@ oracles are the Fourier-transform eigen checks of ``analysis`` before they
 applied the 1-D kernel to each Hermite factor: the eigenfunction sampled
 on the full tensor grid and the dense kernel applied on both sides,
 K g K^T, then projected onto the (anti)symmetric part.
+``hermite_tensor`` and ``eigen_residual_dense_oracle`` are the factor
+route as it ran before its blocked sums: both R x R tensors, the sample
+f_0 (x) f_1 -/+ f_1 (x) f_0 and the same product of the K f_k, formed in
+full and their difference taken by ``np.linalg.norm``.
+``integral_transform_oracle`` is the sine and cosine integral transform
+before its 1-D tables: one phase per node, label entry and coordinate,
+and ``_perm_sum`` over the (R^n, n, n) kernel.
+``fundamental_domain_quadrature_oracle`` is ``transforms``'
+``fundamental_domain_quadrature`` before its slabs: the whole
+resolution^n bounding box, masked at once.
 ``close_oracle`` is the loop that ``weyl._close`` ran before it stepped
 on the images of rho: every product of a generator with an element of the
 last layer, one ``tobytes`` key per product checked against a seen set.
@@ -92,10 +102,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from orbitfuncs.analysis import hermite_polynomial
+from orbitfuncs.analysis import hermite_polynomial, _hermite_factors
 from orbitfuncs.orbitalg import OrbitTerm
 from orbitfuncs.orbitfn import (
-    TWO_PI, eval_batch, eval_orbit_function, _float_points, _orbit_terms, _perm_sum,
+    TWO_PI, eval_batch, eval_orbit_function, _cis, _float_points, _orbit_terms, _perm_sum,
 )
 from orbitfuncs.rootsys import (
     DiagramId, RootSystem, convert_basis, inner, mat_inverse, mat_vec, rank_vec, vec, vec_mat,
@@ -659,6 +669,25 @@ def plane_wave_apply(q, values: np.ndarray, variant: str) -> np.ndarray:
     return 0.5 * (g + g.T)
 
 
+def hermite_tensor(f: np.ndarray, variant: str) -> np.ndarray:
+    """f_0 (x) f_1 -/+ f_1 (x) f_0 ("anti"/"sym") on the tensor grid,
+    exactly (anti)symmetric."""
+    a, b = f
+    g = np.outer(a, b)
+    return g - g.T if variant == "anti" else g + g.T
+
+
+def eigen_residual_dense_oracle(q, m, variant: str, power: int, eig: complex) -> float:
+    """||T^power g0 - eig g0|| / ||g0|| by the factor route K f_k, with
+    both tensors formed."""
+    f = _hermite_factors(q, m)
+    kf = f
+    for _ in range(power):
+        kf = kf @ q.matrix.T
+    g0 = hermite_tensor(f, variant)
+    return float(np.linalg.norm(hermite_tensor(kf, variant) - eig * g0) / np.linalg.norm(g0))
+
+
 def transform_eigen_check_oracle(q, m, variant: str) -> float:
     """The relative eigen-residual ||T g0 - i^|m| g0|| / ||g0||, two-sided."""
     g0 = gaussian_hermite_samples(q, m, variant)
@@ -905,3 +934,40 @@ def gradient_oracle(f, images: np.ndarray, h: float) -> tuple:
         grads.append((up - dn) / (2 * h))
         scales.append((np.abs(up) + np.abs(dn)) / (2 * h))
     return np.array(grads), np.array(scales)
+
+
+def integral_transform_oracle(f, lams, upper: float, resolution: int, signed: bool):
+    """The sine (signed) or cosine integral transform by the dense kernel
+    _perm_sum(K(lam_i, x_j)) at every node of ax x ... x ax."""
+    n = len(lams[0])
+    ax = (np.arange(resolution) + 0.5) * upper / resolution
+    cell = (upper / resolution) ** n
+    if n == 1:
+        pts = ax[:, None]
+    else:
+        g1, g2 = np.meshgrid(ax, ax, indexing="ij")
+        pts, cell = np.stack([g1.ravel(), g2.ravel()], axis=1), cell / 2
+    fv = np.asarray(f(pts), dtype=float)
+    out = []
+    for lam in np.array(lams, dtype=float):
+        z = _cis(lam[:, None] * pts[:, None, :])
+        out.append(np.sum(fv * _perm_sum(z.imag if signed else z.real, signed)) * cell)
+    return np.array(out)
+
+
+def fundamental_domain_quadrature_oracle(rs, resolution: int):
+    """The midpoint nodes of F in omega coordinates and their weight, from
+    the whole resolution^n bounding box masked at once."""
+    n = rs.rank
+    Sinv = np.array([[float(x) for x in row] for row in rs.metric_inv])
+    S = np.array([[float(x) for x in row] for row in rs.metric])
+    verts = np.vstack([np.zeros(n)] + [S[i] / rs.comarks[i] for i in range(n)])
+    lo, hi = verts.min(axis=0), verts.max(axis=0)
+    axes = [lo[k] + (hi[k] - lo[k]) * (np.arange(resolution) + 0.5) / resolution
+            for k in range(n)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    c = np.stack([m.ravel() for m in mesh], axis=1)
+    theta = c @ Sinv
+    level = theta @ np.array([float(q) for q in rs.comarks])
+    mask = np.all(theta >= 0, axis=1) & (level <= 1)
+    return theta[mask], float(np.prod((hi - lo) / resolution))

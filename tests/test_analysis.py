@@ -15,12 +15,13 @@ from orbitfuncs.analysis import (
     hermite_polynomial, hermite_sym_anti,
     PlaneWaveQuadrature, transform_eigen_check, transform_fourth_power_residual,
     monomial_family, hermite_family, generic_sym_poly, generic_anti_poly,
-    generic_anti_quotient, generic_anti_orthogonality, _central_differences, _hermite_factors,
-    _tensor,
+    generic_anti_quotient, generic_anti_orthogonality, _central_differences, _eigen_residual,
+    _hermite_factors,
 )
 
 from orbit_oracles import (
-    gaussian_hermite_samples, gradient_oracle, hermite_explicit, quadratic_operator_oracle,
+    eigen_residual_dense_oracle, gaussian_hermite_samples, gradient_oracle, hermite_explicit,
+    hermite_tensor, quadratic_operator_oracle,
     shift_operator_check_oracle, sigma2_stencil_oracle, transform_eigen_check_oracle,
     transform_fourth_power_oracle,
 )
@@ -228,7 +229,7 @@ def test_hermite_anti_antisymmetry():
 QUAD = PlaneWaveQuadrature.make(6.0, 400)
 
 
-@pytest.mark.parametrize("resolution", [400, 401, 7])
+@pytest.mark.parametrize("resolution", [400, 401, 7, 2, 1])
 def test_quadrature_from_a_quarter_block_is_the_full_kernel(resolution):
     # the nodes are exactly antisymmetric, so filling K from its top-left
     # block by K = K^T and K[R-1-p] = conj(K[p]) changes no value
@@ -272,6 +273,24 @@ def test_factor_route_matches_the_two_sided_oracle(m, variant):
                - transform_fourth_power_oracle(QUAD, m, variant)) < 1e-15
 
 
+@pytest.mark.parametrize("resolution", [400, 401])
+def test_blocked_residual_is_the_dense_factor_route(resolution):
+    # summed a block of rows at a time from the rank-4 factors, against both
+    # R x R tensors formed.  At the eigenvalue the residual is rounding
+    # noise of about 4e-15, and the two round its entries differently, by
+    # about 1e-17 (an expansion through the 4 x 4 Gram matrices would be
+    # off by u ||g0||^2, the size of the residual).  Off the eigenvalue it
+    # is of order 1, so a row left out of the sums would show.
+    q = QUAD if resolution == 400 else PlaneWaveQuadrature.make(6.0, resolution)
+    for m, variant in HERMITE_LABELS:
+        for power, eig in ((1, 1j ** sum(m)), (4, 1)):
+            assert abs(_eigen_residual(q, m, variant, power, eig)
+                       - eigen_residual_dense_oracle(q, m, variant, power, eig)) < 1e-16
+            for wrong in (0, -eig, 1j * eig):
+                assert _eigen_residual(q, m, variant, power, wrong) == pytest.approx(
+                    eigen_residual_dense_oracle(q, m, variant, power, wrong), rel=1e-13)
+
+
 def test_eigen_checks_refuse_labels_without_an_eigenfunction():
     for m, variant in [((1, 1), "anti"), ((2, 1, 0), "anti"), ((-1, 0), "sym"), ((1,), "sym")]:
         for check in (transform_eigen_check, transform_fourth_power_residual):
@@ -283,7 +302,7 @@ def test_eigen_checks_refuse_labels_without_an_eigenfunction():
 
 @pytest.mark.parametrize("m, variant", HERMITE_LABELS)
 def test_factor_route_rebuilds_the_sampled_eigenfunction(m, variant):
-    g0 = _tensor(_hermite_factors(QUAD, m), variant)
+    g0 = hermite_tensor(_hermite_factors(QUAD, m), variant)
     ref = gaussian_hermite_samples(QUAD, m, variant)
     assert np.linalg.norm(g0 - ref) <= 1e-12 * np.linalg.norm(ref)
     assert np.array_equal(g0, -g0.T if variant == "anti" else g0.T)

@@ -35,8 +35,8 @@ from orbitfuncs.orbitfn import (
     eval_coroot_point, eval_orth, rho_orth, rho_products,
 )
 from orbitfuncs.rootsys import (
-    UnsupportedCoordinatesError, build, convert_basis, from_orthogonal, inner,
-    to_orthogonal,
+    DiagramId, InvalidDiagramError, UnsupportedCoordinatesError, build, convert_basis,
+    from_orthogonal, inner, to_orthogonal,
 )
 from orbitfuncs.transforms import (
     PlanSeparationError, build_plan, continuous_orthogonality_residual,
@@ -370,3 +370,12 @@ def test_a_series_refuses_coefficients_that_do_not_match_its_labels():
                                              rf"{len(coeffs)} coefficients for 2 labels$"):
             series_synthesis(_A2, coeffs, labels, xs)
     assert series_synthesis(_A2, [1.0, 2.0], labels, xs).shape == (2,)
+
+
+# a family that is not a one-letter str was a bare TypeError from
+# "in <string>" (["A"], None), or a KeyError from the rank bounds ("AB", "")
+@pytest.mark.parametrize("family", [["A"], None, "AB", "", 3])
+def test_a_diagram_family_that_is_not_a_letter_is_refused_by_name(family):
+    with pytest.raises(InvalidDiagramError, match=rf"^unknown family {re.escape(repr(family))}$"):
+        DiagramId(family, 2)
+    assert DiagramId("A", 2).label == "A2"

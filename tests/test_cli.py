@@ -134,6 +134,18 @@ def test_a_drop_alias_of_the_other_end_is_refused(source, rule, lam, end):
         run("branch", "--from", source, "--rule", "drop", "--lambda", lam).output)["terms"]
 
 
+# a split position that is not an integer exited 1 with int()'s "invalid
+# literal", which named neither --rule nor the position
+@pytest.mark.parametrize("rule, pos", [("split-x", "'x'"), ("split-", "''"),
+                                       ("split-1.5", "'1.5'")])
+def test_a_split_rule_without_an_integer_position_is_refused(rule, pos):
+    res = CliRunner().invoke(main, ["branch", "--from", "C3", "--rule", rule, "--lambda", "3,2,1"])
+    assert res.exit_code == 2
+    assert f"--rule {rule} needs an integer split position after 'split-', got {pos}" \
+           in res.output
+    assert run("branch", "--from", "C3", "--rule", "split-1", "--lambda", "3,2,1").exit_code == 0
+
+
 def test_grid_csv_roundtrip():
     res = run("grid", "--diagram", "G2", "--M", "3")
     rows = list(csv.reader(io.StringIO(res.output)))

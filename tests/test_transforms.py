@@ -11,17 +11,20 @@ import pytest
 from orbitfuncs.rootsys import build, vec
 from orbitfuncs.orbitfn import eval_coroot_point, eval_batch
 from orbitfuncs.weyl import dual_marks
+from orbitfuncs import transforms
 from orbitfuncs.transforms import (
     GridPoint, grid_fm, tm_expand, build_plan, default_labels, gram_over_torus,
     lattice_index, dst_dct_1d, multivariate_plan, PlanSeparationError,
     fundamental_domain_quadrature, continuous_orthogonality_residual,
     mixed_symmetry_orthogonality_residual, series_coefficients,
-    plancherel_residual, sine_integral_transform, _alcove, _interior_points,
+    plancherel_residual, sine_integral_transform, _alcove, _integral_transform,
+    _interior_points,
 )
 
 from orbit_oracles import (
     grid_oracle, labels_oracle, tm_expand_oracle, dst_dct_1d_oracle,
-    multivariate_plan_oracle, dual_marks_oracle,
+    multivariate_plan_oracle, dual_marks_oracle, fundamental_domain_quadrature_oracle,
+    integral_transform_oracle,
 )
 
 RNG = random.Random(4242)
@@ -676,6 +679,36 @@ def test_cosine_integral_transform_orthogonality():
                                     resolution=400)
     assert abs(got[0] - 2.0 ** -4) < 1e-4  # matched permanent kernel
     assert abs(got[1]) < 1e-4
+
+
+@pytest.mark.parametrize("signed", [True, False], ids=["sine", "cosine"])
+@pytest.mark.parametrize("lams", [[(0.5,), (1.7,), (2.3,)], [(2, 1), (3, 1), (2.5, 0.3)]],
+                         ids=["n1", "n2"])
+def test_integral_transform_from_1d_tables_is_the_dense_kernel(lams, signed):
+    # outer(s_0, s_1) -/+ outer(s_1, s_0) are the products of _perm_sum on
+    # the 2 x 2 kernel at every node, in its order: equal to the bit
+    def f(pts):
+        return np.sin(2 * np.pi * pts[:, 0]) * (1 + pts[:, -1])
+
+    for resolution in (1, 7, 400):
+        got = _integral_transform(f, lams, 0.5, resolution, signed)
+        assert np.array_equal(got, integral_transform_oracle(f, lams, 0.5, resolution, signed))
+
+
+@pytest.mark.parametrize("label, resolutions", [
+    ("A2", (1, 2, 17, 300)), ("C2", (5, 41, 300)), ("G2", (3, 60, 300)),
+    ("A3", (1, 9, 50)), ("B3", (7, 30, 45))])
+@pytest.mark.parametrize("slab", [1, 50, None], ids=["slab1", "slab50", "default"])
+def test_quadrature_by_slabs_is_the_masked_box(label, resolutions, slab, monkeypatch):
+    # the same nodes in the same C order as the whole box masked at once,
+    # slab rows of the first axis of one, a few or many box points each
+    if slab is not None:
+        monkeypatch.setattr(transforms, "_SLAB", slab)
+    rs = build(label)
+    for resolution in resolutions:
+        pts, w = fundamental_domain_quadrature(rs, resolution)
+        ref, w_ref = fundamental_domain_quadrature_oracle(rs, resolution)
+        assert pts.shape == ref.shape and np.array_equal(pts, ref) and w == w_ref
 
 
 def test_plan_builds_for_all_desk_diagrams():
