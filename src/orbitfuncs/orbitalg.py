@@ -6,15 +6,15 @@ S+(y) = |Stab(y)| * O(dom y), and S-(y) = sign * O^+-(dom y) off the walls
 and 0 on them, with (dom y, sign) as from ``to_dominant``.  Since an orbit
 is W-invariant, a product of two orbit sums is a sum of S+ or S- over the
 points of one factor only, instead of a loop over pairs of points; the
-pair loops are kept in the tests as brute-force oracles.  The points
-beta + q of one coset sum are int64 rows over one denominator, descended to
-their dominant forms together (``weyl._dominant_forms``) and summed per
-distinct row; only the distinct labels become Fractions.  A restriction
-(``branch``) is a masked array sum: the images of m under the whole group,
-as integer rows of signed permutations, are split into the parts of the
-subgroup, masked to the rows strictly dominant for every part, and their
-dets summed per distinct row; the per-family branching term generators
-are validated against it in the tests.
+pair loops are kept in the tests as brute-force oracles.  The points beta + q
+of one coset sum are int64 rows over one denominator, descended to their
+dominant forms together (``weyl._dominant_forms``) and summed per distinct
+row, times |Stab| per wall mask (``weyl._parabolic_order``) if plain; only
+the distinct labels become Fractions.  A restriction (``branch``) is a
+masked array sum: the images of m under the whole group, as integer rows of
+signed permutations, are split into the parts of the subgroup, masked to the
+rows strictly dominant for every part, and their dets summed per distinct
+row; the per-family branching term generators are tested against it.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .rootsys import RootSystem, orth_vec, _vec_str
 from .weyl import (
     signed_orbit, stabilizer_order, orth_action, WallError,
     _distinct, _dominant_forms, _dominant_rows, _dominant_vec, _group, _orbit_rows,
-    _scaled, _strict_vec, _unscaled,
+    _parabolic_order, _scaled, _strict_vec, _unscaled,
 )
 
 
@@ -56,9 +56,10 @@ def _coset_sum(rs: RootSystem, beta: tuple, rows: np.ndarray, d: int,
         off_walls = rows.all(axis=1)
         rows, coeffs = rows[off_walls], (coeffs * signs)[off_walls]
     labels, sums = _distinct(rows, coeffs)
-    if not signed:   # times |Stab(label)|, counted over the group array
-        t = labels.T
-        sums = sums * (_group(rs).mats @ t == t).all(axis=1).sum(axis=0)
+    if not signed:   # times |Stab(label)|, one parabolic order per wall mask
+        walls = ((labels == 0) @ (1 << np.arange(rs.rank))).tolist()
+        orders = {w: _parabolic_order(rs, w) for w in set(walls)}
+        sums = sums * np.array([orders[w] for w in walls])
     return dict(zip(_unscaled(labels, d), sums.tolist()))
 
 
@@ -153,7 +154,7 @@ def branch(rs: RootSystem, rule: BranchRule, m: Sequence) -> OrbitSum:
     # every w m as integers over the lcm d
     perm, signs = orth_action(rs)
     group = _group(rs)
-    (m_int,), d = _scaled(group, [mv])
+    (m_int,), d = _scaled(rs, [mv])
     if not _dominant_rows(fam, m_int[None])[0]:
         raise WallError(f"{_vec_str(mv)} is not strictly dominant for "
                         f"{rs.id.label}; branching needs a signed orbit")

@@ -42,7 +42,7 @@ from .rootsys import (
 )
 from .weyl import (
     signed_orbit, stabilizer_order, positive_roots, orth_action, WallError,
-    _check_group_size, _distinct, _dominant_vec, _group, _images, _strict_vec,
+    _check_group_size, _dominant_vec, _group, _orbit_rows, _strict_vec,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -73,9 +73,8 @@ def _orbit_terms(rs: RootSystem, kind: str, lamv: tuple) -> tuple[np.ndarray, in
     if kind == "antisymmetric":
         so = signed_orbit(rs, lamv)
         return so.rows, so.scale, so.dets.astype(float)
-    rows, _, d = _images(rs, _dominant_vec(rs, lamv))
-    pts = _distinct(rows)
-    c = 1 if kind == "symmetric" else len(rows) // len(pts)
+    pts, d = _orbit_rows(rs, lamv)
+    c = 1 if kind == "symmetric" else stabilizer_order(rs, lamv)
     return pts, d, np.full(len(pts), float(c))
 
 
@@ -243,10 +242,7 @@ def _closed_form_terms(rs: RootSystem, kind: str, lamv: tuple) -> tuple[list, np
     x to the turns s y_j, y = m(x) / orth_pairing_scale, so that
     <mu, x> = sum_i m_i(mu) y_i (both exact, then float), and the factor
     1/|Stab(lam)| of the symmetric kind."""
-    if kind == "antisymmetric":
-        _strict_vec(rs, lamv)
-    else:
-        _dominant_vec(rs, lamv)
+    (_strict_vec if kind == "antisymmetric" else _dominant_vec)(rs, lamv)
     factor = 1 / stabilizer_order(rs, lamv) if kind == "symmetric" else 1.0
     step, K = _integer_exponents(to_orthogonal(rs, lamv))
     scale = orth_pairing_scale(rs)

@@ -207,9 +207,9 @@ class RootSystem:
     # allows); _build does not compute them.
 
     @functools.cached_property
-    def _positive_roots(self) -> tuple[Vec, ...]:
-        """The positive roots in omega coordinates, sorted, from the Cartan
-        matrix alone; ``weyl.positive_roots`` is their accessor.
+    def _root_heights(self) -> dict[tuple[int, ...], tuple[int, int]]:
+        """{omega coordinates: (height, bit mask of the simple roots in its
+        support)} of every positive root, from the Cartan matrix alone.
 
         alpha_i is row i of the Cartan matrix, and r_j beta = beta - beta_j
         alpha_j.  A positive root beta with beta_j < 0 goes to the positive
@@ -220,16 +220,22 @@ class RootSystem:
         in Python ints finds them all, in |positive roots| * rank steps.
         """
         simple = [tuple(int(c) for c in row) for row in self.cartan]
-        roots, seen = list(simple), set(simple)
-        for beta in roots:   # the list grows while it is read
+        roots = {alpha: (1, 1 << i) for i, alpha in enumerate(simple)}
+        queue = list(roots.items())
+        for beta, (height, support) in queue:   # the list grows while it is read
             for j, bj in enumerate(beta):
                 if bj < 0:
                     gamma = tuple(b - bj * a for b, a in zip(beta, simple[j]))
-                    if gamma not in seen:
-                        seen.add(gamma)
-                        roots.append(gamma)
-        frac = {c: Fraction(c) for c in {c for r in roots for c in r}}
-        return tuple(tuple(frac[c] for c in r) for r in sorted(roots))
+                    if gamma not in roots:
+                        roots[gamma] = height - bj, support | 1 << j
+                        queue.append((gamma, roots[gamma]))
+        return roots
+
+    @functools.cached_property
+    def _positive_roots(self) -> tuple[Vec, ...]:
+        """The keys of ``_root_heights`` as sorted exact vectors (``weyl.positive_roots``)."""
+        frac = {c: Fraction(c) for c in {c for r in self._root_heights for c in r}}
+        return tuple(tuple(frac[c] for c in r) for r in sorted(self._root_heights))
 
     @functools.cached_property
     def _coweight_rows(self) -> tuple[tuple[tuple[int, ...], ...], int]:

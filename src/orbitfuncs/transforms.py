@@ -129,7 +129,7 @@ def tm_expand(rs: RootSystem, grid: GridFM) -> list[Vec]:
     coroot-coordinate tuples w x mod 1, sorted.  W keeps the dot product of
     omega and coroot coordinates, so it maps a coroot row vector b to b M."""
     group = _group(rs)
-    b, d = _scaled(group, [p.coroot for p in grid.points])
+    b, d = _scaled(rs, [p.coroot for p in grid.points])
     return _unscaled(_distinct((b @ group.mats).reshape(-1, rs.rank) % d), d)
 
 

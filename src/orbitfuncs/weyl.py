@@ -4,17 +4,17 @@ Group elements are integer matrices acting on omega coordinates (column
 vectors).  Each group is built once as an int64 array, in BFS order over
 generator words (identity first), so every element has a shortest word and
 det = (-1)^length; each layer is one array step on the images of rho.
-Orbits, signed orbits and stabilizer orders are array operations on it:
-the weight is scaled to integers by the lcm of its denominators,
-multiplied by every matrix, and turned back into Fractions once (a signed
-orbit keeps its int64 rows and converts its points when they are first
-read).  On A, B, C and D the action on orthogonal
-coordinates, a signed permutation per element, is read off the same array
-(``orth_action``).  ``to_dominant`` maps one point to the dominant chamber
-by simple reflections; ``_dominant_forms`` does the same descent for many
-int64 rows at once.  The positive roots are root data, found from the
-Cartan matrix without the group (``positive_roots``).  Everything here is
-exact; no tolerances.
+Orbits and signed orbits are array operations on it: the weight is scaled
+to integers by the lcm of its denominators, multiplied by every matrix,
+and turned back into Fractions once (a signed orbit keeps its int64 rows
+and converts its points when they are first read).  On A, B, C and D the
+action on orthogonal coordinates, a signed permutation per element, is
+read off the same array (``orth_action``).  The rest is root data, with no
+group: ``_dominant_forms`` takes many points to the dominant chamber by
+simple reflections at once (``to_dominant`` is its one-row case), a
+stabilizer is the parabolic subgroup of the walls of the dominant form
+(``stabilizer_order``), and the positive roots come from the Cartan
+matrix (``positive_roots``).  Everything here is exact; no tolerances.
 """
 
 from __future__ import annotations
@@ -71,13 +71,11 @@ def generators(rs: RootSystem) -> list[WeylElement]:
 
 @dataclass
 class _Group:
-    """One Weyl group in BFS order: int64 matrices, dets, shortest words, a
-    bound on every row and column sum of |matrix|, the WeylElement view and
-    the orthogonal action (perm, signs) of ``orth_action``."""
+    """One Weyl group in BFS order: int64 matrices, dets, shortest words, the
+    WeylElement view and the orthogonal action (perm, signs) of ``orth_action``."""
     mats: np.ndarray
     dets: np.ndarray
     words: tuple[tuple[int, ...], ...]
-    gain: int
     elements: tuple[WeylElement, ...] | None = None
     orth: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -152,7 +150,7 @@ def _close(rs: RootSystem) -> _Group:
     dets = np.repeat((-1) ** np.arange(len(layers), dtype=np.int64), [len(x) for x in layers])
     mats.setflags(write=False)
     dets.setflags(write=False)
-    return _Group(mats, dets, tuple(words), n * int(np.abs(mats).max()))
+    return _Group(mats, dets, tuple(words))
 
 
 def generate_group(rs: RootSystem) -> tuple[WeylElement, ...]:
@@ -168,14 +166,15 @@ def generate_group(rs: RootSystem) -> tuple[WeylElement, ...]:
     return group.elements
 
 
-def _scaled(group: _Group, vs: Sequence[Vec]) -> tuple[np.ndarray, int]:
+def _scaled(rs: RootSystem, vs: Sequence[Vec]) -> tuple[np.ndarray, int]:
     """Exact vectors as an int64 (m, n) array of numerators over the lcm d
     of all their denominators, and d; ValueError when the image of one of
-    them under a group matrix or its transpose could leave int64."""
+    them under a group matrix or its transpose could leave int64: each
+    entry is a coroot coefficient, at most the largest dual mark."""
     d = math.lcm(*(c.denominator for v in vs for c in v))
     ints = [[c.numerator * (d // c.denominator) for c in v] for v in vs]
     for v, row in zip(vs, ints):
-        if max(map(abs, row)) * group.gain >= 2 ** 63:
+        if max(map(abs, row)) * rs.rank * max(rs._dual_marks) >= 2 ** 63:
             raise ValueError(f"{_vec_str(v)} is too large for exact int64 arithmetic")
     return np.array(ints, dtype=np.int64), d
 
@@ -208,42 +207,30 @@ class DominantForm:
 
 
 def to_dominant(rs: RootSystem, x: Sequence) -> DominantForm:
-    """Dominant representative of the W-orbit of x, with the det of the map.
-
-    Applies the generator of the most negative coordinate (lowest index on
-    ties) until dominant; the sign flips once per reflection.
-    """
-    cur = list(rank_vec(rs, x))
-    sign = 1
-    n = rs.rank
-    M = rs.cartan
-    while True:
-        neg = min(range(n), key=lambda i: (cur[i], i))
-        if cur[neg] >= 0:
-            break
-        xi = cur[neg]
-        for k in range(n):
-            cur[k] -= xi * M[neg][k]
-        sign = -sign
-    return DominantForm(tuple(cur), sign, any(c == 0 for c in cur))
+    """Dominant representative of the W-orbit of x, with the det of the map:
+    the one-row case of ``_dominant_forms``, in Python ints at any size."""
+    xv = rank_vec(rs, x)
+    d = math.lcm(*(c.denominator for c in xv))
+    row = np.array([[c.numerator * (d // c.denominator) for c in xv]], dtype=object)
+    (dom,), (sign,), D = _dominant_forms(rs, (0,) * rs.rank, row, d)
+    return DominantForm(tuple(Fraction(c, D) for c in dom), int(sign), 0 in dom.tolist())
 
 
 def _dominant_forms(rs: RootSystem, beta: Vec, rows: np.ndarray,
                     d: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """``to_dominant`` of every point beta + row / d at once: the dominant
-    forms as int64 rows over the lcm D of d and beta's denominators, their
-    signs, and D.  Each round, every row that still has a negative
-    coordinate reflects in its most negative one (lowest index on ties), and
-    its sign flips.  Every row met is a group image of its start, so the
-    bound checked on the starts holds throughout."""
-    group = _group(rs)
-    (b,), db = _scaled(group, [beta])
+    """The dominant forms of the points beta + row / d, in the dtype of
+    rows, over the lcm D of d and beta's denominators, their signs, and D.
+    Each round, every row that still has a negative coordinate reflects in
+    its most negative one (lowest index on ties), and its sign flips.  Every
+    row met is a group image of its start, so int64 rows past the bound of
+    ``_scaled`` are refused; Python ints (object dtype) are exact."""
+    (b,), db = _scaled(rs, [beta])
     D = math.lcm(d, db)
     top = int(np.abs(b).max()) * (D // db) + int(np.abs(rows).max()) * (D // d)
-    if max(top, D) * group.gain >= 2 ** 63:
+    if rows.dtype != object and max(top, D) * rs.rank * max(rs._dual_marks) >= 2 ** 63:
         raise ValueError(f"{_vec_str(beta)} shifted by points over the denominator {d} "
                          f"is too large for exact int64 arithmetic")
-    x = rows * (D // d) + b * (D // db)
+    x = rows * (D // d) + b.astype(rows.dtype) * (D // db)
     cartan = np.array([[int(c) for c in row] for row in rs.cartan], dtype=np.int64)
     signs = np.ones(len(x), dtype=np.int64)
     live = np.arange(len(x))
@@ -283,7 +270,7 @@ def _images(rs: RootSystem, lamv: Vec) -> tuple[np.ndarray, np.ndarray, int]:
     """d * w lam as int64 rows for every w of the group, in its order (the
     identity first), the dets of the w, and the lcm d of lam's denominators."""
     group = _group(rs)
-    v, d = _scaled(group, [lamv])
+    v, d = _scaled(rs, [lamv])
     return group.mats @ v[0], group.dets, d
 
 
@@ -299,11 +286,21 @@ def orbit(rs: RootSystem, lam: Sequence) -> list[Vec]:
     return _unscaled(*_orbit_rows(rs, lam))
 
 
+def _parabolic_order(rs: RootSystem, walls: int) -> int:
+    """|W_J| for J the simple roots in the bit mask walls: prod (ht alpha +
+    1) / ht alpha over the positive roots alpha supported on J, Macdonald's
+    Poincare series of W_J at t = 1 (Math. Ann. 199 (1972) 161)."""
+    heights = [h for h, support in rs._root_heights.values() if not support & ~walls]
+    return math.prod(h + 1 for h in heights) // math.prod(heights)
+
+
 def stabilizer_order(rs: RootSystem, lam: Sequence) -> int:
-    """|W_lam| = #{w in W : w lam = lam}, the order of the stabilizer of any
-    weight lam, counted over the rows of the group array."""
-    rows, _, _ = _images(rs, rank_vec(rs, lam))
-    return int(np.all(rows == rows[0], axis=1).sum())
+    """|W_lam| = #{w in W : w lam = lam} for any weight lam: that of its
+    dominant form, the parabolic subgroup of the walls it lies on
+    (Humphreys, *Reflection Groups and Coxeter Groups*, 1990, Thm 1.12)."""
+    lamv = rank_vec(rs, lam)
+    lamv = lamv if is_dominant(lamv) else to_dominant(rs, lamv).weight
+    return _parabolic_order(rs, sum(1 << i for i, c in enumerate(lamv) if c == 0))
 
 
 @dataclass(frozen=True, eq=False)

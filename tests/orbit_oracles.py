@@ -4,11 +4,13 @@ The group and orbit oracles are the code that ``weyl`` and ``transforms``
 ran before the integer group array: the group closed by a BFS over tuple
 matrix products, orbits by a BFS of Fraction mat-vecs, stabilizer orders
 by closing the parabolic subgroup of the dominant form, signed orbits and
-the torus expansion of a grid one element at a time.  The product oracles
-are the loops that ``orbitalg`` and ``orbitfn`` used before the coset
-sums: every product expands all pairs of orbit points (|W|^2 sums) and
-reads each coefficient off the dominant exponent itself, and the rho
-cosine expansion enumerates all 2^|positive roots| subsets.  They are
+the torus expansion of a grid one element at a time.  The dominant form is
+``to_dominant_oracle``, the ``Fraction`` loop that ``weyl.to_dominant`` ran
+before it became the one-row case of the batched integer descent.  The
+product oracles are the loops that ``orbitalg`` and ``orbitfn`` used before
+the coset sums: every product expands all pairs of orbit points (|W|^2
+sums) and reads each coefficient off the dominant exponent itself, and the
+rho cosine expansion enumerates all 2^|positive roots| subsets.  They are
 slow, and independent of the group array, ``to_dominant`` and
 ``stabilizer_order``, which makes them the reference for the library.
 ``positive_roots_oracle`` and ``dimension_oracle`` are the ``Fraction``
@@ -114,7 +116,7 @@ from orbitfuncs.rootsys import (
 )
 from orbitfuncs.transforms import DiscretePlan, GridFM, GridPoint
 from orbitfuncs.weyl import (
-    generators, highest_short_root, positive_roots, to_dominant, _distinct, _group, _scaled,
+    DominantForm, generators, highest_short_root, positive_roots, _distinct, _group, _scaled,
     _unscaled,
 )
 
@@ -190,9 +192,23 @@ def orbit_oracle(rs, lam) -> list:
     return sorted(seen)
 
 
+def to_dominant_oracle(rs, x) -> DominantForm:
+    """The dominant form of x in Fractions: the generator of the most
+    negative coordinate (lowest index on ties) until dominant, the sign
+    flipped once per reflection."""
+    cur, sign = list(rank_vec(rs, x)), 1
+    while True:
+        neg = min(range(rs.rank), key=lambda i: (cur[i], i))
+        if cur[neg] >= 0:
+            return DominantForm(tuple(cur), sign, any(c == 0 for c in cur))
+        xi = cur[neg]
+        cur = [c - xi * m for c, m in zip(cur, rs.cartan[neg])]
+        sign = -sign
+
+
 def stabilizer_oracle(rs, lam) -> int:
     """The order of the parabolic subgroup of the walls of dom(lam)."""
-    nu = to_dominant(rs, lam).weight
+    nu = to_dominant_oracle(rs, lam).weight
     gens = generators(rs)
     return len(_closure(rs, [gens[i] for i, c in enumerate(nu) if c == 0]))
 
@@ -210,9 +226,9 @@ def positive_roots_group_oracle(rs) -> tuple:
     the group array, kept when their height has the sign of the root times
     the row sums of the inverse Cartan matrix, positive."""
     group = _group(rs)
-    alphas, _ = _scaled(group, rs.cartan)  # row i is alpha_i in omega coordinates
+    alphas, _ = _scaled(rs, rs.cartan)  # row i is alpha_i in omega coordinates
     roots = _distinct(np.einsum("gjk,ik->gij", group.mats, alphas).reshape(-1, rs.rank))
-    heights, _ = _scaled(group, [[sum(row) for row in rs.cartan_inv]])
+    heights, _ = _scaled(rs, [[sum(row) for row in rs.cartan_inv]])
     pos = roots[roots @ heights[0] > 0]
     assert 2 * len(pos) == len(roots)
     return tuple(_unscaled(pos, 1))

@@ -12,7 +12,7 @@ from orbitfuncs.rootsys import build, mat_vec, vec, UnsupportedCoordinatesError
 from orbitfuncs.weyl import (
     generators, generate_group, to_dominant, orbit, signed_orbit,
     stabilizer_order, affine_r0, reflect_highest_root, in_fundamental_domain,
-    positive_roots, positive_root_count, orth_action, xi_pairing,
+    positive_roots, positive_root_count, orth_action, xi_pairing, dual_marks,
     GroupSizeError, WallError, _close, _distinct, _dominant_forms, _dominant_rows, _group,
 )
 
@@ -264,13 +264,15 @@ def test_group_matches_the_bfs_oracle(label):
 
 @pytest.mark.parametrize("label", ["A5", "A6", "B5", "C5", "D5", "F4"])
 def test_close_matches_the_loop_over_all_products(label):
-    # F4 through _close itself: the public entry points still refuse it
+    # F4 through _close itself: the public entry points still refuse it.
+    # The int64 bound of _scaled, rank * max(dual marks), is the closed
+    # group's rank * max |entry|.
     rs = build(label)
     mats, dets, words, gain = close_oracle(rs)
     grp = _close(rs)
     assert grp.mats.dtype == mats.dtype and np.array_equal(grp.mats, mats)
     assert grp.dets.dtype == dets.dtype and np.array_equal(grp.dets, dets)
-    assert grp.words == words and grp.gain == gain
+    assert grp.words == words and rs.rank * max(dual_marks(rs)) == gain
     assert grp.mats.flags.c_contiguous and not grp.mats.flags.writeable
 
 
@@ -334,7 +336,7 @@ def test_an_evicted_group_is_closed_again_to_the_same_arrays(monkeypatch):
         assert again_rs == rs and again_rs is not rs and again is not grp
         assert np.array_equal(again.mats, grp.mats) and again.mats.dtype == grp.mats.dtype
         assert np.array_equal(again.dets, grp.dets)
-        assert again.words == grp.words and again.gain == grp.gain
+        assert again.words == grp.words
 
 
 def _coordinate(low):
@@ -393,12 +395,16 @@ def test_large_groups_match_the_oracles(label, lam):
 def test_weights_beyond_int64_are_refused():
     a2 = build("A2")
     for call in (lambda: orbit(a2, (2 ** 62, 2 ** 62)),
-                 lambda: signed_orbit(a2, (2 ** 62, 1)),
-                 lambda: stabilizer_order(a2, (F(1, 3), 2 ** 62))):
+                 lambda: signed_orbit(a2, (2 ** 62, 1))):
         with pytest.raises(ValueError, match="too large for exact int64 arithmetic"):
             call()
     # the bound is not stricter than the arithmetic needs
     assert orbit(a2, (2 ** 60, 2 ** 60)) == orbit_oracle(a2, (2 ** 60, 2 ** 60))
+    # the stabilizer is root data, exact at any size
+    assert stabilizer_order(a2, (F(1, 3), 2 ** 62)) == 1
+    x = (F(-1, 3), 2 ** 62)
+    assert stabilizer_order(a2, x) == stabilizer_oracle(a2, x) == 1
+    assert stabilizer_order(a2, (-2 ** 70, 2 ** 70)) == stabilizer_oracle(a2, (-2 ** 70, 2 ** 70))
 
 
 def test_affine_reflection():
