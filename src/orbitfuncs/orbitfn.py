@@ -12,10 +12,10 @@ Two evaluation routes are provided and cross-checked by the tests:
 ``eval_batch`` takes the closed form on B, C and D (one n x n det or
 permanent per point).  The closed form sums over all of W, so it counts
 each orbit point |Stab(lam)| times: on a wall it is the normalized value,
-and the symmetric value is it divided by |Stab(lam)|.  On A and G2 it
-sums over the orbit.  Both routes work in exact integer exponents: on B,
-C, D every entry exp(2 pi i m_i y_j) of the closed form is z_j**K_i with
-z_j = exp(2 pi i s y_j), s the gcd of the m_i; on A and G2 every phase is
+and the symmetric value is it divided by |Stab(lam)|.  On A, G2, E and F
+it sums over the orbit.  Both routes work in exact integer exponents: on
+B, C, D every entry exp(2 pi i m_i y_j) of the closed form is z_j**K_i
+with z_j = exp(2 pi i s y_j), s the gcd of the m_i; elsewhere every phase is
 sum_j K_j s_j x_j, so each term is a product of integer powers of the r
 numbers z_j = exp(2 pi i s_j x_j).  The powers come by repeated squaring
 from one table per block of points, so a point costs n (or r) base
@@ -275,8 +275,8 @@ _TERMS_CACHE = _BoundedCache(_CACHE_SIZE)
 
 def _evaluator(rs: RootSystem, kind: str, lamv: tuple):
     """The cached evaluation of one (diagram, kind, weight) at an (N, rank)
-    float array: the closed form on B, C, D, the power-table sum on A and
-    G2."""
+    float array: the closed form on B, C, D, the power-table sum on A,
+    G2, E and F."""
     def make():
         if rs.family in ("B", "C", "D"):
             return _closed_form_sum(rs.family, kind, *_closed_form_terms(rs, kind, lamv))
@@ -353,8 +353,8 @@ def eval_batch(rs: RootSystem, kind: str, lam: Sequence, xs: np.ndarray) -> np.n
     B, C and D take the closed form of :func:`closed_form_orth`; it sums
     over all of W, so on a wall it is the normalized value and the
     symmetric value is it divided by |Stab(lam)|.  Its entries are exact
-    integer powers of n exponentials per point.  A and G2 take the sum
-    over W (or the orbit) from power tables: r exponentials per point,
+    integer powers of n exponentials per point.  A, G2, E and F take the
+    sum over W (or the orbit) from power tables: r exponentials per point,
     and every term a product of their exact integer powers.  A weight or
     point of the wrong length, a non-finite point or a weight that is not
     dominant raise ValueError; an antisymmetric weight on a wall raises
@@ -403,6 +403,7 @@ def eval_coroot_point(rs: RootSystem, kind: str, lam: Sequence, b: Sequence):
     stacked = _weight_stack(lam)
     lamvs = [rank_vec(rs, l) for l in lam] if stacked else [rank_vec(rs, lam)]
     pts = np.asarray(b, dtype=object)
+    pts = pts.reshape(0, rs.rank) if pts.shape == (0,) else pts   # no points, as in eval_batch
     single = pts.ndim == 1 and not any(np.ndim(c) for c in pts)
     shape = f"expected {rs.rank} coordinates per point for {rs.id.label}, got"
     if single:
@@ -470,6 +471,13 @@ def _strict_orth(rs: RootSystem, m: Sequence) -> tuple:
     return mv
 
 
+def _orth_kind(kind: str) -> str:
+    """The kind by its full name; ValueError for the normalized one."""
+    if (kind := _norm_kind(kind)) == "normalized":
+        raise ValueError("normalized kind is only defined on omega coordinates")
+    return kind
+
+
 def eval_orth(rs: RootSystem, kind: str, m: Sequence, x: Sequence) -> complex:
     """Defining sum in orthogonal coordinates (full Weyl-group sum).
 
@@ -481,9 +489,7 @@ def eval_orth(rs: RootSystem, kind: str, m: Sequence, x: Sequence) -> complex:
 
 def eval_orth_batch(rs: RootSystem, kind: str, m: Sequence, xs: np.ndarray) -> np.ndarray:
     """Vectorized form of :func:`eval_orth` over an (N, dim) array."""
-    kind = _norm_kind(kind)
-    if kind == "normalized":
-        raise ValueError("normalized kind is only defined on omega coordinates")
+    kind = _orth_kind(kind)
     mv = np.array(_strict_orth(rs, m), dtype=float)
     xs = _float_points(rs, xs, orth_dim(rs))
     perm, signs = orth_action(rs)
@@ -566,7 +572,7 @@ def _closed_form(fam: str, kind: str, E: np.ndarray):
 def closed_form_orth(rs: RootSystem, kind: str, m: Sequence, x: Sequence) -> complex:
     """Determinant / permanent closed forms in orthogonal coordinates at
     one point: the one-point case of the body eval_batch uses on B, C, D."""
-    kind = _norm_kind(kind)
+    kind = _orth_kind(kind)
     mv = np.array([float(v) for v in _strict_orth(rs, m)])
     xv = _float_points(rs, [x], len(mv))[0]
     return complex(_closed_form(rs.family, kind, _cis(np.multiply.outer(mv, xv))))

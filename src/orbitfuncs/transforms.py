@@ -210,9 +210,7 @@ def build_plan(rs: RootSystem, M: int, labels: Sequence[Vec] | None = None,
                          f"least one label (default labels need M > "
                          f"{sum(dual_marks(rs))})")
     labelled = time.perf_counter()
-    # the reshape keeps an empty grid a stack of points
-    coroots = np.array([p.coroot for p in grid], dtype=object).reshape(-1, rs.rank)
-    kernel = eval_coroot_point(rs, "antisymmetric", labels, coroots)
+    kernel = eval_coroot_point(rs, "antisymmetric", labels, [p.coroot for p in grid])
     evaluated = time.perf_counter()
     norm = float(lattice_index(rs) * M ** rs.rank)
     g = kernel @ kernel.conj().T

@@ -3,7 +3,8 @@
 Group elements are integer matrices acting on omega coordinates (column
 vectors).  Each group is built once as an int64 array, in BFS order over
 generator words (identity first), so every element has a shortest word and
-det = (-1)^length; each layer is one array step on the images of rho.
+det = (-1)^length; each layer is one array step on the images of rho.  A
+group of any diagram closes up to DEFAULT_GROUP_LIMIT elements, F4 and E6 too.
 Orbits and signed orbits are array operations on it: the weight is scaled
 to integers by the lcm of its denominators, multiplied by every matrix,
 and turned back into Fractions once (a signed orbit keeps its int64 rows
@@ -58,11 +59,8 @@ def generators(rs: RootSystem) -> list[WeylElement]:
     """Simple reflections r_i as integer matrices on omega coordinates.
 
     r_i subtracts x_i times the i-th Cartan row:  (r_i x)_k = x_k - x_i M_ik.
-    Only the A/B/C/D families and G_2 are enumerable here; the E and F
-    diagrams carry static data only.
+    Every diagram has them, E7 and E8 too, whose groups do not close.
     """
-    if rs.family in ("E", "F"):
-        raise ValueError(f"group enumeration is not supported for {rs.id.label}")
     n = rs.rank
     return [WeylElement(tuple(tuple(int(k == c) - int(c == i) * int(rs.cartan[i][k])
                                     for c in range(n)) for k in range(n)), -1, (i,))
@@ -83,14 +81,12 @@ class _Group:
 # groups kept; a bench workload touches at most 11 diagrams
 _GROUP_CACHE = _BoundedCache(16)
 
-#: The most elements of a closed group; of E and F, only E7 and E8 exceed it.
+#: The most elements of a closed group, the one ceiling: E7 and E8 exceed it.
 DEFAULT_GROUP_LIMIT = 100_000
 
 
 def _group(rs: RootSystem) -> _Group:
     """The cached group of rs, closed layer by layer on first use."""
-    if rs.family in ("E", "F"):
-        raise ValueError(f"group enumeration is not supported for {rs.id.label}")
     _check_group_size(rs)
     return _GROUP_CACHE.lookup(rs.id, lambda: _close(rs))
 

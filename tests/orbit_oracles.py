@@ -62,8 +62,6 @@ resolution^n bounding box, masked at once.
 ``close_oracle`` is the loop that ``weyl._close`` ran before it stepped
 on the images of rho: every product of a generator with an element of the
 last layer, one ``tobytes`` key per product checked against a seen set.
-It builds the generators from the Cartan matrix, so it also closes F4 and
-E6, whose groups ``weyl._group`` refuses.
 ``hermite_explicit`` is the factorial-sum definition of the Hermite
 polynomials, the oracle of ``analysis.hermite_polynomial``'s recurrence.
 ``exponent_terms_oracle``, ``shift_operator_check_oracle`` and

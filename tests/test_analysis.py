@@ -147,6 +147,16 @@ def test_shift_operator_eigenrelations():
                 assert rel < 1e-10, (label, variant, lam, rel)
 
 
+def test_shift_operator_eigenrelations_on_f4():
+    f4 = build("F4")
+    rng = random.Random(28)
+    for lam in ((1, 1, 1, 1), (2, 1, 1, 3)):
+        x = [rng.uniform(-0.6, 0.6) for _ in range(4)]
+        y = [rng.uniform(-0.6, 0.6) for _ in range(4)]
+        for variant in ("det_on_anti", "plain_on_anti", "det_on_sym"):
+            assert shift_operator_check(f4, lam, x, y, variant) < 1e-10, (lam, variant)
+
+
 @pytest.mark.parametrize("label", ["A2", "C2", "G2", "B3"])
 def test_shift_operator_check_is_the_object_product(label):
     # float points have power-of-two denominators near 2**53: the Python-int

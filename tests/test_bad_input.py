@@ -214,6 +214,10 @@ def test_bad_input_raises_a_named_error(data):
     rs = data.draw(st.sampled_from(DIAGRAMS), label="diagram")
     space, need, call = ENTRIES[name]
     value = data.draw(_bad_value(rs, space, need), label="value")
+    if name == "eval_coroot_point-point" and value == ():
+        # no coordinates at all is no points, as in eval_batch
+        assert call(rs, value).shape == (0,)
+        return
     with pytest.raises(ValueError) as info:
         call(rs, value)
     assert re.search(rf"\b{rs.id.label}\b", str(info.value)), (name, str(info.value))

@@ -10,7 +10,8 @@ from orbitfuncs.weyl import (
     generate_group, WallError, orbit, to_dominant, stabilizer_order,
 )
 from orbitfuncs.orbitfn import (
-    dimension, eval_orbit_function, eval_orth, rho_cosine_orbit_decomposition,
+    dimension, eval_coroot_point, eval_orbit_function, eval_orth,
+    rho_cosine_orbit_decomposition,
 )
 from orbitfuncs.orbitalg import (
     product_plain_signed, product_plain_signed_coset,
@@ -206,6 +207,22 @@ def test_function_product_expansions_match_pointwise():
                            for _ in range(rs.rank))
                 osum = expand_function_product(rs, kinds[0], lam, kinds[1], mu)
                 _check_functional(rs, osum, [(kinds[0], lam), (kinds[1], mu)])
+
+
+def test_f4_products_match_pointwise():
+    # at exact coroot points, the terms of each product (340 of the square
+    # of rho) stacked into one eval_coroot_point call
+    f4 = build("F4")
+    rho, lam = (1, 1, 1, 1), (1, 0, 0, 0)
+    pts = [tuple(F(RNG.randint(-40, 40), 41) for _ in range(4)) for _ in range(4)]
+    anti = eval_coroot_point(f4, "anti", rho, pts)
+    for osum, prod in ((product_plain_signed(f4, lam, rho),
+                        eval_coroot_point(f4, "sym", lam, pts) * anti),
+                       (product_signed_signed(f4, rho, rho), anti * anti)):
+        kind = {"orbit": "sym", "signed": "anti"}[osum[0].kind]
+        values = eval_coroot_point(f4, kind, [t.label for t in osum], pts)
+        total = np.array([t.coefficient for t in osum]) @ values
+        assert np.all(np.abs(prod - total) < 1e-9 * (1 + np.abs(prod)))
 
 
 def test_a1_function_identities():

@@ -13,6 +13,7 @@ from orbitfuncs.rootsys import (
 )
 from orbitfuncs.weyl import (
     generate_group, affine_r0, positive_roots, in_fundamental_domain, to_dominant, WallError,
+    stabilizer_order,
 )
 from orbitfuncs.orbitfn import (
     rho_cosine_orbit_decomposition, character_highprec,
@@ -29,6 +30,7 @@ from orbit_oracles import (
 )
 
 RNG = random.Random(20240)
+U = 2.0 ** -53
 
 
 def rand_x(n, lo=-1.0, hi=1.0):
@@ -163,7 +165,8 @@ def test_orth_batch_refuses_what_the_single_point_refuses():
     b3 = build("B3")
     xs = np.array([[0.1, 0.2, 0.3], [0.3, -0.1, 0.05]])
     for call in (lambda m, kind: eval_orth(b3, kind, m, xs[0]),
-                 lambda m, kind: eval_orth_batch(b3, kind, m, xs)):
+                 lambda m, kind: eval_orth_batch(b3, kind, m, xs),
+                 lambda m, kind: closed_form_orth(b3, kind, m, xs[0])):
         with pytest.raises(ValueError, match="only defined on omega"):
             call((3, 2, 1), "normalized")
         with pytest.raises(ValueError, match="expected 3 coordinates"):
@@ -370,6 +373,49 @@ def test_rho_products_equal_the_per_family_oracles(label, coords):
                 assert abs(v - e) <= bound, (label, x, v, e, bound)
 
 
+@pytest.mark.parametrize("label", ["F4", "E6"])
+def test_anti_rho_on_f4_and_e6_is_the_rho_product(label):
+    # the sum over W has |W| unit terms, so its condition number is
+    # sum |c| = |W|: within 4 |W| u of the 50-digit product, and of
+    # rho_products within that and the bound of _rho_products_mp
+    rs = build(label)
+    S = rs.metric
+    roots = [tuple(sum(a[i] * S[i][j] for i in range(rs.rank)) for j in range(rs.rank))
+             for a in positive_roots(rs)]
+    xs = np.random.default_rng(28).uniform(-1, 1, (20, rs.rank))
+    for x, value in zip(xs, eval_batch(rs, "anti", rs.rho, xs)):
+        (exact, bound), _ = _rho_products_mp(roots, x)
+        assert abs(value - exact) <= 4 * rs.weyl_order * U, (label, x)
+        assert abs(value - rho_products(rs, x)[0]) <= 4 * rs.weyl_order * U + bound, (label, x)
+
+
+@pytest.mark.parametrize("label, lams", [
+    ("F4", [(1, 0, 0, 0), (0, 0, 0, 1), (0, 1, 0, 2), (1, 1, 1, 1)]),
+    ("E6", [(1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1), (1, 0, 0, 0, 1, 0)]),
+])
+def test_sym_on_f4_and_e6_is_norm_over_the_stabilizer(label, lams):
+    # at x = 0 every term is 1: the symmetric value is the orbit size
+    rs = build(label)
+    xs = np.vstack([np.zeros(rs.rank), np.random.default_rng(6).uniform(-1, 1, (5, rs.rank))])
+    for lam in lams:
+        stab = stabilizer_order(rs, lam)
+        sym, norm = (eval_batch(rs, kind, lam, xs) for kind in ("sym", "norm"))
+        assert sym[0] == rs.weyl_order // stab
+        assert np.allclose(sym * stab, norm, rtol=4 * U, atol=0), (label, lam)
+
+
+def test_eval_coroot_point_reads_an_empty_point_list_as_no_points():
+    # as eval_batch does, not as one point with no coordinates
+    a2 = build("A2")
+    assert eval_coroot_point(a2, "anti", [(1, 1), (2, 1)], []).shape == (2, 0)
+    assert eval_coroot_point(a2, "anti", (1, 1), []).shape == (0,)
+    assert eval_coroot_point(a2, "sym", (1, 0), np.empty((0, 2), dtype=object)).shape == (0,)
+    assert eval_batch(a2, "anti", (1, 1), []).shape == (0,)
+    # one point with no coordinates in a stack is still refused
+    with pytest.raises(ValueError, match="expected 2 coordinates per point for A2"):
+        eval_coroot_point(a2, "anti", (1, 1), [()])
+
+
 def test_rho_vanishes_on_walls_not_inside():
     for label in ["A2", "C2", "G2"]:
         rs = build(label)
@@ -543,6 +589,16 @@ def test_character_limit_matches_dimension():
     a2 = build("A2")
     chi = character(a2, (1, 0), [1e-5, 1e-5], threshold=0.0)
     assert abs(chi - 3) < 1e-3
+
+
+def test_f4_character_limit_matches_dimension():
+    # both sums are ~ eps^24 at eps = 1e-4 (24 positive roots): 120 digits
+    # keep about 20 of them; the ratio is off the limit by O(eps^2)
+    f4 = build("F4")
+    x = [F(1, 10000) * (10 + i) / 10 for i in range(4)]
+    for lam, dim in (((0, 0, 0, 1), 26), ((1, 0, 0, 0), 52)):
+        assert dimension(f4, lam) == dim
+        assert abs(character_highprec(f4, lam, x, dps=120) - dim) < 1e-4 * dim
 
 
 def test_character_near_singular_guard():

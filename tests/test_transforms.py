@@ -723,6 +723,26 @@ def test_plan_builds_for_all_desk_diagrams():
         assert np.max(np.abs(plan.forward(plan.inverse(a)) - a)) < 1e-10
 
 
+@pytest.mark.parametrize("label, Ms", [("F4", range(12, 17)), ("E6", range(12, 15))])
+def test_plans_separate_their_labels_on_f4_and_e6(label, Ms):
+    # a Gram entry sums products of kernel values that are each a sum of
+    # |W| unit terms: its rounding is bounded by the condition number |W|
+    # in units of u, times the norm
+    rs = build(label)
+    for M in Ms:
+        plan = build_plan(rs, M)
+        assert len(plan.labels) == len(plan.grid) > 0
+        assert plan.residual <= rs.weyl_order * 2.0 ** -53 * plan.norm, M
+    a = np.random.default_rng(3).normal(size=len(plan.labels))
+    assert np.max(np.abs(plan.forward(plan.inverse(a)) - a)) < 1e-10
+
+
+def test_a_plan_on_an_empty_grid_fails_its_separation_check():
+    # F_2 of A2 has no interior point: the kernel is (1, 0), not refused
+    with pytest.raises(PlanSeparationError, match="gram = 0.000e"):
+        build_plan(build("A2"), 2, labels=[(1, 1)])
+
+
 def test_plan_recovers_float_route_synthesis():
     # synthesize through the floating omega-coordinate evaluator and
     # analyze through the exact-phase plan kernel: the two evaluation

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -12,7 +13,7 @@ from orbitfuncs.rootsys import build, mat_vec, vec, UnsupportedCoordinatesError
 from orbitfuncs.weyl import (
     generators, generate_group, to_dominant, orbit, signed_orbit,
     stabilizer_order, affine_r0, reflect_highest_root, in_fundamental_domain,
-    positive_roots, positive_root_count, orth_action, xi_pairing, dual_marks,
+    positive_roots, positive_root_count, orth_action, xi_pairing, dual_marks, highest_short_root,
     GroupSizeError, WallError, _close, _distinct, _dominant_forms, _dominant_rows, _group,
 )
 
@@ -24,6 +25,11 @@ from orbit_oracles import (
 
 WEYL_ORDERS = {"A1": 2, "A2": 6, "A3": 24, "A4": 120, "B2": 8, "B3": 48,
                "C2": 8, "C3": 48, "D4": 192, "G2": 12}
+
+#: every diagram up to rank 8
+ALL_DIAGRAMS = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+                + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(4, 9)]
+                + ["E6", "E7", "E8", "F4", "G2"])
 
 
 def test_generator_actions():
@@ -42,7 +48,9 @@ def test_generator_actions():
 
 
 def test_generators_are_involutions_with_det_minus_one():
-    for label in WEYL_ORDERS:
+    # E7 and E8 too, whose groups are above DEFAULT_GROUP_LIMIT
+    assert len(ALL_DIAGRAMS) == 32
+    for label in ALL_DIAGRAMS:
         rs = build(label)
         for g in generators(rs):
             assert g.det == -1
@@ -60,12 +68,34 @@ def test_group_size_limit():
         generate_group(build("A8"))
 
 
-def test_static_only_families_reject_enumeration():
-    for label in ["E6", "E7", "E8", "F4"]:
-        with pytest.raises(ValueError):
-            generate_group(build(label))
-        with pytest.raises(ValueError):
-            generators(build(label))
+def test_f4_and_e6_close_and_only_the_group_limit_refuses():
+    # DEFAULT_GROUP_LIMIT is the one rule that refuses a group: F4 and E6
+    # are below it and close; E7 and E8 are above it, and each entry point
+    # of the group names the limit
+    assert len(generate_group(build("F4"))) == 1152
+    assert len(generate_group(build("E6"))) == 51840
+    for label in ("E7", "E8"):
+        rs = build(label)
+        for call in (generate_group, lambda rs: signed_orbit(rs, rs.rho),
+                     lambda rs: orbit(rs, (1,) + (0,) * (rs.rank - 1))):
+            message = f"|W({label})| = {rs.weyl_order} exceeds the limit 100000"
+            with pytest.raises(GroupSizeError, match=re.escape(message)):
+                call(rs)
+
+
+def test_f4_and_e6_orbits_of_roots_and_of_omega_1():
+    # on F4 omega_1 is the highest root: its orbit is the 24 long roots, and
+    # that of the highest short root the 24 short ones; on E6 omega_1 has
+    # the 27 weights of the minuscule representation
+    f4 = build("F4")
+    roots = set(positive_roots(f4)) | {tuple(-c for c in r) for r in positive_roots(f4)}
+    long_roots = set(orbit(f4, f4.highest_root_omega))
+    short_roots = set(orbit(f4, highest_short_root(f4)))
+    assert len(long_roots) == len(short_roots) == 24 and long_roots | short_roots == roots
+    for label, size in (("F4", 24), ("E6", 27)):
+        rs = build(label)
+        omega_1 = (1,) + (0,) * (rs.rank - 1)
+        assert len(orbit(rs, omega_1)) == size == rs.weyl_order // stabilizer_order(rs, omega_1)
 
 
 def test_group_closure_and_det_multiplicativity():
@@ -252,7 +282,7 @@ def test_orbit_stabilizer_property_c2(lam):
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4",
-                                   "C2", "C3", "C4", "C5", "D4", "D5", "G2"])
+                                   "C2", "C3", "C4", "C5", "D4", "D5", "F4", "G2"])
 def test_group_matches_the_bfs_oracle(label):
     # the same matrices, dets and words in the same order, as Python ints
     rs = build(label)
@@ -264,7 +294,6 @@ def test_group_matches_the_bfs_oracle(label):
 
 @pytest.mark.parametrize("label", ["A5", "A6", "B5", "C5", "D5", "F4"])
 def test_close_matches_the_loop_over_all_products(label):
-    # F4 through _close itself: the public entry points still refuse it.
     # The int64 bound of _scaled, rank * max(dual marks), is the closed
     # group's rank * max |entry|.
     rs = build(label)
@@ -346,7 +375,7 @@ def _coordinate(low):
 
 @st.composite
 def _weights(draw, low):
-    rs = build(draw(st.sampled_from(["A2", "A3", "B3", "C3", "G2", "D4"])))
+    rs = build(draw(st.sampled_from(["A2", "A3", "B3", "C3", "G2", "D4", "F4"])))
     lam = draw(st.lists(_coordinate(low), min_size=rs.rank, max_size=rs.rank))
     return rs, tuple(lam)
 
