@@ -19,7 +19,12 @@ with z_j = exp(2 pi i s y_j), s the gcd of the m_i; elsewhere every phase is
 sum_j K_j s_j x_j, so each term is a product of integer powers of the r
 numbers z_j = exp(2 pi i s_j x_j).  The powers come by repeated squaring
 from one table per block of points, so a point costs n (or r) base
-exponentials, each one ``_cis`` value.
+exponentials, each one ``_cis`` value.  The closed form reads its tables
+batch-last, every entry a contiguous row.  The orbit sum is Horner over a
+prefix tree of its exponent rows, one product per distinct prefix, and
+where the rows are closed under K -> -K (always when -1 is in W) it sums
+half of them and takes twice the real or the imaginary part, which then
+comes out real or purely imaginary exactly.
 
 Weights stay exact rationals until ``_cis``, the one kernel of every float
 phase in the package but the textbook ``transforms._dct_dst_data`` tables.
@@ -209,29 +214,118 @@ def _powers(turns: np.ndarray, ks: set) -> dict:
 _CHUNK = 4096   # points per block of the power-table kernels
 
 
+def _half_terms(rows: np.ndarray, coeffs: list) -> tuple[np.ndarray, list, int]:
+    """The sorted distinct int rows and their coefficients, halved where
+    they are exactly closed under K -> -K with c(-K) = sigma c(K): then only
+    the rows K >= 0 (lexicographic order) are kept, the zero row at half
+    its coefficient, and the sum over all is 2 Re (sigma = 1) or 2i Im
+    (sigma = -1) of the sum over those.  Returns rows, coefficients and
+    sigma (0 if not closed).  Negation reverses the lexicographic order,
+    so the rows are closed when they are their own negated reverse."""
+    sigma = 0
+    if (rows[::-1] == -rows).all():
+        sigma = next((s for s in (1, -1) if coeffs[::-1] == [s * c for c in coeffs]), 0)
+    if not sigma:
+        return rows, coeffs, 0
+    half = len(rows) // 2
+    kept = coeffs[half:]
+    if len(rows) % 2:   # the middle row is the zero row, its own negative
+        kept[0] /= 2
+    return rows[half:], kept, sigma
+
+
+def _prefix_tree(rows: np.ndarray, coeffs: list) -> list:
+    """The sorted distinct int rows as a prefix tree over their columns:
+    [(k, subtree)] over the distinct values k of the first column, and so
+    on down to [(k, c)] over the rows in the last, with their
+    coefficients.  It is built from the leaves up, a column at a time,
+    each node the slice of the entries below that share its prefix."""
+    entries = list(zip(rows[:, -1].tolist(), coeffs))
+    change = np.zeros(len(rows), dtype=bool)
+    change[0] = True
+    starts = []   # the first row of each node, per prefix length 1..r
+    for j in range(rows.shape[1] - 1):
+        change[1:] |= rows[1:, j] != rows[:-1, j]
+        starts.append(np.flatnonzero(change))
+    starts.append(np.arange(len(rows)))
+    for j in range(rows.shape[1] - 2, -1, -1):
+        # the nodes of prefix length j + 1 group the entries of length j + 2
+        bounds = np.searchsorted(starts[j + 1], starts[j]).tolist() + [len(entries)]
+        entries = [(k, entries[lo:hi]) for k, lo, hi in
+                   zip(rows[starts[j], j].tolist(), bounds, bounds[1:])]
+    return entries
+
+
+def _horner(tree: list, tables: list, depth: int = 0) -> tuple:
+    """The value of a prefix tree at a block of points: sum over its
+    children of z**k times the child's value (z**k c at the last column),
+    with tables[j] = {k: z_j**k}.  Returns (a, s, owned) with value s a,
+    s = +-1, owned when a is a new array that may be written in place:
+    a +-1 leaf is its table row, added or subtracted, and an exponent 0
+    multiplies nothing."""
+    table, last = tables[depth], depth == len(tables) - 1
+    acc = None
+    for k, sub in tree:
+        if last and sub in (1, -1):
+            a, s, owned = table[k], sub, False
+        elif last:
+            a, s, owned = sub * table[k], 1, True
+        else:
+            a, s, owned = _horner(sub, tables, depth + 1)
+            if k and owned:
+                a *= table[k]
+            elif k:
+                a, owned = a * table[k], True
+        if acc is None:
+            acc, sign, acc_owned = a, s, owned
+        elif acc_owned:
+            if s == sign:
+                acc += a
+            else:
+                acc -= a
+        else:
+            acc, acc_owned = acc + a if s == sign else acc - a, True
+    return acc, sign, acc_owned
+
+
 def _power_sum(K: list, steps: list, coeffs: list):
     """The function that evaluates the sum over W with exponents K (one
-    row per term) at an (N, rank) float array xs: per block of points, r
-    exponentials z_j = exp(2 pi i s_j x_j), the powers z_j**K_j of every
-    column, and each term as the product of its powers, summed per
-    coefficient."""
+    row per term) and integer coefficients at an (N, rank) float array xs.
+
+    The terms are prepared once, in exact integers: equal rows merge, the
+    gcd g of the coefficients is divided out (and multiplied back once at
+    the end, so that the normalized kind is |Stab(lam)| times the
+    symmetric one to the bit), and a sum closed under K -> -K keeps half
+    its terms (``_half_terms``).  The kept rows, sorted, are the leaves of
+    a prefix tree over the r columns (``_prefix_tree``), and the sum is
+    Horner across them (``_horner``): sum_k0 z_0**k0 (sum_k1 z_1**k1 (...
+    sum_k c z_{r-1}**k)), one product per node with k != 0, that is per
+    distinct prefix, in place of r - 1 per term.  Per block of points it
+    takes r exponentials z_j = exp(2 pi i s_j x_j) and the powers that
+    each column needs."""
     steps = np.array([float(s) for s in steps])
-    needed = [set(col) - {0} for col in zip(*K)]
-    groups: dict = {}
-    for row, c in zip(K, coeffs):
-        groups.setdefault(c, []).append([(j, k) for j, k in enumerate(row) if k])
+    K = np.array(K, dtype=np.int64)
+    order = np.lexsort(K.T[::-1])
+    K = K[order]
+    distinct = np.flatnonzero(np.concatenate([[True], (K[1:] != K[:-1]).any(axis=1)]))
+    merged = np.add.reduceat(np.array(coeffs, dtype=np.int64)[order], distinct).tolist()
+    g = math.gcd(*merged) or 1
+    rows, leaf_coeffs, sigma = _half_terms(K[distinct], [c // g for c in merged])
+    factor = 2 * g if sigma else g
+    # the powers each column needs: every leaf's, and the nonzero ones above
+    needed = [set(col) - {0} for col in rows[:, :-1].T.tolist()] + [set(rows[:, -1].tolist())]
+    tree = _prefix_tree(rows, leaf_coeffs)
 
     def evaluate(xs: np.ndarray) -> np.ndarray:
         out = np.zeros(len(xs), dtype=complex)
         for start in range(0, len(xs), _CHUNK):
             turns = steps[:, None] * xs[start:start + _CHUNK].T
-            tables = [_powers(t, ks) for t, ks in zip(turns, needed)]
-            block = out[start:start + _CHUNK]
-            for c, terms in groups.items():
-                total = np.zeros(len(block), dtype=complex)
-                for factors in terms:      # no factors: the weight 0
-                    total += reduce(mul, (tables[j][k] for j, k in factors)) if factors else 1
-                block += c * total
+            total, sign, _ = _horner(tree, [_powers(t, ks) for t, ks in zip(turns, needed)])
+            scale = sign * factor
+            if sigma >= 0:   # sigma = 0 writes both parts
+                out.real[start:start + _CHUNK] = scale * total.real
+            if sigma <= 0:
+                out.imag[start:start + _CHUNK] = scale * total.imag
         return out
     return evaluate
 
@@ -252,17 +346,21 @@ def _closed_form_terms(rs: RootSystem, kind: str, lamv: tuple) -> tuple[list, np
 
 def _closed_form_sum(fam: str, kind: str, K: list, T: np.ndarray, factor: float):
     """The function that evaluates the closed form with exponents K at an
-    (N, rank) float array xs: per block of points, n exponentials z_j =
-    exp(2 pi i s y_j) and the entries exp(2 pi i m_i y_j) = z_j**K_i from
-    their powers."""
+    (N, rank) float array xs: per block of points, the turns s y_j and n
+    exponentials z_j = exp(2 pi i s y_j) batch-last, (n, block), so that
+    every entry exp(2 pi i m_i y_j) = z_j**K_i is a contiguous row of a
+    power table, and the det or permanent reads contiguous (n, n, block)
+    real cos and sin parts."""
     ks = set(K)
 
     def evaluate(xs: np.ndarray) -> np.ndarray:
         out = np.empty(len(xs), dtype=complex)
         for start in range(0, len(xs), _CHUNK):
-            table = _powers(xs[start:start + _CHUNK] @ T, ks)
-            E = np.stack([table[k] for k in K], axis=-2)
-            out[start:start + _CHUNK] = factor * _closed_form(fam, kind, E)
+            table = _powers((xs[start:start + _CHUNK] @ T).T, ks)
+
+            def part(name: str) -> np.ndarray:   # batch-first view of contiguous rows
+                return np.array([getattr(table[k], name) for k in K]).transpose(2, 0, 1)
+            out[start:start + _CHUNK] = factor * _closed_form(fam, kind, K, part)
         return out
     return evaluate
 
@@ -544,29 +642,31 @@ def _stab_order(rows) -> np.ndarray:
     return ranks.prod(axis=-1)
 
 
-def _closed_form(fam: str, kind: str, E: np.ndarray):
+def _closed_form(fam: str, kind: str, m: Sequence, part):
     """The sum over W of (det w for the antisymmetric kind times)
     exp(2 pi i <w m, y>) in orthogonal coordinates, by its determinant or
     permanent form, from the entries E_ij = exp(i theta_ij), theta_ij =
-    2 pi m_i y_j, at points of any batch shape (..., n, n): cos theta is
-    E.real and sin theta is E.imag.
+    2 pi m_i y_j, at points of any batch shape (..., n, n): part("real")
+    gives cos theta and part("imag") sin theta, each formed only where the
+    formula reads it.  m is the weight, or any multiple of it.
 
     A: det/perm E;  B, C: (2i)^n det sin theta (antisymmetric) or 2^n
     perm cos theta;  D: 2^(n-1) perm cos theta + (2i)^n perm sin theta / 2,
-    with det in place of perm for the antisymmetric kind.
+    with det in place of perm for the antisymmetric kind; the sine part
+    vanishes where m_n = 0.
     """
     signed = kind == "antisymmetric"
-    n = E.shape[-1]
+    n = len(m)
     if fam == "A":
-        return _perm_sum(E, signed)
+        return _perm_sum(part("real") + 1j * part("imag"), signed)
     if fam in ("B", "C"):
         if signed:
-            return (2j) ** n * _perm_sum(E.imag, True)
-        return 2 ** n * _perm_sum(E.real, False)
-    value = 2 ** (n - 1) * _perm_sum(E.real, signed)
-    if not E.imag[..., -1, :].any():  # m_n = 0: the sine part vanishes
+            return (2j) ** n * _perm_sum(part("imag"), True)
+        return 2 ** n * _perm_sum(part("real"), False)
+    value = 2 ** (n - 1) * _perm_sum(part("real"), signed)
+    if m[-1] == 0:
         return value
-    return value + (2j) ** n / 2 * _perm_sum(E.imag, signed)
+    return value + (2j) ** n / 2 * _perm_sum(part("imag"), signed)
 
 
 def closed_form_orth(rs: RootSystem, kind: str, m: Sequence, x: Sequence) -> complex:
@@ -575,7 +675,8 @@ def closed_form_orth(rs: RootSystem, kind: str, m: Sequence, x: Sequence) -> com
     kind = _orth_kind(kind)
     mv = np.array([float(v) for v in _strict_orth(rs, m)])
     xv = _float_points(rs, [x], len(mv))[0]
-    return complex(_closed_form(rs.family, kind, _cis(np.multiply.outer(mv, xv))))
+    E = _cis(np.multiply.outer(mv, xv))
+    return complex(_closed_form(rs.family, kind, mv, lambda name: getattr(E, name)))
 
 
 # -- rho products ---------------------------------------------------------
@@ -591,9 +692,14 @@ def _root_rows(rs: RootSystem, m: Sequence) -> tuple[np.ndarray, int]:
 def _root_products(rs: RootSystem, m: Sequence, x: np.ndarray) -> tuple[complex, complex]:
     """(2i)^R prod sin(pi <alpha, x>) and 2^R prod cos(pi <alpha, x>) over
     the R positive roots alpha, where m takes alpha to the coordinates of
-    x, so that <alpha, x> is the dot product (alpha m) . x."""
+    x, so that <alpha, x> is the dot product (alpha m) . x.  Each float of
+    x is an exact rational, so <alpha, x> = P / D is an exact pairing; it
+    is reduced mod 2 into [-1, 1) in integers, so that a small angle keeps
+    its relative precision, and its half, the turns of exp(i pi <alpha,
+    x>), is rounded once."""
     rows, L = _root_rows(rs, m)
-    z = _cis(0.5 * ((rows / L) @ x))   # exp(i pi <alpha, x>); the halving is exact
+    P, D = _pairing(rows, L, [Fraction(c) for c in x.tolist()])
+    z = _cis(np.array([((p + D) % (2 * D) - D) / (2 * D) for p in P[:, 0].tolist()]))
     return (2j) ** len(z) * float(np.prod(z.imag)), 2 ** len(z) * float(np.prod(z.real))
 
 

@@ -80,7 +80,14 @@ reversed), and the metric as the full ``Fraction`` product C^-1 D with its
 inverse by a second elimination.
 ``cis_oracle`` is ``orbitfn._cis`` before its table of 4096 turns: one
 libm cos and sin per value after an exact reduction to the nearest quarter
-turn.  ``branch_terms_a_drop`` and ``branch_terms_a_split`` are the
+turn.  ``power_sum_oracle`` is ``orbitfn._power_sum`` before its prefix
+tree: per block of points, every term as the product of its column powers
+in a Python loop over the terms, summed per coefficient.
+``closed_form_sum_oracle`` is ``orbitfn._closed_form_sum`` before its
+batch-last tables: the power tables batch-first, (block, n), and the
+entries stacked into one (block, n, n) complex array whose strided real
+and imaginary views go to the shared closed form.
+``branch_terms_a_drop`` and ``branch_terms_a_split`` are the
 closed-form A_n branching generators that ``orbitalg`` kept beside
 ``branch``: one term per dropped coordinate or per p-subset, signed by the
 parity of the shuffle.
@@ -97,6 +104,7 @@ scale sum_k |w_k f(x_k)| of its stencil sums.
 import functools
 import itertools
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
 
@@ -105,7 +113,8 @@ import numpy as np
 from orbitfuncs.analysis import hermite_polynomial, _hermite_factors
 from orbitfuncs.orbitalg import OrbitTerm
 from orbitfuncs.orbitfn import (
-    TWO_PI, eval_batch, eval_orbit_function, _cis, _float_points, _orbit_terms, _perm_sum,
+    TWO_PI, eval_batch, eval_orbit_function, _CHUNK, _cis, _closed_form, _float_points,
+    _orbit_terms, _perm_sum, _powers,
 )
 from orbitfuncs.rootsys import (
     DiagramId, RootSystem, convert_basis, inner, mat_inverse, mat_vec, rank_vec, vec, vec_mat,
@@ -853,6 +862,52 @@ def cis_oracle(turns: np.ndarray) -> np.ndarray:
     np.sin(angle, out=z.imag)
     z *= _QUARTER_TURNS[q.astype(np.intp)]
     return z
+
+
+def power_sum_oracle(K: list, steps: list, coeffs: list):
+    """The function that evaluates the sum over W with exponents K (one
+    row per term) at an (N, rank) float array xs: per block of points, r
+    exponentials z_j = exp(2 pi i s_j x_j), the powers z_j**K_j of every
+    column, and each term as the product of its powers, summed per
+    coefficient."""
+    steps = np.array([float(s) for s in steps])
+    needed = [set(col) - {0} for col in zip(*K)]
+    groups: dict = {}
+    for row, c in zip(K, coeffs):
+        groups.setdefault(c, []).append([(j, k) for j, k in enumerate(row) if k])
+
+    def evaluate(xs: np.ndarray) -> np.ndarray:
+        out = np.zeros(len(xs), dtype=complex)
+        for start in range(0, len(xs), _CHUNK):
+            turns = steps[:, None] * xs[start:start + _CHUNK].T
+            tables = [_powers(t, ks) for t, ks in zip(turns, needed)]
+            block = out[start:start + _CHUNK]
+            for c, terms in groups.items():
+                total = np.zeros(len(block), dtype=complex)
+                for factors in terms:      # no factors: the weight 0
+                    total += functools.reduce(
+                        operator.mul, (tables[j][k] for j, k in factors)) if factors else 1
+                block += c * total
+        return out
+    return evaluate
+
+
+def closed_form_sum_oracle(fam: str, kind: str, K: list, T: np.ndarray, factor: float):
+    """The function that evaluates the closed form with exponents K at an
+    (N, rank) float array xs: per block of points, n exponentials z_j =
+    exp(2 pi i s y_j) and the entries exp(2 pi i m_i y_j) = z_j**K_i from
+    their powers, stacked into one (block, n, n) complex array."""
+    ks = set(K)
+
+    def evaluate(xs: np.ndarray) -> np.ndarray:
+        out = np.empty(len(xs), dtype=complex)
+        for start in range(0, len(xs), _CHUNK):
+            table = _powers(xs[start:start + _CHUNK] @ T, ks)
+            E = np.stack([table[k] for k in K], axis=-2)
+            out[start:start + _CHUNK] = factor * _closed_form(
+                fam, kind, K, lambda name: getattr(E, name))
+        return out
+    return evaluate
 
 
 def branch_terms_a_drop(m) -> tuple:

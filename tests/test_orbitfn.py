@@ -389,6 +389,21 @@ def test_anti_rho_on_f4_and_e6_is_the_rho_product(label):
         assert abs(value - rho_products(rs, x)[0]) <= 4 * rs.weyl_order * U + bound, (label, x)
 
 
+def test_the_f4_rho_sine_product_takes_its_angles_exactly():
+    # <alpha, x> is an exact pairing reduced mod 2, so each of the 24
+    # factors rounds about once: within 8 |positive roots| u = 192 u of the
+    # 50-digit product, relative.  Float dot products of the rounded metric
+    # rows with x reached 1534 u on these points.
+    rs = build("F4")
+    S = rs.metric
+    roots = [tuple(sum(a[i] * S[i][j] for i in range(rs.rank)) for j in range(rs.rank))
+             for a in positive_roots(rs)]
+    assert len(roots) == 24
+    for x in np.random.default_rng(0).uniform(-1, 1, (100, 4)):
+        (exact, _), _ = _rho_products_mp(roots, x)
+        assert abs(rho_products(rs, x)[0] - exact) <= 8 * len(roots) * U * abs(exact), x
+
+
 @pytest.mark.parametrize("label, lams", [
     ("F4", [(1, 0, 0, 0), (0, 0, 0, 1), (0, 1, 0, 2), (1, 1, 1, 1)]),
     ("E6", [(1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1), (1, 0, 0, 0, 1, 0)]),

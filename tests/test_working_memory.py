@@ -1,4 +1,5 @@
-"""Working-memory bounds of the quadrature checks, through tracemalloc.
+"""Working-memory bounds of the quadrature checks, and the memory an
+evaluator of eval_batch keeps, through tracemalloc.
 
 numpy reports its data buffers to tracemalloc, so the traced peak of a
 call is the largest set of arrays it held at once, and it is the same on
@@ -12,6 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from orbitfuncs import orbitfn, weyl
 from orbitfuncs.analysis import PlaneWaveQuadrature, _eigen_residual
 from orbitfuncs.rootsys import build
 from orbitfuncs.transforms import _integral_transform, fundamental_domain_quadrature
@@ -67,3 +69,20 @@ def test_the_fundamental_domain_is_masked_a_slab_at_a_time():
     rs = build("B3")
     fundamental_domain_quadrature(rs, 2)
     assert _peak(lambda: fundamental_domain_quadrature(rs, 100)) < 8 * MIB
+
+
+def test_the_e6_rho_evaluator_keeps_a_prefix_tree_not_per_term_lists():
+    # what the antisymmetric rho evaluator of E6 keeps once built, with the
+    # group closed beforehand (the group array is weyl's cache's): the
+    # prefix tree over half of the 51 840 terms, 3.9 MiB; the per-term
+    # lists of (column, exponent) tuples it replaced kept 23.7 MiB
+    rs = build("E6")
+    weyl._group(rs)
+    tracemalloc.start()
+    try:
+        evaluate = orbitfn._power_sum(*orbitfn._exponent_terms(rs, "antisymmetric", rs.rho))
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert evaluate(np.zeros((1, 6)))[0] == 0
+    assert kept < 12 * MIB

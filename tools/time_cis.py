@@ -9,6 +9,9 @@ best of several calls after one warm call:
 * ``orbitfn.eval_batch`` on the 20 keys of the ``evaluate`` bench workload
   (``bench/workloads.py`` ``EVAL_KEYS``, weights drawn by its seed 1), in
   ns per point, and the sum of their best times in ms;
+* ``orbitfn.eval_batch`` of the antisymmetric rho at 100 points on F4, A5
+  and E6 (1 152, 720 and 51 840 terms), in ms: the first call, which also
+  closes the group and builds the evaluator, and the best repeat;
 * ``analysis.PlaneWaveQuadrature.make(6, 400)``, in ms;
 
 and the minor page faults per call of each (``resource.getrusage`` around
@@ -28,6 +31,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 from workloads import make_tasks  # noqa: E402  (pure Python, no orbitfuncs)
 
 CIS_SIZES = (160, 4096, 16384, 160_000)
+RHO_DIAGRAMS = ("F4", "A5", "E6")
 
 CHILD = """
 import json, resource, sys, time
@@ -47,7 +51,7 @@ def best(call, reps):
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     return min(times), faults / reps
 
-cis_sizes, keys = json.loads(sys.argv[1])
+cis_sizes, keys, rho_diagrams = json.loads(sys.argv[1])
 rng = np.random.default_rng(1)
 out = {}
 for n in cis_sizes:
@@ -64,6 +68,14 @@ for diagram, kind, lam, points in keys:
         "ns_per_value": t / points * 1e9, "faults": f}
     total, total_faults = total + t, total_faults + f
 out["eval_total"] = {"ms": total * 1e3, "faults": total_faults}
+for diagram in rho_diagrams:
+    rs = build(diagram)
+    xs = rng.uniform(-1.0, 1.0, (100, rs.rank))
+    start = time.perf_counter()
+    eval_batch(rs, "anti", rs.rho, xs)
+    first = time.perf_counter() - start
+    t, f = best(lambda: eval_batch(rs, "anti", rs.rho, xs), 5)
+    out[f"rho_{diagram}_100"] = {"first_ms": first * 1e3, "ms": t * 1e3, "faults": f}
 t, f = best(lambda: PlaneWaveQuadrature.make(6.0, 400), 10)
 out["quadrature_6_400"] = {"ms": t * 1e3, "faults": f}
 print(json.dumps(out))
@@ -93,7 +105,7 @@ def main() -> int:
     parser.add_argument("src", nargs="+", help="a source directory holding orbitfuncs")
     parser.add_argument("--rounds", type=int, default=5)
     args = parser.parse_args()
-    cases = json.dumps([CIS_SIZES, eval_keys()])
+    cases = json.dumps([CIS_SIZES, eval_keys(), RHO_DIAGRAMS])
     runs = [[] for _ in args.src]   # one list per tree, also when a tree is given twice
     for _ in range(args.rounds):
         for src, rounds in zip(args.src, runs):
