@@ -47,7 +47,7 @@ from .rootsys import (
 )
 from .weyl import (
     signed_orbit, stabilizer_order, positive_roots, orth_action, WallError,
-    _check_group_size, _dominant_vec, _group, _orbit_rows, _strict_vec,
+    _check_group_size, _dominant_vec, _group, _orbit_rows, _strict_rows, _strict_vec,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -95,30 +95,35 @@ def _integer_exponents(values: Sequence[Fraction]) -> tuple[Fraction, list]:
 _EXACT_FLOAT = 2 ** 53
 
 
-def _pairing(rows: np.ndarray, d: int, values: Sequence) -> tuple[np.ndarray, int]:
-    """The exact pairings (row / d) . v of the int64 rows over d with the
-    vectors v whose exact coordinates are values, n = rows.shape[1] per
-    vector, one vector after another: the integer numerators P, one row
-    per row and one column per v, over the denominator D = d L, with L the
-    lcm of the denominators of values, and D.
+def _numerators(values: Sequence) -> tuple[np.ndarray, int]:
+    """Rationals as Python ints (object dtype) over the lcm L of their denominators, and L."""
+    ratios = [c.as_integer_ratio() for c in values]
+    L = math.lcm(*{q for _, q in ratios})
+    return np.array([p * (L // q) for p, q in ratios], dtype=object), L
+
+
+def _pairing(rows: np.ndarray, d: int, values) -> tuple[np.ndarray, int]:
+    """The exact pairings (row / d) . v of the integer rows over d with the
+    vectors v whose exact coordinates are values (an integer array is its
+    own), n = rows.shape[1] per vector, one vector after another: the
+    integer numerators P, one row per row and one column per v, over
+    D = d L, with L the lcm of the denominators of values, and D.
 
     The rows are paired with L v.  Every partial sum is at most n max|row|
     max|L v|; while that bound and D stay below 2**53, the product is taken
     in int64, where no sum can overflow and P, P mod D and D are exact
     floats, so that P / D rounds as Python's int / int does.  Past the
     bound it is taken in Python ints (object dtype)."""
-    ratios = [c.as_integer_ratio() for c in values]
-    L = math.lcm(*{q for _, q in ratios})
-    ints = [p * (L // q) for p, q in ratios]
+    ints, L = (values, 1) if isinstance(values, np.ndarray) else _numerators(values)
     n = rows.shape[1]
-    top = n * int(np.abs(rows).max(initial=0)) * max(max(ints, default=0), -min(ints, default=0))
+    top = n * int(np.abs(rows).max(initial=0)) * int(np.abs(ints).max(initial=0))
     dtype = np.int64 if max(top, d * L) < _EXACT_FLOAT else object
-    return rows.astype(dtype, copy=False) @ np.array(ints, dtype=dtype).reshape(-1, n).T, d * L
+    return rows.astype(dtype, copy=False) @ ints.reshape(-1, n).astype(dtype, copy=False).T, d * L
 
 
-def _exponent_terms(rs: RootSystem, kind: str, lamv: tuple) -> tuple[list, list, list]:
+def _exponent_terms(rs: RootSystem, kind: str, lamv: tuple) -> tuple[np.ndarray, list, list]:
     """The sum over W in exact integer exponents: steps s_j (Fractions)
-    and one row of ints K per term mu with <mu, x> = sum_j K_j s_j x_j,
+    and one int64 row K per term mu with <mu, x> = sum_j K_j s_j x_j,
     plus the integer coefficient of each term.  s_j is the gcd of the
     rationals (mu S)_j over the terms: with P_j their numerators over one
     denominator D, s_j = gcd(P_j) / D and K_j = P_j / gcd(P_j), which
@@ -127,7 +132,8 @@ def _exponent_terms(rs: RootSystem, kind: str, lamv: tuple) -> tuple[list, list,
     P, D = _pairing(rows, d, [c for row in rs.metric for c in row])   # mu S; S is symmetric
     gcds = np.gcd.reduce(P, axis=0)
     steps = [Fraction(int(g), D) if g else Fraction(1) for g in gcds]
-    return (P // np.where(gcds == 0, 1, gcds)).tolist(), steps, [int(c) for c in coeffs]
+    K = (P // np.where(gcds == 0, 1, gcds)).astype(np.int64, copy=False)
+    return K, steps, [int(c) for c in coeffs]
 
 
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j])   # i**q, indexed by q in -2..2
@@ -288,7 +294,7 @@ def _horner(tree: list, tables: list, depth: int = 0) -> tuple:
     return acc, sign, acc_owned
 
 
-def _power_sum(K: list, steps: list, coeffs: list):
+def _power_sum(K: np.ndarray, steps: list, coeffs: list):
     """The function that evaluates the sum over W with exponents K (one
     row per term) and integer coefficients at an (N, rank) float array xs.
 
@@ -304,7 +310,7 @@ def _power_sum(K: list, steps: list, coeffs: list):
     takes r exponentials z_j = exp(2 pi i s_j x_j) and the powers that
     each column needs."""
     steps = np.array([float(s) for s in steps])
-    K = np.array(K, dtype=np.int64)
+    K = np.asarray(K, dtype=np.int64)
     order = np.lexsort(K.T[::-1])
     K = K[order]
     distinct = np.flatnonzero(np.concatenate([[True], (K[1:] != K[:-1]).any(axis=1)]))
@@ -472,11 +478,36 @@ def _weight_stack(lam) -> bool:
     return seq(lam) and len(lam) > 0 and all(seq(item) for item in lam)
 
 
-#: Phase values (terms times points) per block of labels of one
-#: eval_coroot_point call: a memory bound on the stacked exact table, which
-#: is |W| times the size of the values it sums to.  A block always holds at
-#: least one label.
+#: Phase values (terms times points) per block of weights of the
+#: antisymmetric kernel, at least one weight: a memory bound on the exact
+#: table, which is |W| times the size of the values it sums to.
 _PHASE_BLOCK = 1 << 16
+
+
+def _phases(rows: np.ndarray, d: int, b: np.ndarray, db: int) -> np.ndarray:
+    """exp(2 pi i <mu, x>) for mu = row / d at x = b / db, by one _cis of the exact phases
+    k / D mod D, D = d db."""
+    P, D = _pairing(rows, d * db, b)
+    return _cis(((P % D) / D).astype(float, copy=False))
+
+
+def _signed_kernel(rs: RootSystem, lams, b: np.ndarray, db: int) -> np.ndarray:
+    """The (L, G) antisymmetric values of the weights lams, exact vectors or an integer array
+    checked by ``_strict_rows``, at the points b / db, b an integer (G, rank) array.  A strictly
+    dominant orbit is all of W, so the terms of all weights come from one product with the
+    group; per block of weights, their phases and one product with the dets."""
+    lams, dp = _strict_rows(rs, lams)
+    group = _group(rs)
+    images = np.einsum("gij,lj->lgi", group.mats, lams)
+    dets = group.dets.astype(float)
+    W, G = len(dets), len(b)
+    per = max(1, _PHASE_BLOCK // max(1, W * G))
+    out = np.empty((len(lams), G), dtype=complex)
+    for first in range(0, len(lams), per):
+        block = images[first:first + per]
+        Z = _phases(block.reshape(-1, rs.rank), dp, b, db)
+        out[first:first + per] = dets @ Z.reshape(len(block), W, G)
+    return out
 
 
 def eval_coroot_point(rs: RootSystem, kind: str, lam: Sequence, b: Sequence):
@@ -488,14 +519,13 @@ def eval_coroot_point(rs: RootSystem, kind: str, lam: Sequence, b: Sequence):
     The pairing with a weight in omega coordinates is the plain dot
     product, so every phase is an exact rational k/D.  The group acts by
     integer matrices on omega coordinates, so dp * w lam is integral for dp
-    the lcm of the denominators of lam; with db the lcm of those of all of
-    b and D = dp * db, k = (dp * w lam) . (db * b) mod D.  The terms of
-    every weight are stacked, a block of weights at a time, into one
-    ``_pairing`` with the points, converted once (int64 below its bound,
-    Python ints past it), and each row is reduced mod its own weight's D.
-    Floats enter only at one exp(2 pi i k / D) of the whole block; each
-    weight's value is its coefficients times its rows of that table.  This
-    is what the discrete transforms use.
+    the lcm of the denominators of all the weights; with db the lcm of
+    those of all of b and D = dp * db, k = (dp * w lam) . (db * b) mod D.
+    The points are converted once.  The antisymmetric kind checks the
+    weights once as integer rows over dp and takes all their terms from one
+    product with the group (``_signed_kernel``, which ``build_plan`` calls
+    with its grid's integers); the other kinds take each weight's orbit.
+    Floats enter only at exp(2 pi i k / D).
     """
     kind = _norm_kind(kind)
     stacked = _weight_stack(lam)
@@ -508,31 +538,17 @@ def eval_coroot_point(rs: RootSystem, kind: str, lam: Sequence, b: Sequence):
         pts = np.asarray([rank_vec(rs, b)], dtype=object)
     elif pts.ndim != 2 or pts.shape[1] != rs.rank:
         raise ValueError(f"{shape} an array of shape {pts.shape}")
-    terms = [_orbit_terms(rs, kind, lamv) for lamv in lamvs]
+    signed = kind == "antisymmetric"   # its weights are checked by _signed_kernel
+    terms = [] if signed else [_orbit_terms(rs, kind, l) for l in lamvs]
     try:   # a Fraction, as on a plan's grid, is itself and costs no call
         coords = [c if type(c) is Fraction else _rational(c) for c in pts.ravel().tolist()]
     except (TypeError, ValueError, OverflowError):  # nested, a string, NaN or infinite
         raise ValueError(f"{shape} a coordinate that is not a finite rational number") from None
-    out = np.empty((len(terms), len(pts)), dtype=complex)
-    first = 0
-    while first < len(terms):
-        last, size = first + 1, len(terms[first][0])
-        while last < len(terms) and (size + len(terms[last][0])) * len(pts) <= _PHASE_BLOCK:
-            size += len(terms[last][0])
-            last += 1
-        block = terms[first:last]
-        dp = max(d for _, d, _ in block)
-        P, D = _pairing(np.concatenate([rows for rows, _, _ in block]), dp, coords)
-        # each weight's rows over its own D = d db (db = D / dp), exact in P's dtype
-        Ds = np.repeat(np.array([d * (D // dp) for _, d, _ in block], dtype=P.dtype),
-                       [len(rows) for rows, _, _ in block])[:, None]
-        Z = _cis(((P % Ds) / Ds).astype(float, copy=False))
-        start = 0
-        for i, (rows, _, coeffs) in enumerate(block):
-            out[first + i] = coeffs @ Z[start:start + len(rows)]
-            start += len(rows)
-        first = last
-    vals = out[:, 0] if single else out
+    nums, db = _numerators(coords)
+    nums = nums.reshape(len(pts), rs.rank)
+    vals = (_signed_kernel(rs, lamvs, nums, db) if signed else
+            np.array([c @ _phases(rows, d, nums, db) for rows, d, c in terms]))
+    vals = vals[:, 0] if single else vals
     if stacked:
         return vals
     return complex(vals[0]) if single else vals[0]

@@ -402,7 +402,8 @@ def _rational(c) -> Fraction:
         return c
     if isinstance(c, (str, bytes)):
         raise TypeError(f"{c!r} is a string")
-    return Fraction(c)
+    f = Fraction(c)   # keeps a numpy integer as its numerator, which can overflow
+    return f if type(f.numerator) is int else Fraction(int(f.numerator), int(f.denominator))
 
 
 def _positive(value, name: str) -> float:

@@ -32,7 +32,7 @@ from .rootsys import (
     RootSystem, Vec, lattice_index, rank_vec, _count, _integer, _positive, _vec_str,
 )
 from .weyl import dual_marks, generators, _distinct, _group, _scaled, _unscaled
-from .orbitfn import eval_coroot_point, eval_batch, _cis, _perm_sum, _stab_order
+from .orbitfn import eval_coroot_point, eval_batch, _cis, _perm_sum, _signed_kernel, _stab_order
 
 _log = logging.getLogger(__name__)
 
@@ -97,31 +97,35 @@ def grid_fm(rs: RootSystem, M: int) -> GridFM:
     ValueError naming M unless it is an integer >= 1."""
     M = _count(M, "M")
     s = _alcove(rs.marks, M, f"the F_{M} grid of {rs.id.label}")
-    return GridFM(rs=rs, M=M, points=_grid_points(rs, M, s))
+    return GridFM(rs=rs, M=M, points=_grid_points(rs, M, s)[0])
 
 
-def _interior_points(rs: RootSystem, M: int) -> tuple[GridPoint, ...]:
+def _interior_points(rs: RootSystem, M: int) -> tuple[tuple[GridPoint, ...], np.ndarray, int]:
     """The interior points of F_M, in the order of s: s_i >= 1 and s_0 >= 1,
-    that is s - 1 in the alcove of M - 1 - sum m_i."""
+    that is s - 1 in the alcove of M - 1 - sum m_i; with the numerators of
+    their coroot coordinates and its denominator, as from ``_grid_points``."""
     M = _count(M, "M")
     s = _alcove(rs.marks, M - 1 - sum(rs.marks),
                 f"the interior of the F_{M} grid of {rs.id.label}")
     return _grid_points(rs, M, s + 1)
 
 
-def _grid_points(rs: RootSystem, M: int, s: np.ndarray) -> tuple[GridPoint, ...]:
-    """The GridPoints of the rows s of F_M.  Their omega and coroot
-    coordinates s C are integer numerators over one denominator L M, with
-    C and L kept with the root system (``RootSystem._coweight_rows``)."""
+def _grid_points(rs: RootSystem, M: int,
+                 s: np.ndarray) -> tuple[tuple[GridPoint, ...], np.ndarray, int]:
+    """The GridPoints of the rows s of F_M, the int64 numerators of their
+    coroot coordinates, one row per point, and their denominator.  The
+    omega and coroot coordinates s C are integer numerators over one
+    denominator L M, with C and L kept with the root system
+    (``RootSystem._coweight_rows``)."""
     n = rs.rank
     C, L = rs._coweight_rows
     s0 = M - s @ np.array(rs.marks, dtype=np.int64)
     interior = (s0 > 0) & np.all(s > 0, axis=1)
+    X = s @ np.array(C, dtype=np.int64)
     return tuple(GridPoint(s=tuple(si), s0=s0i, M=M, omega=c[:n], coroot=c[n:],
                            interior=inside)
-                 for si, s0i, c, inside in zip(s.tolist(), s0.tolist(),
-                                               _unscaled(s @ np.array(C, dtype=np.int64), L * M),
-                                               interior.tolist()))
+                 for si, s0i, c, inside in zip(s.tolist(), s0.tolist(), _unscaled(X, L * M),
+                                               interior.tolist())), X[:, n:], L * M
 
 
 def tm_expand(rs: RootSystem, grid: GridFM) -> list[Vec]:
@@ -178,11 +182,15 @@ def default_labels(rs: RootSystem, M: int) -> tuple[Vec, ...]:
     every sampling point).  ValueError naming M unless it is an integer
     >= 1.
     """
+    return tuple(_unscaled(_label_rows(rs, M), 1))
+
+
+def _label_rows(rs: RootSystem, M: int) -> np.ndarray:
+    """The default labels of F_M as int64 rows, every entry >= 1."""
     M = _count(M, "M")
     dm = dual_marks(rs)
     # s_i >= 1 with sum s_i dm_i <= M - 1 is s - 1 in the alcove of M - 1 - sum dm
-    return tuple(_unscaled(_alcove(dm, M - 1 - sum(dm),
-                                   f"the default labels of {rs.id.label} at M = {M}") + 1, 1))
+    return _alcove(dm, M - 1 - sum(dm), f"the default labels of {rs.id.label} at M = {M}") + 1
 
 
 def build_plan(rs: RootSystem, M: int, labels: Sequence[Vec] | None = None,
@@ -192,25 +200,29 @@ def build_plan(rs: RootSystem, M: int, labels: Sequence[Vec] | None = None,
     The expected Gram diagonal over the interior grid is c M^n with
     c = |P^check/Q^check|; the Weyl expansion of the grid multiplies it by
     |W|.  Off-diagonal entries beyond tol * diagonal mean the sampling set
-    does not separate two labels and the build fails.  The kernel is one
-    :func:`eval_coroot_point` call on all the labels and interior points.
+    does not separate two labels and the build fails.  The kernel is the
+    antisymmetric one of :func:`eval_coroot_point`, on all the labels and
+    interior points at once, from the integer rows of the default labels
+    and the integer coroot numerators of the grid.
     The times of the grid, the labels, the kernel and the separation check
     are logged at DEBUG.  ValueError naming M unless it is an integer >= 1,
     and naming tol unless it is a positive finite number.
     """
     tol = _positive(tol, "tol")
     start = time.perf_counter()
-    grid = _interior_points(rs, M)
+    grid, points, db = _interior_points(rs, M)
     gridded = time.perf_counter()
     if labels is None:
-        labels = default_labels(rs, M)
-    labels = tuple(rank_vec(rs, l) for l in labels)
+        rows = _label_rows(rs, M)
+        labels = tuple(_unscaled(rows, 1))
+    else:
+        labels = rows = tuple(rank_vec(rs, l) for l in labels)
     if not labels:
         raise ValueError(f"a plan on the F_{M} grid of {rs.id.label} needs at "
                          f"least one label (default labels need M > "
                          f"{sum(dual_marks(rs))})")
     labelled = time.perf_counter()
-    kernel = eval_coroot_point(rs, "antisymmetric", labels, [p.coroot for p in grid])
+    kernel = _signed_kernel(rs, rows, points, db)
     evaluated = time.perf_counter()
     norm = float(lattice_index(rs) * M ** rs.rank)
     g = kernel @ kernel.conj().T

@@ -69,13 +69,23 @@ def generators(rs: RootSystem) -> list[WeylElement]:
 
 @dataclass
 class _Group:
-    """One Weyl group in BFS order: int64 matrices, dets, shortest words, the
-    WeylElement view and the orthogonal action (perm, signs) of ``orth_action``."""
+    """One Weyl group in BFS order, as arrays only: int64 matrices, dets, the
+    shortest words as the index of each element's parent and the generator
+    that leads to it from there, and the orthogonal action (perm, signs) of
+    ``orth_action``."""
     mats: np.ndarray
     dets: np.ndarray
-    words: tuple[tuple[int, ...], ...]
-    elements: tuple[WeylElement, ...] | None = None
+    parents: np.ndarray
+    gens: np.ndarray
     orth: tuple[np.ndarray, np.ndarray] | None = None
+
+    @property
+    def words(self) -> tuple[tuple[int, ...], ...]:
+        """The shortest word of every element: its generator, then its parent's word."""
+        words = [()]
+        for p, g in zip(self.parents.tolist()[1:], self.gens.tolist()[1:]):
+            words.append((g,) + words[p])
+        return tuple(words)
 
 
 # groups kept; a bench workload touches at most 11 diagrams
@@ -131,35 +141,34 @@ def _close(rs: RootSystem) -> _Group:
     top = np.eye(n, n + 1, dtype=np.int64)
     top[:, n] = 1
     layer = (Q @ top)[None]
-    layers, words, prev = [layer[:, :n, :n]], [()], [()]
+    layers, parents, gens, start = [layer[:, :n, :n]], [[0]], [[-1]], 0
     for _ in range(n * h // 2):
         f, g = (layer[:, :n, n] > 0).nonzero()
         cand = layer.take(f, 0) - b.take(g, 0) * layer[f, g][:, None, :]
         first = _first_keys(cand[:, n, n].tolist())
+        parents.append(start + f[first])
+        gens.append(g[first])
+        start += len(layer)
         layer = cand.take(first, 0)
-        f, g = f.tolist(), g.tolist()
-        prev = [(g[i],) + prev[f[i]] for i in first]
-        words += prev
         layers.append(layer[:, :n, :n])
     mats = np.concatenate(layers)
     assert len(mats) == rs.weyl_order, (len(mats), rs.weyl_order)
     dets = np.repeat((-1) ** np.arange(len(layers), dtype=np.int64), [len(x) for x in layers])
-    mats.setflags(write=False)
-    dets.setflags(write=False)
-    return _Group(mats, dets, tuple(words))
+    arrays = mats, dets, np.concatenate(parents), np.concatenate(gens)
+    for a in arrays:
+        a.setflags(write=False)
+    return _Group(*arrays)
 
 
 def generate_group(rs: RootSystem) -> tuple[WeylElement, ...]:
-    """All Weyl group elements, BFS order (identity first)."""
+    """All Weyl group elements, BFS order (identity first): a view built
+    on every call from the cached arrays, which keep no copy of it."""
     group = _group(rs)
-    if group.elements is None:
-        # one list of all entries, read n at a time into rows and n rows at
-        # a time into matrices
-        entries = iter(group.mats.ravel().tolist())
-        mats = zip(*[zip(*[entries] * rs.rank)] * rs.rank)
-        group.elements = tuple(WeylElement(m, d, w) for m, d, w in
-                               zip(mats, group.dets.tolist(), group.words))
-    return group.elements
+    # one list of all entries, read n at a time into rows and n rows at a
+    # time into matrices
+    entries = iter(group.mats.ravel().tolist())
+    mats = zip(*[zip(*[entries] * rs.rank)] * rs.rank)
+    return tuple(WeylElement(m, d, w) for m, d, w in zip(mats, group.dets.tolist(), group.words))
 
 
 def _scaled(rs: RootSystem, vs: Sequence[Vec]) -> tuple[np.ndarray, int]:
@@ -260,6 +269,28 @@ def _strict_vec(rs: RootSystem, lam: Sequence) -> Vec:
         raise WallError(f"{_vec_str(lamv)} lies on a wall of the {rs.id.label} "
                         f"chamber; signed orbits need strict dominance")
     return lamv
+
+
+def _strict_rows(rs: RootSystem, lamvs) -> tuple[np.ndarray, int]:
+    """Strictly dominant weights, exact vectors or an integer array, as
+    integer rows over the lcm dp of all their denominators, and dp: int64
+    while every image under the group stays in int64 (the bound of
+    ``_scaled``), Python ints (object dtype) past it.  Otherwise each
+    weight is checked alone, as ``signed_orbit`` checks it, and the first
+    bad one raises: the ValueError or WallError of ``_strict_vec``, or the
+    int64 bound at its own denominator."""
+    limit = 2 ** 63 // (rs.rank * max(rs._dual_marks))
+    if isinstance(lamvs, np.ndarray):   # integer rows over 1
+        if lamvs.min() > 0 and int(lamvs.max()) < limit:
+            return lamvs.astype(np.int64, copy=False), 1
+        lamvs = lamvs.tolist()   # ints are their own numerators
+    dp = math.lcm(*(c.denominator for v in lamvs for c in v))
+    ints = [[c.numerator * (dp // c.denominator) for c in v] for v in lamvs]
+    if min(map(min, ints)) > 0 and max(map(max, ints)) < limit:
+        return np.array(ints, dtype=np.int64), dp
+    for v in lamvs:
+        _scaled(rs, [_strict_vec(rs, v)])
+    return np.array(ints, dtype=object), dp
 
 
 def _images(rs: RootSystem, lamv: Vec) -> tuple[np.ndarray, np.ndarray, int]:

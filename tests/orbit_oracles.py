@@ -83,6 +83,11 @@ libm cos and sin per value after an exact reduction to the nearest quarter
 turn.  ``power_sum_oracle`` is ``orbitfn._power_sum`` before its prefix
 tree: per block of points, every term as the product of its column powers
 in a Python loop over the terms, summed per coefficient.
+``coroot_point_oracle`` is ``orbitfn.eval_coroot_point`` before its
+antisymmetric kernel took every label's terms from one product with the
+group: one label at a time, its terms from ``signed_orbit`` (or its
+distinct orbit points), its own denominator, one exact pairing with the
+points as ``Fraction`` coordinates and one ``_cis`` of its phases k / D.
 ``closed_form_sum_oracle`` is ``orbitfn._closed_form_sum`` before its
 batch-last tables: the power tables batch-first, (block, n), and the
 entries stacked into one (block, n, n) complex array whose strided real
@@ -114,7 +119,7 @@ from orbitfuncs.analysis import hermite_polynomial, _hermite_factors
 from orbitfuncs.orbitalg import OrbitTerm
 from orbitfuncs.orbitfn import (
     TWO_PI, eval_batch, eval_orbit_function, _CHUNK, _cis, _closed_form, _float_points,
-    _orbit_terms, _perm_sum, _powers,
+    _orbit_terms, _pairing, _perm_sum, _powers,
 )
 from orbitfuncs.rootsys import (
     DiagramId, RootSystem, convert_basis, inner, mat_inverse, mat_vec, rank_vec, vec, vec_mat,
@@ -871,6 +876,7 @@ def power_sum_oracle(K: list, steps: list, coeffs: list):
     column, and each term as the product of its powers, summed per
     coefficient."""
     steps = np.array([float(s) for s in steps])
+    K = np.asarray(K).tolist()
     needed = [set(col) - {0} for col in zip(*K)]
     groups: dict = {}
     for row, c in zip(K, coeffs):
@@ -890,6 +896,18 @@ def power_sum_oracle(K: list, steps: list, coeffs: list):
                 block += c * total
         return out
     return evaluate
+
+
+def coroot_point_oracle(rs, kind: str, labels, pts) -> np.ndarray:
+    """The (L, G) values of the kind (by its full name) of every label at
+    every point given by exact coroot coordinates, one label at a time."""
+    coords = [Fraction(c) for p in pts for c in p]
+    out = np.empty((len(labels), len(pts)), dtype=complex)
+    for i, lam in enumerate(labels):
+        rows, d, coeffs = _orbit_terms(rs, kind, rank_vec(rs, lam))
+        P, D = _pairing(rows, d, coords)
+        out[i] = coeffs @ _cis(((P % D) / D).astype(float))
+    return out
 
 
 def closed_form_sum_oracle(fam: str, kind: str, K: list, T: np.ndarray, factor: float):

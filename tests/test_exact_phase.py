@@ -24,8 +24,8 @@ from orbitfuncs.transforms import (
 )
 
 from orbit_oracles import (
-    exponent_terms_oracle, orbit_oracle, signed_orbit_oracle, stabilizer_oracle,
-    tm_expand_oracle,
+    coroot_point_oracle, exponent_terms_oracle, orbit_oracle, signed_orbit_oracle,
+    stabilizer_oracle, tm_expand_oracle,
 )
 
 KINDS = ("antisymmetric", "symmetric", "normalized")
@@ -173,10 +173,12 @@ EVALUATE_KEYS = [("A2", "anti", "11"), ("A2", "sym", "10"), ("A2", "norm", "01")
 
 
 def _assert_same_terms(got, want):
-    assert got == want
-    for a, b in zip(got, want):   # ints stay ints, steps stay Fractions
-        assert [type(v) for v in np.ravel(np.array(a, dtype=object))] == \
-            [type(v) for v in np.ravel(np.array(b, dtype=object))]
+    # the exponents as one int64 array, the steps as Fractions, the
+    # coefficients as ints
+    assert got[0].dtype == np.int64 and got[0].tolist() == want[0]
+    assert got[1:] == want[1:]
+    for a, b in zip(got[1:], want[1:]):
+        assert [type(v) for v in a] == [type(v) for v in b]
 
 
 @pytest.mark.parametrize("label,kind,pattern", EVALUATE_KEYS)
@@ -206,7 +208,9 @@ def test_exponent_terms_of_the_zero_weight():
     # one term, the weight 0: every column is zero, so every step is 1
     rs = build("A2")
     got = _exponent_terms(rs, "symmetric", (F(0), F(0)))
-    assert got == ([[0, 0]], [F(1), F(1)], [1]) == exponent_terms_oracle(rs, "symmetric", (F(0), F(0)))
+    want = ([[0, 0]], [F(1), F(1)], [1])
+    assert want == exponent_terms_oracle(rs, "symmetric", (F(0), F(0)))
+    _assert_same_terms(got, want)
 
 
 # A2, lam = (1, 2): the terms d w lam have |entries| <= 3 with d = 1, so the
@@ -263,7 +267,8 @@ def test_a_stack_of_weights_is_the_per_label_call_to_the_bit(label, Ms):
 
 
 def test_weights_of_different_denominators_share_one_stack():
-    # d = 1, 2 and 6: each weight's rows stay over their own denominator
+    # d = 1, 2 and 6: the stack is over their lcm 6, and every phase k / D
+    # is the same rational as over the weight's own denominator
     a2 = build("A2")
     labels = [(F(1, 2), 1), (1, 1), (F(1, 3), F(5, 2)), (2, F(7, 6))]
     pts = [(F(1, 7), F(2, 9)), (F(3, 11), F(-1, 13)), (F(1, 3), F(1, 3)), (0.3, -0.125)]
@@ -296,6 +301,20 @@ def test_a_stack_past_the_int64_bound_takes_python_ints(monkeypatch):
     assert np.array_equal(got, [integer_phase_oracle(a2, lam, pts) for lam in labels])
 
 
+def test_a_large_label_takes_python_ints(monkeypatch):
+    # 2 * max|w lam| * max|db b| is about 2**55 > 2**53, so the pairing is
+    # taken in Python ints; the images themselves are within int64
+    a2 = build("A2")
+    labels = [(2 ** 40, 3), (1, F(1, 2))]
+    pts = [(F(1, 7919), F(7900, 7919)), (F(-3, 7919), F(1, 2))]
+    seen = _spy_on_pairing(monkeypatch)
+    got = eval_coroot_point(a2, "anti", labels, pts)
+    assert seen == [object]
+    assert np.array_equal(got, coroot_point_oracle(a2, "antisymmetric", labels, pts))
+    # a small label in the stack is its call alone, to the bit
+    assert np.array_equal(got[1], eval_coroot_point(a2, "anti", labels[1], pts))
+
+
 @pytest.mark.parametrize("block,per_block", [(1, 1), (48 * 3, 3), (48 * 5 + 47, 5)])
 def test_weights_taken_in_several_blocks_are_bit_identical(monkeypatch, block, per_block):
     # B3 at M = 10: 14 labels of 48 terms each; a block holds at least one
@@ -308,6 +327,18 @@ def test_weights_taken_in_several_blocks_are_bit_identical(monkeypatch, block, p
     got = eval_coroot_point(b3, "anti", plan.labels, pts)
     assert len(plan.labels) == 14 and len(seen) == -(-14 // per_block)
     assert np.array_equal(got, plan.kernel)
+
+
+def test_a_plan_of_many_labels_runs_in_blocks_like_its_single_labels(monkeypatch):
+    # A2 at M = 24: 253 labels x 6 terms x 253 points, about 5.9 blocks of
+    # _PHASE_BLOCK values; each label's row is its own call, to the bit
+    seen = _spy_on_pairing(monkeypatch)
+    a2 = build("A2")
+    plan = build_plan(a2, 24)
+    assert plan.kernel.shape == (253, 253) and len(seen) == 6
+    pts = [p.coroot for p in plan.grid]
+    for i in (0, 42, 43, 252):
+        assert np.array_equal(plan.kernel[i], eval_coroot_point(a2, "anti", plan.labels[i], pts))
 
 
 def test_the_four_result_shapes():

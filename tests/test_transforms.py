@@ -172,12 +172,15 @@ def test_exceptional_grids_equal_the_oracle(label):
 def test_plan_grid_is_the_interior_of_the_oracle_grid(label):
     rs = build(label)
     for M in range(1, 16):
-        got = _interior_points(rs, M)
+        got, numerators, den = _interior_points(rs, M)
         want = [p for p in grid_oracle(rs, M).points if p.interior]
         assert _same(got, tuple(want)), M
+        assert numerators.dtype == np.int64 and numerators.shape == (len(want), rs.rank)
+        assert [tuple(F(c, den) for c in row) for row in numerators.tolist()] == \
+            [p.coroot for p in want]
         if M > sum(dual_marks(rs)):   # default labels exist
             assert build_plan(rs, M).grid == got
-    assert _interior_points(rs, sum(rs.marks)) == ()
+    assert _interior_points(rs, sum(rs.marks))[0] == ()
 
 
 def test_grid_constants_are_kept_with_the_root_system():

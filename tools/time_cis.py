@@ -13,6 +13,11 @@ best of several calls after one warm call:
   and E6 (1 152, 720 and 51 840 terms), in ms: the first call, which also
   closes the group and builds the evaluator, and the best repeat;
 * ``analysis.PlaneWaveQuadrature.make(6, 400)``, in ms;
+* ``transforms.build_plan`` on the 41 plans of the ``plans`` bench workload
+  (``bench/workloads.py`` ``PLAN_TABLE``; a plan with a label count takes
+  that many default labels drawn by a generator seeded with M), the sum of
+  their best times in ms, and the default A2 plan at M = 24 (253 labels and
+  points), in ms;
 
 and the minor page faults per call of each (``resource.getrusage`` around
 the timed calls).  The script prints, per tree, the median over the rounds
@@ -28,7 +33,7 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
-from workloads import make_tasks  # noqa: E402  (pure Python, no orbitfuncs)
+from workloads import PLAN_TABLE, make_tasks  # noqa: E402  (pure Python, no orbitfuncs)
 
 CIS_SIZES = (160, 4096, 16384, 160_000)
 RHO_DIAGRAMS = ("F4", "A5", "E6")
@@ -39,6 +44,7 @@ import numpy as np
 from orbitfuncs.analysis import PlaneWaveQuadrature
 from orbitfuncs.orbitfn import _cis, eval_batch
 from orbitfuncs.rootsys import build
+from orbitfuncs.transforms import build_plan, default_labels
 
 def best(call, reps):
     call()
@@ -51,7 +57,7 @@ def best(call, reps):
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     return min(times), faults / reps
 
-cis_sizes, keys, rho_diagrams = json.loads(sys.argv[1])
+cis_sizes, keys, rho_diagrams, plan_table = json.loads(sys.argv[1])
 rng = np.random.default_rng(1)
 out = {}
 for n in cis_sizes:
@@ -78,6 +84,19 @@ for diagram in rho_diagrams:
     out[f"rho_{diagram}_100"] = {"first_ms": first * 1e3, "ms": t * 1e3, "faults": f}
 t, f = best(lambda: PlaneWaveQuadrature.make(6.0, 400), 10)
 out["quadrature_6_400"] = {"ms": t * 1e3, "faults": f}
+total, total_faults = 0.0, 0.0
+for diagram, M, count in plan_table:
+    rs, labels = build(diagram), None
+    if count is not None:
+        pool = default_labels(rs, M)
+        pick = np.random.default_rng(M).choice(len(pool), count, replace=False)
+        labels = [pool[i] for i in sorted(pick)]
+    t, f = best(lambda: build_plan(rs, M, labels), 5)
+    total, total_faults = total + t, total_faults + f
+out["plans_table"] = {"ms": total * 1e3, "faults": total_faults}
+a2 = build("A2")
+t, f = best(lambda: build_plan(a2, 24), 5)
+out["plan_A2_24"] = {"ms": t * 1e3, "faults": f}
 print(json.dumps(out))
 """
 
@@ -105,7 +124,7 @@ def main() -> int:
     parser.add_argument("src", nargs="+", help="a source directory holding orbitfuncs")
     parser.add_argument("--rounds", type=int, default=5)
     args = parser.parse_args()
-    cases = json.dumps([CIS_SIZES, eval_keys(), RHO_DIAGRAMS])
+    cases = json.dumps([CIS_SIZES, eval_keys(), RHO_DIAGRAMS, PLAN_TABLE])
     runs = [[] for _ in args.src]   # one list per tree, also when a tree is given twice
     for _ in range(args.rounds):
         for src, rounds in zip(args.src, runs):
