@@ -56,7 +56,7 @@ _KINDS = ("antisymmetric", "symmetric", "normalized")
 
 
 def _norm_kind(kind: str) -> str:
-    k = kind.lower()
+    k = kind.lower() if isinstance(kind, str) else None   # None is refused below
     aliases = {"anti": "antisymmetric", "sym": "symmetric", "norm": "normalized"}
     k = aliases.get(k, k)
     if k not in _KINDS:
@@ -880,7 +880,7 @@ def an_identity(check: str, **params) -> float:
     identities (``R1``, ``cauchy``, ``cha3``, ``cha4``) are truncated at
     total degree ``K`` and need max(|y|,|z|,|t|) < 1.
     """
-    check = check.lower().replace("-", "")
+    check = check.lower().replace("-", "") if isinstance(check, str) else check
     if check == "cha5":
         s, r, m = params["s"], params["r"], params["m"]
         rho_s, rho_r = _staircase(s), _staircase(r)

@@ -80,15 +80,15 @@ def _alcove(marks: Sequence[int], M: int, what: str) -> np.ndarray:
     if bound > ALCOVE_LIMIT:
         raise ValueError(f"{what} could have C({M} + {len(marks)}, {len(marks)}) = "
                          f"{bound} points, more than ALCOVE_LIMIT = {ALCOVE_LIMIT}")
-    rows = np.zeros((int(M >= 0), 0), dtype=np.int64)
-    budget = np.full(len(rows), M, dtype=np.int64)
+    budget = np.full(int(M >= 0), M, dtype=np.int64)
+    columns = []
     for m in marks:
         counts = budget // m + 1
-        parent = np.repeat(np.arange(len(rows)), counts)
+        parent = np.repeat(np.arange(len(budget)), counts)
         si = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
-        rows = np.column_stack([rows[parent], si])
+        columns = [c[parent] for c in columns] + [si]
         budget = budget[parent] - si * m
-    return rows
+    return np.column_stack(columns)
 
 
 def grid_fm(rs: RootSystem, M: int) -> GridFM:
@@ -97,35 +97,30 @@ def grid_fm(rs: RootSystem, M: int) -> GridFM:
     ValueError naming M unless it is an integer >= 1."""
     M = _count(M, "M")
     s = _alcove(rs.marks, M, f"the F_{M} grid of {rs.id.label}")
-    return GridFM(rs=rs, M=M, points=_grid_points(rs, M, s)[0])
+    return GridFM(rs=rs, M=M, points=_grid_points(rs, M, s))
 
 
-def _interior_points(rs: RootSystem, M: int) -> tuple[tuple[GridPoint, ...], np.ndarray, int]:
-    """The interior points of F_M, in the order of s: s_i >= 1 and s_0 >= 1,
-    that is s - 1 in the alcove of M - 1 - sum m_i; with the numerators of
-    their coroot coordinates and its denominator, as from ``_grid_points``."""
-    M = _count(M, "M")
+def _interior_points(rs: RootSystem, M: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The interior points of F_M as int64 rows s, in order: s_i >= 1 and s_0 >= 1, that is
+    s - 1 in the alcove of M - 1 - sum m_i; with the int64 numerators of their coroot
+    coordinates, one row per point, and their denominator (see ``_grid_points``)."""
     s = _alcove(rs.marks, M - 1 - sum(rs.marks),
-                f"the interior of the F_{M} grid of {rs.id.label}")
-    return _grid_points(rs, M, s + 1)
+                f"the interior of the F_{M} grid of {rs.id.label}") + 1
+    C, L = rs._coweight_rows
+    return s, s @ np.array(C, dtype=np.int64)[:, rs.rank:], L * M
 
 
-def _grid_points(rs: RootSystem, M: int,
-                 s: np.ndarray) -> tuple[tuple[GridPoint, ...], np.ndarray, int]:
-    """The GridPoints of the rows s of F_M, the int64 numerators of their
-    coroot coordinates, one row per point, and their denominator.  The
-    omega and coroot coordinates s C are integer numerators over one
-    denominator L M, with C and L kept with the root system
-    (``RootSystem._coweight_rows``)."""
+def _grid_points(rs: RootSystem, M: int, s: np.ndarray) -> tuple[GridPoint, ...]:
+    """The GridPoints of the rows s of F_M.  The omega and coroot
+    coordinates s C are integer numerators over one denominator L M, with
+    C and L kept with the root system (``RootSystem._coweight_rows``)."""
     n = rs.rank
     C, L = rs._coweight_rows
     s0 = M - s @ np.array(rs.marks, dtype=np.int64)
     interior = (s0 > 0) & np.all(s > 0, axis=1)
-    X = s @ np.array(C, dtype=np.int64)
-    return tuple(GridPoint(s=tuple(si), s0=s0i, M=M, omega=c[:n], coroot=c[n:],
-                           interior=inside)
-                 for si, s0i, c, inside in zip(s.tolist(), s0.tolist(), _unscaled(X, L * M),
-                                               interior.tolist())), X[:, n:], L * M
+    X = _unscaled(s @ np.array(C, dtype=np.int64), L * M)
+    return tuple(GridPoint(s=tuple(si), s0=s0i, M=M, omega=c[:n], coroot=c[n:], interior=inside)
+                 for si, s0i, c, inside in zip(s.tolist(), s0.tolist(), X, interior.tolist()))
 
 
 def tm_expand(rs: RootSystem, grid: GridFM) -> list[Vec]:
@@ -182,12 +177,11 @@ def default_labels(rs: RootSystem, M: int) -> tuple[Vec, ...]:
     every sampling point).  ValueError naming M unless it is an integer
     >= 1.
     """
-    return tuple(_unscaled(_label_rows(rs, M), 1))
+    return tuple(_unscaled(_label_rows(rs, _count(M, "M")), 1))
 
 
 def _label_rows(rs: RootSystem, M: int) -> np.ndarray:
     """The default labels of F_M as int64 rows, every entry >= 1."""
-    M = _count(M, "M")
     dm = dual_marks(rs)
     # s_i >= 1 with sum s_i dm_i <= M - 1 is s - 1 in the alcove of M - 1 - sum dm
     return _alcove(dm, M - 1 - sum(dm), f"the default labels of {rs.id.label} at M = {M}") + 1
@@ -203,14 +197,17 @@ def build_plan(rs: RootSystem, M: int, labels: Sequence[Vec] | None = None,
     does not separate two labels and the build fails.  The kernel is the
     antisymmetric one of :func:`eval_coroot_point`, on all the labels and
     interior points at once, from the integer rows of the default labels
-    and the integer coroot numerators of the grid.
+    and the grid's coroot numerators; its exact ``labels`` and ``grid`` are
+    built from the same rows.
     The times of the grid, the labels, the kernel and the separation check
     are logged at DEBUG.  ValueError naming M unless it is an integer >= 1,
     and naming tol unless it is a positive finite number.
     """
+    M = _count(M, "M")
     tol = _positive(tol, "tol")
     start = time.perf_counter()
-    grid, points, db = _interior_points(rs, M)
+    s, points, db = _interior_points(rs, M)
+    grid = _grid_points(rs, M, s)
     gridded = time.perf_counter()
     if labels is None:
         rows = _label_rows(rs, M)
@@ -333,15 +330,14 @@ def _dct_dst_data(kind: str, N: int):
 
 
 def _one_variable(kind: str, base: str, n: int, N: int, strict: bool):
-    """The table entry ``base`` of a ``kind`` plan on n variables of size N.
+    """The table entry ``base`` of a ``kind`` plan on n variables of size N,
+    for N as a Python int.
 
     Raises ValueError naming n or N for one that is not an integer, and
     when the plan would have no labels: n < 1, N < 1, or fewer than n
     one-variable labels to form strictly decreasing tuples.
     """
-    for value, name in ((n, "n"), (N, "N")):
-        if not _integer(value):
-            _count(value, name)   # refuses it by name
+    n, N = (int(v) if _integer(v) else _count(v, name) for v, name in ((n, "n"), (N, "N")))
     if n >= 1 and N >= 1:
         data = _dct_dst_data(base, N)
         if len(data[0]) >= (n if strict else 1):
@@ -357,8 +353,7 @@ def dst_dct_1d(kind: str, N: int) -> DiscretePlan:
     the grid {k/M}; ``"dct1".."dct4"`` and ``"dst1".."dst4"`` the standard
     signal-processing kernels with their weight conventions.
     """
-    kind = kind.lower()
-    if kind == "exp":
+    if not isinstance(kind, str) or (kind := kind.lower()) == "exp":
         raise ValueError(f"unknown 1-D transform kind {kind!r}")
     labels, nodes, kfn, weights, norms = _one_variable(kind, kind, 1, N, strict=True)
     kernel = _table(kfn, labels, nodes).astype(complex)
@@ -376,7 +371,7 @@ def _decreasing(values, n: int, strict: bool):
     in values, and as tuples of them."""
     pick = itertools.combinations if strict else itertools.combinations_with_replacement
     rows = np.array(list(pick(range(len(values) - 1, -1, -1), n)), dtype=np.intp)
-    return rows, tuple(map(tuple, np.array(values)[rows].tolist()))
+    return rows, tuple(pick(values[::-1], n))
 
 
 # kind -> (one-variable kind, antisymmetric)
@@ -406,19 +401,21 @@ def multivariate_plan(kind: str, n: int, N: int) -> DiscretePlan:
     the order of the tuple's permutation stabilizer (1 for strictly
     decreasing tuples).
     """
-    kind = kind.lower()
-    if kind not in _MULTIVARIATE:
+    if not isinstance(kind, str) or (kind := kind.lower()) not in _MULTIVARIATE:
         raise ValueError(f"unknown multivariate kind {kind!r}")
     base, signed = _MULTIVARIATE[kind]
     values, nodes, kfn, w, h = _one_variable(kind, base, n, N, strict=signed)
     lrows, labels = _decreasing(values, n, signed)
     grows, grid = _decreasing(nodes, n, signed)
     nf = math.factorial(n)
-    # entry (i, j) of the matrix of label tuple l and node tuple g is K(l_i, g_j)
-    E = _table(kfn, values, nodes)[lrows[:, None, :, None], grows[None, :, None, :]]
+    # entry (i, j) of label tuple l and node tuple g is K(l_i, g_j): the table's rows l, then
+    # their columns g, as an (L, n, G, n) array viewed as (L, G, n, n)
+    E = _table(kfn, values, nodes)[lrows][..., grows].transpose(0, 2, 1, 3)
     kernel = np.asarray(_perm_sum(E, signed) / math.sqrt(nf), dtype=complex)
-    weights = nf * np.prod(w[grows], axis=1) / _stab_order(grows)
-    norms = np.prod(h[lrows], axis=1) * _stab_order(lrows)
+    weights = nf * np.prod(w[grows], axis=1)
+    norms = np.prod(h[lrows], axis=1)
+    if not signed:   # a signed kind's tuples are strictly decreasing: stabilizers of order 1
+        weights, norms = weights / _stab_order(grows), norms * _stab_order(lrows)
     return DiscretePlan(kind, labels, grid, kernel, weights, norms)
 
 

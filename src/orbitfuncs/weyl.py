@@ -201,7 +201,7 @@ def _unscaled(rows: np.ndarray, d: int) -> list[Vec]:
     """Integer rows over the denominator d as exact vectors."""
     rows = rows.tolist()
     frac = {c: Fraction(c, d) for c in set(itertools.chain.from_iterable(rows))}
-    return [tuple(frac[c] for c in row) for row in rows]
+    return [tuple(map(frac.__getitem__, row)) for row in rows]
 
 
 @dataclass(frozen=True)

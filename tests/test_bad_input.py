@@ -10,7 +10,9 @@ Each must raise a ``ValueError`` (or a subclass: ``WallError``,
 a ``TypeError``, an ``IndexError``, a ``KeyError`` or a bare numpy
 message.  Plans without labels are refused the same way, and quadrature
 sizes, finite-difference steps, integral-transform labels and the sizes of
-the polynomial families by the name of the argument.  A plan refuses a
+the polynomial families by the name of the argument.  A kind (of a
+transform, an evaluation or an identity) that is not a string is refused
+as an unknown kind, by its repr.  A plan refuses a
 vector of the wrong length, and a series one coefficient too many or too
 few, by the count it expected.
 """
@@ -31,7 +33,7 @@ from orbitfuncs.orbitalg import (
     BranchRule, branch, product_plain_plain, product_plain_signed, product_signed_signed,
 )
 from orbitfuncs.orbitfn import (
-    character, character_highprec, closed_form_orth, dimension, eval_batch,
+    an_identity, character, character_highprec, closed_form_orth, dimension, eval_batch,
     eval_coroot_point, eval_orth, rho_orth, rho_products,
 )
 from orbitfuncs.rootsys import (
@@ -315,6 +317,25 @@ def test_a_size_that_is_not_a_whole_number_is_refused_by_name(arg, bad, good, ca
         call(bad)
     np.testing.assert_equal(*(vars(out) if hasattr(out, "__dict__") else out
                               for out in (call(good), call(np.int64(good)))))
+
+
+# a kind that is not a str was an AttributeError from its .lower()
+KINDS = [
+    ("multivariate kind", "anti_exp", lambda k: multivariate_plan(k, 2, 5)),
+    ("1-D transform kind", "dct2", lambda k: dst_dct_1d(k, 5)),
+    ("kind", "anti", lambda k: eval_batch(_A2, k, (1, 1), np.array([[0.1, 0.2]]))),
+    ("kind", "sym", lambda k: eval_coroot_point(_A2, k, (1, 1), (F(1, 3), F(1, 5)))),
+    ("identity", "cha5", lambda k: an_identity(k, s=2, r=3, m=2)),
+]
+
+
+@pytest.mark.parametrize("bad", [None, 3])
+@pytest.mark.parametrize("what,good,call", KINDS, ids=[good for _, good, _ in KINDS])
+def test_a_kind_that_is_not_a_str_is_refused_by_name(what, good, call, bad):
+    with pytest.raises(ValueError, match=rf"^unknown {what} {re.escape(repr(bad))}\b"):
+        call(bad)
+    call(good)
+    call(good.upper())
 
 
 # a plan tolerance that is not a positive finite number switched the

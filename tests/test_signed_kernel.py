@@ -9,6 +9,7 @@ phases k / D, so they agree to the bit, and the property test allows
 |W| u per entry.
 """
 
+import dataclasses
 import sys
 from fractions import Fraction as F
 from pathlib import Path
@@ -19,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from orbitfuncs.orbitfn import _numerators, _signed_kernel, eval_coroot_point
 from orbitfuncs.rootsys import build
-from orbitfuncs.transforms import build_plan, default_labels
+from orbitfuncs.transforms import GridPoint, build_plan, default_labels
 from orbitfuncs.weyl import WallError, signed_orbit
 
 from orbit_oracles import coroot_point_oracle, grid_oracle, labels_oracle
@@ -54,7 +55,7 @@ def test_a_stack_of_labels_is_the_per_label_loop(case):
 @pytest.mark.parametrize("label,M,count", PLAN_TABLE,
                          ids=[f"{d}-{M}-{c}" for d, M, c in PLAN_TABLE])
 def test_the_bench_plans_are_the_oracle_plans(label, M, count):
-    # the labels and grid of the tuple generators, and the kernel of the
+    # the labels and grid of the tuple generators in value and type, and the kernel of the
     # per-label loop to the bit; a plan with a label count takes that many
     # default labels, drawn as tools/time_cis.py draws them
     rs = build(label)
@@ -65,10 +66,20 @@ def test_the_bench_plans_are_the_oracle_plans(label, M, count):
         want_labels = tuple(want_labels[i] for i in pick)
         given = [default_labels(rs, M)[i] for i in pick]
     plan = build_plan(rs, M, given)
-    assert plan.labels == want_labels
-    assert plan.grid == tuple(p for p in grid_oracle(rs, M).points if p.interior)
-    want = coroot_point_oracle(rs, "antisymmetric", want_labels, [p.coroot for p in plan.grid])
+    want_grid = tuple(p for p in grid_oracle(rs, M).points if p.interior)
+    assert (plan.labels, plan.grid) == (want_labels, want_grid)
+    assert _types((plan.labels, plan.grid)) == _types((want_labels, want_grid))
+    want = coroot_point_oracle(rs, "antisymmetric", want_labels, [p.coroot for p in want_grid])
     assert np.array_equal(plan.kernel, want)
+
+
+def _types(x):
+    """x with every value replaced by its type, through tuples and GridPoints."""
+    if isinstance(x, tuple):
+        return tuple(map(_types, x))
+    if isinstance(x, GridPoint):
+        return tuple(_types(getattr(x, f.name)) for f in dataclasses.fields(x))
+    return type(x)
 
 
 def _message(rs, lam) -> tuple:

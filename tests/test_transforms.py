@@ -17,7 +17,7 @@ from orbitfuncs.transforms import (
     lattice_index, dst_dct_1d, multivariate_plan, PlanSeparationError,
     fundamental_domain_quadrature, continuous_orthogonality_residual,
     mixed_symmetry_orthogonality_residual, series_coefficients,
-    plancherel_residual, sine_integral_transform, _alcove, _integral_transform,
+    plancherel_residual, sine_integral_transform, _alcove, _grid_points, _integral_transform,
     _interior_points,
 )
 
@@ -170,17 +170,20 @@ def test_exceptional_grids_equal_the_oracle(label):
 
 @pytest.mark.parametrize("label", ["A2", "C2", "G2", "A3", "B3", "C3"])
 def test_plan_grid_is_the_interior_of_the_oracle_grid(label):
+    # the integer rows of the interior points and the plan's GridPoints;
+    # below the default labels' M no plan exists, and the rows give the
+    # GridPoints the plan would build
     rs = build(label)
     for M in range(1, 16):
-        got, numerators, den = _interior_points(rs, M)
-        want = [p for p in grid_oracle(rs, M).points if p.interior]
-        assert _same(got, tuple(want)), M
+        rows, numerators, den = _interior_points(rs, M)
+        want = tuple(p for p in grid_oracle(rs, M).points if p.interior)
+        assert rows.dtype == np.int64 and rows.tolist() == [list(p.s) for p in want], M
         assert numerators.dtype == np.int64 and numerators.shape == (len(want), rs.rank)
         assert [tuple(F(c, den) for c in row) for row in numerators.tolist()] == \
             [p.coroot for p in want]
-        if M > sum(dual_marks(rs)):   # default labels exist
-            assert build_plan(rs, M).grid == got
-    assert _interior_points(rs, sum(rs.marks))[0] == ()
+        got = build_plan(rs, M).grid if M > sum(dual_marks(rs)) else _grid_points(rs, M, rows)
+        assert _same(got, want), M
+    assert _interior_points(rs, sum(rs.marks))[0].shape == (0, rs.rank)
 
 
 def test_grid_constants_are_kept_with_the_root_system():
@@ -298,6 +301,16 @@ def test_plan_grid_is_the_interior_of_the_grid(label, M):
     for p, q in zip(got, want):
         for f in dataclasses.fields(GridPoint):
             assert _same(getattr(p, f.name), getattr(q, f.name)), f.name
+
+
+def test_a_plan_keeps_a_numpy_size_as_an_int():
+    rs = build("A2")
+    plan, ref = build_plan(rs, np.int64(5)), build_plan(rs, 5)
+    assert type(plan.M) is int and plan.M == 5
+    assert all(type(p.M) is int for p in plan.grid)
+    assert _same(plan.grid, ref.grid) and _same(plan.labels, ref.labels)
+    assert np.array_equal(plan.kernel, ref.kernel)
+    assert (plan.norm, plan.residual) == (ref.norm, ref.residual)
 
 
 def test_plan_phases_are_logged_at_debug(caplog, capsys):
@@ -435,6 +448,19 @@ def test_multivariate_plans_match_the_per_tuple_loops(kind):
         for N in range(6 if n == 4 else 10):
             _assert_same_plan(_built(multivariate_plan, kind, n, N),
                               _built(multivariate_plan_oracle, kind, n, N))
+
+
+def test_a_numpy_size_gives_nodes_of_python_ints():
+    # a numpy N was kept as the denominator of every Fraction node
+    for make, args in ((multivariate_plan, ("anti_sine", 2)), (multivariate_plan, ("sym_cosine", 3)),
+                       (dst_dct_1d, ("sine",)), (dst_dct_1d, ("cosine",))):
+        plan, ref = make(*args, np.int64(6)), make(*args, 6)
+        nodes = [c for t in plan.grid for c in (t if isinstance(t, tuple) else (t,))]
+        assert nodes and all(type(c) is F and type(c.numerator) is int and
+                             type(c.denominator) is int for c in nodes), args
+        _assert_same_plan(plan, ref)
+    _assert_same_plan(multivariate_plan("anti_sine", np.int64(2), 6),
+                      multivariate_plan("anti_sine", 2, 6))
 
 
 def test_sampled_function_roundtrip():

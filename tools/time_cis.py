@@ -16,8 +16,12 @@ best of several calls after one warm call:
 * ``transforms.build_plan`` on the 41 plans of the ``plans`` bench workload
   (``bench/workloads.py`` ``PLAN_TABLE``; a plan with a label count takes
   that many default labels drawn by a generator seeded with M), the sum of
-  their best times in ms, and the default A2 plan at M = 24 (253 labels and
-  points), in ms;
+  their best times in ms, alone and followed by one read of the plan's
+  ``grid`` and ``labels`` (what every library caller of a plan does), and
+  the default A2 plan at M = 24 (253 labels and points), in ms;
+* ``transforms.multivariate_plan`` on the 60 plans of the ``plans`` bench
+  workload (``MULTI_KINDS`` at the sizes of ``MULTI_N``), the sum of their
+  best times in ms;
 
 and the minor page faults per call of each (``resource.getrusage`` around
 the timed calls).  The script prints, per tree, the median over the rounds
@@ -33,7 +37,7 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
-from workloads import PLAN_TABLE, make_tasks  # noqa: E402  (pure Python, no orbitfuncs)
+from workloads import MULTI_KINDS, MULTI_N, PLAN_TABLE, make_tasks  # noqa: E402  (no orbitfuncs)
 
 CIS_SIZES = (160, 4096, 16384, 160_000)
 RHO_DIAGRAMS = ("F4", "A5", "E6")
@@ -44,7 +48,7 @@ import numpy as np
 from orbitfuncs.analysis import PlaneWaveQuadrature
 from orbitfuncs.orbitfn import _cis, eval_batch
 from orbitfuncs.rootsys import build
-from orbitfuncs.transforms import build_plan, default_labels
+from orbitfuncs.transforms import build_plan, default_labels, multivariate_plan
 
 def best(call, reps):
     call()
@@ -57,7 +61,10 @@ def best(call, reps):
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     return min(times), faults / reps
 
-cis_sizes, keys, rho_diagrams, plan_table = json.loads(sys.argv[1])
+def read(plan):
+    plan.grid, plan.labels
+
+cis_sizes, keys, rho_diagrams, plan_table, multis = json.loads(sys.argv[1])
 rng = np.random.default_rng(1)
 out = {}
 for n in cis_sizes:
@@ -84,16 +91,22 @@ for diagram in rho_diagrams:
     out[f"rho_{diagram}_100"] = {"first_ms": first * 1e3, "ms": t * 1e3, "faults": f}
 t, f = best(lambda: PlaneWaveQuadrature.make(6.0, 400), 10)
 out["quadrature_6_400"] = {"ms": t * 1e3, "faults": f}
+for name, after in (("plans_table", lambda plan: None), ("plans_table_read", read)):
+    total, total_faults = 0.0, 0.0
+    for diagram, M, count in plan_table:
+        rs, labels = build(diagram), None
+        if count is not None:
+            pool = default_labels(rs, M)
+            pick = np.random.default_rng(M).choice(len(pool), count, replace=False)
+            labels = [pool[i] for i in sorted(pick)]
+        t, f = best(lambda: after(build_plan(rs, M, labels)), 5)
+        total, total_faults = total + t, total_faults + f
+    out[name] = {"ms": total * 1e3, "faults": total_faults}
 total, total_faults = 0.0, 0.0
-for diagram, M, count in plan_table:
-    rs, labels = build(diagram), None
-    if count is not None:
-        pool = default_labels(rs, M)
-        pick = np.random.default_rng(M).choice(len(pool), count, replace=False)
-        labels = [pool[i] for i in sorted(pick)]
-    t, f = best(lambda: build_plan(rs, M, labels), 5)
+for kind, n, N in multis:
+    t, f = best(lambda: multivariate_plan(kind, n, N), 5)
     total, total_faults = total + t, total_faults + f
-out["plans_table"] = {"ms": total * 1e3, "faults": total_faults}
+out["multivariate_plans"] = {"ms": total * 1e3, "faults": total_faults}
 a2 = build("A2")
 t, f = best(lambda: build_plan(a2, 24), 5)
 out["plan_A2_24"] = {"ms": t * 1e3, "faults": f}
@@ -124,7 +137,9 @@ def main() -> int:
     parser.add_argument("src", nargs="+", help="a source directory holding orbitfuncs")
     parser.add_argument("--rounds", type=int, default=5)
     args = parser.parse_args()
-    cases = json.dumps([CIS_SIZES, eval_keys(), RHO_DIAGRAMS, PLAN_TABLE])
+    multis = [(kind, n, N) for n, sizes in MULTI_N.items() for kind in MULTI_KINDS
+              for N in sizes[kind]]
+    cases = json.dumps([CIS_SIZES, eval_keys(), RHO_DIAGRAMS, PLAN_TABLE, multis])
     runs = [[] for _ in args.src]   # one list per tree, also when a tree is given twice
     for _ in range(args.rounds):
         for src, rounds in zip(args.src, runs):
