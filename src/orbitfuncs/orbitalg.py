@@ -174,9 +174,7 @@ def branch(rs: RootSystem, rule: BranchRule, m: Sequence) -> OrbitSum:
     imgs = (signs * m_int[perm])[:, cols]
     parts = np.split(imgs, cuts, axis=1)
     keep = np.logical_and.reduce([_dominant_rows(f, t) for f, t in zip(doms, parts)])
-    counter: dict = {}
-    for lab, det in zip(_unscaled(imgs[keep], d), group.dets[keep].tolist()):
-        key = (lab[:p], lab[p:]) if cuts else lab
-        counter[key] = counter.get(key, 0) + det
-    return _collect(counter, "signed")
+    rows, sums = _distinct(imgs[keep], group.dets[keep])
+    return _collect({(lab[:p], lab[p:]) if cuts else lab: c
+                     for lab, c in zip(_unscaled(rows, d), sums.tolist())}, "signed")
 

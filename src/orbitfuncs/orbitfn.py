@@ -32,7 +32,6 @@ phase in the package but the textbook ``transforms._dct_dst_data`` tables.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Sequence
 from fractions import Fraction
@@ -47,7 +46,7 @@ from .rootsys import (
 )
 from .weyl import (
     signed_orbit, stabilizer_order, positive_roots, orth_action, WallError,
-    _check_group_size, _dominant_vec, _group, _orbit_rows, _strict_rows, _strict_vec,
+    _check_group_size, _distinct, _dominant_vec, _group, _orbit_rows, _strict_rows, _strict_vec,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -298,25 +297,21 @@ def _power_sum(K: np.ndarray, steps: list, coeffs: list):
     """The function that evaluates the sum over W with exponents K (one
     row per term) and integer coefficients at an (N, rank) float array xs.
 
-    The terms are prepared once, in exact integers: equal rows merge, the
-    gcd g of the coefficients is divided out (and multiplied back once at
-    the end, so that the normalized kind is |Stab(lam)| times the
-    symmetric one to the bit), and a sum closed under K -> -K keeps half
-    its terms (``_half_terms``).  The kept rows, sorted, are the leaves of
-    a prefix tree over the r columns (``_prefix_tree``), and the sum is
-    Horner across them (``_horner``): sum_k0 z_0**k0 (sum_k1 z_1**k1 (...
-    sum_k c z_{r-1}**k)), one product per node with k != 0, that is per
-    distinct prefix, in place of r - 1 per term.  Per block of points it
-    takes r exponentials z_j = exp(2 pi i s_j x_j) and the powers that
-    each column needs."""
+    The terms are prepared once, in exact integers: equal rows merge
+    (``weyl._distinct``), the gcd g of the coefficients is divided out
+    (and multiplied back once at the end, so that the normalized kind is
+    |Stab(lam)| times the symmetric one to the bit), and a sum closed
+    under K -> -K keeps half its terms (``_half_terms``).  The kept rows,
+    sorted, are the leaves of a prefix tree over the r columns
+    (``_prefix_tree``), and the sum is Horner across them (``_horner``):
+    sum_k0 z_0**k0 (sum_k1 z_1**k1 (... sum_k c z_{r-1}**k)), one product
+    per node with k != 0, that is per distinct prefix, in place of r - 1
+    per term.  Per block of points it takes r exponentials z_j = exp(2 pi
+    i s_j x_j) and the powers that each column needs."""
     steps = np.array([float(s) for s in steps])
-    K = np.asarray(K, dtype=np.int64)
-    order = np.lexsort(K.T[::-1])
-    K = K[order]
-    distinct = np.flatnonzero(np.concatenate([[True], (K[1:] != K[:-1]).any(axis=1)]))
-    merged = np.add.reduceat(np.array(coeffs, dtype=np.int64)[order], distinct).tolist()
-    g = math.gcd(*merged) or 1
-    rows, leaf_coeffs, sigma = _half_terms(K[distinct], [c // g for c in merged])
+    K, merged = _distinct(np.asarray(K, dtype=np.int64), np.array(coeffs, dtype=np.int64))
+    g = math.gcd(*merged.tolist()) or 1
+    rows, leaf_coeffs, sigma = _half_terms(K, (merged // g).tolist())
     factor = 2 * g if sigma else g
     # the powers each column needs: every leaf's, and the nonzero ones above
     needed = [set(col) - {0} for col in rows[:, :-1].T.tolist()] + [set(rows[:, -1].tolist())]
@@ -872,13 +867,25 @@ def det_powers(m: Sequence[int], ys: Sequence) -> complex:
     return _perm_sum(grid, signed=True)
 
 
+def _doubled_labels(total: int, n: int) -> list:
+    """2 m + rho over the partitions m of total into n parts, rho = (n - 1, ..., 0)."""
+    return [tuple(2 * a + b for a, b in zip(mm, _staircase(n))) for mm in partitions(total, n)]
+
+
+def _paired_labels(total: int, n: int) -> list:
+    """(m_1, m_1, ..., m_k, m_k[, 0]) + rho over the partitions m of total into k = n // 2 parts."""
+    return [tuple(a + b for a, b in zip([x for c in mm for x in (c, c)] + [0], _staircase(n)))
+            for mm in partitions(total, n // 2)]
+
+
 def an_identity(check: str, **params) -> float:
     """Evaluate one of the A-family identities; returns |LHS - RHS|.
 
     Exact finite identities (``cha5``, ``cha6``, ``cha7``) are computed in
     integer arithmetic and return exactly 0.0 on success.  The series
     identities (``R1``, ``cauchy``, ``cha3``, ``cha4``) are truncated at
-    total degree ``K`` and need max(|y|,|z|,|t|) < 1.
+    total degree ``K`` and need max(|y|,|z|,|t|) < 1.  cha3 and cha6 sum
+    over the labels 2 m + rho, cha4 and cha7 over the paired ones.
     """
     check = check.lower().replace("-", "") if isinstance(check, str) else check
     if check == "cha5":
@@ -888,27 +895,14 @@ def an_identity(check: str, **params) -> float:
             vandermonde([a + b for a, b in zip(mm, rho_s)])
             * vandermonde([a + b for a, b in zip(mm + (0,) * (r - s), rho_r)])
             for mm in partitions(m, s))
-        rhs = (Fraction(math.factorial(s * r + m - 1),
-                        math.factorial(s * r - 1) * math.factorial(m))
-               * vandermonde(rho_s) * vandermonde(rho_r))
+        rhs = math.comb(s * r + m - 1, m) * vandermonde(rho_s) * vandermonde(rho_r)
         return float(abs(lhs - rhs))
     if check in ("cha6", "cha7"):
         n, m = params["n"], params["m"]
-        rho = _staircase(n)
-        if check == "cha6":
-            labels = [tuple(2 * a for a in mm) for mm in partitions(m, n)]
-            d = n * (n + 1) // 2
-        else:
-            nu = n // 2
-            labels = []
-            for mm in partitions(m, nu):
-                doubled = tuple(itertools.chain.from_iterable((a, a) for a in mm))
-                labels.append(doubled + (0,) * (n - 2 * nu))
-            d = n * (n - 1) // 2
-        lhs = sum(vandermonde([a + b for a, b in zip(lab, rho)]) for lab in labels)
-        rhs = (Fraction(math.factorial(d + m - 1),
-                        math.factorial(d - 1) * math.factorial(m))
-               * vandermonde(rho))
+        labels, d = ((_doubled_labels, n * (n + 1) // 2) if check == "cha6" else
+                     (_paired_labels, n * (n - 1) // 2))
+        lhs = sum(vandermonde(lab) for lab in labels(m, n))
+        rhs = math.comb(d + m - 1, m) * vandermonde(_staircase(n))
         return float(abs(lhs - rhs))
     if check in ("r1", "cauchy"):
         ys = [complex(v) for v in params["y"]]
@@ -942,28 +936,14 @@ def an_identity(check: str, **params) -> float:
         t = complex(params.get("t", 1.0))
         K = params.get("K", 12)
         n = len(ys)
-        rho = _staircase(n)
+        labels, first = (_doubled_labels, 0) if check == "cha3" else (_paired_labels, 1)
         rhs = 0j
-        if check == "cha3":
-            for total in range(K + 1):
-                for mm in partitions(total, n):
-                    lab = [2 * a + b for a, b in zip(mm, rho)]
-                    rhs += det_powers(lab, ys) * t ** total
-            lhs = det_powers(rho, ys)
-            for i in range(n):
-                for j in range(i, n):
-                    lhs /= (1 - t * ys[i] * ys[j])
-        else:
-            nu = n // 2
-            for total in range(K + 1):
-                for mm in partitions(total, nu):
-                    doubled = tuple(itertools.chain.from_iterable((a, a) for a in mm))
-                    doubled += (0,) * (n - 2 * nu)
-                    lab = [a + b for a, b in zip(doubled, rho)]
-                    rhs += det_powers(lab, ys) * t ** total
-            lhs = det_powers(rho, ys)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    lhs /= (1 - t * ys[i] * ys[j])
+        for total in range(K + 1):
+            for lab in labels(total, n):
+                rhs += det_powers(lab, ys) * t ** total
+        lhs = det_powers(_staircase(n), ys)
+        for i in range(n):
+            for j in range(i + first, n):
+                lhs /= (1 - t * ys[i] * ys[j])
         return abs(lhs - rhs)
     raise ValueError(f"unknown identity {check!r}")

@@ -31,8 +31,8 @@ import numpy as np
 from .rootsys import (
     RootSystem, Vec, lattice_index, rank_vec, _count, _integer, _positive, _vec_str,
 )
-from .weyl import dual_marks, generators, _distinct, _group, _scaled, _unscaled
-from .orbitfn import eval_coroot_point, eval_batch, _cis, _perm_sum, _signed_kernel, _stab_order
+from .weyl import dual_marks, generators, _distinct, _group, _unscaled
+from .orbitfn import eval_batch, _cis, _perm_sum, _signed_kernel, _stab_order
 
 _log = logging.getLogger(__name__)
 
@@ -97,39 +97,38 @@ def grid_fm(rs: RootSystem, M: int) -> GridFM:
     ValueError naming M unless it is an integer >= 1."""
     M = _count(M, "M")
     s = _alcove(rs.marks, M, f"the F_{M} grid of {rs.id.label}")
-    return GridFM(rs=rs, M=M, points=_grid_points(rs, M, s))
+    return GridFM(rs=rs, M=M, points=_grid_points(rs, M, s)[0])
 
 
-def _interior_points(rs: RootSystem, M: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """The interior points of F_M as int64 rows s, in order: s_i >= 1 and s_0 >= 1, that is
-    s - 1 in the alcove of M - 1 - sum m_i; with the int64 numerators of their coroot
-    coordinates, one row per point, and their denominator (see ``_grid_points``)."""
-    s = _alcove(rs.marks, M - 1 - sum(rs.marks),
-                f"the interior of the F_{M} grid of {rs.id.label}") + 1
-    C, L = rs._coweight_rows
-    return s, s @ np.array(C, dtype=np.int64)[:, rs.rank:], L * M
-
-
-def _grid_points(rs: RootSystem, M: int, s: np.ndarray) -> tuple[GridPoint, ...]:
-    """The GridPoints of the rows s of F_M.  The omega and coroot
-    coordinates s C are integer numerators over one denominator L M, with
-    C and L kept with the root system (``RootSystem._coweight_rows``)."""
+def _grid_points(rs: RootSystem, M: int, s: np.ndarray) -> tuple[tuple, np.ndarray, int]:
+    """The GridPoints of the rows s of F_M, the coroot columns of their int64
+    numerators s C over L M, and L M; C and L are kept with the root system
+    (``RootSystem._coweight_rows``)."""
     n = rs.rank
     C, L = rs._coweight_rows
     s0 = M - s @ np.array(rs.marks, dtype=np.int64)
     interior = (s0 > 0) & np.all(s > 0, axis=1)
-    X = _unscaled(s @ np.array(C, dtype=np.int64), L * M)
-    return tuple(GridPoint(s=tuple(si), s0=s0i, M=M, omega=c[:n], coroot=c[n:], interior=inside)
-                 for si, s0i, c, inside in zip(s.tolist(), s0.tolist(), X, interior.tolist()))
+    X = s @ np.array(C, dtype=np.int64)
+    points = tuple(GridPoint(s=tuple(si), s0=s0i, M=M, omega=c[:n], coroot=c[n:], interior=inside)
+                   for si, s0i, c, inside in
+                   zip(s.tolist(), s0.tolist(), _unscaled(X, L * M), interior.tolist()))
+    return points, X[:, n:], L * M
+
+
+def _torus_rows(rs: RootSystem, M: int, s: np.ndarray) -> tuple[np.ndarray, int]:
+    """The Weyl expansion modulo the coroot lattice of the F_M points with
+    rows s: the sorted distinct rows b M_w mod L M, w in W, of their coroot
+    numerators b (as in ``_grid_points``), and L M.  W keeps the dot product
+    of omega and coroot coordinates, so it maps a coroot row vector b to b M_w."""
+    C, L = rs._coweight_rows
+    b = s @ np.array(C, dtype=np.int64)[:, rs.rank:] @ _group(rs).mats
+    return _distinct(b.reshape(-1, rs.rank) % (L * M)), L * M
 
 
 def tm_expand(rs: RootSystem, grid: GridFM) -> list[Vec]:
     """Weyl expansion of the grid modulo the coroot lattice: all distinct
-    coroot-coordinate tuples w x mod 1, sorted.  W keeps the dot product of
-    omega and coroot coordinates, so it maps a coroot row vector b to b M."""
-    group = _group(rs)
-    b, d = _scaled(rs, [p.coroot for p in grid.points])
-    return _unscaled(_distinct((b @ group.mats).reshape(-1, rs.rank) % d), d)
+    coroot-coordinate tuples w x mod 1, sorted."""
+    return _unscaled(*_torus_rows(rs, grid.M, np.array([p.s for p in grid.points], dtype=np.int64)))
 
 
 # -- the finite orbit-function transform ----------------------------------
@@ -206,8 +205,9 @@ def build_plan(rs: RootSystem, M: int, labels: Sequence[Vec] | None = None,
     M = _count(M, "M")
     tol = _positive(tol, "tol")
     start = time.perf_counter()
-    s, points, db = _interior_points(rs, M)
-    grid = _grid_points(rs, M, s)
+    # the interior points, s_i >= 1 and s_0 >= 1: s - 1 in the alcove of M - 1 - sum m_i
+    s = _alcove(rs.marks, M - 1 - sum(rs.marks), f"the interior of the F_{M} grid of {rs.id.label}")
+    grid, points, db = _grid_points(rs, M, s + 1)
     gridded = time.perf_counter()
     if labels is None:
         rows = _label_rows(rs, M)
@@ -245,8 +245,15 @@ def build_plan(rs: RootSystem, M: int, labels: Sequence[Vec] | None = None,
 
 def gram_over_torus(rs: RootSystem, M: int, labels: Sequence[Vec]) -> np.ndarray:
     """Gram matrix of the antisymmetric functions over the full Weyl
-    expansion of F_M modulo the coroot lattice (definitional check)."""
-    V = eval_coroot_point(rs, "antisymmetric", labels, tm_expand(rs, grid_fm(rs, M)))
+    expansion of F_M modulo the coroot lattice (definitional check): the
+    plan kernel at the integer rows of ``tm_expand``.  ValueError naming M,
+    or naming the diagram for no labels or one that is not strictly dominant."""
+    M = _count(M, "M")
+    labels = [rank_vec(rs, l) for l in labels]
+    if not labels:
+        raise ValueError(f"the Gram matrix of {rs.id.label} over its F_{M} torus needs a label")
+    s = _alcove(rs.marks, M, f"the F_{M} grid of {rs.id.label}")
+    V = _signed_kernel(rs, labels, *_torus_rows(rs, M, s))
     return V @ V.conj().T
 
 
@@ -484,13 +491,15 @@ def series_coefficients(rs: RootSystem, f: Callable, labels,
                         resolution: int = 200) -> np.ndarray:
     """c_lambda = int_F f(x) conj(phi_lambda(x)) dx by midpoint quadrature;
     f maps an (K, n) array of omega coordinates to values."""
+    return _series(rs, f, labels, resolution)[0]
+
+
+def _series(rs: RootSystem, f: Callable, labels, resolution: int):
+    """The coefficients of ``series_coefficients``, f at its nodes and the cell weight."""
     pts, w = fundamental_domain_quadrature(rs, resolution)
     fv = np.asarray(f(pts), dtype=complex)
-    out = []
-    for lam in labels:
-        vals = eval_batch(rs, "anti", lam, pts)
-        out.append(np.sum(fv * vals.conj()) * w)
-    return np.array(out)
+    return np.array([np.sum(fv * eval_batch(rs, "anti", lam, pts).conj()) * w
+                     for lam in labels]), fv, w
 
 
 def series_synthesis(rs: RootSystem, coeffs, labels, xs: np.ndarray) -> np.ndarray:
@@ -510,9 +519,7 @@ def plancherel_residual(rs: RootSystem, f: Callable, labels,
                         resolution: int = 200) -> float:
     """| sum |c_lambda|^2 - int_F |f|^2 | for a function spanned by the
     given labels."""
-    pts, w = fundamental_domain_quadrature(rs, resolution)
-    fv = np.asarray(f(pts), dtype=complex)
-    coeffs = series_coefficients(rs, f, labels, resolution)
+    coeffs, fv, w = _series(rs, f, labels, resolution)
     lhs = float(np.sum(np.abs(coeffs) ** 2))
     rhs = float(np.sum(np.abs(fv) ** 2) * w)
     return abs(lhs - rhs)

@@ -8,13 +8,13 @@ is needed, and one on a wall where strict dominance is needed.
 Each must raise a ``ValueError`` (or a subclass: ``WallError``,
 ``UnsupportedCoordinatesError``) whose message names the diagram, never
 a ``TypeError``, an ``IndexError``, a ``KeyError`` or a bare numpy
-message.  Plans without labels are refused the same way, and quadrature
-sizes, finite-difference steps, integral-transform labels and the sizes of
-the polynomial families by the name of the argument.  A kind (of a
-transform, an evaluation or an identity) that is not a string is refused
-as an unknown kind, by its repr.  A plan refuses a
-vector of the wrong length, and a series one coefficient too many or too
-few, by the count it expected.
+message.  Plans and torus Gram matrices without labels are refused the
+same way, and quadrature sizes, finite-difference steps, integral-transform
+labels and the sizes of the polynomial families by the name of the
+argument.  A kind (of a transform, an evaluation or an identity) that is
+not a string is refused as an unknown kind, by its repr.  A plan refuses
+a vector of the wrong length, and a series one coefficient too many or
+too few, by the count it expected.
 """
 
 import math
@@ -43,7 +43,8 @@ from orbitfuncs.rootsys import (
 from orbitfuncs.transforms import (
     PlanSeparationError, build_plan, continuous_orthogonality_residual,
     cosine_integral_transform, default_labels, dst_dct_1d, fundamental_domain_quadrature,
-    grid_fm, multivariate_plan, series_coefficients, series_synthesis, sine_integral_transform,
+    gram_over_torus, grid_fm, multivariate_plan, series_coefficients, series_synthesis,
+    sine_integral_transform,
 )
 from orbitfuncs.weyl import (
     in_fundamental_domain, orbit, signed_orbit, stabilizer_order, to_dominant,
@@ -125,6 +126,7 @@ ENTRIES = {
     "from_orthogonal": ("orth", "point", lambda rs, v: from_orthogonal(rs, v)),
     "branch": ("orth", "strict", lambda rs, v: branch(rs, BranchRule("drop"), v)),
     "build_plan-label": ("omega", "strict", lambda rs, v: build_plan(rs, 6, labels=[v])),
+    "gram_over_torus-label": ("omega", "strict", lambda rs, v: gram_over_torus(rs, 3, [v])),
     "shift_operator_check-lam": ("omega", "strict", lambda rs, v: shift_operator_check(
         rs, v, _x(rs), _x(rs), "det_on_anti")),
     "shift_operator_check-x": ("omega", "point", lambda rs, v: shift_operator_check(
@@ -256,6 +258,8 @@ def test_plans_without_labels_are_refused(rs):
         with pytest.raises(ValueError, match=rf"^a plan on the F_\d grid of {rs.id.label} "
                                              "needs at least one label"):
             call()
+    with pytest.raises(ValueError, match=rf"\b{rs.id.label}\b"):   # as before its own check
+        gram_over_torus(rs, 3, [])
 
 
 def test_rho_orth_without_an_orthogonal_model_is_named():

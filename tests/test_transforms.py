@@ -18,7 +18,6 @@ from orbitfuncs.transforms import (
     fundamental_domain_quadrature, continuous_orthogonality_residual,
     mixed_symmetry_orthogonality_residual, series_coefficients,
     plancherel_residual, sine_integral_transform, _alcove, _grid_points, _integral_transform,
-    _interior_points,
 )
 
 from orbit_oracles import (
@@ -114,7 +113,7 @@ def test_tm_expand_sizes():
 
 
 
-@pytest.mark.parametrize("label,M", [("A3", 6), ("B3", 8)])
+@pytest.mark.parametrize("label,M", [("A3", 6), ("B3", 8), ("C2", 9), ("G2", 12), ("C3", 6)])
 def test_tm_expand_matches_the_element_oracle(label, M):
     rs = build(label)
     grid = grid_fm(rs, M)
@@ -170,20 +169,25 @@ def test_exceptional_grids_equal_the_oracle(label):
 
 @pytest.mark.parametrize("label", ["A2", "C2", "G2", "A3", "B3", "C3"])
 def test_plan_grid_is_the_interior_of_the_oracle_grid(label):
-    # the integer rows of the interior points and the plan's GridPoints;
-    # below the default labels' M no plan exists, and the rows give the
-    # GridPoints the plan would build
+    # the integer rows of the interior points (s - 1 in the alcove of M - 1 -
+    # sum of the marks), and what _grid_points gives for them: int64 coroot
+    # numerators over L M and the GridPoints, which are the plan's grid; below
+    # the default labels' M no plan exists
     rs = build(label)
+    L = rs._coweight_rows[1]
     for M in range(1, 16):
-        rows, numerators, den = _interior_points(rs, M)
+        rows = _alcove(rs.marks, M - 1 - sum(rs.marks), label) + 1
         want = tuple(p for p in grid_oracle(rs, M).points if p.interior)
         assert rows.dtype == np.int64 and rows.tolist() == [list(p.s) for p in want], M
+        points, numerators, den = _grid_points(rs, M, rows)
+        assert den == L * M
         assert numerators.dtype == np.int64 and numerators.shape == (len(want), rs.rank)
         assert [tuple(F(c, den) for c in row) for row in numerators.tolist()] == \
             [p.coroot for p in want]
-        got = build_plan(rs, M).grid if M > sum(dual_marks(rs)) else _grid_points(rs, M, rows)
-        assert _same(got, want), M
-    assert _interior_points(rs, sum(rs.marks))[0].shape == (0, rs.rank)
+        assert _same(points, want), M
+        if M > sum(dual_marks(rs)):
+            assert _same(build_plan(rs, M).grid, want), M
+    assert (_alcove(rs.marks, -1, label) + 1).shape == (0, rs.rank)
 
 
 def test_grid_constants_are_kept_with_the_root_system():
@@ -661,6 +665,22 @@ def test_plancherel_residual_truncated():
                    for w, lab in zip(weights, labels))
 
     assert plancherel_residual(a2, f, labels, 200) < 1e-3
+
+
+def test_plancherel_residual_calls_f_once():
+    # one quadrature and one call of f, shared with the coefficient loop; the
+    # residual is the one from series_coefficients and a second quadrature
+    a2, labels, calls = build("A2"), [(1, 1), (2, 1)], []
+
+    def f(pts):
+        calls.append(len(pts))
+        return eval_batch(a2, "anti", (2, 1), pts)
+
+    residual = plancherel_residual(a2, f, labels, 60)
+    assert len(calls) == 1 and residual < 1e-3
+    pts, w = fundamental_domain_quadrature(a2, 60)
+    assert residual == abs(float(np.sum(np.abs(series_coefficients(a2, f, labels, 60)) ** 2))
+                           - float(np.sum(np.abs(f(pts)) ** 2) * w))
 
 
 def test_sine_integral_transform_a1_analytic():

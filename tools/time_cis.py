@@ -22,6 +22,9 @@ best of several calls after one warm call:
 * ``transforms.multivariate_plan`` on the 60 plans of the ``plans`` bench
   workload (``MULTI_KINDS`` at the sizes of ``MULTI_N``), the sum of their
   best times in ms;
+* ``transforms.tm_expand`` of ``grid_fm`` and ``transforms.gram_over_torus``
+  with the default labels on A2 M = 7, C2 M = 9, G2 M = 12 and B3 M = 6,
+  in ms each (no bench workload runs either);
 
 and the minor page faults per call of each (``resource.getrusage`` around
 the timed calls).  The script prints, per tree, the median over the rounds
@@ -41,6 +44,7 @@ from workloads import MULTI_KINDS, MULTI_N, PLAN_TABLE, make_tasks  # noqa: E402
 
 CIS_SIZES = (160, 4096, 16384, 160_000)
 RHO_DIAGRAMS = ("F4", "A5", "E6")
+TORI = (("A2", 7), ("C2", 9), ("G2", 12), ("B3", 6))
 
 CHILD = """
 import json, resource, sys, time
@@ -48,7 +52,8 @@ import numpy as np
 from orbitfuncs.analysis import PlaneWaveQuadrature
 from orbitfuncs.orbitfn import _cis, eval_batch
 from orbitfuncs.rootsys import build
-from orbitfuncs.transforms import build_plan, default_labels, multivariate_plan
+from orbitfuncs.transforms import (
+    build_plan, default_labels, gram_over_torus, grid_fm, multivariate_plan, tm_expand)
 
 def best(call, reps):
     call()
@@ -64,7 +69,7 @@ def best(call, reps):
 def read(plan):
     plan.grid, plan.labels
 
-cis_sizes, keys, rho_diagrams, plan_table, multis = json.loads(sys.argv[1])
+cis_sizes, keys, rho_diagrams, plan_table, multis, tori = json.loads(sys.argv[1])
 rng = np.random.default_rng(1)
 out = {}
 for n in cis_sizes:
@@ -110,6 +115,13 @@ out["multivariate_plans"] = {"ms": total * 1e3, "faults": total_faults}
 a2 = build("A2")
 t, f = best(lambda: build_plan(a2, 24), 5)
 out["plan_A2_24"] = {"ms": t * 1e3, "faults": f}
+for diagram, M in tori:
+    rs = build(diagram)
+    grid, labels = grid_fm(rs, M), default_labels(rs, M)
+    t, f = best(lambda: tm_expand(rs, grid), 5)
+    out[f"tm_expand_{diagram}_{M}"] = {"ms": t * 1e3, "faults": f}
+    t, f = best(lambda: gram_over_torus(rs, M, labels), 5)
+    out[f"gram_over_torus_{diagram}_{M}"] = {"ms": t * 1e3, "faults": f}
 print(json.dumps(out))
 """
 
@@ -139,7 +151,7 @@ def main() -> int:
     args = parser.parse_args()
     multis = [(kind, n, N) for n, sizes in MULTI_N.items() for kind in MULTI_KINDS
               for N in sizes[kind]]
-    cases = json.dumps([CIS_SIZES, eval_keys(), RHO_DIAGRAMS, PLAN_TABLE, multis])
+    cases = json.dumps([CIS_SIZES, eval_keys(), RHO_DIAGRAMS, PLAN_TABLE, multis, TORI])
     runs = [[] for _ in args.src]   # one list per tree, also when a tree is given twice
     for _ in range(args.rounds):
         for src, rounds in zip(args.src, runs):
